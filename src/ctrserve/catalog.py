@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
@@ -36,8 +37,8 @@ class AdCreative:
     locations: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if self.bid <= 0:
-            raise ValidationError(f"ad {self.ad_id!r}: bid must be > 0, got {self.bid}")
+        if not 0 < self.bid < math.inf:  # NaN fails too: buckets are sorted by bid
+            raise ValidationError(f"ad {self.ad_id!r}: bid must be finite and > 0, got {self.bid}")
         if not self.keywords:
             raise ValidationError(f"ad {self.ad_id!r}: keywords must be nonempty")
 

@@ -45,9 +45,5 @@ class ContractError(CtrServeError):
     """Caller passed arguments of the wrong shape or schema."""
 
 
-class NoFillError(CtrServeError):
-    """Selection was requested on an empty candidate pool."""
-
-
 class ModelLoadError(CtrServeError):
     """Model stream is corrupt or has an unsupported version."""

@@ -12,7 +12,7 @@ import numpy as np
 from .catalog import TrainingRow
 from .errors import (ContractError, CtrServeError, DegenerateFeatureError,
                      DivergenceError, ModelLoadError, SingularMatrixError)
-from .features import (DesignMatrix, FeatureSchema, ScalerStats,
+from .features import (FEATURE_NAMES, DesignMatrix, FeatureSchema, ScalerStats,
                        build_design_matrix, fit_scaler, transform, transform_row)
 
 GRADIENT_DESCENT = "gradient_descent"
@@ -56,10 +56,29 @@ class RegressionModel:
     keyword_map_ref: str = ""
 
     def __post_init__(self):
+        if self.schema.feature_names != FEATURE_NAMES:
+            raise ContractError(f"features must be {list(FEATURE_NAMES)}, "
+                                f"got {list(self.schema.feature_names)}")
+        if self.theta.shape != (self.schema.n_columns,):
+            raise ContractError(f"theta has shape {self.theta.shape}, the schema needs "
+                                f"{self.schema.n_columns} values")
         if not np.isfinite(self.theta).all():
             raise ContractError("theta must be finite")
         if (self.scaler is not None) != bool(self.config.scale_features):
             raise ContractError("scaler must be present iff scale_features is set")
+        if self.scaler is not None:
+            width = (len(FEATURE_NAMES),)
+            if self.scaler.means.shape != width or self.scaler.stds.shape != width:
+                raise ContractError(f"scaler means and stds must each have {width[0]} values")
+            if not (np.isfinite(self.scaler.means).all() and np.isfinite(self.scaler.stds).all()
+                    and (self.scaler.stds > 0).all()):
+                raise ContractError("scaler means must be finite and stds finite and > 0")
+
+    @property
+    def bid_weight(self) -> float:
+        """theta's bid coefficient. Scaling divides bid by a positive std,
+        so its sign is the sign of the score's slope in bid."""
+        return float(self.theta[FEATURE_NAMES.index("bid") + self.schema.include_intercept])
 
 
 def hypothesis(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -75,8 +94,6 @@ def predict(model: RegressionModel, raw: Sequence[float]) -> float:
     feats = transform_row(model.scaler, raw) if model.scaler is not None else raw
     if model.schema.include_intercept:
         feats = np.concatenate([[1.0], feats])
-    if feats.shape != model.theta.shape:
-        raise ContractError(f"theta length {model.theta.shape[0]} does not match feature length {feats.shape[0]}")
     return float(feats @ model.theta)
 
 

@@ -1,5 +1,6 @@
-"""Contextual ad selection: candidate pool filtering, bid/CTR ranking and
-the low-latency HTTP front end with atomic snapshot reload."""
+"""Contextual ad selection: an ordered scan of presorted (size, category)
+buckets for bid/CTR ranking, and the low-latency HTTP front end with atomic
+snapshot reload."""
 
 from __future__ import annotations
 
@@ -9,14 +10,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
 from .catalog import (EVENT_LOG_HEADER, AdCreative, ImpressionEvent, Placement,
                       RequestContext, normalize_token, parse_ad_catalog,
                       write_event_row)
-from .errors import EncodingError, NoFillError, ValidationError
+from .errors import ContractError, EncodingError, ValidationError
 from .features import encode_placement, encode_size
 from .keywords import KeywordMap, load_keyword_map, resolve_page_value
 from .regression import RegressionModel, load_model, predict
@@ -26,12 +28,6 @@ MODE_CTR = "ctr"
 
 NO_FILL = "no_fill"
 FILLED = "filled"
-
-
-@dataclass(frozen=True)
-class CandidatePool:
-    request: RequestContext
-    candidates: tuple[tuple[AdCreative, int], ...]  # (ad, keyword overlap)
 
 
 @dataclass(frozen=True)
@@ -58,101 +54,110 @@ def keyword_overlap(ad: AdCreative, request: RequestContext) -> int:
     return len(ad.keywords & request.page_keywords)
 
 
-def _eligible(ad: AdCreative, request: RequestContext) -> bool:
-    if ad.size != request.size or ad.category != request.category:
-        return False
-    if ad.locations and request.country not in ad.locations:
-        return False
-    return True
+def _eligible(ads: Iterable[AdCreative], request: RequestContext) -> Iterator[AdCreative]:
+    """The ads of one (size, category) bucket, in the order given, that pass
+    the country target (an empty set means untargeted) and share at least one
+    page keyword."""
+    country, page = request.country, request.page_keywords
+    for ad in ads:
+        if (not ad.locations or country in ad.locations) and not ad.keywords.isdisjoint(page):
+            yield ad
 
 
-def build_pool(catalog: Sequence[AdCreative], request: RequestContext) -> CandidatePool:
-    """Eligibility filter: exact size and category match, country-level
-    location targeting (empty set means untargeted) and overlap >= 1."""
-    candidates = []
-    for ad in catalog:
-        if not _eligible(ad, request):
-            continue
+def _rank_by_bid(bucket: Sequence[AdCreative],
+                 request: RequestContext) -> Optional[tuple[AdCreative, float]]:
+    """Maximal keyword overlap, then maximal bid, then smallest ad_id. The
+    bucket is in that (bid, ad_id) order, so the first ad to reach a new
+    maximal overlap wins; no ad can beat an overlap of every page keyword."""
+    best, best_overlap = None, 0
+    for ad in _eligible(bucket, request):
         overlap = keyword_overlap(ad, request)
-        if overlap >= 1:
-            candidates.append((ad, overlap))
-    return CandidatePool(request=request, candidates=tuple(candidates))
+        if overlap > best_overlap:
+            best, best_overlap = ad, overlap
+            if overlap == len(request.page_keywords):
+                break
+    return None if best is None else (best, best.bid)
 
 
-def select_by_bid(pool: CandidatePool) -> AdCreative:
-    """Maximal keyword overlap first, then maximal bid, then smallest ad_id."""
-    if not pool.candidates:
-        raise NoFillError("empty candidate pool")
-    best_ad, _ = min(pool.candidates, key=lambda c: (-c[1], -c[0].bid, c[0].ad_id))
-    return best_ad
+def _rank_by_ctr(state: "ServingState",
+                 request: RequestContext) -> Optional[tuple[AdCreative, float]]:
+    """Argmax of predicted CTR; ties break by higher bid, then smallest ad_id.
 
-
-def select_by_ctr(pool: CandidatePool, model: RegressionModel,
-                  keyword_map: KeywordMap) -> tuple[AdCreative, float]:
-    """Argmax of predicted CTR over the pool; ties break by higher bid then
-    smallest ad_id. Candidates that fail to encode are skipped."""
-    if not pool.candidates:
-        raise NoFillError("empty candidate pool")
-    request = pool.request
-    placement_code = encode_placement(request.placement)
-    kw_value = resolve_page_value(keyword_map, request.page_keywords, mode="fallback")
-    best: Optional[tuple[float, float, str, AdCreative]] = None
-    skipped = 0
-    for ad, _overlap in pool.candidates:
-        try:
-            size_code = encode_size(ad.size, model.schema.size_registry)
-        except EncodingError:
-            skipped += 1
-            continue
-        score = predict(model, (placement_code, size_code, ad.bid, kw_value))
-        key = (score, ad.bid, ad.ad_id)
-        if best is None or (key[0], key[1]) > (best[0], best[1]) or \
-                (key[0] == best[0] and key[1] == best[1] and key[2] < best[2]):
-            best = (score, ad.bid, ad.ad_id, ad)
+    Every ad of a bucket shares the request's placement, size and page
+    keyword value, so the score varies only through theta_bid * bid and,
+    rounding being monotone, never rises along the bucket's scan order. The
+    first eligible ad therefore has the top score. When the score rises with
+    bid it also has the highest bid, and the smallest ad_id among ads of
+    that bid, so it wins. When the score falls with bid the scan runs bid
+    ascending, and higher bids whose score rounds to the same top value win
+    the tie, so the scan goes on while the score holds."""
+    model = state.model
+    try:
+        size_code = encode_size(request.size, model.schema.size_registry)
+    except EncodingError:
+        return None
+    bucket = state.bucket(request)
+    ads = _eligible(reversed(bucket) if state.bid_ascending else bucket, request)
+    best = next(ads, None)
     if best is None:
-        raise NoFillError(f"all {skipped} candidates failed feature encoding")
-    return best[3], best[0]
+        return None
+    placement_code = encode_placement(request.placement)
+    kw_value = resolve_page_value(state.keyword_map, request.page_keywords, mode="fallback")
+    best_score = predict(model, (placement_code, size_code, best.bid, kw_value))
+    if state.bid_ascending:
+        # Ascending bid puts equal bids in descending ad_id order, so a
+        # later ad of the same bid is the smaller ad_id and also wins.
+        for ad in ads:
+            if ad.bid != best.bid and \
+                    predict(model, (placement_code, size_code, ad.bid, kw_value)) != best_score:
+                break
+            best = ad
+    return best, best_score
 
 
 @dataclass
 class ServingState:
-    """Immutable snapshot of the state one request reads: the catalog (with
-    a (size, category) index), the model and the keyword map."""
+    """Immutable snapshot of the state one request reads: the catalog, its
+    (size, category) buckets each sorted by (bid descending, ad_id), the
+    model and the keyword map."""
 
     catalog: tuple[AdCreative, ...]
     model: Optional[RegressionModel] = None
     keyword_map: Optional[KeywordMap] = None
     index: dict = field(init=False)
     ad_ids: frozenset = field(init=False)
+    bid_ascending: bool = field(init=False)  # ctr scans a bucket from its end
 
     def __post_init__(self):
         index: dict[tuple[str, str], list[AdCreative]] = {}
         for ad in self.catalog:
             index.setdefault((ad.size, ad.category), []).append(ad)
-        self.index = index
+        for ads in index.values():
+            ads.sort(key=attrgetter("ad_id"))
+            ads.sort(key=attrgetter("bid"), reverse=True)  # stable: ties keep ad_id order
+        self.index = {key: tuple(ads) for key, ads in index.items()}
         self.ad_ids = frozenset(ad.ad_id for ad in self.catalog)
+        self.bid_ascending = self.model is not None and self.model.bid_weight < 0
 
-    def bucket(self, request: RequestContext) -> list[AdCreative]:
-        return self.index.get((request.size, request.category), [])
+    def bucket(self, request: RequestContext) -> tuple[AdCreative, ...]:
+        return self.index.get((request.size, request.category), ())
 
 
 def serve(request: RequestContext, mode: str, state: ServingState) -> AdResponse:
-    """Build the contextual pool and rank it; a no-fill is a status, not an
-    error. Only ads sharing the request's (size, category) bucket can pass
-    the filter, so the pool is built from that bucket."""
+    """Rank the request's (size, category) bucket in one ordered scan; a
+    no-fill is a status, not an error."""
     start = time.perf_counter_ns()
-    pool = build_pool(state.bucket(request), request)
-    try:
-        if mode == MODE_CTR:
-            ad, score = select_by_ctr(pool, state.model, state.keyword_map)
-        else:
-            ad = select_by_bid(pool)
-            score = ad.bid
-    except NoFillError:
-        latency = (time.perf_counter_ns() - start) // 1000
-        return AdResponse(status=NO_FILL, mode=mode, latency_micros=int(latency))
-    latency = (time.perf_counter_ns() - start) // 1000
-    return AdResponse(status=FILLED, mode=mode, latency_micros=int(latency),
+    if mode == MODE_CTR:
+        best = _rank_by_ctr(state, request)
+    elif mode == MODE_BID:
+        best = _rank_by_bid(state.bucket(request), request)
+    else:
+        raise ContractError(f"unknown serving mode {mode!r}")
+    latency = int((time.perf_counter_ns() - start) // 1000)
+    if best is None:
+        return AdResponse(status=NO_FILL, mode=mode, latency_micros=latency)
+    ad, score = best
+    return AdResponse(status=FILLED, mode=mode, latency_micros=latency,
                       ad_id=ad.ad_id, campaign_id=ad.campaign_id,
                       landing_page=ad.landing_page, size=ad.size, score=score)
 
@@ -206,21 +211,55 @@ def load_state(config: ServerConfig) -> ServingState:
     return ServingState(catalog=catalog, model=model, keyword_map=keyword_map)
 
 
+_TEXT_FIELDS = ("size", "category", "area", "city", "country", "ip", "browser")
+
+MAX_EVENT_BODY = 64 * 1024  # bytes; a larger POST /event body is refused unread
+
+
+def _request_context(fields: Mapping, page_keywords: frozenset[str]) -> RequestContext:
+    """The RequestContext of an /ad query or an /event body; a field of the
+    wrong type or value raises ValueError."""
+    placement = Placement(fields.get("placement", Placement.ABOVE_FOLD.value))
+    text = {name: fields.get(name, "") for name in _TEXT_FIELDS}
+    bad = [name for name, value in text.items() if not isinstance(value, str)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be a string")
+    return RequestContext(
+        placement=placement, size=text["size"], category=text["category"],
+        page_keywords=page_keywords,
+        location=(text["area"], text["city"], text["country"]),
+        ip=text["ip"], browser=text["browser"],
+    )
+
+
 def _parse_request_qs(query: str) -> tuple[RequestContext, Optional[str]]:
     params = {k: v[0] for k, v in parse_qs(query).items()}
-    placement = Placement(params.get("placement", Placement.ABOVE_FOLD.value))
     keywords = frozenset(normalize_token(t)
                          for t in params.get("keywords", "").split(",") if t.strip())
-    context = RequestContext(
-        placement=placement,
-        size=params.get("size", ""),
-        category=params.get("category", ""),
-        page_keywords=keywords,
-        location=(params.get("area", ""), params.get("city", ""), params.get("country", "")),
-        ip=params.get("ip", ""),
-        browser=params.get("browser", ""),
-    )
-    return context, params.get("mode")
+    return _request_context(params, keywords), params.get("mode")
+
+
+def _parse_event(body: bytes) -> tuple[str, RequestContext, bool]:
+    """(ad_id, context, clicked) of a POST /event body; raises ValueError
+    unless the body is a JSON object with a string ad_id, a list of string
+    keywords and a boolean clicked."""
+    try:
+        payload = json.loads(body or b"{}")
+    except RecursionError:
+        raise ValueError("event body nests too deeply") from None
+    if not isinstance(payload, dict):
+        raise ValueError("event body must be a JSON object")
+    ad_id = payload.get("ad_id")
+    if not isinstance(ad_id, str):
+        raise ValueError("ad_id must be a string")
+    keywords = payload.get("keywords", [])
+    if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
+        raise ValueError("keywords must be a list of strings")
+    clicked = payload.get("clicked", False)
+    if not isinstance(clicked, bool):
+        raise ValueError("clicked must be true or false")
+    context = _request_context(payload, frozenset(normalize_token(k) for k in keywords))
+    return ad_id, context, clicked
 
 
 class AdRequestHandler(BaseHTTPRequestHandler):
@@ -251,6 +290,9 @@ class AdRequestHandler(BaseHTTPRequestHandler):
                 self._send(400, json.dumps({"error": str(exc)}))
                 return
             mode = mode or app.default_mode
+            if mode not in (MODE_BID, MODE_CTR):
+                self._send(400, json.dumps({"error": f"unknown mode {mode!r}"}))
+                return
             state = app.state
             if mode == MODE_CTR and (state.model is None or state.keyword_map is None):
                 self._send(400, json.dumps({"error": "ctr mode requires a model and keyword map"}))
@@ -274,20 +316,20 @@ class AdRequestHandler(BaseHTTPRequestHandler):
                 return
             self._send(200, json.dumps({"status": "reloaded"}))
         elif url.path == "/event":
-            length = int(self.headers.get("Content-Length", "0"))
             try:
-                payload = json.loads(self.rfile.read(length) or b"{}")
-                context = RequestContext(
-                    placement=Placement(payload.get("placement", Placement.ABOVE_FOLD.value)),
-                    size=payload.get("size", ""),
-                    category=payload.get("category", ""),
-                    page_keywords=frozenset(normalize_token(t) for t in payload.get("keywords", [])),
-                    location=(payload.get("area", ""), payload.get("city", ""), payload.get("country", "")),
-                    ip=payload.get("ip", ""), browser=payload.get("browser", ""),
-                )
-                app.event_log.record_event(app.state, payload["ad_id"], context,
-                                           bool(payload.get("clicked", False)))
-            except (KeyError, ValueError, ValidationError, json.JSONDecodeError) as exc:
+                length = int(self.headers.get("Content-Length", ""))
+            except ValueError:
+                length = -1
+            if length < 0:
+                self._send(400, json.dumps({"error": "Content-Length must be a non-negative integer"}))
+                return
+            if length > MAX_EVENT_BODY:
+                self._send(413, json.dumps({"error": f"event body over {MAX_EVENT_BODY} bytes"}))
+                return
+            try:
+                ad_id, context, clicked = _parse_event(self.rfile.read(length))
+                app.event_log.record_event(app.state, ad_id, context, clicked)
+            except (ValueError, ValidationError) as exc:
                 self._send(400, json.dumps({"error": str(exc)}))
                 return
             self._send(202, json.dumps({"status": "accepted"}))

@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's own linear algebra: the least-squares
 oracle runs Gaussian elimination over exact Fractions, and the selection
-oracles are plain exhaustive scans.
+oracles are plain exhaustive scans over the whole catalog, in catalog order.
 """
 
 from fractions import Fraction
@@ -63,3 +63,28 @@ def brute_force_best_by_bid(candidates):
            (overlap == b_overlap and ad.bid == b_ad.bid and ad.ad_id < b_ad.ad_id):
             best = (ad, overlap)
     return best[0]
+
+
+def eligible_candidates(catalog, request):
+    """Plain eligibility filter over the whole catalog: exact size and
+    category match, country targeting (an empty set is untargeted) and
+    keyword overlap >= 1. Returns (ad, overlap) pairs in catalog order."""
+    candidates = []
+    for ad in catalog:
+        if ad.size != request.size or ad.category != request.category:
+            continue
+        if ad.locations and request.country not in ad.locations:
+            continue
+        overlap = len(ad.keywords & request.page_keywords)
+        if overlap >= 1:
+            candidates.append((ad, overlap))
+    return candidates
+
+
+def brute_force_best_by_ctr(scored):
+    """Exhaustive scan over (score, ad) pairs: max score, then max bid, then
+    smallest ad_id. Returns (ad, score)."""
+    best_score, best_bid = max((score, ad.bid) for score, ad in scored)
+    best_id = min(ad.ad_id for score, ad in scored
+                  if score == best_score and ad.bid == best_bid)
+    return next(ad for _, ad in scored if ad.ad_id == best_id), best_score

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import brute_force_best_by_bid, least_squares_exact
+from _oracles import brute_force_best_by_bid, eligible_candidates, least_squares_exact
 from conftest import make_context
 from ctrserve import sample_data
 from ctrserve.catalog import aggregate_events, parse_ad_catalog, parse_event_log
@@ -20,8 +20,7 @@ from ctrserve.keywords import (build_keyword_map, confidence,
 from ctrserve.regression import (NORMAL_EQUATION, TrainingConfig, cost, gradient,
                                  gradient_descent, normal_equation, predict,
                                  simple_regression, train)
-from ctrserve.server import (MODE_CTR, NO_FILL, ServingState, build_pool,
-                             select_by_bid, select_by_ctr, serve)
+from ctrserve.server import MODE_BID, MODE_CTR, NO_FILL, ServingState, serve
 from ctrserve.simulate import SimulationConfig, run_simulation
 from test_server import make_ad, random_catalog, random_request
 
@@ -130,19 +129,22 @@ def test_criterion_8_selection_oracle_equivalence(paper_model, sports_map):
         n = rng.randint(1, 1000) if trial % 50 == 0 else rng.randint(1, 40)
         catalog = random_catalog(rng, n, categories=("sports",))
         request = random_request(rng)
-        pool = build_pool(catalog, request)
-        if not pool.candidates:
+        candidates = eligible_candidates(catalog, request)
+        state = ServingState(catalog=tuple(catalog), model=paper_model, keyword_map=sports_map)
+        by_bid = serve(request, MODE_BID, state)
+        by_ctr = serve(request, MODE_CTR, state)
+        if not candidates:
+            ok &= by_bid.status == by_ctr.status == NO_FILL
             continue
-        ok &= select_by_bid(pool).ad_id == brute_force_best_by_bid(pool.candidates).ad_id
-        ad, score = select_by_ctr(pool, paper_model, sports_map)
+        ok &= by_bid.ad_id == brute_force_best_by_bid(candidates).ad_id
         placement_code = encode_placement(request.placement)
         kw_value = resolve_page_value(sports_map, request.page_keywords, mode="fallback")
         scored = [(predict(paper_model,
                            (placement_code, encode_size(c.size, paper_model.schema.size_registry),
-                            c.bid, kw_value)), c.bid, c) for c, _ in pool.candidates]
+                            c.bid, kw_value)), c.bid, c) for c, _ in candidates]
         best_score, best_bid = max((s, b) for s, b, _ in scored)
         best_id = min(c.ad_id for s, b, c in scored if s == best_score and b == best_bid)
-        ok &= (ad.ad_id, score) == (best_id, best_score)
+        ok &= (by_ctr.ad_id, by_ctr.score) == (best_id, best_score)
     report("8 bid and ctr selection match exhaustive oracles over 1000 random pools", ok)
 
 

@@ -45,6 +45,13 @@ class TestParseAdCatalog:
         with pytest.raises(ValidationError, match="bid"):
             parse_ad_catalog(json.dumps(rec))
 
+    @pytest.mark.parametrize("bid", [float("nan"), float("inf")])
+    def test_nonfinite_bid(self, bid):
+        rec = json.loads(CATALOG_ONE)
+        rec[0]["bid"] = bid
+        with pytest.raises(ValidationError, match="bid"):
+            parse_ad_catalog(json.dumps(rec))
+
     def test_missing_field_names_it(self):
         rec = json.loads(CATALOG_ONE)
         del rec[0]["size"]

@@ -1,10 +1,11 @@
 import json
+import socket
 import urllib.request
 
 import pytest
 
 from ctrserve import sample_data
-from ctrserve.server import AdServer, ServerConfig
+from ctrserve.server import MAX_EVENT_BODY, AdServer, ServerConfig
 
 
 @pytest.fixture()
@@ -114,3 +115,84 @@ def test_reload_swaps_snapshot(running_server, tmp_path):
 def test_unknown_route_404(running_server):
     _, base = running_server
     assert http_get(base + "/nope")[0] == 404
+
+
+def raw_post_event(base, headers, body=b""):
+    """POST /event with hand-written headers; returns the status code, or
+    None if the server closed the connection without one."""
+    host, port = base.removeprefix("http://").split(":")
+    head = "".join(f"{k}: {v}\r\n" for k, v in headers.items())
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(f"POST /event HTTP/1.1\r\nHost: {host}\r\n{head}\r\n".encode() + body)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    return int(response.split()[1]) if response else None
+
+
+AD_QUERY = ("/ad?placement=above_fold&size=300x250&category=sports"
+            "&keywords=football&country=PK&mode=")
+
+
+@pytest.mark.parametrize("length", ["-1", "abc", "", None])
+def test_event_bad_content_length_is_400(running_server, length):
+    srv, base = running_server
+    headers = {"Content-Type": "application/json"}
+    if length is not None:
+        headers["Content-Length"] = length
+    assert raw_post_event(base, headers, b'{"ad_id": "boots-01"}') == 400
+    assert "boots-01" not in srv.event_log.path.read_text()
+
+
+def test_event_body_over_cap_is_413(running_server):
+    _, base = running_server
+    assert raw_post_event(base, {"Content-Length": str(MAX_EVENT_BODY + 1)}) == 413
+
+
+@pytest.mark.parametrize("payload", [
+    [{"ad_id": "boots-01"}],
+    "boots-01",
+    {"ad_id": "boots-01", "keywords": "football"},
+    {"ad_id": "boots-01", "keywords": ["football", 7]},
+    {"ad_id": ["boots-01"]},
+    {"ad_id": "boots-01", "size": 300},
+    {"ad_id": "boots-01", "placement": ["above_fold"]},
+    {"ad_id": "boots-01", "clicked": "false"},
+])
+def test_event_malformed_body_is_400(running_server, payload):
+    srv, base = running_server
+    status, _ = http_post(base + "/event", payload)
+    assert status == 400
+    assert "boots-01" not in srv.event_log.path.read_text()
+
+
+def test_event_deeply_nested_body_is_400(running_server):
+    _, base = running_server
+    body = b"[" * 20000 + b"]" * 20000
+    assert raw_post_event(base, {"Content-Length": str(len(body))}, body) == 400
+
+
+def test_unknown_mode_is_400(running_server):
+    _, base = running_server
+    status, body = http_get(base + AD_QUERY + "foo")
+    assert status == 400 and "foo" in json.loads(body)["error"]
+
+
+def test_failed_reload_is_500_and_keeps_snapshot(running_server, tmp_path):
+    srv, base = running_server
+
+    def served():
+        status, body = http_get(base + AD_QUERY + "ctr")
+        assert status == 200
+        payload = json.loads(body)
+        return payload["ad_id"], payload["score"]
+
+    before, snapshot = served(), srv.state
+    model = json.loads(open(srv.config.model_path).read())
+    model["theta"] = model["theta"][:4]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    srv.config.model_path = str(path)
+    status, body = http_post(base + "/reload")
+    assert status == 500 and "theta" in json.loads(body)["error"]
+    assert srv.state is snapshot and served() == before

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -262,3 +263,32 @@ class TestPersistence:
         payload = save_model(paper_model).replace('"version": 1', '"version": 99')
         with pytest.raises(ModelLoadError, match="version"):
             load_model(payload)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(theta=m["theta"][:4]),
+        lambda m: m.update(theta=m["theta"] + [0.0]),
+        lambda m: m.update(theta=[m["theta"]]),
+        lambda m: m["schema"].update(features=["placement", "size", "keyword_value", "bid"]),
+        lambda m: m["schema"].update(features=["placement", "size", "bid"]),
+        lambda m: m["schema"].update(include_intercept=False),
+    ])
+    def test_rejects_theta_that_does_not_fit_schema(self, paper_model, edit):
+        payload = json.loads(save_model(paper_model))
+        edit(payload)
+        with pytest.raises(ModelLoadError):
+            load_model(json.dumps(payload))
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s.update(means=s["means"][:3]),
+        lambda s: s.update(stds=s["stds"] + [1.0]),
+        lambda s: s["stds"].__setitem__(2, 0.0),
+        lambda s: s["stds"].__setitem__(0, -1.0),
+    ])
+    def test_rejects_scaler_that_does_not_fit_features(self, table6_rows, sports_map, edit):
+        payload = json.loads(save_model(train(table6_rows, sports_map, TrainingConfig(iterations=5))))
+        edit(payload["scaler"])
+        with pytest.raises(ModelLoadError):
+            load_model(json.dumps(payload))
+
+    def test_bid_weight(self, paper_model):
+        assert paper_model.bid_weight == paper_model.theta[3]

@@ -1,17 +1,18 @@
+import dataclasses
 import random
 
 import pytest
 
-from _oracles import brute_force_best_by_bid
+from _oracles import brute_force_best_by_bid, brute_force_best_by_ctr, eligible_candidates
 from conftest import make_context
+from ctrserve import server
 from ctrserve.catalog import AdCreative, Placement, parse_event_log
-from ctrserve.errors import NoFillError, ValidationError
-from ctrserve.features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
+from ctrserve.errors import ContractError, ValidationError
+from ctrserve.features import DEFAULT_SIZE_REGISTRY, FeatureSchema, encode_placement, encode_size
 from ctrserve.keywords import resolve_page_value
-from ctrserve.regression import predict
+from ctrserve.regression import TrainingConfig, predict, train
 from ctrserve.server import (MODE_BID, MODE_CTR, NO_FILL, EventLogWriter,
-                             ServingState, build_pool, keyword_overlap,
-                             select_by_bid, select_by_ctr, serve)
+                             ServingState, keyword_overlap, serve)
 
 VOCAB = ["football", "soccer", "epl", "cricket", "tennis", "nadal", "ronaldo", "brazil"]
 
@@ -45,33 +46,76 @@ def random_request(rng):
     )
 
 
+def oracle_ctr(catalog, request, model, keyword_map):
+    """(ad, score) by exhaustive scoring of every eligible ad, or None."""
+    candidates = eligible_candidates(catalog, request)
+    if not candidates or request.size not in model.schema.size_registry:
+        return None
+    placement_code = encode_placement(request.placement)
+    size_code = encode_size(request.size, model.schema.size_registry)
+    kw_value = resolve_page_value(keyword_map, request.page_keywords, mode="fallback")
+    return brute_force_best_by_ctr(
+        [(predict(model, (placement_code, size_code, ad.bid, kw_value)), ad)
+         for ad, _ in candidates])
+
+
+def oracle_bid(catalog, request):
+    candidates = eligible_candidates(catalog, request)
+    return brute_force_best_by_bid(candidates) if candidates else None
+
+
+def served(catalog, request, mode, model=None, keyword_map=None):
+    """(ad_id, score) that serve() answers, or None on a no-fill."""
+    state = ServingState(catalog=tuple(catalog), model=model, keyword_map=keyword_map)
+    response = serve(request, mode, state)
+    return None if response.status == NO_FILL else (response.ad_id, response.score)
+
+
+def assert_matches_oracles(catalog, request, model, keyword_map):
+    best = oracle_ctr(catalog, request, model, keyword_map)
+    expected = None if best is None else (best[0].ad_id, best[1])
+    assert served(catalog, request, MODE_CTR, model, keyword_map) == expected
+    ad = oracle_bid(catalog, request)
+    assert served(catalog, request, MODE_BID) == (None if ad is None else (ad.ad_id, ad.bid))
+    return expected
+
+
+def with_bid_weight(model, weight):
+    theta = model.theta.copy()
+    theta[3] = weight  # intercept, placement, size, bid, keyword value
+    return dataclasses.replace(model, theta=theta)
+
+
 class TestBuildPool:
-    def test_filters(self):
+    """The eligibility filter, seen through serve(): each excluded ad bids
+    more than the eligible one, so it would win if it passed."""
+
+    def test_filters(self, paper_model, sports_map):
         catalog = [
             make_ad("a1"),
-            make_ad("a2", size="728x90"),  # size mismatch
-            make_ad("a3", keywords=("cricket",)),  # no overlap
+            make_ad("a2", bid=90.0, size="728x90"),  # size mismatch
+            make_ad("a3", bid=90.0, keywords=("cricket",)),  # no overlap
         ]
-        pool = build_pool(catalog, make_context(keywords=("football", "epl")))
-        assert [(ad.ad_id, overlap) for ad, overlap in pool.candidates] == [("a1", 1)]
+        request = make_context(keywords=("football", "epl"))
+        assert served(catalog, request, MODE_BID)[0] == "a1"
+        assert served(catalog, request, MODE_CTR, paper_model, sports_map)[0] == "a1"
 
-    def test_zero_overlap_excluded(self):
-        pool = build_pool([make_ad("a1", keywords=("cricket",))],
-                          make_context(keywords=("football",)))
-        assert pool.candidates == ()
+    def test_zero_overlap_excluded(self, paper_model, sports_map):
+        catalog = [make_ad("a1", keywords=("cricket",))]
+        request = make_context(keywords=("football",))
+        assert served(catalog, request, MODE_BID) is None
+        assert served(catalog, request, MODE_CTR, paper_model, sports_map) is None
 
     def test_untargeted_location_passes(self):
-        pool = build_pool([make_ad("a1", locations=())], make_context(country="ZZ"))
-        assert len(pool.candidates) == 1
+        assert served([make_ad("a1", locations=())], make_context(country="ZZ"), MODE_BID)
 
     def test_targeted_location(self):
         catalog = [make_ad("a1", locations=("PK",))]
-        assert build_pool(catalog, make_context(country="PK")).candidates
-        assert not build_pool(catalog, make_context(country="US")).candidates
+        assert served(catalog, make_context(country="PK"), MODE_BID)
+        assert served(catalog, make_context(country="US"), MODE_BID) is None
 
     def test_category_mismatch(self):
-        pool = build_pool([make_ad("a1", category="health")], make_context())
-        assert pool.candidates == ()
+        assert served([make_ad("a1", category="health")], make_context(), MODE_BID) is None
 
 
 class TestKeywordOverlap:
@@ -97,94 +141,165 @@ class TestSelectByBid:
             make_ad("z", bid=20.0, keywords=("football", "epl", "brazil")),
         ]
         request = make_context(keywords=("football", "epl", "soccer", "brazil"))
-        pool = build_pool(catalog, request)
-        assert {overlap for _, overlap in pool.candidates} == {1, 3, 3}
-        assert select_by_bid(pool).ad_id == "z"
+        assert {overlap for _, overlap in eligible_candidates(catalog, request)} == {1, 3}
+        assert served(catalog, request, MODE_BID) == ("z", 20.0)
 
     def test_all_ties_smallest_ad_id(self):
         catalog = [make_ad(i, bid=10.0) for i in ("b", "a", "c")]
-        winner = select_by_bid(build_pool(catalog, make_context()))
-        assert winner.ad_id == "a"
+        assert served(catalog, make_context(), MODE_BID)[0] == "a"
 
     def test_empty_pool(self):
-        pool = build_pool([], make_context())
-        with pytest.raises(NoFillError):
-            select_by_bid(pool)
+        assert served([], make_context(), MODE_BID) is None
 
     def test_matches_brute_force(self):
         rng = random.Random(5)
         for _ in range(200):
             catalog = random_catalog(rng, rng.randint(1, 60))
             request = random_request(rng)
-            pool = build_pool(catalog, request)
-            if not pool.candidates:
-                continue
-            assert select_by_bid(pool).ad_id == brute_force_best_by_bid(pool.candidates).ad_id
+            ad = oracle_bid(catalog, request)
+            assert served(catalog, request, MODE_BID) == (None if ad is None else (ad.ad_id, ad.bid))
 
     def test_overlap_dominance_raising_loser_bid(self):
         rng = random.Random(17)
         for _ in range(100):
             catalog = random_catalog(rng, rng.randint(2, 30))
             request = random_request(rng)
-            pool = build_pool(catalog, request)
-            if len(pool.candidates) < 2:
+            candidates = eligible_candidates(catalog, request)
+            if len(candidates) < 2:
                 continue
-            max_overlap = max(o for _, o in pool.candidates)
-            winner = select_by_bid(pool)
-            losers = [ad for ad, o in pool.candidates
-                      if ad.ad_id != winner.ad_id and o < max_overlap]
+            max_overlap = max(o for _, o in candidates)
+            winner = served(catalog, request, MODE_BID)[0]
+            losers = [ad for ad, o in candidates if ad.ad_id != winner and o < max_overlap]
             if not losers:
                 continue
             boosted = losers[0]
             new_catalog = [make_ad(a.ad_id, bid=999.0, size=a.size, category=a.category,
                                    keywords=a.keywords, locations=a.locations)
                            if a.ad_id == boosted.ad_id else a for a in catalog]
-            assert select_by_bid(build_pool(new_catalog, request)).ad_id == winner.ad_id
+            assert served(new_catalog, request, MODE_BID)[0] == winner
 
 
 class TestSelectByCtr:
     def test_higher_bid_wins_with_positive_bid_coefficient(self, paper_model, sports_map):
         catalog = [make_ad("low", bid=5.0), make_ad("high", bid=30.0)]
-        pool = build_pool(catalog, make_context())
-        ad, score = select_by_ctr(pool, paper_model, sports_map)
-        assert ad.ad_id == "high"
+        ad_id, score = served(catalog, make_context(), MODE_CTR, paper_model, sports_map)
+        assert ad_id == "high"
         assert score > 0
 
     def test_single_candidate(self, paper_model, sports_map):
-        pool = build_pool([make_ad("only", bid=22.0)], make_context(keywords=("england", "football")))
-        ad, score = select_by_ctr(pool, paper_model, sports_map)
-        request = pool.request
+        request = make_context(keywords=("england", "football"))
+        ad_id, score = served([make_ad("only", bid=22.0)], request, MODE_CTR,
+                              paper_model, sports_map)
         expected = predict(paper_model, (
             encode_placement(request.placement),
             encode_size("300x250", paper_model.schema.size_registry),
             22.0,
             resolve_page_value(sports_map, request.page_keywords, mode="fallback"),
         ))
-        assert ad.ad_id == "only" and score == expected
+        assert ad_id == "only" and score == expected
 
     def test_matches_brute_force(self, paper_model, sports_map):
         rng = random.Random(23)
         for _ in range(50):
             catalog = random_catalog(rng, rng.randint(1, 200), categories=("sports",))
-            request = random_request(rng)
-            pool = build_pool(catalog, request)
-            if not pool.candidates:
-                continue
-            ad, score = select_by_ctr(pool, paper_model, sports_map)
-            placement_code = encode_placement(request.placement)
-            kw_value = resolve_page_value(sports_map, request.page_keywords, mode="fallback")
-            scored = [
-                (predict(paper_model, (placement_code,
-                                       encode_size(c.size, paper_model.schema.size_registry),
-                                       c.bid, kw_value)), c.bid, c.ad_id, c)
-                for c, _ in pool.candidates
-            ]
-            best = max(scored, key=lambda t: (t[0], t[1], [-ord(ch) for ch in t[2]]))
-            assert ad.ad_id == best[3].ad_id and score == best[0]
+            assert_matches_oracles(catalog, random_request(rng), paper_model, sports_map)
 
     def test_empty_pool(self, paper_model, sports_map):
-        with pytest.raises(NoFillError):
-            select_by_ctr(build_pool([], make_context()), paper_model, sports_map)
+        assert served([], make_context(), MODE_CTR, paper_model, sports_map) is None
+
+
+class TestCtrScan:
+    """serve()'s ordered bucket scan against the exhaustive oracles, for
+    every sign of the bid coefficient and the inputs that end a scan early."""
+
+    @pytest.mark.parametrize("weight", [-0.002, -1e-17, -1e-19, 0.0, -0.0, 1e-19])
+    def test_bid_weight_sign(self, paper_model, sports_map, weight):
+        model = with_bid_weight(paper_model, weight)
+        rng = random.Random(41)
+        for _ in range(60):
+            catalog = random_catalog(rng, rng.randint(1, 120), categories=("sports",))
+            assert_matches_oracles(catalog, random_request(rng), model, sports_map)
+
+    def test_negative_weight_rounded_tie_goes_to_higher_bid(self, paper_model, sports_map):
+        model = with_bid_weight(paper_model, -1e-19)
+        request = make_context()
+        kw_value = resolve_page_value(sports_map, request.page_keywords, mode="fallback")
+
+        def score(bid):
+            return predict(model, (1, 1, bid, kw_value))
+
+        # bids 5 and 20 score the same to the last bit; 1e6 scores lower
+        assert score(5.0) == score(20.0) > score(1e6)
+        catalog = [make_ad("low", bid=5.0), make_ad("high-b", bid=20.0),
+                   make_ad("high-a", bid=20.0), make_ad("huge", bid=1e6)]
+        assert assert_matches_oracles(catalog, request, model, sports_map) == \
+            ("high-a", score(5.0))
+
+    def test_negative_weight_lowest_bid_wins(self, paper_model, sports_map):
+        model = with_bid_weight(paper_model, -0.002)
+        catalog = [make_ad("low", bid=5.0), make_ad("high", bid=30.0)]
+        assert assert_matches_oracles(catalog, make_context(), model, sports_map)[0] == "low"
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scaled_gradient_descent_model(self, table6_rows, sports_map, sign):
+        model = train(table6_rows, sports_map, TrainingConfig())
+        assert model.scaler is not None
+        model = with_bid_weight(model, sign * abs(model.theta[3]))
+        rng = random.Random(43)
+        for _ in range(60):
+            catalog = random_catalog(rng, rng.randint(1, 120), categories=("sports",))
+            assert_matches_oracles(catalog, random_request(rng), model, sports_map)
+
+    def test_size_missing_from_registry(self, paper_model, sports_map):
+        model = dataclasses.replace(
+            paper_model, schema=FeatureSchema(size_registry=("728x90", "160x600")))
+        catalog = [make_ad("a1", size="300x250")]
+        request = make_context(size="300x250")
+        assert assert_matches_oracles(catalog, request, model, sports_map) is None
+        assert served(catalog, request, MODE_BID)[0] == "a1"
+
+    @pytest.mark.parametrize("weight", [0.002, 0.0, -0.002])
+    def test_equal_bids_smallest_ad_id(self, paper_model, sports_map, weight):
+        model = with_bid_weight(paper_model, weight)
+        catalog = [make_ad(i, bid=10.0) for i in ("b", "a", "c")]
+        assert assert_matches_oracles(catalog, make_context(), model, sports_map)[0] == "a"
+
+    @pytest.mark.parametrize("weight", [0.002, -0.002])
+    def test_country_targeted_ads(self, paper_model, sports_map, weight):
+        model = with_bid_weight(paper_model, weight)
+        catalog = [make_ad("us-low", bid=5.0, locations=("US",)),
+                   make_ad("us-high", bid=40.0, locations=("US", "GB")),
+                   make_ad("any", bid=20.0)]
+        for country, winner in (("US", ("us-high", "us-low")), ("PK", ("any", "any"))):
+            request = make_context(country=country)
+            got = assert_matches_oracles(catalog, request, model, sports_map)[0]
+            assert got == winner[weight < 0]
+
+    def test_empty_page_keywords_is_no_fill(self, paper_model, sports_map):
+        catalog = [make_ad("a1")]
+        request = make_context(keywords=())
+        assert assert_matches_oracles(catalog, request, paper_model, sports_map) is None
+
+    def test_one_predict_per_fill(self, paper_model, sports_map, monkeypatch):
+        calls = []
+        monkeypatch.setattr(server, "predict", lambda *a: calls.append(a) or predict(*a))
+        rng = random.Random(47)
+        catalog = random_catalog(rng, 500, categories=("sports",))
+        state = ServingState(catalog=tuple(catalog), model=paper_model, keyword_map=sports_map)
+        filled = 0
+        for _ in range(50):
+            filled += serve(random_request(rng), MODE_CTR, state).status != NO_FILL
+        assert filled and len(calls) == filled
+
+    def test_unknown_mode(self, paper_model, sports_map):
+        state = ServingState(catalog=(make_ad("a1"),), model=paper_model, keyword_map=sports_map)
+        with pytest.raises(ContractError):
+            serve(make_context(), "foo", state)
+
+    def test_buckets_sorted_by_bid_then_ad_id(self):
+        catalog = (make_ad("b", bid=10.0), make_ad("a", bid=10.0), make_ad("c", bid=30.0))
+        state = ServingState(catalog=catalog)
+        assert [ad.ad_id for ad in state.bucket(make_context())] == ["c", "a", "b"]
 
 
 class TestServe:
@@ -210,12 +325,11 @@ class TestServe:
         for _ in range(50):
             request = random_request(rng)
             via_state = serve(request, MODE_CTR, state)
-            pool = build_pool(catalog, request)
-            if not pool.candidates:
+            best = oracle_ctr(catalog, request, paper_model, sports_map)
+            if best is None:
                 assert via_state.status == NO_FILL
             else:
-                ad, score = select_by_ctr(pool, paper_model, sports_map)
-                assert (via_state.ad_id, via_state.score) == (ad.ad_id, score)
+                assert (via_state.ad_id, via_state.score) == (best[0].ad_id, best[1])
 
     def test_deterministic_modulo_latency(self, paper_model, sports_map):
         state = ServingState(catalog=(make_ad("a1"), make_ad("a2", bid=30.0)),
