@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -170,18 +170,51 @@ EVENT_LOG_HEADER = [
 ]
 
 
-def parse_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> list[ImpressionEvent]:
-    """Parse the event-log CSV. `bids` (ad_id -> bid) joins the served bid
-    onto each event; without it served_bid stays None and events are only
-    usable as keyword transactions."""
-    text = _as_text(stream)
-    if not text.strip():
-        return []
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+class EventRow(NamedTuple):
+    """One validated event-log row as plain fields. `keywords` is the raw
+    ';'-joined field (`page_keywords` tokenizes it); `served_bid` is the
+    catalog bid when the log is read with one, else None."""
+
+    timestamp: int
+    ad_id: str
+    placement: Placement
+    size: str
+    category: str
+    keywords: str
+    country: str
+    city: str
+    area: str
+    ip: str
+    browser: str
+    clicked: bool
+    served_bid: Optional[float]
+
+
+_PLACEMENTS = {p.value: p for p in Placement}
+
+
+def page_keywords(field: str) -> frozenset[str]:
+    """The normalized keyword set of an event-log `keywords` field."""
+    return frozenset(normalize_token(t) for t in field.split(";") if t.strip())
+
+
+def read_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> Iterator[EventRow]:
+    """Stream the event-log CSV (an open text file, str or bytes) one
+    validated row at a time. `bids` (ad_id -> bid) joins the served bid onto
+    each row and rejects an ad_id outside the catalog; without it served_bid
+    stays None and rows are only usable as keyword transactions."""
+    if isinstance(stream, (str, bytes)):
+        stream = io.StringIO(_as_text(stream))
+    reader = csv.reader(stream)
+    for header in reader:
+        if any(field.strip() for field in header):
+            break
+    else:
+        return  # an empty or blank log has no events
     if header != EVENT_LOG_HEADER:
         raise ParseError(f"unexpected event-log header: {header}")
-    events: list[ImpressionEvent] = []
+    if bids is not None:
+        bids = {ad_id: float(bid) for ad_id, bid in bids.items()}
     for i, row in enumerate(reader, start=1):
         if not row:
             continue
@@ -195,29 +228,20 @@ def parse_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> list[
             raise ValidationError(f"event row {i}: unparseable timestamp {ts!r}") from exc
         if clicked not in ("0", "1"):
             raise ValidationError(f"event row {i}: clicked must be 0 or 1, got {clicked!r}")
-        try:
-            placement_val = Placement(placement)
-        except ValueError as exc:
-            raise ValidationError(f"event row {i}: unknown placement {placement!r}") from exc
-        tokens = frozenset(normalize_token(t) for t in keywords.split(";") if t.strip())
-        context = RequestContext(
-            placement=placement_val,
-            size=size,
-            category=category,
-            page_keywords=tokens,
-            location=(area, city, country),
-            ip=ip,
-            browser=browser,
-        )
+        placement_val = _PLACEMENTS.get(placement)
+        if placement_val is None:
+            raise ValidationError(f"event row {i}: unknown placement {placement!r}")
         served_bid = None
         if bids is not None:
-            if ad_id not in bids:
+            served_bid = bids.get(ad_id)
+            if served_bid is None:
                 raise ValidationError(f"event row {i}: ad_id {ad_id!r} not in catalog")
-            served_bid = float(bids[ad_id])
-        events.append(ImpressionEvent(timestamp=timestamp, ad_id=ad_id,
-                                      context=context, clicked=clicked == "1",
-                                      served_bid=served_bid))
-    return events
+        if timestamp <= 0:
+            raise ValidationError(f"event row {i}: timestamp must be > 0, got {ts!r}")
+        # tuple.__new__ skips the generated keyword-argument __new__ (as _make does)
+        yield tuple.__new__(EventRow, (timestamp, ad_id, placement_val, size, category, keywords,
+                                       country, city, area, ip, browser, clicked == "1",
+                                       served_bid))
 
 
 def write_event_row(writer, event: ImpressionEvent) -> None:
@@ -266,34 +290,41 @@ def compute_ctr(clicks: int, impressions: int) -> float:
     return clicks / impressions
 
 
-def aggregate_events(events: Iterable[ImpressionEvent], keyword_map,
+def aggregate_events(events: Iterable[EventRow], keyword_map,
                      size_registry: Sequence[str] | None = None,
                      mode: str = "strict") -> list[TrainingRow]:
-    """Group events by (placement, size, bid, keyword value) and emit one
-    TrainingRow per group with its observed CTR.
+    """Fold event rows, as `read_event_log` streams them, into groups by
+    (placement, size, bid, keyword value) and emit one TrainingRow per group
+    with its observed CTR.
 
     Viewer fields are never grouped on. Group order follows first
-    appearance in the event stream.
+    appearance in the event stream. The size code and the page value are
+    computed once per distinct `size` and `keywords` field; a field that
+    cannot be encoded or resolved raises at its first row.
     """
     from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
     from .keywords import resolve_page_value
 
     registry = list(size_registry) if size_registry is not None else list(DEFAULT_SIZE_REGISTRY)
+    placement_codes = {p: encode_placement(p) for p in Placement}
+    size_codes: dict[str, int] = {}
+    page_values: dict[str, float] = {}
     groups: dict[tuple, list[int]] = {}  # key -> [impressions, clicks]
-    for event in events:
-        if event.served_bid is None:
-            raise ValidationError(f"event for ad {event.ad_id!r} has no served bid; "
-                                  "parse the log with a catalog to join bids")
-        ctx = event.context
-        key = (
-            encode_placement(ctx.placement),
-            encode_size(ctx.size, registry),
-            event.served_bid,
-            resolve_page_value(keyword_map, ctx.page_keywords, mode=mode),
-        )
+    for _, ad_id, placement, size, _, keywords, _, _, _, _, _, clicked, bid in events:
+        if bid is None:
+            raise ValidationError(f"event for ad {ad_id!r} has no served bid; "
+                                  "read the log with a catalog to join bids")
+        size_code = size_codes.get(size)
+        if size_code is None:
+            size_code = size_codes[size] = encode_size(size, registry)
+        value = page_values.get(keywords)
+        if value is None:
+            value = page_values[keywords] = resolve_page_value(
+                keyword_map, page_keywords(keywords), mode=mode)
+        key = (placement_codes[placement], size_code, bid, value)
         counts = groups.setdefault(key, [0, 0])
         counts[0] += 1
-        counts[1] += int(event.clicked)
+        counts[1] += clicked
     return [
         TrainingRow(placement_code=p, size_code=s, bid=b, keyword_value=kv,
                     ctr=compute_ctr(clicks, impressions))

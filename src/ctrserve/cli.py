@@ -8,11 +8,12 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import evaluation, keywords, regression, server, simulate
-from .catalog import (TRAINING_TABLE_HEADER, Placement, parse_ad_catalog,
-                      parse_event_log, parse_training_table, aggregate_events)
+from .catalog import (TRAINING_TABLE_HEADER, Placement, aggregate_events, page_keywords,
+                      parse_ad_catalog, parse_training_table, read_event_log)
 from .errors import CtrServeError
 from .features import DEFAULT_SIZE_REGISTRY, FeatureSchema, encode_placement, encode_size
 
@@ -73,17 +74,22 @@ def _apply_env_overrides(args: argparse.Namespace) -> None:
     """CTRF_* environment variables override parsed flags (CTRF_ALPHA,
     CTRF_MAP_PATH, ...). Booleans accept 0/1/true/false."""
     for dest, current in vars(args).items():
-        raw = os.environ.get(ENV_PREFIX + dest.upper())
+        name = ENV_PREFIX + dest.upper()
+        raw = os.environ.get(name)
         if raw is None:
             continue
-        if isinstance(current, bool):
-            value = raw.strip().lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
+        try:
+            if isinstance(current, bool):
+                value = raw.strip().lower() in ("1", "true", "yes")
+            elif isinstance(current, int):
+                value = int(raw)
+            elif isinstance(current, float):
+                value = float(raw)
+            else:
+                value = raw
+        except ValueError:
+            raise CtrServeError(f"{name}: expected a {type(current).__name__}, "
+                                f"got {raw!r}") from None
         setattr(args, dest, value)
 
 
@@ -94,29 +100,33 @@ def _require(args, *names) -> None:
             raise CtrServeError(f"missing required flag {flag}")
 
 
-def _load_transactions(path: str, category: str) -> list[frozenset[str]]:
+def _load_transactions(path: str, category: str) -> Counter:
+    """Keyword transactions of `category` in one pass over the log, as a
+    Counter of keyword sets. Every row is validated, whatever its category;
+    each distinct `keywords` field is tokenized once."""
     with open(path) as fh:
-        events = parse_event_log(fh)
-    return [e.context.page_keywords for e in events
-            if e.context.category == category and e.context.page_keywords]
+        fields = Counter(e.keywords for e in read_event_log(fh) if e.category == category)
+    transactions = Counter()
+    for field, n in fields.items():
+        tokens = page_keywords(field)
+        if tokens:
+            transactions[tokens] += n
+    return transactions
 
 
-def _load_training_rows(args):
+def _load_training_rows(args, keyword_map):
     """--data is either a pre-aggregated training CSV or a raw event log
-    (detected by header); the latter needs --map and --ads."""
+    (detected by header); the latter needs --map and --ads and is folded
+    into groups as it streams."""
     with open(args.data) as fh:
         header = fh.readline().strip().split(",")
-    if header == TRAINING_TABLE_HEADER:
-        with open(args.data) as fh:
+        fh.seek(0)
+        if header == TRAINING_TABLE_HEADER:
             return parse_training_table(fh)
-    _require(args, "map_path", "ads")
-    with open(args.ads) as fh:
-        bids = {ad.ad_id: ad.bid for ad in parse_ad_catalog(fh)}
-    with open(args.data) as fh:
-        events = parse_event_log(fh, bids=bids)
-    with open(args.map_path) as fh:
-        keyword_map = keywords.load_keyword_map(fh)
-    return aggregate_events(events, keyword_map)
+        _require(args, "map_path", "ads")
+        with open(args.ads) as ads:
+            bids = {ad.ad_id: ad.bid for ad in parse_ad_catalog(ads)}
+        return aggregate_events(read_event_log(fh, bids=bids), keyword_map)
 
 
 def cmd_map_keywords(args) -> int:
@@ -137,17 +147,17 @@ def cmd_map_keywords(args) -> int:
 
 def cmd_train(args) -> int:
     _require(args, "data", "out")
-    rows = _load_training_rows(args)
+    keyword_map = None
+    if args.map_path:
+        with open(args.map_path) as fh:
+            keyword_map = keywords.load_keyword_map(fh)
+    rows = _load_training_rows(args, keyword_map)
     method = regression.GRADIENT_DESCENT if args.method == "gd" else regression.NORMAL_EQUATION
     config = regression.TrainingConfig(
         method=method, alpha=args.alpha, iterations=args.iters,
         include_intercept=not args.no_intercept,
         scale_features=False if args.no_scaling else None,
     )
-    keyword_map = None
-    if args.map_path:
-        with open(args.map_path) as fh:
-            keyword_map = keywords.load_keyword_map(fh)
     model = regression.train(rows, keyword_map, config)
     Path(args.out).write_text(regression.save_model(model))
     matrix_cost = model.cost_trace[-1] if model.cost_trace else None
@@ -254,8 +264,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_env_overrides(args)
     try:
+        _apply_env_overrides(args)
         return _COMMANDS[args.command](args)
     except (CtrServeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

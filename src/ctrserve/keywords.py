@@ -10,8 +10,10 @@ association-rule confidence grows.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CtrServeError, MappingError, ParseError
 
@@ -53,23 +55,33 @@ class KeywordMap:
     diagnostics: tuple[str, ...] = ()
 
 
-def count_cooccurrences(transactions: Sequence[Iterable[str]], category: str) -> CooccurrenceStats:
-    """Single pass support / pair counting over keyword transactions."""
-    txns = [frozenset(t) for t in transactions]
-    if not txns:
+def count_cooccurrences(transactions: Iterable[Iterable[str]] | Mapping[frozenset[str], int],
+                        category: str) -> CooccurrenceStats:
+    """Support / pair counting over keyword transactions, given one by one or
+    as a mapping from a keyword set to how often it occurs (a Counter). Each
+    distinct transaction is counted once, weighted by its occurrences; keys
+    keep the order in which they first appear."""
+    if isinstance(transactions, Mapping):
+        weights = transactions
+    else:
+        weights = Counter(frozenset(t) for t in transactions)
+    if not weights:
         raise CtrServeError(f"category {category!r}: no transactions to mine")
     support: dict[str, int] = {}
     pair_count: dict[frozenset, int] = {}
-    for txn in txns:
+    for txn, n in weights.items():
         if not txn:
             raise CtrServeError(f"category {category!r}: empty transaction")
+        if n < 1:
+            raise CtrServeError(f"category {category!r}: transaction {sorted(txn)} "
+                                f"occurs {n} times")
         tokens = sorted(txn)
         for i, a in enumerate(tokens):
-            support[a] = support.get(a, 0) + 1
+            support[a] = support.get(a, 0) + n
             for b in tokens[i + 1:]:
                 pair = frozenset((a, b))
-                pair_count[pair] = pair_count.get(pair, 0) + 1
-    return CooccurrenceStats(category=category, transaction_count=len(txns),
+                pair_count[pair] = pair_count.get(pair, 0) + n
+    return CooccurrenceStats(category=category, transaction_count=sum(weights.values()),
                              support=support, pair_count=pair_count)
 
 
@@ -195,6 +207,8 @@ def save_keyword_map(keyword_map: KeywordMap) -> str:
 
 
 def load_keyword_map(stream) -> KeywordMap:
+    """Parse a map file. A map that could not resolve a page is rejected
+    here: no centroids, a centroid without a value, or a non-finite value."""
     if hasattr(stream, "read"):
         stream = stream.read()
     if isinstance(stream, bytes):
@@ -202,9 +216,18 @@ def load_keyword_map(stream) -> KeywordMap:
     try:
         payload = json.loads(stream)
         values = {str(k): float(v) for k, v in payload["values"].items()}
+        centroids = tuple(payload["centroids"])
+        if not centroids:
+            raise ValueError("centroids must be nonempty")
+        missing = [c for c in centroids if not isinstance(c, str) or c not in values]
+        if missing:
+            raise ValueError(f"centroids without a value: {missing}")
+        nonfinite = [kw for kw, v in values.items() if not math.isfinite(v)]
+        if nonfinite:
+            raise ValueError(f"non-finite values for {nonfinite}")
         keyword_map = KeywordMap(
             category=str(payload["category"]),
-            centroids=tuple(payload["centroids"]),
+            centroids=centroids,
             values=values,
             cluster_of=dict(payload["cluster_of"]),
             rank=tuple(values),  # values keys are stored in support order

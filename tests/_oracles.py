@@ -88,3 +88,46 @@ def brute_force_best_by_ctr(scored):
     best_id = min(ad.ad_id for score, ad in scored
                   if score == best_score and ad.bid == best_bid)
     return next(ad for _, ad in scored if ad.ad_id == best_id), best_score
+
+
+def per_transaction_cooccurrences(transactions):
+    """Support and pair counts taken one transaction at a time, in order.
+    Returns (transaction_count, support, pair_count); the dicts keep the
+    order in which each key first appears."""
+    support, pairs, count = {}, {}, 0
+    for txn in transactions:
+        count += 1
+        tokens = sorted(set(txn))
+        for i, a in enumerate(tokens):
+            support[a] = support.get(a, 0) + 1
+            for b in tokens[i + 1:]:
+                pair = frozenset((a, b))
+                pairs[pair] = pairs.get(pair, 0) + 1
+    return count, support, pairs
+
+
+def dictreader_groups(events_path, catalog_path, map_path, size_registry):
+    """Group an event log with csv.DictReader and plain dicts: key
+    (placement code, 1-based size code, catalog bid, value of the page's
+    highest-ranked mapped keyword). Returns (key..., ctr) tuples in order of
+    first appearance."""
+    import csv
+    import json
+
+    with open(catalog_path) as fh:
+        bids = {rec["ad_id"]: float(rec["bid"]) for rec in json.load(fh)}
+    with open(map_path) as fh:
+        ranked_values = list(json.load(fh)["values"].items())  # stored in rank order
+    groups = {}
+    with open(events_path) as fh:
+        for row in csv.DictReader(fh):
+            page = {t.strip().lower() for t in row["keywords"].split(";") if t.strip()}
+            value = next(v for kw, v in ranked_values if kw in page)
+            key = ({"above_fold": 1, "below_fold": 0}[row["placement"]],
+                   list(size_registry).index(row["size"]) + 1,
+                   bids[row["ad_id"]],
+                   float(value))
+            counts = groups.setdefault(key, [0, 0])
+            counts[0] += 1
+            counts[1] += int(row["clicked"])
+    return [key + (clicks / shown,) for key, (shown, clicks) in groups.items()]

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ctrserve import sample_data
-from ctrserve.catalog import ImpressionEvent, Placement, RequestContext
+from ctrserve.catalog import EventRow, Placement, RequestContext
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +42,23 @@ def make_context(placement=Placement.ABOVE_FOLD, size="300x250",
                           location=("", "", country))
 
 
-def make_event(ad_id="a1", clicked=False, bid=20.0, timestamp=1, **ctx_kwargs):
-    return ImpressionEvent(timestamp=timestamp, ad_id=ad_id,
-                           context=make_context(**ctx_kwargs),
-                           clicked=clicked, served_bid=bid)
+def make_event(ad_id="a1", clicked=False, bid=20.0, timestamp=1, placement=Placement.ABOVE_FOLD,
+               size="300x250", category="sports", keywords=("football",), country="PK"):
+    """An event row as `read_event_log` yields it with a catalog joined."""
+    return EventRow(timestamp=timestamp, ad_id=ad_id, placement=placement, size=size,
+                    category=category, keywords=";".join(sorted(keywords)), country=country,
+                    city="", area="", ip="", browser="", clicked=clicked, served_bid=bid)
+
+
+def unresolvable_map(kind):
+    """The bundled sports map edited so that it could not resolve a page:
+    "no centroids", "centroid without value", or a non-finite value given as
+    its float() spelling ("nan", "inf")."""
+    payload = json.loads(sample_data._read("keyword_map_sports.json"))
+    if kind == "no centroids":
+        payload["centroids"] = []
+    elif kind == "centroid without value":
+        payload["centroids"] = ["curling"]
+    else:
+        payload["values"][next(iter(payload["values"]))] = float(kind)
+    return json.dumps(payload)

@@ -10,7 +10,7 @@ import pytest
 from _oracles import brute_force_best_by_bid, eligible_candidates, least_squares_exact
 from conftest import make_context
 from ctrserve import sample_data
-from ctrserve.catalog import aggregate_events, parse_ad_catalog, parse_event_log
+from ctrserve.catalog import aggregate_events, parse_ad_catalog, read_event_log
 from ctrserve.evaluation import r_squared, standard_error
 from ctrserve.features import (DEFAULT_SIZE_REGISTRY, FeatureSchema,
                                build_design_matrix, fit_scaler, transform)
@@ -174,7 +174,7 @@ def test_criterion_10_planted_model_recovery():
     config = SimulationConfig(seed=7, n_events=10000)
     out = run_simulation(config)
     ads = parse_ad_catalog(out.catalog_json)
-    events = parse_event_log(out.events_csv, bids={a.ad_id: a.bid for a in ads})
+    events = read_event_log(out.events_csv, bids={a.ad_id: a.bid for a in ads})
     kmap = load_keyword_map(out.map_json)
     rows = aggregate_events(events, kmap)
     model = train(rows, kmap, TrainingConfig(method=NORMAL_EQUATION))

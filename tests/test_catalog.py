@@ -3,11 +3,14 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import dictreader_groups
 from conftest import make_event
-from ctrserve.catalog import (AdCreative, aggregate_events, compute_ctr,
-                              parse_ad_catalog, parse_event_log,
-                              parse_training_table, serialize_ad_catalog)
+from ctrserve.catalog import (AdCreative, aggregate_events, compute_ctr, page_keywords,
+                              parse_ad_catalog, parse_training_table,
+                              read_event_log, serialize_ad_catalog)
 from ctrserve.errors import MappingError, ParseError, ValidationError
+from ctrserve.features import DEFAULT_SIZE_REGISTRY
+from ctrserve.keywords import load_keyword_map
 
 CATALOG_ONE = json.dumps([{
     "ad_id": "a1", "campaign_id": "c1", "category": "sports",
@@ -76,30 +79,30 @@ class TestParseEventLog:
             "2,a1,below_fold,300x250,sports,football,PK,khi,clifton,1.2.3.4,chrome,1",
             "3,a2,above_fold,728x90,sports,cricket,PK,khi,clifton,1.2.3.4,firefox,0",
         )
-        events = parse_event_log(text)
+        events = list(read_event_log(text))
         assert [e.timestamp for e in events] == [1, 2, 3]
-        assert events[0].context.page_keywords == frozenset({"football", "epl"})
+        assert page_keywords(events[0].keywords) == frozenset({"football", "epl"})
         assert [e.clicked for e in events] == [False, True, False]
 
     def test_bad_clicked_flag(self):
         text = event_csv("1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,maybe")
         with pytest.raises(ValidationError, match="maybe"):
-            parse_event_log(text)
+            list(read_event_log(text))
 
     def test_bad_timestamp(self):
         text = event_csv("soon,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0")
         with pytest.raises(ValidationError, match="timestamp"):
-            parse_event_log(text)
+            list(read_event_log(text))
 
     def test_empty_stream(self):
-        assert parse_event_log("") == []
+        assert list(read_event_log("")) == []
 
     def test_bid_join(self):
         text = event_csv("1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0")
-        (event,) = parse_event_log(text, bids={"a1": 20.0})
+        (event,) = read_event_log(text, bids={"a1": 20.0})
         assert event.served_bid == 20.0
         with pytest.raises(ValidationError, match="a1"):
-            parse_event_log(text, bids={"other": 5.0})
+            list(read_event_log(text, bids={"other": 5.0}))
 
 
 class TestAggregateEvents:
@@ -124,9 +127,7 @@ class TestAggregateEvents:
             aggregate_events(events, sports_map)
 
     def test_unjoined_bid_rejected(self, sports_map):
-        event = make_event()
-        event = type(event)(timestamp=1, ad_id="a1", context=event.context,
-                            clicked=False, served_bid=None)
+        event = make_event(bid=None)
         with pytest.raises(ValidationError, match="bid"):
             aggregate_events([event], sports_map)
 
@@ -148,6 +149,30 @@ class TestAggregateEvents:
             groups.setdefault((pl, bid), []).append(clicked)
         recovered = sum(row.ctr * len(groups[(row.placement_code, row.bid)]) for row in rows)
         assert recovered == pytest.approx(sum(c for _, _, c in spec), abs=1e-9)
+
+
+    def test_streamed_log_matches_dictreader_grouping(self, tmp_path):
+        from ctrserve.cli import main
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--seed", "7", "--events", "10000", "--out", str(sim)]) == 0
+        with open(sim / "catalog.json") as fh:
+            bids = {ad.ad_id: ad.bid for ad in parse_ad_catalog(fh)}
+        with open(sim / "keyword_map.json") as fh:
+            kmap = load_keyword_map(fh)
+        with open(sim / "events.csv") as fh:
+            rows = aggregate_events(read_event_log(fh, bids=bids), kmap)
+        expected = dictreader_groups(sim / "events.csv", sim / "catalog.json",
+                                     sim / "keyword_map.json", DEFAULT_SIZE_REGISTRY)
+        assert len(rows) > 100
+        assert [(r.placement_code, r.size_code, r.bid, r.keyword_value, r.ctr)
+                for r in rows] == expected
+
+    def test_keyword_fields_with_equal_sets_share_a_group(self, sports_map):
+        # page values are cached per raw field; equal keyword sets still meet
+        text = event_csv("1,a1,above_fold,300x250,sports,England;Spain,PK,k,c,ip,ch,1",
+                         "2,a1,above_fold,300x250,sports,spain; england,PK,k,c,ip,ch,0")
+        (row,) = aggregate_events(read_event_log(text, bids={"a1": 20.0}), sports_map)
+        assert (row.keyword_value, row.ctr) == (51.0, 0.5)
 
 
 class TestComputeCtr:

@@ -155,3 +155,81 @@ def test_env_override(tmp_path, monkeypatch, capsys):
     out = tmp_path / "env"
     assert main(["simulate", "--seed", "1", "--events", "50", "--out", str(out)]) == 0
     assert (out / "events.csv").read_text().count("\n") == 6  # header + 5 rows
+
+
+def test_bad_env_override_is_json_error(sim_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CTRF_ITERS", "abc")
+    rc = main(["train", "--data", sample_data.fixture_path("training_sample.csv"),
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert "CTRF_ITERS" in json.loads(capsys.readouterr().err)["error"]
+
+
+GOOD_ROWS = 1000
+
+# (name, edit of one good row's fields); the edited row follows GOOD_ROWS good ones
+BAD_ROWS = {
+    "clicked": lambda f: f[:11] + ["maybe"],
+    "timestamp zero": lambda f: ["0"] + f[1:],
+    "timestamp soon": lambda f: ["soon"] + f[1:],
+    "eleven fields": lambda f: f[:11],
+    "placement": lambda f: f[:2] + ["sidebar"] + f[3:],
+}
+
+
+def log_with_bad_row(sim_dir, tmp_path, edit):
+    lines = (sim_dir / "events.csv").read_text().splitlines()
+    header, good = lines[0], lines[1:GOOD_ROWS + 1]
+    bad = ",".join(edit(good[0].split(",")))
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header, *good, bad]) + "\n")
+    return path
+
+
+def assert_names_bad_row(rc, capsys):
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"event row {GOOD_ROWS + 1}:" in json.loads(err[0])["error"]
+
+
+def other_category(fields):
+    return fields[:4] + ["news"] + fields[5:]
+
+
+@pytest.mark.parametrize("category", ["sports", "news"])
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+def test_map_keywords_names_bad_row(sim_dir, tmp_path, capsys, kind, category):
+    # rows of another category are validated too
+    edit = BAD_ROWS[kind] if category == "sports" else (lambda f: BAD_ROWS[kind](other_category(f)))
+    path = log_with_bad_row(sim_dir, tmp_path, edit)
+    rc = main(["map-keywords", "--data", str(path), "--category", "sports", "--k", "3",
+               "--out", str(tmp_path / "m.json")])
+    assert_names_bad_row(rc, capsys)
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS) + ["ad_id"])
+def test_train_names_bad_row(sim_dir, tmp_path, capsys, kind):
+    edit = BAD_ROWS.get(kind, lambda f: f[:1] + ["ghost-ad"] + f[2:])
+    path = log_with_bad_row(sim_dir, tmp_path, edit)
+    rc = main(["train", "--data", str(path), "--ads", str(sim_dir / "catalog.json"),
+               "--map", str(sim_dir / "keyword_map.json"), "--method", "normal",
+               "--out", str(tmp_path / "model.json")])
+    assert_names_bad_row(rc, capsys)
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_offline_commands_build_no_event_objects(sim_dir, tmp_path, monkeypatch):
+    from ctrserve import catalog
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(catalog.ImpressionEvent, "__init__", refuse)
+    monkeypatch.setattr(catalog.RequestContext, "__init__", refuse)
+    map_path = tmp_path / "map.json"
+    assert main(["map-keywords", "--data", str(sim_dir / "events.csv"), "--k", "3",
+                 "--out", str(map_path)]) == 0
+    assert main(["train", "--data", str(sim_dir / "events.csv"),
+                 "--ads", str(sim_dir / "catalog.json"), "--map", str(map_path),
+                 "--method", "normal", "--out", str(tmp_path / "model.json")]) == 0

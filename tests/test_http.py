@@ -4,6 +4,7 @@ import urllib.request
 
 import pytest
 
+from conftest import unresolvable_map
 from ctrserve import sample_data
 from ctrserve.server import MAX_EVENT_BODY, AdServer, ServerConfig
 
@@ -195,4 +196,23 @@ def test_failed_reload_is_500_and_keeps_snapshot(running_server, tmp_path):
     srv.config.model_path = str(path)
     status, body = http_post(base + "/reload")
     assert status == 500 and "theta" in json.loads(body)["error"]
+    assert srv.state is snapshot and served() == before
+
+
+@pytest.mark.parametrize("kind", ["no centroids", "centroid without value", "nan"])
+def test_reload_of_unresolvable_map_is_500_and_keeps_snapshot(running_server, tmp_path, kind):
+    srv, base = running_server
+
+    def served():
+        status, body = http_get(base + AD_QUERY + "ctr")
+        assert status == 200
+        payload = json.loads(body)
+        return payload["ad_id"], payload["score"]
+
+    before, snapshot = served(), srv.state
+    path = tmp_path / "map.json"
+    path.write_text(unresolvable_map(kind))
+    srv.config.map_path = str(path)
+    status, body = http_post(base + "/reload")
+    assert status == 500 and "keyword-map" in json.loads(body)["error"]
     assert srv.state is snapshot and served() == before

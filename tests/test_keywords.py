@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import brute_force_cooccurrences
-from ctrserve.errors import CtrServeError, MappingError
+from _oracles import brute_force_cooccurrences, per_transaction_cooccurrences
+from conftest import unresolvable_map
+from ctrserve.errors import CtrServeError, MappingError, ParseError
 from ctrserve.keywords import (KeywordMap, assign_clusters, build_keyword_map,
                                confidence, count_cooccurrences, load_keyword_map,
                                resolve_page_value, save_keyword_map,
@@ -48,6 +50,33 @@ class TestCountCooccurrences:
         support, pairs = brute_force_cooccurrences(txns)
         assert stats.support == support
         assert stats.pair_count == pairs
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sets(st.sampled_from([f"k{i}" for i in range(6)]), min_size=1, max_size=4),
+                    min_size=1, max_size=60))
+    def test_weighted_count_matches_per_transaction_oracle(self, txns):
+        # six keywords make repeated transactions common
+        count, support, pairs = per_transaction_cooccurrences(txns)
+        for given_as in (txns, Counter(frozenset(t) for t in txns)):
+            stats = count_cooccurrences(given_as, "x")
+            assert stats.transaction_count == count
+            assert stats.support == support
+            assert list(stats.support) == list(support)
+            assert stats.pair_count == pairs
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weighted_count_matches_oracle_on_random_corpora(self, seed):
+        txns = random_corpus(seed=seed, n_txns=2000, vocab_size=5)
+        count, support, pairs = per_transaction_cooccurrences(txns)
+        stats = count_cooccurrences(Counter(frozenset(t) for t in txns), "x")
+        assert (stats.transaction_count, stats.support, stats.pair_count) == (count, support, pairs)
+        assert list(stats.support) == list(support)
+
+    @pytest.mark.parametrize("weights", [Counter({frozenset(): 2}),
+                                         Counter({frozenset({"a"}): 0})])
+    def test_bad_weighted_transaction_rejected(self, weights):
+        with pytest.raises(CtrServeError):
+            count_cooccurrences(weights, "x")
 
 
 class TestConfidence:
@@ -191,6 +220,16 @@ class TestBuildKeywordMap:
         assert loaded.centroids == kmap.centroids
         assert loaded.cluster_of == kmap.cluster_of
         assert loaded.rank == kmap.rank
+
+
+class TestLoadKeywordMap:
+    @pytest.mark.parametrize("kind,match", [("no centroids", "centroids"),
+                                            ("centroid without value", "curling"),
+                                            ("nan", "non-finite"), ("inf", "non-finite"),
+                                            ("-inf", "non-finite")])
+    def test_unresolvable_map_rejected(self, kind, match):
+        with pytest.raises(ParseError, match=match):
+            load_keyword_map(unresolvable_map(kind))
 
 
 class TestResolvePageValue:

@@ -6,7 +6,7 @@ import pytest
 from _oracles import brute_force_best_by_bid, brute_force_best_by_ctr, eligible_candidates
 from conftest import make_context
 from ctrserve import server
-from ctrserve.catalog import AdCreative, Placement, parse_event_log
+from ctrserve.catalog import AdCreative, Placement, read_event_log
 from ctrserve.errors import ContractError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, FeatureSchema, encode_placement, encode_size
 from ctrserve.keywords import resolve_page_value
@@ -346,7 +346,7 @@ class TestEventLogWriter:
         state = ServingState(catalog=(make_ad("a1"),))
         log.record_event(state, "a1", make_context(), clicked=False, timestamp=1)
         log.record_event(state, "a1", make_context(), clicked=True, timestamp=2)
-        events = parse_event_log((tmp_path / "events.csv").read_text())
+        events = list(read_event_log((tmp_path / "events.csv").read_text()))
         assert [e.clicked for e in events] == [False, True]
 
     def test_unknown_ad(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctrserve.catalog import aggregate_events, parse_ad_catalog, parse_event_log
+from ctrserve.catalog import aggregate_events, parse_ad_catalog, read_event_log
 from ctrserve.errors import CtrServeError
 from ctrserve.features import FeatureSchema, build_design_matrix
 from ctrserve.keywords import load_keyword_map
@@ -45,7 +45,7 @@ def test_outputs_parse_and_aggregate():
     out = run_simulation(SimulationConfig(seed=5, n_events=2000))
     ads = parse_ad_catalog(out.catalog_json)
     bids = {a.ad_id: a.bid for a in ads}
-    events = parse_event_log(out.events_csv, bids=bids)
+    events = list(read_event_log(out.events_csv, bids=bids))
     kmap = load_keyword_map(out.map_json)
     rows = aggregate_events(events, kmap)
     assert rows
@@ -59,7 +59,7 @@ def test_planted_recovery_smoke():
     cfg = SimulationConfig(seed=7, n_events=8000)
     out = run_simulation(cfg)
     ads = parse_ad_catalog(out.catalog_json)
-    events = parse_event_log(out.events_csv, bids={a.ad_id: a.bid for a in ads})
+    events = read_event_log(out.events_csv, bids={a.ad_id: a.bid for a in ads})
     kmap = load_keyword_map(out.map_json)
     rows = aggregate_events(events, kmap)
     model = train(rows, kmap, TrainingConfig(method=NORMAL_EQUATION))
