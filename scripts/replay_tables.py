@@ -2,8 +2,6 @@
 """Replay the bundled sample data end to end and print every headline
 number: coefficients, predictions, validation metrics and the cost trace."""
 
-import numpy as np
-
 from ctrserve import sample_data
 from ctrserve.evaluation import evaluate, export_cost_trace, r_squared, standard_error
 from ctrserve.regression import NORMAL_EQUATION, TrainingConfig, predict, train

@@ -1,8 +1,9 @@
 """Domain entities plus catalog / event-log ingestion and aggregation.
 
 The three parties are the advertiser (AdCreative), the publisher page
-(RequestContext) and the viewer (fields carried on the context). Raw
-impression events are grouped into regression-ready TrainingRows.
+(RequestContext) and the viewer (fields carried on the context). Each
+logged impression is one EventRow; rows are grouped into regression-ready
+TrainingRows.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class AdCreative:
 class RequestContext:
     """One page-view request: publisher features plus raw viewer features.
 
-    Viewer fields (location/ip/browser/cookies) are carried through logging
-    but never enter the regression features.
+    Viewer fields (location/ip/browser) are carried through logging but
+    never enter the regression features.
     """
 
     placement: Placement
@@ -58,24 +59,10 @@ class RequestContext:
     location: tuple[str, str, str] = ("", "", "")  # (area, city, country)
     ip: str = ""
     browser: str = ""
-    cookies: str = ""
 
     @property
     def country(self) -> str:
         return self.location[2]
-
-
-@dataclass(frozen=True)
-class ImpressionEvent:
-    timestamp: int  # milliseconds since epoch
-    ad_id: str
-    context: RequestContext
-    clicked: bool
-    served_bid: Optional[float] = None  # joined from the catalog; CSV has no bid column
-
-    def __post_init__(self):
-        if self.timestamp <= 0:
-            raise ValidationError(f"event for {self.ad_id!r}: timestamp must be > 0")
 
 
 @dataclass(frozen=True)
@@ -171,11 +158,12 @@ EVENT_LOG_HEADER = [
 
 
 class EventRow(NamedTuple):
-    """One validated event-log row as plain fields. `keywords` is the raw
-    ';'-joined field (`page_keywords` tokenizes it); `served_bid` is the
-    catalog bid when the log is read with one, else None."""
+    """One event-log row as plain fields, the type both written and read.
+    `keywords` is the raw ';'-joined field (`keywords_field` builds it,
+    `page_keywords` tokenizes it); `served_bid` is the catalog bid when the
+    log is read with one, else None (the log has no bid column)."""
 
-    timestamp: int
+    timestamp: int  # milliseconds since epoch
     ad_id: str
     placement: Placement
     size: str
@@ -187,7 +175,7 @@ class EventRow(NamedTuple):
     ip: str
     browser: str
     clicked: bool
-    served_bid: Optional[float]
+    served_bid: Optional[float] = None
 
 
 _PLACEMENTS = {p.value: p for p in Placement}
@@ -196,6 +184,20 @@ _PLACEMENTS = {p.value: p for p in Placement}
 def page_keywords(field: str) -> frozenset[str]:
     """The normalized keyword set of an event-log `keywords` field."""
     return frozenset(normalize_token(t) for t in field.split(";") if t.strip())
+
+
+def keywords_field(keywords: Iterable[str]) -> str:
+    """The event-log `keywords` field of a page keyword set, which
+    `page_keywords` reads back as the same set. A set that would not read
+    back is refused: an empty one, or one with a token that is empty, not
+    normalized or contains the ';' separator."""
+    tokens = sorted(keywords)
+    if not tokens:
+        raise ValidationError("page keywords must be nonempty")
+    bad = [t for t in tokens if not t or ";" in t or t != normalize_token(t)]
+    if bad:
+        raise ValidationError(f"page keywords cannot be logged: {bad}")
+    return ";".join(tokens)
 
 
 def read_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> Iterator[EventRow]:
@@ -244,14 +246,15 @@ def read_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> Iterat
                                        served_bid))
 
 
-def write_event_row(writer, event: ImpressionEvent) -> None:
-    ctx = event.context
-    writer.writerow([
-        event.timestamp, event.ad_id, ctx.placement.value, ctx.size, ctx.category,
-        ";".join(sorted(ctx.page_keywords)),
-        ctx.location[2], ctx.location[1], ctx.location[0],
-        ctx.ip, ctx.browser, "1" if event.clicked else "0",
-    ])
+def write_event_row(writer, row: EventRow) -> None:
+    """Append one row in `EVENT_LOG_HEADER` order; `served_bid` is not
+    written. A timestamp <= 0, which `read_event_log` rejects, raises."""
+    (timestamp, ad_id, placement, size, category, keywords,
+     country, city, area, ip, browser, clicked, _) = row
+    if timestamp <= 0:
+        raise ValidationError(f"event for {ad_id!r}: timestamp must be > 0")
+    writer.writerow([timestamp, ad_id, placement.value, size, category, keywords,
+                     country, city, area, ip, browser, "1" if clicked else "0"])
 
 
 TRAINING_TABLE_HEADER = ["placement", "size", "bid", "keyword_value", "ctr"]
@@ -290,9 +293,7 @@ def compute_ctr(clicks: int, impressions: int) -> float:
     return clicks / impressions
 
 
-def aggregate_events(events: Iterable[EventRow], keyword_map,
-                     size_registry: Sequence[str] | None = None,
-                     mode: str = "strict") -> list[TrainingRow]:
+def aggregate_events(events: Iterable[EventRow], keyword_map) -> list[TrainingRow]:
     """Fold event rows, as `read_event_log` streams them, into groups by
     (placement, size, bid, keyword value) and emit one TrainingRow per group
     with its observed CTR.
@@ -305,7 +306,6 @@ def aggregate_events(events: Iterable[EventRow], keyword_map,
     from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
     from .keywords import resolve_page_value
 
-    registry = list(size_registry) if size_registry is not None else list(DEFAULT_SIZE_REGISTRY)
     placement_codes = {p: encode_placement(p) for p in Placement}
     size_codes: dict[str, int] = {}
     page_values: dict[str, float] = {}
@@ -316,11 +316,11 @@ def aggregate_events(events: Iterable[EventRow], keyword_map,
                                   "read the log with a catalog to join bids")
         size_code = size_codes.get(size)
         if size_code is None:
-            size_code = size_codes[size] = encode_size(size, registry)
+            size_code = size_codes[size] = encode_size(size, DEFAULT_SIZE_REGISTRY)
         value = page_values.get(keywords)
         if value is None:
-            value = page_values[keywords] = resolve_page_value(
-                keyword_map, page_keywords(keywords), mode=mode)
+            value = page_values[keywords] = resolve_page_value(keyword_map,
+                                                               page_keywords(keywords))
         key = (placement_codes[placement], size_code, bid, value)
         counts = groups.setdefault(key, [0, 0])
         counts[0] += 1

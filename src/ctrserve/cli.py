@@ -8,14 +8,16 @@ import csv
 import json
 import os
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
-from . import evaluation, keywords, regression, server, simulate
+# numpy and the HTTP server are imported by the commands that use them, so
+# that map-keywords, say, does not pay for loading them.
+from . import keywords
 from .catalog import (TRAINING_TABLE_HEADER, Placement, aggregate_events, page_keywords,
                       parse_ad_catalog, parse_training_table, read_event_log)
 from .errors import CtrServeError
-from .features import DEFAULT_SIZE_REGISTRY, FeatureSchema, encode_placement, encode_size
 
 ENV_PREFIX = "CTRF_"
 
@@ -58,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the ad-selection HTTP service")
     _add_common_io(p)
     p.add_argument("--port", type=int, default=8080)
-    p.add_argument("--mode", choices=[server.MODE_BID, server.MODE_CTR],
-                   default=server.MODE_BID)
+    p.add_argument("--mode", choices=["bid", "ctr"], default="bid")
 
     p = sub.add_parser("simulate", help="generate a seeded synthetic event log")
     _add_common_io(p)
@@ -146,6 +147,8 @@ def cmd_map_keywords(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import evaluation, regression
+
     _require(args, "data", "out")
     keyword_map = None
     if args.map_path:
@@ -175,6 +178,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from . import regression
+    from .features import encode_placement, encode_size
+
     _require(args, "model")
     with open(args.model) as fh:
         model = regression.load_model(fh)
@@ -193,6 +199,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluation, regression
+
     _require(args, "model", "data")
     with open(args.model) as fh:
         model = regression.load_model(fh)
@@ -223,17 +231,27 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from . import server
+
     _require(args, "ads")
     config = server.ServerConfig(
         catalog_path=args.ads, model_path=args.model, map_path=args.map_path,
         event_log_path=args.out, port=args.port, default_mode=args.mode)
     srv = server.AdServer(config)
-    print(f"serving on port {config.port} (mode {config.default_mode})")
-    srv.serve_forever()
+    port = srv.start()
+    print(f"serving on port {port} (mode {config.default_mode})", flush=True)
+    try:
+        threading.Event().wait()  # until Ctrl-C; the server runs on its own thread
+    except KeyboardInterrupt:
+        pass
+    finally:
+        srv.stop()
     return 0
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate
+
     _require(args, "out")
     config = simulate.SimulationConfig(seed=args.seed, n_events=args.events,
                                        category=args.category)

@@ -44,22 +44,28 @@ def _check_series(y: Sequence[float], y_pred: Sequence[float]) -> None:
         raise ContractError("series must be nonempty")
 
 
-def standard_error(y: Sequence[float], y_pred: Sequence[float]) -> float:
-    """sqrt of the mean squared residual over the validation set."""
+def _summary(y: Sequence[float], y_pred: Sequence[float]) -> tuple[float, float, float, float, float]:
+    """(sse, ym, ssto, se, r_squared) of an observed/predicted series pair;
+    R squared is NaN when the observed values are constant."""
     _check_series(y, y_pred)
     sse = sum((yi - pi) ** 2 for yi, pi in zip(y, y_pred))
-    return math.sqrt(sse / len(y))
+    ym = sum(y) / len(y)
+    ssto = sum((yi - ym) ** 2 for yi in y)
+    r2 = 1.0 - sse / ssto if ssto > 0.0 else float("nan")
+    return sse, ym, ssto, math.sqrt(sse / len(y)), r2
+
+
+def standard_error(y: Sequence[float], y_pred: Sequence[float]) -> float:
+    """sqrt of the mean squared residual over the validation set."""
+    return _summary(y, y_pred)[3]
 
 
 def r_squared(y: Sequence[float], y_pred: Sequence[float]) -> float:
     """1 - SSE/SSTO, with SSTO taken about the observed mean."""
-    _check_series(y, y_pred)
-    ym = sum(y) / len(y)
-    ssto = sum((yi - ym) ** 2 for yi in y)
+    _, _, ssto, _, r2 = _summary(y, y_pred)
     if ssto == 0.0:
         raise CtrServeError("observed values are constant; R squared is undefined")
-    sse = sum((yi - pi) ** 2 for yi, pi in zip(y, y_pred))
-    return 1.0 - sse / ssto
+    return r2
 
 
 def evaluate(model: RegressionModel, validation: Sequence[TrainingRow]) -> EvaluationReport:
@@ -71,14 +77,9 @@ def evaluate(model: RegressionModel, validation: Sequence[TrainingRow]) -> Evalu
     y_pred = [predict(model, (row.placement_code, row.size_code, row.bid, row.keyword_value))
               for row in validation]
     pairs = tuple((yi, pi, yi - pi) for yi, pi in zip(y, y_pred))
-    n = len(y)
-    sse = sum(f * f for _, _, f in pairs)
-    ym = sum(y) / n
-    ssto = sum((yi - ym) ** 2 for yi in y)
-    se = math.sqrt(sse / n)
-    assert abs(sse - n * se * se) <= 1e-12 * max(1.0, sse)
-    r2 = 1.0 - sse / ssto if ssto > 0.0 else float("nan")
-    return EvaluationReport(n=n, pairs=pairs, sse=sse, ym=ym, ssto=ssto, se=se, r_squared=r2)
+    sse, ym, ssto, se, r2 = _summary(y, y_pred)
+    return EvaluationReport(n=len(y), pairs=pairs, sse=sse, ym=ym, ssto=ssto, se=se,
+                            r_squared=r2)
 
 
 def export_cost_trace(model: RegressionModel) -> list[tuple[int, float]]:

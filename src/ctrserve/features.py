@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -63,10 +63,6 @@ def encode_placement(p: Placement) -> int:
     return 1 if p is Placement.ABOVE_FOLD or p == Placement.ABOVE_FOLD else 0
 
 
-def decode_placement(code: int) -> Placement:
-    return Placement.ABOVE_FOLD if code == 1 else Placement.BELOW_FOLD
-
-
 def encode_size(label: str, registry: Sequence[str]) -> int:
     """1-based code of a size label in the registry."""
     try:
@@ -118,14 +114,6 @@ def transform(scaler: ScalerStats, matrix: DesignMatrix) -> DesignMatrix:
     _check_arity(scaler, matrix.X[:, sl].shape[1])
     X = matrix.X.copy()
     X[:, sl] = (X[:, sl] - scaler.means) / scaler.stds
-    return DesignMatrix(X=X, y=matrix.y.copy(), include_intercept=matrix.include_intercept)
-
-
-def untransform(scaler: ScalerStats, matrix: DesignMatrix) -> DesignMatrix:
-    sl = _feature_slice(matrix)
-    _check_arity(scaler, matrix.X[:, sl].shape[1])
-    X = matrix.X.copy()
-    X[:, sl] = X[:, sl] * scaler.stds + scaler.means
     return DesignMatrix(X=X, y=matrix.y.copy(), include_intercept=matrix.include_intercept)
 
 

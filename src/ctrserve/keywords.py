@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .catalog import _as_text
 from .errors import CtrServeError, MappingError, ParseError
 
 BASE_VALUE = 50.0
@@ -209,12 +210,8 @@ def save_keyword_map(keyword_map: KeywordMap) -> str:
 def load_keyword_map(stream) -> KeywordMap:
     """Parse a map file. A map that could not resolve a page is rejected
     here: no centroids, a centroid without a value, or a non-finite value."""
-    if hasattr(stream, "read"):
-        stream = stream.read()
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
     try:
-        payload = json.loads(stream)
+        payload = json.loads(_as_text(stream))
         values = {str(k): float(v) for k, v in payload["values"].items()}
         centroids = tuple(payload["centroids"])
         if not centroids:

@@ -1,15 +1,15 @@
-"""Linear CTR model: hypothesis, cost, batch gradient descent and the
+"""Linear CTR model: prediction, cost, batch gradient descent and the
 closed-form normal equation, plus model persistence."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import TrainingRow
+from .catalog import TrainingRow, _as_text
 from .errors import (ContractError, CtrServeError, DegenerateFeatureError,
                      DivergenceError, ModelLoadError, SingularMatrixError)
 from .features import (FEATURE_NAMES, DesignMatrix, FeatureSchema, ScalerStats,
@@ -81,10 +81,6 @@ class RegressionModel:
         return float(self.theta[FEATURE_NAMES.index("bid") + self.schema.include_intercept])
 
 
-def hypothesis(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return X @ theta
-
-
 def predict(model: RegressionModel, raw: Sequence[float]) -> float:
     """Predicted CTR for one raw feature vector (placement code, size code,
     bid, keyword value). Output is deliberately not clamped to [0,1]."""
@@ -111,14 +107,11 @@ def gradient(theta: np.ndarray, matrix: DesignMatrix) -> np.ndarray:
     return matrix.X.T @ (matrix.X @ theta - matrix.y) / matrix.m
 
 
-def gradient_descent(matrix: DesignMatrix, config: TrainingConfig,
-                     theta_init: Optional[np.ndarray] = None) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Exactly `config.iterations` simultaneous batch updates from
-    theta_init (zeros by default); trace[t] is the cost after update t."""
-    theta = (np.zeros(matrix.X.shape[1]) if theta_init is None
-             else np.asarray(theta_init, dtype=float).copy())
-    if theta.shape != (matrix.X.shape[1],):
-        raise ContractError("theta_init length does not match the design matrix")
+def gradient_descent(matrix: DesignMatrix,
+                     config: TrainingConfig) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Exactly `config.iterations` simultaneous batch updates from theta = 0;
+    trace[t] is the cost after update t."""
+    theta = np.zeros(matrix.X.shape[1])
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.iterations):
@@ -143,14 +136,12 @@ def normal_equation(matrix: DesignMatrix) -> np.ndarray:
     return np.linalg.solve(XtX, Xty)
 
 
-def train(rows: Sequence[TrainingRow], keyword_map, config: TrainingConfig,
-          schema: Optional[FeatureSchema] = None) -> RegressionModel:
+def train(rows: Sequence[TrainingRow], keyword_map, config: TrainingConfig) -> RegressionModel:
     """Assemble the design matrix, optionally scale, fit by the configured
     method and package the result with the frozen keyword-map reference."""
     if not rows:
         raise CtrServeError("cannot train on zero rows")
-    if schema is None:
-        schema = FeatureSchema(include_intercept=config.include_intercept)
+    schema = FeatureSchema(include_intercept=config.include_intercept)
     matrix = build_design_matrix(rows, schema)
     scaler = None
     if config.scale_features:
@@ -160,7 +151,7 @@ def train(rows: Sequence[TrainingRow], keyword_map, config: TrainingConfig,
         theta, trace = gradient_descent(matrix, config)
     else:
         theta, trace = normal_equation(matrix), ()
-    map_ref = getattr(keyword_map, "category", "") if keyword_map is not None else ""
+    map_ref = getattr(keyword_map, "category", "")  # "" without a map (None)
     return RegressionModel(theta=theta, schema=schema, scaler=scaler,
                            config=config, cost_trace=trace, keyword_map_ref=map_ref)
 
@@ -203,12 +194,8 @@ def save_model(model: RegressionModel) -> str:
 
 
 def load_model(stream) -> RegressionModel:
-    if hasattr(stream, "read"):
-        stream = stream.read()
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
     try:
-        payload = json.loads(stream)
+        payload = json.loads(_as_text(stream))
     except json.JSONDecodeError as exc:
         raise ModelLoadError(f"corrupt model stream: {exc}") from exc
     try:
@@ -239,7 +226,5 @@ def load_model(stream) -> RegressionModel:
             cost_trace=tuple(float(c) for c in payload["cost_trace"]),
             keyword_map_ref=str(payload.get("keyword_map_ref", "")),
         )
-    except ModelLoadError:
-        raise
     except (KeyError, TypeError, ValueError, ContractError) as exc:
         raise ModelLoadError(f"invalid model payload: {exc}") from exc

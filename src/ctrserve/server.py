@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
-from .catalog import (EVENT_LOG_HEADER, AdCreative, ImpressionEvent, Placement,
-                      RequestContext, normalize_token, parse_ad_catalog,
+from .catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement,
+                      RequestContext, keywords_field, normalize_token, parse_ad_catalog,
                       write_event_row)
 from .errors import ContractError, EncodingError, ValidationError
 from .features import encode_placement, encode_size
@@ -163,8 +163,9 @@ def serve(request: RequestContext, mode: str, state: ServingState) -> AdResponse
 
 
 class EventLogWriter:
-    """Durable append-only event log in the event-log CSV format; appends
-    are serialized per writer."""
+    """Append-only event log in the event-log CSV format. Appends are
+    serialized per writer; each row is flushed to the operating system when
+    it is written, but never fsynced, so a host crash can lose recent rows."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -175,17 +176,24 @@ class EventLogWriter:
 
     def record_event(self, state: ServingState, ad_id: str,
                      request: RequestContext, clicked: bool,
-                     timestamp: Optional[int] = None) -> ImpressionEvent:
+                     timestamp: Optional[int] = None) -> EventRow:
+        """Log one impression; an unknown ad_id, a timestamp <= 0 or page
+        keywords the log could not read back raise ValidationError and
+        nothing is written."""
         if ad_id not in state.ad_ids:
             raise ValidationError(f"unknown ad_id {ad_id!r}")
-        event = ImpressionEvent(
+        area, city, country = request.location
+        row = EventRow(
             timestamp=timestamp if timestamp is not None else time.time_ns() // 1_000_000,
-            ad_id=ad_id, context=request, clicked=clicked)
+            ad_id=ad_id, placement=request.placement, size=request.size,
+            category=request.category, keywords=keywords_field(request.page_keywords),
+            country=country, city=city, area=area, ip=request.ip, browser=request.browser,
+            clicked=clicked)
         with self._lock:
             with open(self.path, "a", newline="") as fh:
-                write_event_row(csv.writer(fh), event)
+                write_event_row(csv.writer(fh), row)
                 fh.flush()
-        return event
+        return row
 
 
 @dataclass
@@ -199,6 +207,9 @@ class ServerConfig:
 
 
 def load_state(config: ServerConfig) -> ServingState:
+    """Load a snapshot from the configured files. A model that names the
+    keyword map it was trained with must be served with a map of that
+    category."""
     with open(config.catalog_path) as fh:
         catalog = tuple(parse_ad_catalog(fh))
     model = keyword_map = None
@@ -208,6 +219,11 @@ def load_state(config: ServerConfig) -> ServingState:
     if config.map_path:
         with open(config.map_path) as fh:
             keyword_map = load_keyword_map(fh)
+    if model is not None and keyword_map is not None and model.keyword_map_ref \
+            and model.keyword_map_ref != keyword_map.category:
+        raise ValidationError(f"model {config.model_path} was trained with the "
+                              f"{model.keyword_map_ref!r} keyword map, but map "
+                              f"{config.map_path} is for {keyword_map.category!r}")
     return ServingState(catalog=catalog, model=model, keyword_map=keyword_map)
 
 
@@ -258,7 +274,8 @@ def _parse_event(body: bytes) -> tuple[str, RequestContext, bool]:
     clicked = payload.get("clicked", False)
     if not isinstance(clicked, bool):
         raise ValueError("clicked must be true or false")
-    context = _request_context(payload, frozenset(normalize_token(k) for k in keywords))
+    context = _request_context(payload, frozenset(normalize_token(k) for k in keywords
+                                                  if k.strip()))
     return ad_id, context, clicked
 
 
@@ -268,11 +285,11 @@ class AdRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # keep request serving quiet
         pass
 
-    def _send(self, code: int, body: str = "", content_type: str = "application/json"):
+    def _send(self, code: int, body: str = ""):
         payload = body.encode("utf-8")
         self.send_response(code)
         if payload:
-            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         if payload:
@@ -359,16 +376,6 @@ class AdServer:
         thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         thread.start()
         return self._httpd.server_address[1]
-
-    def serve_forever(self) -> None:
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", self.config.port), AdRequestHandler)
-        self._httpd.app = self
-        try:
-            self._httpd.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self._httpd.server_close()
 
     def stop(self) -> None:
         if self._httpd is not None:

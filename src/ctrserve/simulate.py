@@ -7,10 +7,10 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .catalog import (EVENT_LOG_HEADER, AdCreative, ImpressionEvent, Placement,
-                      RequestContext, serialize_ad_catalog, write_event_row)
+from .catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement, keywords_field,
+                      serialize_ad_catalog, write_event_row)
 from .errors import CtrServeError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from .keywords import KeywordMap, resolve_page_value, save_keyword_map
@@ -118,15 +118,10 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         placement = Placement.ABOVE_FOLD if rng.random() < 0.5 else Placement.BELOW_FOLD
         centroid = centroids[rng.randrange(len(centroids))]
         page_keywords = _simulate_page_keywords(rng, centroid)
-        context = RequestContext(
-            placement=placement,
-            size=ad.size,
-            category=config.category,
-            page_keywords=page_keywords,
-            location=("", "", _COUNTRIES[rng.randrange(len(_COUNTRIES))]),
-            ip=f"10.0.0.{rng.randrange(256)}",
-            browser=_BROWSERS[rng.randrange(len(_BROWSERS))],
-        )
+        # the rng draws keep the order country, ip, browser, click: outputs depend on it
+        country = _COUNTRIES[rng.randrange(len(_COUNTRIES))]
+        ip = f"10.0.0.{rng.randrange(256)}"
+        browser = _BROWSERS[rng.randrange(len(_BROWSERS))]
         kw_value = resolve_page_value(keyword_map, page_keywords)
         x = (1.0, float(encode_placement(placement)),
              float(encode_size(ad.size, DEFAULT_SIZE_REGISTRY)), ad.bid, kw_value)
@@ -134,10 +129,11 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         if not 0.0 < p_click < 1.0:
             raise CtrServeError(f"planted click probability {p_click} left (0,1); "
                                 "adjust true_theta")
-        event = ImpressionEvent(timestamp=_BASE_TIMESTAMP + i, ad_id=ad.ad_id,
-                                context=context, clicked=rng.random() < p_click,
-                                served_bid=ad.bid)
-        write_event_row(writer, event)
+        write_event_row(writer, EventRow(
+            timestamp=_BASE_TIMESTAMP + i, ad_id=ad.ad_id, placement=placement, size=ad.size,
+            category=config.category, keywords=keywords_field(page_keywords), country=country,
+            city="", area="", ip=ip, browser=browser, clicked=rng.random() < p_click,
+            served_bid=ad.bid))
     truth = {
         "seed": config.seed,
         "n_events": config.n_events,

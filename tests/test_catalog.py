@@ -1,13 +1,16 @@
+import csv
+import io
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from _oracles import dictreader_groups
 from conftest import make_event
-from ctrserve.catalog import (AdCreative, aggregate_events, compute_ctr, page_keywords,
-                              parse_ad_catalog, parse_training_table,
-                              read_event_log, serialize_ad_catalog)
+from ctrserve.catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement,
+                              aggregate_events, compute_ctr, keywords_field, normalize_token,
+                              page_keywords, parse_ad_catalog, parse_training_table,
+                              read_event_log, serialize_ad_catalog, write_event_row)
 from ctrserve.errors import MappingError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY
 from ctrserve.keywords import load_keyword_map
@@ -173,6 +176,64 @@ class TestAggregateEvents:
                          "2,a1,above_fold,300x250,sports,spain; england,PK,k,c,ip,ch,0")
         (row,) = aggregate_events(read_event_log(text, bids={"a1": 20.0}), sports_map)
         assert (row.keyword_value, row.ctr) == (51.0, 0.5)
+
+
+EVENT_ROWS = st.builds(
+    EventRow, timestamp=st.integers(min_value=1), ad_id=st.text(),
+    placement=st.sampled_from(Placement), size=st.text(), category=st.text(),
+    keywords=st.text(), country=st.text(), city=st.text(), area=st.text(), ip=st.text(),
+    browser=st.text(), clicked=st.booleans(), served_bid=st.none())
+
+
+def written_log(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(EVENT_LOG_HEADER)
+    for row in rows:
+        write_event_row(writer, row)
+    return buf.getvalue()
+
+
+class TestWriteEventRow:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(EVENT_ROWS, max_size=4))
+    def test_round_trip(self, rows):
+        assert list(read_event_log(written_log(rows))) == rows
+
+    @settings(deadline=None)
+    @given(st.lists(EVENT_ROWS, min_size=1, max_size=4), st.floats(min_value=0.01, max_value=1e6))
+    def test_round_trip_with_bids(self, rows, bid):
+        bids = {row.ad_id: bid for row in rows}
+        assert list(read_event_log(written_log(rows), bids=bids)) == \
+            [row._replace(served_bid=bid) for row in rows]
+
+    @pytest.mark.parametrize("timestamp", [0, -1])
+    def test_nonpositive_timestamp_refused(self, timestamp):
+        with pytest.raises(ValidationError, match="timestamp"):
+            written_log([make_event(timestamp=timestamp)])
+
+
+NORMALIZED_TOKENS = st.text(min_size=1).map(normalize_token).filter(lambda t: t and ";" not in t)
+
+
+class TestKeywordsField:
+    @given(st.frozensets(st.text()))
+    def test_reads_back_as_the_same_set_or_is_refused(self, keywords):
+        try:
+            field = keywords_field(keywords)
+        except ValidationError:
+            return
+        assert page_keywords(field) == keywords
+
+    @given(st.frozensets(NORMALIZED_TOKENS, min_size=1))
+    def test_normalized_sets_are_accepted(self, keywords):
+        assert page_keywords(keywords_field(keywords)) == keywords
+
+    @pytest.mark.parametrize("keywords", [set(), {"foot;ball"}, {"football", ""},
+                                          {"Football"}, {" football"}])
+    def test_refused(self, keywords):
+        with pytest.raises(ValidationError, match="page keywords"):
+            keywords_field(keywords)
 
 
 class TestComputeCtr:

@@ -1,8 +1,15 @@
 import json
+import os
+import socket
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctrserve
 from _oracles import least_squares_exact
 from ctrserve import sample_data
 from ctrserve.cli import main
@@ -225,7 +232,6 @@ def test_offline_commands_build_no_event_objects(sim_dir, tmp_path, monkeypatch)
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"built a {type(self).__name__}")
 
-    monkeypatch.setattr(catalog.ImpressionEvent, "__init__", refuse)
     monkeypatch.setattr(catalog.RequestContext, "__init__", refuse)
     map_path = tmp_path / "map.json"
     assert main(["map-keywords", "--data", str(sim_dir / "events.csv"), "--k", "3",
@@ -233,3 +239,54 @@ def test_offline_commands_build_no_event_objects(sim_dir, tmp_path, monkeypatch)
     assert main(["train", "--data", str(sim_dir / "events.csv"),
                  "--ads", str(sim_dir / "catalog.json"), "--map", str(map_path),
                  "--method", "normal", "--out", str(tmp_path / "model.json")]) == 0
+
+
+
+def child_python(*args):
+    """A Python child process that imports this checkout's ctrserve."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ctrserve.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def serve_process(tmp_path, port):
+    return child_python("-m", "ctrserve.cli", "serve",
+                        "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
+                        "--out", str(tmp_path / "events.csv"), "--port", str(port))
+
+
+def test_serve_prints_the_port_it_bound(tmp_path):
+    proc = serve_process(tmp_path, 0)
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("serving on port "), line + proc.stderr.read()
+        port = int(line.split()[3])
+        assert port != 0
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz", timeout=5) as resp:
+            assert resp.status == 200
+    finally:
+        proc.kill()
+        proc.communicate(timeout=10)
+
+
+def test_serve_on_a_port_in_use_is_an_error_and_prints_no_port(tmp_path):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        proc = serve_process(tmp_path, taken.getsockname()[1])
+        try:
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert proc.returncode == 1 and out == ""
+    assert "error" in json.loads(err.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_neither_numpy_nor_the_http_server():
+    proc = child_python("-c", "import sys, ctrserve.cli; "
+                              "print(sorted({'numpy', 'http.server'} & set(sys.modules)))")
+    out, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
+    assert out.strip() == "[]"

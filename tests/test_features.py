@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 from ctrserve.catalog import Placement, TrainingRow
 from ctrserve.errors import ContractError, CtrServeError, DegenerateFeatureError, EncodingError
 from ctrserve.features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, FeatureSchema,
-                               build_design_matrix, decode_placement,
-                               encode_placement, encode_size, fit_scaler,
-                               transform, transform_row, untransform)
+                               build_design_matrix, encode_placement, encode_size,
+                               fit_scaler, transform, transform_row)
 
 TABLE6_BIDS = [20, 15, 10, 40, 20, 15, 10, 42, 25, 20, 10, 5]
 
@@ -41,8 +40,6 @@ class TestEncodings:
     def test_placement(self):
         assert encode_placement(Placement.ABOVE_FOLD) == 1
         assert encode_placement(Placement.BELOW_FOLD) == 0
-        for p in Placement:
-            assert decode_placement(encode_placement(p)) is p
 
 
 class TestDesignMatrix:
@@ -108,12 +105,6 @@ class TestScaler:
         assert np.all(scaled.X[:, 0] == 1.0)
         assert np.array_equal(scaled.y, matrix.y)
 
-    def test_inverse_consistency(self, table6_rows):
-        matrix = build_design_matrix(table6_rows, FeatureSchema())
-        scaler = fit_scaler(matrix)
-        recovered = untransform(scaler, transform(scaler, matrix))
-        assert np.all(np.abs(recovered.X - matrix.X) < 1e-12)
-
     def test_mean_entry_maps_to_zero(self, table6_rows):
         matrix = build_design_matrix(table6_rows, FeatureSchema())
         scaler = fit_scaler(matrix)
@@ -153,6 +144,3 @@ def test_scaling_identity_random_matrices(X):
     scaled = transform(scaler, matrix)
     assert np.all(np.abs(scaled.X.mean(axis=0)) < 1e-9)
     assert np.all(np.abs(scaled.X.std(axis=0, ddof=1) - 1.0) < 1e-9)
-    recovered = untransform(scaler, scaled)
-    scale = np.maximum(1.0, np.abs(matrix.X))
-    assert np.all(np.abs(recovered.X - matrix.X) / scale < 1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import socket
 import urllib.request
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import unresolvable_map
 from ctrserve import sample_data
+from ctrserve.errors import ValidationError
 from ctrserve.server import MAX_EVENT_BODY, AdServer, ServerConfig
 
 
@@ -135,6 +137,14 @@ AD_QUERY = ("/ad?placement=above_fold&size=300x250&category=sports"
             "&keywords=football&country=PK&mode=")
 
 
+def served_ctr(base):
+    """(ad_id, score) of a filled ctr-mode request."""
+    status, body = http_get(base + AD_QUERY + "ctr")
+    assert status == 200
+    payload = json.loads(body)
+    return payload["ad_id"], payload["score"]
+
+
 @pytest.mark.parametrize("length", ["-1", "abc", "", None])
 def test_event_bad_content_length_is_400(running_server, length):
     srv, base = running_server
@@ -159,6 +169,11 @@ def test_event_body_over_cap_is_413(running_server):
     {"ad_id": "boots-01", "size": 300},
     {"ad_id": "boots-01", "placement": ["above_fold"]},
     {"ad_id": "boots-01", "clicked": "false"},
+    {"ad_id": "boots-01", "keywords": ["foot;ball"]},
+    {"ad_id": "boots-01", "keywords": ["football", "foot;ball"]},
+    {"ad_id": "boots-01"},
+    {"ad_id": "boots-01", "keywords": []},
+    {"ad_id": "boots-01", "keywords": ["", "  "]},
 ])
 def test_event_malformed_body_is_400(running_server, payload):
     srv, base = running_server
@@ -182,13 +197,7 @@ def test_unknown_mode_is_400(running_server):
 def test_failed_reload_is_500_and_keeps_snapshot(running_server, tmp_path):
     srv, base = running_server
 
-    def served():
-        status, body = http_get(base + AD_QUERY + "ctr")
-        assert status == 200
-        payload = json.loads(body)
-        return payload["ad_id"], payload["score"]
-
-    before, snapshot = served(), srv.state
+    before, snapshot = served_ctr(base), srv.state
     model = json.loads(open(srv.config.model_path).read())
     model["theta"] = model["theta"][:4]
     path = tmp_path / "model.json"
@@ -196,23 +205,52 @@ def test_failed_reload_is_500_and_keeps_snapshot(running_server, tmp_path):
     srv.config.model_path = str(path)
     status, body = http_post(base + "/reload")
     assert status == 500 and "theta" in json.loads(body)["error"]
-    assert srv.state is snapshot and served() == before
+    assert srv.state is snapshot and served_ctr(base) == before
 
 
 @pytest.mark.parametrize("kind", ["no centroids", "centroid without value", "nan"])
 def test_reload_of_unresolvable_map_is_500_and_keeps_snapshot(running_server, tmp_path, kind):
     srv, base = running_server
 
-    def served():
-        status, body = http_get(base + AD_QUERY + "ctr")
-        assert status == 200
-        payload = json.loads(body)
-        return payload["ad_id"], payload["score"]
-
-    before, snapshot = served(), srv.state
+    before, snapshot = served_ctr(base), srv.state
     path = tmp_path / "map.json"
     path.write_text(unresolvable_map(kind))
     srv.config.map_path = str(path)
     status, body = http_post(base + "/reload")
     assert status == 500 and "keyword-map" in json.loads(body)["error"]
-    assert srv.state is snapshot and served() == before
+    assert srv.state is snapshot and served_ctr(base) == before
+
+
+def map_for_category(tmp_path, category):
+    payload = json.loads(sample_data._read("keyword_map_sports.json"))
+    payload["category"] = category
+    path = tmp_path / f"map_{category}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_model_and_map_of_different_categories_do_not_load(running_server, tmp_path):
+    srv, _ = running_server
+    config = dataclasses.replace(srv.config, map_path=map_for_category(tmp_path, "news"))
+    with pytest.raises(ValidationError, match="'sports' keyword map.*'news'"):
+        AdServer(config)
+
+
+def test_model_without_map_ref_loads_with_any_map(running_server, tmp_path):
+    srv, _ = running_server
+    model = json.loads(open(srv.config.model_path).read())
+    model["keyword_map_ref"] = ""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    config = dataclasses.replace(srv.config, model_path=str(path),
+                                 map_path=map_for_category(tmp_path, "news"))
+    assert AdServer(config).state.keyword_map.category == "news"
+
+
+def test_reload_of_map_of_another_category_is_500_and_keeps_snapshot(running_server, tmp_path):
+    srv, base = running_server
+    before, snapshot = served_ctr(base), srv.state
+    srv.config.map_path = map_for_category(tmp_path, "news")
+    status, body = http_post(base + "/reload")
+    assert status == 500 and "'news'" in json.loads(body)["error"]
+    assert srv.state is snapshot and served_ctr(base) == before

@@ -362,3 +362,21 @@ class TestEventLogWriter:
             log.record_event(state, "a1", make_context(), clicked=False, timestamp=i + 1)
         lines = (tmp_path / "events.csv").read_text().strip().splitlines()
         assert len(lines) == 101  # header + 100 rows
+
+    def test_logged_row_reads_back(self, tmp_path):
+        log = EventLogWriter(tmp_path / "events.csv")
+        state = ServingState(catalog=(make_ad("a1"),))
+        row = log.record_event(state, "a1", make_context(keywords=("football", "epl")),
+                               clicked=True, timestamp=5)
+        assert list(read_event_log((tmp_path / "events.csv").read_text())) == [row]
+
+    @pytest.mark.parametrize("timestamp, keywords", [
+        (0, ("football",)), (-1, ("football",)), (1, ()), (1, ("foot;ball",)),
+    ])
+    def test_unreadable_event_is_refused_unwritten(self, tmp_path, timestamp, keywords):
+        log = EventLogWriter(tmp_path / "events.csv")
+        state = ServingState(catalog=(make_ad("a1"),))
+        with pytest.raises(ValidationError):
+            log.record_event(state, "a1", make_context(keywords=keywords), clicked=False,
+                             timestamp=timestamp)
+        assert list(read_event_log((tmp_path / "events.csv").read_text())) == []
