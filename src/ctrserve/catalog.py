@@ -86,6 +86,30 @@ def normalize_token(token: str) -> str:
     return token.strip().lower()
 
 
+def _all_strings(values) -> bool:
+    try:
+        "".join(values)  # str.join refuses any item that is not a str
+    except TypeError:
+        return False
+    return True
+
+
+def keyword_set(tokens: list) -> frozenset[str]:
+    """The normalized keyword set of a list of strings: each token stripped
+    and lowercased (`normalize_token`), empty tokens dropped. This is the
+    one reader of keyword lists, whether from a catalog record, an event-log
+    field, an /ad query, an /event body or the command line. Anything but a
+    list of strings raises ValueError."""
+    if isinstance(tokens, list):
+        try:  # str.strip, unbound, refuses any item that is not a str
+            keywords = frozenset(map(str.lower, map(str.strip, tokens)))
+        except TypeError:
+            pass
+        else:
+            return keywords - {""} if "" in keywords else keywords
+    raise ValueError(f"keywords must be a list of strings, got {tokens!r}")
+
+
 def _as_text(stream) -> str:
     if isinstance(stream, bytes):
         return stream.decode("utf-8")
@@ -93,6 +117,30 @@ def _as_text(stream) -> str:
         return stream
     data = stream.read()
     return data.decode("utf-8") if isinstance(data, bytes) else data
+
+
+_CATALOG_TEXT = ("ad_id", "campaign_id", "category", "size", "landing_page")
+
+
+def _ad_creative(rec: dict) -> AdCreative:
+    """The AdCreative of one catalog record. A missing required field raises
+    KeyError and a field of the wrong type ValueError: the text fields must
+    be strings, `bid` a number (not a bool), `keywords` and `locations`
+    lists of strings."""
+    text = (rec["ad_id"], rec.get("campaign_id", ""), rec["category"], rec["size"],
+            rec.get("landing_page", ""))
+    if not _all_strings(text):
+        bad = [name for name, value in zip(_CATALOG_TEXT, text) if not isinstance(value, str)]
+        raise ValueError(f"{', '.join(bad)} must be a string")
+    bid = rec["bid"]
+    if type(bid) not in (int, float):  # the JSON numbers; a bool is not one
+        raise ValueError(f"bid must be a number, got {bid!r}")
+    locations = rec.get("locations", [])
+    if not (isinstance(locations, list) and _all_strings(locations)):
+        raise ValueError(f"locations must be a list of strings, got {locations!r}")
+    ad_id, campaign_id, category, size, landing_page = text
+    return AdCreative(ad_id, campaign_id, category, size, float(bid), landing_page,
+                      keyword_set(rec["keywords"]), frozenset(locations))
 
 
 def parse_ad_catalog(stream) -> list[AdCreative]:
@@ -113,19 +161,10 @@ def parse_ad_catalog(stream) -> list[AdCreative]:
         if not isinstance(rec, dict):
             raise ParseError(f"catalog record {i}: expected an object")
         try:
-            ad = AdCreative(
-                ad_id=str(rec["ad_id"]),
-                campaign_id=str(rec.get("campaign_id", "")),
-                category=str(rec["category"]),
-                size=str(rec["size"]),
-                bid=float(rec["bid"]),
-                landing_page=str(rec.get("landing_page", "")),
-                keywords=frozenset(normalize_token(k) for k in rec["keywords"]),
-                locations=frozenset(rec.get("locations", []) or []),
-            )
+            ad = _ad_creative(rec)
         except KeyError as exc:
             raise ParseError(f"catalog record {i}: missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(f"catalog record {i}: {exc}") from exc
         if ad.ad_id in seen:
             raise ValidationError(f"duplicate ad_id {ad.ad_id!r} at record {i}")
@@ -183,7 +222,7 @@ _PLACEMENTS = {p.value: p for p in Placement}
 
 def page_keywords(field: str) -> frozenset[str]:
     """The normalized keyword set of an event-log `keywords` field."""
-    return frozenset(normalize_token(t) for t in field.split(";") if t.strip())
+    return keyword_set(field.split(";"))
 
 
 def keywords_field(keywords: Iterable[str]) -> str:
@@ -282,6 +321,28 @@ def parse_training_table(stream) -> list[TrainingRow]:
         except (ValueError, IndexError) as exc:
             raise ParseError(f"training row {i}: {exc}") from exc
     return rows
+
+
+PAIRS_TABLE_HEADER = ["y", "y_pred"]
+
+
+def parse_pairs_table(stream) -> tuple[list[float], list[float]]:
+    """Parse a stored (observed, predicted) pairs CSV into its two columns."""
+    reader = csv.reader(io.StringIO(_as_text(stream)))
+    header = next(reader, None)
+    if header != PAIRS_TABLE_HEADER:
+        raise ParseError(f"unexpected pairs-table header: {header}")
+    y, y_pred = [], []
+    for i, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        try:
+            observed, predicted = map(float, row)
+        except ValueError as exc:  # a field that is not a number, or not two fields
+            raise ParseError(f"pairs row {i}: {exc}") from exc
+        y.append(observed)
+        y_pred.append(predicted)
+    return y, y_pred
 
 
 def compute_ctr(clicks: int, impressions: int) -> float:

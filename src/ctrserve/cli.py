@@ -10,37 +10,38 @@ import os
 import sys
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 # numpy and the HTTP server are imported by the commands that use them, so
 # that map-keywords, say, does not pay for loading them.
 from . import keywords
-from .catalog import (TRAINING_TABLE_HEADER, Placement, aggregate_events, page_keywords,
-                      parse_ad_catalog, parse_training_table, read_event_log)
+from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, Placement, aggregate_events,
+                      keyword_set, page_keywords, parse_ad_catalog, parse_pairs_table,
+                      parse_training_table, read_event_log)
 from .errors import CtrServeError
 
 ENV_PREFIX = "CTRF_"
 
 
-def _add_common_io(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", help="input data file (CSV)")
-    parser.add_argument("--ads", help="ad catalog JSON file")
-    parser.add_argument("--map", dest="map_path", help="keyword map JSON file")
-    parser.add_argument("--model", help="model JSON file")
-    parser.add_argument("--out", help="output path")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser. Each command declares only the flags it
+    reads; its namespace also carries `env_flags`, the actions of those
+    flags, which are all that CTRF_* variables may override."""
     parser = argparse.ArgumentParser(prog="ctrserve")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("map-keywords", help="mine a keyword->value map from an event log")
-    _add_common_io(p)
+    p.add_argument("--data", help="event log CSV")
+    p.add_argument("--out", help="keyword map JSON file to write")
     p.add_argument("--category", default="sports")
     p.add_argument("--k", type=int, default=3, help="number of centroids")
 
     p = sub.add_parser("train", help="fit the CTR model")
-    _add_common_io(p)
+    p.add_argument("--data", help="event log or training table CSV")
+    p.add_argument("--ads", help="ad catalog JSON file (with an event log)")
+    p.add_argument("--map", dest="map_path", help="keyword map JSON file (with an event log)")
+    p.add_argument("--out", help="model JSON file to write")
     p.add_argument("--method", choices=["gd", "normal"], default="gd")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--iters", type=int, default=400)
@@ -48,50 +49,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-scaling", action="store_true")
 
     p = sub.add_parser("predict", help="predict CTR for one request")
-    _add_common_io(p)
+    p.add_argument("--model", help="model JSON file")
+    p.add_argument("--map", dest="map_path", help="keyword map JSON file (for a keyword token)")
     p.add_argument("placement", choices=[pl.value for pl in Placement])
     p.add_argument("size")
     p.add_argument("bid", type=float)
     p.add_argument("keyword", help="numeric keyword value, or a token resolved via --map")
 
     p = sub.add_parser("evaluate", help="score a model on a validation CSV")
-    _add_common_io(p)
+    p.add_argument("--model", help="model JSON file")
+    p.add_argument("--data", help="training table or (y, y_pred) pairs CSV")
+    p.add_argument("--out", help="report JSON file to write")
 
     p = sub.add_parser("serve", help="run the ad-selection HTTP service")
-    _add_common_io(p)
+    p.add_argument("--ads", help="ad catalog JSON file")
+    p.add_argument("--model", help="model JSON file (for ctr mode)")
+    p.add_argument("--map", dest="map_path", help="keyword map JSON file (for ctr mode)")
+    p.add_argument("--out", help="event log CSV to append to (default events.csv)")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--mode", choices=["bid", "ctr"], default="bid")
 
     p = sub.add_parser("simulate", help="generate a seeded synthetic event log")
-    _add_common_io(p)
+    p.add_argument("--out", help="directory to write")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--events", type=int, default=10000)
     p.add_argument("--category", default="sports")
 
+    for p in sub.choices.values():
+        p.set_defaults(env_flags=[a for a in p._actions
+                                  if a.option_strings and a.default is not argparse.SUPPRESS])
     return parser
 
 
 def _apply_env_overrides(args: argparse.Namespace) -> None:
-    """CTRF_* environment variables override parsed flags (CTRF_ALPHA,
-    CTRF_MAP_PATH, ...). Booleans accept 0/1/true/false."""
-    for dest, current in vars(args).items():
-        name = ENV_PREFIX + dest.upper()
+    """CTRF_<DEST> overrides a flag of the chosen command (CTRF_ALPHA,
+    CTRF_MAP_PATH, ...), checked like the flag: through its type and its
+    choices. A switch is set by 1/true/yes and cleared by anything else."""
+    for action in args.env_flags:
+        name = ENV_PREFIX + action.dest.upper()
         raw = os.environ.get(name)
         if raw is None:
             continue
-        try:
-            if isinstance(current, bool):
-                value = raw.strip().lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            else:
-                value = raw
-        except ValueError:
-            raise CtrServeError(f"{name}: expected a {type(current).__name__}, "
-                                f"got {raw!r}") from None
-        setattr(args, dest, value)
+        if action.nargs == 0:
+            value = raw.strip().lower() in ("1", "true", "yes")
+        else:
+            try:
+                value = action.type(raw) if action.type else raw
+            except ValueError:
+                raise CtrServeError(f"{name}: expected {action.type.__name__}, "
+                                    f"got {raw!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise CtrServeError(f"{name}: expected one of {', '.join(action.choices)}, "
+                                    f"got {raw!r}")
+        setattr(args, action.dest, value)
 
 
 def _require(args, *names) -> None:
@@ -101,11 +111,22 @@ def _require(args, *names) -> None:
             raise CtrServeError(f"missing required flag {flag}")
 
 
+@contextmanager
+def _open_csv(path: str):
+    """The CSV file at `path` and its first line split on commas, the file
+    left at its start. newline="" keeps a carriage return inside a quoted
+    field as it was written."""
+    with open(path, newline="") as fh:
+        header = fh.readline().strip().split(",")
+        fh.seek(0)
+        yield fh, header
+
+
 def _load_transactions(path: str, category: str) -> Counter:
     """Keyword transactions of `category` in one pass over the log, as a
     Counter of keyword sets. Every row is validated, whatever its category;
     each distinct `keywords` field is tokenized once."""
-    with open(path) as fh:
+    with open(path, newline="") as fh:
         fields = Counter(e.keywords for e in read_event_log(fh) if e.category == category)
     transactions = Counter()
     for field, n in fields.items():
@@ -119,9 +140,7 @@ def _load_training_rows(args, keyword_map):
     """--data is either a pre-aggregated training CSV or a raw event log
     (detected by header); the latter needs --map and --ads and is folded
     into groups as it streams."""
-    with open(args.data) as fh:
-        header = fh.readline().strip().split(",")
-        fh.seek(0)
+    with _open_csv(args.data) as (fh, header):
         if header == TRAINING_TABLE_HEADER:
             return parse_training_table(fh)
         _require(args, "map_path", "ads")
@@ -190,7 +209,7 @@ def cmd_predict(args) -> int:
         _require(args, "map_path")
         with open(args.map_path) as fh:
             keyword_map = keywords.load_keyword_map(fh)
-        kw_value = keywords.resolve_page_value(keyword_map, {args.keyword.lower()})
+        kw_value = keywords.resolve_page_value(keyword_map, keyword_set([args.keyword]))
     placement_code = encode_placement(Placement(args.placement))
     size_code = encode_size(args.size, model.schema.size_registry)
     ctr = regression.predict(model, (placement_code, size_code, args.bid, kw_value))
@@ -204,22 +223,17 @@ def cmd_evaluate(args) -> int:
     _require(args, "model", "data")
     with open(args.model) as fh:
         model = regression.load_model(fh)
-    with open(args.data) as fh:
-        header = fh.readline().strip().split(",")
-    if header == ["y", "y_pred"]:
-        # replay a stored (observed, predicted) pair table directly
-        with open(args.data) as fh:
-            pairs = list(csv.DictReader(fh))
-        y = [float(r["y"]) for r in pairs]
-        y_pred = [float(r["y_pred"]) for r in pairs]
-        se = evaluation.standard_error(y, y_pred)
-        r2 = evaluation.r_squared(y, y_pred)
-        print(f"SE: {se}")
-        print(f"R2: {r2}")
-        if args.out:
-            Path(args.out).write_text(json.dumps({"se": se, "r_squared": r2}, indent=2) + "\n")
-        return 0
-    with open(args.data) as fh:
+    with _open_csv(args.data) as (fh, header):
+        if header == PAIRS_TABLE_HEADER:
+            # replay a stored (observed, predicted) pair table directly
+            y, y_pred = parse_pairs_table(fh)
+            se = evaluation.standard_error(y, y_pred)
+            r2 = evaluation.r_squared(y, y_pred)
+            print(f"SE: {se}")
+            print(f"R2: {r2}")
+            if args.out:
+                Path(args.out).write_text(json.dumps({"se": se, "r_squared": r2}, indent=2) + "\n")
+            return 0
         rows = parse_training_table(fh)
     report = evaluation.evaluate(model, rows)
     print(f"SE: {report.se}")

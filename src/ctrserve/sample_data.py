@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
 
-from .catalog import TrainingRow, parse_training_table
+from .catalog import TrainingRow, parse_pairs_table, parse_training_table
 from .keywords import KeywordMap, load_keyword_map
 from .regression import RegressionModel, load_model
 
@@ -30,12 +29,7 @@ def validation_sample() -> list[TrainingRow]:
 
 def validation_pairs() -> tuple[list[float], list[float]]:
     """The published (observed, predicted) validation pairs."""
-    reader = csv.DictReader(_read("validation_pairs.csv").splitlines())
-    y, y_pred = [], []
-    for row in reader:
-        y.append(float(row["y"]))
-        y_pred.append(float(row["y_pred"]))
-    return y, y_pred
+    return parse_pairs_table(_read("validation_pairs.csv"))
 
 
 def sports_keyword_map() -> KeywordMap:

@@ -16,10 +16,10 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
 from .catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement,
-                      RequestContext, keywords_field, normalize_token, parse_ad_catalog,
+                      RequestContext, keyword_set, keywords_field, parse_ad_catalog,
                       write_event_row)
 from .errors import ContractError, EncodingError, ValidationError
-from .features import encode_placement, encode_size
+from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from .keywords import KeywordMap, load_keyword_map, resolve_page_value
 from .regression import RegressionModel, load_model, predict
 
@@ -163,25 +163,30 @@ def serve(request: RequestContext, mode: str, state: ServingState) -> AdResponse
 
 
 class EventLogWriter:
-    """Append-only event log in the event-log CSV format. Appends are
-    serialized per writer; each row is flushed to the operating system when
-    it is written, but never fsynced, so a host crash can lose recent rows."""
+    """Append-only event log in the event-log CSV format, held open from
+    construction to `close()`. Appends are serialized per writer; each row
+    is flushed to the operating system when it is written, but never
+    fsynced, so a host crash can lose recent rows."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            with open(self.path, "w", newline="") as fh:
-                csv.writer(fh).writerow(EVENT_LOG_HEADER)
+        self._fh = open(self.path, "a", newline="")
+        self._writer = csv.writer(self._fh)
+        if self._fh.tell() == 0:
+            self._writer.writerow(EVENT_LOG_HEADER)
+            self._fh.flush()
 
     def record_event(self, state: ServingState, ad_id: str,
                      request: RequestContext, clicked: bool,
                      timestamp: Optional[int] = None) -> EventRow:
-        """Log one impression; an unknown ad_id, a timestamp <= 0 or page
-        keywords the log could not read back raise ValidationError and
-        nothing is written."""
+        """Log one impression; an unknown ad_id, a size `train` cannot
+        encode, a timestamp <= 0 or page keywords the log could not read
+        back raise ValidationError and nothing is written."""
         if ad_id not in state.ad_ids:
             raise ValidationError(f"unknown ad_id {ad_id!r}")
+        if request.size not in DEFAULT_SIZE_REGISTRY:
+            raise ValidationError(f"size {request.size!r} is not one of {DEFAULT_SIZE_REGISTRY}")
         area, city, country = request.location
         row = EventRow(
             timestamp=timestamp if timestamp is not None else time.time_ns() // 1_000_000,
@@ -190,10 +195,13 @@ class EventLogWriter:
             country=country, city=city, area=area, ip=request.ip, browser=request.browser,
             clicked=clicked)
         with self._lock:
-            with open(self.path, "a", newline="") as fh:
-                write_event_row(csv.writer(fh), row)
-                fh.flush()
+            write_event_row(self._writer, row)
+            self._fh.flush()
         return row
+
+    def close(self) -> None:
+        with self._lock:
+            self._fh.close()
 
 
 @dataclass
@@ -230,6 +238,7 @@ def load_state(config: ServerConfig) -> ServingState:
 _TEXT_FIELDS = ("size", "category", "area", "city", "country", "ip", "browser")
 
 MAX_EVENT_BODY = 64 * 1024  # bytes; a larger POST /event body is refused unread
+REQUEST_TIMEOUT_S = 10.0  # a connection idle this long, mid-request, is closed
 
 
 def _request_context(fields: Mapping, page_keywords: frozenset[str]) -> RequestContext:
@@ -250,8 +259,7 @@ def _request_context(fields: Mapping, page_keywords: frozenset[str]) -> RequestC
 
 def _parse_request_qs(query: str) -> tuple[RequestContext, Optional[str]]:
     params = {k: v[0] for k, v in parse_qs(query).items()}
-    keywords = frozenset(normalize_token(t)
-                         for t in params.get("keywords", "").split(",") if t.strip())
+    keywords = keyword_set(params.get("keywords", "").split(","))
     return _request_context(params, keywords), params.get("mode")
 
 
@@ -268,22 +276,43 @@ def _parse_event(body: bytes) -> tuple[str, RequestContext, bool]:
     ad_id = payload.get("ad_id")
     if not isinstance(ad_id, str):
         raise ValueError("ad_id must be a string")
-    keywords = payload.get("keywords", [])
-    if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
-        raise ValueError("keywords must be a list of strings")
+    keywords = keyword_set(payload.get("keywords", []))
     clicked = payload.get("clicked", False)
     if not isinstance(clicked, bool):
         raise ValueError("clicked must be true or false")
-    context = _request_context(payload, frozenset(normalize_token(k) for k in keywords
-                                                  if k.strip()))
-    return ad_id, context, clicked
+    return ad_id, _request_context(payload, keywords), clicked
+
+
+def _error(code: int, message: str) -> tuple[int, str]:
+    return code, json.dumps({"error": message})
 
 
 class AdRequestHandler(BaseHTTPRequestHandler):
+    """Routes GET /ad and /healthz, POST /event and /reload. Every request
+    gets a status line: a fault that no route expects answers 500, and a
+    client that stalls for REQUEST_TIMEOUT_S is disconnected."""
+
     server_version = "ctrserve/0.1"
+    timeout = REQUEST_TIMEOUT_S
+    # The base class answers a request line without a valid version in
+    # HTTP/0.9 form, which has no status line.
+    default_request_version = "HTTP/1.0"
 
     def log_message(self, fmt, *args):  # keep request serving quiet
         pass
+
+    def parse_request(self) -> bool:
+        """As the base class, but a blank request line, which it would drop
+        unanswered, and an explicit HTTP/0.9 request, whose answer would
+        have no status line, get 400."""
+        if super().parse_request():
+            if self.request_version != "HTTP/0.9":
+                return True
+            self.request_version = self.default_request_version
+            self.send_error(400, "HTTP/0.9 is not supported")
+        elif not self.requestline.split():
+            self.send_error(400, "blank request line")
+        return False
 
     def _send(self, code: int, body: str = ""):
         payload = body.encode("utf-8")
@@ -295,63 +324,63 @@ class AdRequestHandler(BaseHTTPRequestHandler):
         if payload:
             self.wfile.write(payload)
 
+    def _answer(self, route) -> None:
+        """Send the (status, body) that `route` returns. A read that times
+        out drops the connection (the base class closes it); any other
+        exception is a fault answered 500, its traceback sent to stderr."""
+        try:
+            code, body = route(urlparse(self.path), self.server.app)
+        except TimeoutError:
+            raise
+        except Exception as exc:
+            self.server.handle_error(self.request, self.client_address)
+            code, body = _error(500, str(exc))
+        self._send(code, body)
+
     def do_GET(self):
-        url = urlparse(self.path)
-        app: "AdServer" = self.server.app
-        if url.path == "/healthz":
-            self._send(200, json.dumps({"status": "ok"}))
-        elif url.path == "/ad":
-            try:
-                context, mode = _parse_request_qs(url.query)
-            except ValueError as exc:
-                self._send(400, json.dumps({"error": str(exc)}))
-                return
-            mode = mode or app.default_mode
-            if mode not in (MODE_BID, MODE_CTR):
-                self._send(400, json.dumps({"error": f"unknown mode {mode!r}"}))
-                return
-            state = app.state
-            if mode == MODE_CTR and (state.model is None or state.keyword_map is None):
-                self._send(400, json.dumps({"error": "ctr mode requires a model and keyword map"}))
-                return
-            response = serve(context, mode, state)
-            if response.status == NO_FILL:
-                self._send(204)
-            else:
-                self._send(200, response.to_json())
-        else:
-            self._send(404, json.dumps({"error": "not found"}))
+        self._answer(self._get)
 
     def do_POST(self):
-        url = urlparse(self.path)
-        app: "AdServer" = self.server.app
+        self._answer(self._post)
+
+    def _get(self, url, app: "AdServer") -> tuple[int, str]:
+        if url.path == "/healthz":
+            return 200, json.dumps({"status": "ok"})
+        if url.path != "/ad":
+            return _error(404, "not found")
+        try:
+            context, mode = _parse_request_qs(url.query)
+        except ValueError as exc:
+            return _error(400, str(exc))
+        mode = mode or app.default_mode
+        if mode not in (MODE_BID, MODE_CTR):
+            return _error(400, f"unknown mode {mode!r}")
+        state = app.state
+        if mode == MODE_CTR and (state.model is None or state.keyword_map is None):
+            return _error(400, "ctr mode requires a model and keyword map")
+        response = serve(context, mode, state)
+        return (204, "") if response.status == NO_FILL else (200, response.to_json())
+
+    def _post(self, url, app: "AdServer") -> tuple[int, str]:
         if url.path == "/reload":
-            try:
-                app.reload()
-            except Exception as exc:
-                self._send(500, json.dumps({"error": str(exc)}))
-                return
-            self._send(200, json.dumps({"status": "reloaded"}))
-        elif url.path == "/event":
-            try:
-                length = int(self.headers.get("Content-Length", ""))
-            except ValueError:
-                length = -1
-            if length < 0:
-                self._send(400, json.dumps({"error": "Content-Length must be a non-negative integer"}))
-                return
-            if length > MAX_EVENT_BODY:
-                self._send(413, json.dumps({"error": f"event body over {MAX_EVENT_BODY} bytes"}))
-                return
-            try:
-                ad_id, context, clicked = _parse_event(self.rfile.read(length))
-                app.event_log.record_event(app.state, ad_id, context, clicked)
-            except (ValueError, ValidationError) as exc:
-                self._send(400, json.dumps({"error": str(exc)}))
-                return
-            self._send(202, json.dumps({"status": "accepted"}))
-        else:
-            self._send(404, json.dumps({"error": "not found"}))
+            app.reload()  # a bad file raises: 500, and the old snapshot keeps serving
+            return 200, json.dumps({"status": "reloaded"})
+        if url.path != "/event":
+            return _error(404, "not found")
+        try:
+            length = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            length = -1
+        if length < 0:
+            return _error(400, "Content-Length must be a non-negative integer")
+        if length > MAX_EVENT_BODY:
+            return _error(413, f"event body over {MAX_EVENT_BODY} bytes")
+        try:
+            ad_id, context, clicked = _parse_event(self.rfile.read(length))
+            app.event_log.record_event(app.state, ad_id, context, clicked)
+        except (ValueError, ValidationError) as exc:
+            return _error(400, str(exc))
+        return 202, json.dumps({"status": "accepted"})
 
 
 class AdServer:
@@ -378,7 +407,9 @@ class AdServer:
         return self._httpd.server_address[1]
 
     def stop(self) -> None:
+        """Stop serving, if started, and close the event log."""
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None
+        self.event_log.close()

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from _oracles import dictreader_groups
 from conftest import make_event
 from ctrserve.catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement,
-                              aggregate_events, compute_ctr, keywords_field, normalize_token,
-                              page_keywords, parse_ad_catalog, parse_training_table,
-                              read_event_log, serialize_ad_catalog, write_event_row)
+                              aggregate_events, compute_ctr, keyword_set, keywords_field,
+                              normalize_token, page_keywords, parse_ad_catalog,
+                              parse_pairs_table, parse_training_table, read_event_log,
+                              serialize_ad_catalog, write_event_row)
 from ctrserve.errors import MappingError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY
 from ctrserve.keywords import load_keyword_map
@@ -73,6 +74,28 @@ class TestParseAdCatalog:
     def test_round_trip(self):
         ads = parse_ad_catalog(CATALOG_ONE)
         assert parse_ad_catalog(serialize_ad_catalog(ads)) == ads
+
+    def test_empty_keywords_dropped(self):
+        rec = json.loads(CATALOG_ONE)
+        rec[0]["keywords"] = ["", "football", "  "]
+        (ad,) = parse_ad_catalog(json.dumps(rec))
+        assert ad.keywords == frozenset({"football"})
+        rec[0]["keywords"] = [" "]
+        with pytest.raises(ValidationError, match="keywords must be nonempty"):
+            parse_ad_catalog(json.dumps(rec))
+
+    @pytest.mark.parametrize("field, value", [
+        ("keywords", "football"), ("keywords", [1]), ("keywords", ["football", None]),
+        ("keywords", {"football": 1}), ("ad_id", None), ("ad_id", 7), ("category", ["sports"]),
+        ("size", 300), ("campaign_id", None), ("landing_page", 1), ("bid", True),
+        ("bid", "20"), ("bid", None), ("locations", "PK"), ("locations", ["PK", 1]),
+        ("locations", None),
+    ])
+    def test_mistyped_field_is_rejected_naming_the_record(self, field, value):
+        records = json.loads(CATALOG_ONE) * 2
+        records[1] = {**records[1], "ad_id": "a2", field: value}
+        with pytest.raises(ParseError, match=f"catalog record 1: .*{field}"):
+            parse_ad_catalog(json.dumps(records))
 
 
 class TestParseEventLog:
@@ -263,3 +286,34 @@ def test_training_table_round_trip(table6_rows):
     assert table6_rows[2].keyword_value == 52.1
     with pytest.raises(ParseError):
         parse_training_table("bad,header\n1,2\n")
+
+
+@given(st.lists(st.text()))
+def test_keyword_set_normalizes_and_drops_empty_tokens(tokens):
+    result = keyword_set(tokens)
+    assert result == {t.strip().lower() for t in tokens} - {""}
+    assert keyword_set(sorted(result)) == result
+
+
+@pytest.mark.parametrize("tokens", ["football", ("football",), [b"football"], ["a", 1], None])
+def test_keyword_set_refuses_anything_but_a_list_of_strings(tokens):
+    with pytest.raises(ValueError, match="list of strings"):
+        keyword_set(tokens)
+
+
+def test_pairs_table(table10_pairs):
+    assert parse_pairs_table("y,y_pred\r\n0.5,0.25\r\n\r\n1,2\r\n") == ([0.5, 1.0], [0.25, 2.0])
+    y, y_pred = table10_pairs
+    assert len(y) == len(y_pred) == 6 and y[0] == 0.03 and y_pred[0] == 0.031575
+
+
+@pytest.mark.parametrize("text, message", [
+    ("y,pred\n0.1,0.2\n", "header"),
+    ("", "header"),
+    ("y,y_pred\n0.1,abc\n", "pairs row 1"),
+    ("y,y_pred\n0.1,0.2\n0.3\n", "pairs row 2: not enough values"),
+    ("y,y_pred\n0.1,0.2,0.3\n", "pairs row 1: too many values"),
+])
+def test_bad_pairs_table(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_pairs_table(text)

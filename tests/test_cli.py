@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import socket
@@ -12,7 +13,7 @@ import pytest
 import ctrserve
 from _oracles import least_squares_exact
 from ctrserve import sample_data
-from ctrserve.cli import main
+from ctrserve.cli import build_parser, main
 from ctrserve.features import FeatureSchema, build_design_matrix
 
 
@@ -148,6 +149,27 @@ def test_evaluate_validation_set(tmp_path, capsys):
     assert len(report["pairs"]) == 6
 
 
+def test_predict_keyword_token_is_normalized_like_a_page_keyword(capsys):
+    args = ["predict", "--model", sample_data.fixture_path("model_normal_eq.json"),
+            "--map", sample_data.fixture_path("keyword_map_sports.json"),
+            "above_fold", "300x250", "22"]
+    assert main(args + ["england"]) == 0
+    expected = capsys.readouterr().out
+    assert main(args + [" England "]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("text", ["y,y_pred\n0.03,abc\n", "y,y_pred\n0.03\n"])
+def test_evaluate_bad_pairs_is_json_error(tmp_path, capsys, text):
+    path = tmp_path / "pairs.csv"
+    path.write_text(text)
+    rc = main(["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"),
+               "--data", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "pairs row 1" in json.loads(err[0])["error"]
+
+
 def test_evaluate_pairs_replay(capsys):
     rc = main(["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"),
                "--data", sample_data.fixture_path("validation_pairs.csv")])
@@ -170,6 +192,114 @@ def test_bad_env_override_is_json_error(sim_dir, tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "m.json")])
     assert rc == 1
     assert "CTRF_ITERS" in json.loads(capsys.readouterr().err)["error"]
+
+
+IO_FLAGS = {"--data", "--ads", "--map", "--model", "--out"}
+COMMAND_IO = {  # command -> (its I/O flags, its positionals)
+    "map-keywords": ({"--data", "--out"}, []),
+    "train": ({"--data", "--ads", "--map", "--out"}, []),
+    "predict": ({"--model", "--map"}, ["above_fold", "300x250", "22", "51"]),
+    "evaluate": ({"--model", "--data", "--out"}, []),
+    "serve": ({"--ads", "--model", "--map", "--out"}, []),
+    "simulate": ({"--out"}, []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_IO))
+def test_each_command_has_only_the_io_flags_it_reads(command, capsys):
+    flags, positionals = COMMAND_IO[command]
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args([command, "--help"])
+    assert exit_.value.code == 0
+    listed = {word.strip("[],") for word in capsys.readouterr().out.split()}
+    assert listed & IO_FLAGS == flags
+    for flag in sorted(IO_FLAGS - flags):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args([command, *positionals, flag, "x"])
+        assert exit_.value.code == 2
+
+
+def test_env_cannot_choose_the_command(tmp_path, monkeypatch):
+    monkeypatch.setenv("CTRF_COMMAND", "train")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--seed", "1", "--events", "5", "--out", str(out)]) == 0
+    assert (out / "events.csv").read_text().count("\n") == 6
+
+
+def test_env_cannot_set_a_positional(monkeypatch, capsys):
+    args = ["predict", "--model", sample_data.fixture_path("model_normal_eq.json"),
+            "above_fold", "300x250", "22", "51"]
+    assert main(args) == 0
+    expected = capsys.readouterr().out
+    for name, value in [("CTRF_PLACEMENT", "sideways"), ("CTRF_BID", "x"),
+                        ("CTRF_KEYWORD", "england")]:
+        monkeypatch.setenv(name, value)
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_env_reaches_only_the_chosen_commands_flags(tmp_path, monkeypatch):
+    monkeypatch.setenv("CTRF_METHOD", "banana")  # a train flag
+    monkeypatch.setenv("CTRF_PORT", "none")      # a serve flag
+    assert main(["simulate", "--seed", "1", "--events", "5", "--out", str(tmp_path)]) == 0
+
+
+def test_env_value_outside_the_flags_choices_is_json_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CTRF_METHOD", "banana")
+    rc = main(["train", "--data", sample_data.fixture_path("training_sample.csv"),
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert "CTRF_METHOD" in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "m.json").exists()
+
+    monkeypatch.setenv("CTRF_MODE", "foo")
+    rc = main(["serve", "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
+               "--out", str(tmp_path / "events.csv"), "--port", "0"])
+    assert rc == 1
+    assert "CTRF_MODE" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("raw, n_theta", [("yes", 4), ("1", 4), ("0", 5), ("no", 5)])
+def test_env_switch(tmp_path, monkeypatch, raw, n_theta):
+    monkeypatch.setenv("CTRF_NO_INTERCEPT", raw)
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", sample_data.fixture_path("training_sample.csv"),
+                 "--method", "normal", "--no-intercept", "--out", str(model_path)]) == 0
+    assert len(json.loads(model_path.read_text())["theta"]) == n_theta
+
+
+def rename_keyword(src, dst, old, new):
+    """Copy the event log `src` to `dst` with keyword token `old` renamed `new`."""
+    with open(src, newline="") as fin, open(dst, "w", newline="") as fout:
+        writer = csv.writer(fout)
+        for row in csv.reader(fin):
+            row[5] = ";".join(new if t == old else t for t in row[5].split(";"))
+            writer.writerow(row)
+
+
+def test_carriage_return_in_a_quoted_field_reads_back(sim_dir, tmp_path):
+    """A keyword with a carriage return in it is a quoted CSV field, and
+    map-keywords and train read it as written: the map and the model are
+    those of the log with a plain keyword in its place."""
+    rename_keyword(sim_dir / "events.csv", tmp_path / "events.csv", "football", "foot\rball")
+    assert b'"foot\rball' in (tmp_path / "events.csv").read_bytes()
+    maps = {}
+    for name, log in [("plain", sim_dir / "events.csv"), ("cr", tmp_path / "events.csv")]:
+        maps[name] = tmp_path / f"map_{name}.json"
+        assert main(["map-keywords", "--data", str(log), "--k", "3",
+                     "--out", str(maps[name])]) == 0
+    plain = json.loads(maps["plain"].read_text())
+    assert "football" in plain["values"]
+    assert json.loads(maps["cr"].read_text())["values"] == {
+        ("foot\rball" if k == "football" else k): v for k, v in plain["values"].items()}
+    models = []
+    for name, log in [("plain", sim_dir / "events.csv"), ("cr", tmp_path / "events.csv")]:
+        model_path = tmp_path / f"model_{name}.json"
+        assert main(["train", "--data", str(log), "--ads", str(sim_dir / "catalog.json"),
+                     "--map", str(maps[name]), "--method", "normal",
+                     "--out", str(model_path)]) == 0
+        models.append(json.loads(model_path.read_text())["theta"])
+    assert models[0] == models[1]
 
 
 GOOD_ROWS = 1000

@@ -174,6 +174,7 @@ def test_event_body_over_cap_is_413(running_server):
     {"ad_id": "boots-01"},
     {"ad_id": "boots-01", "keywords": []},
     {"ad_id": "boots-01", "keywords": ["", "  "]},
+    {"ad_id": "boots-01", "size": "999x1", "keywords": ["football"]},
 ])
 def test_event_malformed_body_is_400(running_server, payload):
     srv, base = running_server
@@ -218,6 +219,38 @@ def test_reload_of_unresolvable_map_is_500_and_keeps_snapshot(running_server, tm
     srv.config.map_path = str(path)
     status, body = http_post(base + "/reload")
     assert status == 500 and "keyword-map" in json.loads(body)["error"]
+    assert srv.state is snapshot and served_ctr(base) == before
+
+
+def test_unexpected_fault_is_500_and_the_server_keeps_serving(running_server, monkeypatch):
+    srv, base = running_server
+
+    def fail(*args, **kwargs):
+        raise OSError("disk on fire")
+
+    monkeypatch.setattr(srv.event_log, "record_event", fail)
+    status, body = http_post(base + "/event", {
+        "ad_id": "boots-01", "size": "300x250", "keywords": ["football"]})
+    assert status == 500 and "disk on fire" in json.loads(body)["error"]
+    assert http_get(base + "/healthz")[0] == 200
+
+
+@pytest.mark.parametrize("field, value", [
+    ("keywords", "football"), ("keywords", [1]), ("ad_id", None),
+    ("bid", True), ("locations", "PK"),
+])
+def test_reload_of_mistyped_catalog_is_500_and_keeps_snapshot(running_server, tmp_path,
+                                                              field, value):
+    srv, base = running_server
+    before, snapshot = served_ctr(base), srv.state
+    records = json.loads(sample_data._read("ad_catalog_sample.json"))
+    records[-1][field] = value
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(records))
+    srv.config.catalog_path = str(path)
+    status, body = http_post(base + "/reload")
+    assert status == 500
+    assert f"catalog record {len(records) - 1}" in json.loads(body)["error"]
     assert srv.state is snapshot and served_ctr(base) == before
 
 

@@ -370,6 +370,34 @@ class TestEventLogWriter:
                                clicked=True, timestamp=5)
         assert list(read_event_log((tmp_path / "events.csv").read_text())) == [row]
 
+    def test_one_handle_from_open_to_close(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.csv"
+        log = EventLogWriter(path)
+        state = ServingState(catalog=(make_ad("a1"),))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reopened the log")
+
+        monkeypatch.setattr("builtins.open", refuse)
+        log.record_event(state, "a1", make_context(), clicked=False, timestamp=1)
+        monkeypatch.undo()
+        assert len(list(read_event_log(path.read_text()))) == 1  # flushed, still open
+        log.close()
+        with pytest.raises(ValueError):
+            log.record_event(state, "a1", make_context(), clicked=False, timestamp=2)
+        again = EventLogWriter(path)  # an existing log gets no second header
+        again.record_event(state, "a1", make_context(), clicked=True, timestamp=3)
+        again.close()
+        assert [e.timestamp for e in read_event_log(path.read_text())] == [1, 3]
+
+    def test_size_outside_the_registry_is_refused_unwritten(self, tmp_path):
+        log = EventLogWriter(tmp_path / "events.csv")
+        state = ServingState(catalog=(make_ad("a1"),))
+        with pytest.raises(ValidationError, match="999x1"):
+            log.record_event(state, "a1", make_context(size="999x1"), clicked=False)
+        log.close()
+        assert list(read_event_log((tmp_path / "events.csv").read_text())) == []
+
     @pytest.mark.parametrize("timestamp, keywords", [
         (0, ("football",)), (-1, ("football",)), (1, ()), (1, ("foot;ball",)),
     ])
