@@ -310,6 +310,9 @@ def parse_training_table(stream) -> list[TrainingRow]:
     for i, row in enumerate(reader, start=1):
         if not row:
             continue
+        if len(row) != len(TRAINING_TABLE_HEADER):
+            raise ParseError(f"training row {i}: {len(row)} fields, expected "
+                             f"{len(TRAINING_TABLE_HEADER)}")
         try:
             rows.append(TrainingRow(
                 placement_code=int(row[0]),
@@ -318,7 +321,7 @@ def parse_training_table(stream) -> list[TrainingRow]:
                 keyword_value=float(row[3]),
                 ctr=float(row[4]),
             ))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ParseError(f"training row {i}: {exc}") from exc
     return rows
 

@@ -21,11 +21,10 @@ class FeatureSchema:
 
     include_intercept: bool = True
     size_registry: tuple[str, ...] = DEFAULT_SIZE_REGISTRY
-    feature_names: tuple[str, ...] = FEATURE_NAMES
 
     @property
     def n_columns(self) -> int:
-        return len(self.feature_names) + (1 if self.include_intercept else 0)
+        return len(FEATURE_NAMES) + (1 if self.include_intercept else 0)
 
 
 @dataclass(frozen=True)

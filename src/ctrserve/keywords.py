@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .catalog import _as_text
@@ -40,20 +40,17 @@ class CooccurrenceStats:
 class KeywordMap:
     """Injective keyword -> decimal mapping, one cluster per centroid.
 
-    `rank` orders every mapped keyword by descending support (ties lex
-    ascending); it drives multi-keyword page resolution. `nudged` marks
-    keywords whose value was moved off a collision; `diagnostics` lists
-    keywords that had zero confidence to every centroid.
+    The order of `values` is the resolution order: descending support, ties
+    lex ascending, for a mined map. The first mapped keyword of a page in
+    that order gives the page its value. `nudged` marks keywords whose value
+    was moved off a collision.
     """
 
     category: str
     centroids: tuple[str, ...]
     values: dict[str, float]
     cluster_of: dict[str, str]
-    rank: tuple[str, ...]
-    params: dict = field(default_factory=dict)
     nudged: frozenset = frozenset()
-    diagnostics: tuple[str, ...] = ()
 
 
 def count_cooccurrences(transactions: Iterable[Iterable[str]] | Mapping[frozenset[str], int],
@@ -98,6 +95,11 @@ def confidence(stats: CooccurrenceStats, antecedent: str, consequent: str) -> fl
     return pair / stats.support[antecedent]
 
 
+def _by_support(stats: CooccurrenceStats) -> list[str]:
+    """Every keyword, descending support, ties lex ascending."""
+    return sorted(stats.support, key=lambda kw: (-stats.support[kw], kw))
+
+
 def select_centroids(stats: CooccurrenceStats, k: int) -> list[str]:
     """The k most frequent keywords, descending support, ties lex ascending."""
     if k <= 0:
@@ -105,18 +107,15 @@ def select_centroids(stats: CooccurrenceStats, k: int) -> list[str]:
     if k > len(stats.support):
         raise CtrServeError(f"asked for {k} centroids but only "
                             f"{len(stats.support)} distinct keywords exist")
-    ordered = sorted(stats.support, key=lambda kw: (-stats.support[kw], kw))
-    return ordered[:k]
+    return _by_support(stats)[:k]
 
 
-def assign_clusters(stats: CooccurrenceStats, centroids: Sequence[str]) -> tuple[dict[str, str], list[str]]:
+def assign_clusters(stats: CooccurrenceStats, centroids: Sequence[str]) -> dict[str, str]:
     """Assign every keyword to the centroid it has the highest confidence
-    toward; ties and zero-confidence keywords go to the earliest centroid
-    (the latter are also reported in the diagnostics list)."""
+    toward; ties and zero-confidence keywords go to the earliest centroid."""
     if not centroids:
         raise CtrServeError("centroids must be nonempty")
     cluster_of: dict[str, str] = {c: c for c in centroids}
-    diagnostics: list[str] = []
     for kw in stats.support:
         if kw in cluster_of:
             continue
@@ -127,89 +126,78 @@ def assign_clusters(stats: CooccurrenceStats, centroids: Sequence[str]) -> tuple
             if conf > best_conf:
                 best_conf = conf
                 best_centroid = c
-        if best_conf == 0.0:
-            diagnostics.append(kw)
         cluster_of[kw] = best_centroid
-    return cluster_of, diagnostics
+    return cluster_of
 
 
-def _collides(value: float, used: list[float]) -> bool:
+def _collides(value: float, used: Iterable[float]) -> bool:
     return any(abs(value - u) < _VALUE_EPS for u in used)
 
 
-def build_keyword_map(stats: CooccurrenceStats, k: int, *,
-                      base: float = BASE_VALUE, spacing: float = BASE_SPACING,
-                      spread: float = CLUSTER_SPREAD, min_offset: float = MIN_OFFSET) -> KeywordMap:
-    """Build the full injective keyword -> value mapping.
+def build_keyword_map(stats: CooccurrenceStats, k: int) -> KeywordMap:
+    """Build the full injective keyword -> value mapping, `values` in
+    resolution order.
 
-    Centroid of rank r gets base + spacing*r. Cluster members, ordered by
-    descending confidence (ties lex), are placed alternately above/below
-    the base at offset max(min_offset, spread*(1-confidence)); collisions
-    are nudged by 0.1 in the member's sign direction until free.
+    Centroid of rank r gets BASE_VALUE + BASE_SPACING*r. Cluster members,
+    ordered by descending confidence (ties lex), are placed alternately
+    above/below the base at offset max(MIN_OFFSET, CLUSTER_SPREAD*(1-confidence));
+    collisions are nudged by 0.1 in the member's sign direction until free.
     """
     centroids = select_centroids(stats, k)
-    cluster_of, diagnostics = assign_clusters(stats, centroids)
-    values: dict[str, float] = {}
-    used: list[float] = []
+    cluster_of = assign_clusters(stats, centroids)
+    values = {c: BASE_VALUE + BASE_SPACING * r for r, c in enumerate(centroids)}
     nudged: set[str] = set()
-    for r, c in enumerate(centroids):
-        values[c] = base + spacing * r
-        used.append(values[c])
     for c in centroids:
         members = [kw for kw, cen in cluster_of.items() if cen == c and kw != c]
         members.sort(key=lambda m: (-confidence(stats, m, c), m))
         for i, m in enumerate(members):
             sign = 1.0 if i % 2 == 0 else -1.0
-            offset = max(min_offset, spread * (1.0 - confidence(stats, m, c)))
+            offset = max(MIN_OFFSET, CLUSTER_SPREAD * (1.0 - confidence(stats, m, c)))
             value = values[c] + sign * offset
-            while _collides(value, used):
+            while _collides(value, values.values()):
                 value += sign * 0.1
                 nudged.add(m)
             values[m] = value
-            used.append(value)
-    rank = tuple(sorted(stats.support, key=lambda kw: (-stats.support[kw], kw)))
-    params = {"k": k, "base": base, "spacing": spacing,
-              "spread": spread, "min_offset": min_offset}
     return KeywordMap(category=stats.category, centroids=tuple(centroids),
-                      values=values, cluster_of=cluster_of, rank=rank,
-                      params=params, nudged=frozenset(nudged),
-                      diagnostics=tuple(diagnostics))
+                      values={kw: values[kw] for kw in _by_support(stats)},
+                      cluster_of=cluster_of, nudged=frozenset(nudged))
 
 
 def resolve_page_value(keyword_map: KeywordMap, page_keywords: Iterable[str],
                        mode: str = "strict") -> float:
-    """Reduce a page's keyword set to one numeric value: the mapped keyword
-    of highest support wins. With no mapped keyword, strict mode errors and
-    fallback mode returns the first centroid's base value."""
+    """Reduce a page's keyword set to one numeric value: its first mapped
+    keyword in resolution order wins. With no mapped keyword, strict mode
+    errors and fallback mode returns the first centroid's base value."""
     page = set(page_keywords)
     if not page:
         raise MappingError("page_keywords must be nonempty")
-    for kw in keyword_map.rank:
+    for kw, value in keyword_map.values.items():
         if kw in page:
-            return keyword_map.values[kw]
+            return value
     if mode == "fallback":
         return keyword_map.values[keyword_map.centroids[0]]
     raise MappingError(f"no page keyword is mapped: {sorted(page)}")
 
 
 def save_keyword_map(keyword_map: KeywordMap) -> str:
-    """Serialize to the map file format; `values` keys carry the support
-    ranking so resolution order survives the round trip."""
-    ordered_values = {kw: keyword_map.values[kw] for kw in keyword_map.rank
-                      if kw in keyword_map.values}
+    """Serialize to the map file format; `values` keeps its order, so the
+    resolution order survives the round trip."""
     payload = {
         "category": keyword_map.category,
         "centroids": list(keyword_map.centroids),
-        "values": ordered_values,
+        "values": keyword_map.values,
         "cluster_of": dict(keyword_map.cluster_of),
-        "params": keyword_map.params,
+        "params": {"k": len(keyword_map.centroids), "base": BASE_VALUE,
+                   "spacing": BASE_SPACING, "spread": CLUSTER_SPREAD,
+                   "min_offset": MIN_OFFSET},
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def load_keyword_map(stream) -> KeywordMap:
-    """Parse a map file. A map that could not resolve a page is rejected
-    here: no centroids, a centroid without a value, or a non-finite value."""
+    """Parse a map file; `values` keeps the file's order, which is the
+    resolution order. A map that could not resolve a page is rejected here:
+    no centroids, a centroid without a value, or a non-finite value."""
     try:
         payload = json.loads(_as_text(stream))
         values = {str(k): float(v) for k, v in payload["values"].items()}
@@ -227,8 +215,6 @@ def load_keyword_map(stream) -> KeywordMap:
             centroids=centroids,
             values=values,
             cluster_of=dict(payload["cluster_of"]),
-            rank=tuple(values),  # values keys are stored in support order
-            params=dict(payload.get("params", {})),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid keyword-map file: {exc}") from exc

@@ -56,9 +56,6 @@ class RegressionModel:
     keyword_map_ref: str = ""
 
     def __post_init__(self):
-        if self.schema.feature_names != FEATURE_NAMES:
-            raise ContractError(f"features must be {list(FEATURE_NAMES)}, "
-                                f"got {list(self.schema.feature_names)}")
         if self.theta.shape != (self.schema.n_columns,):
             raise ContractError(f"theta has shape {self.theta.shape}, the schema needs "
                                 f"{self.schema.n_columns} values")
@@ -85,8 +82,8 @@ def predict(model: RegressionModel, raw: Sequence[float]) -> float:
     """Predicted CTR for one raw feature vector (placement code, size code,
     bid, keyword value). Output is deliberately not clamped to [0,1]."""
     raw = np.asarray(raw, dtype=float)
-    if raw.shape != (len(model.schema.feature_names),):
-        raise ContractError(f"expected {len(model.schema.feature_names)} features, got shape {raw.shape}")
+    if raw.shape != (len(FEATURE_NAMES),):
+        raise ContractError(f"expected {len(FEATURE_NAMES)} features, got shape {raw.shape}")
     feats = transform_row(model.scaler, raw) if model.scaler is not None else raw
     if model.schema.include_intercept:
         feats = np.concatenate([[1.0], feats])
@@ -178,7 +175,7 @@ def save_model(model: RegressionModel) -> str:
         "method": model.config.method,
         "theta": [float(t) for t in model.theta],
         "schema": {
-            "features": list(model.schema.feature_names),
+            "features": list(FEATURE_NAMES),
             "include_intercept": model.schema.include_intercept,
             "size_registry": list(model.schema.size_registry),
         },
@@ -193,38 +190,72 @@ def save_model(model: RegressionModel) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+_NUMBER = (int, float)  # the JSON numbers; a bool is neither
+
+
+def _check(ok: bool, name: str, value) -> None:
+    if not ok:
+        raise ModelLoadError(f"invalid model payload: {name} has the wrong type: {value!r}")
+
+
+def _list_of(value, kinds: tuple, name: str) -> list:
+    """`value` if it is a list whose items' types are all in `kinds`;
+    otherwise ModelLoadError naming the field."""
+    _check(type(value) is list and all(type(v) in kinds for v in value), name, value)
+    return value
+
+
 def load_model(stream) -> RegressionModel:
+    """Parse a model file. Every field is type-checked, not coerced: a bool
+    is not a number, a string is not a list, and a field of the wrong type
+    raises ModelLoadError naming it, as does a schema other than
+    FEATURE_NAMES or a theta/scaler that does not fit the schema."""
     try:
         payload = json.loads(_as_text(stream))
     except json.JSONDecodeError as exc:
         raise ModelLoadError(f"corrupt model stream: {exc}") from exc
     try:
-        if payload["version"] != MODEL_FORMAT_VERSION:
-            raise ModelLoadError(f"unsupported model version {payload['version']!r}")
+        version = payload["version"]
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
+            raise ModelLoadError(f"unsupported model version {version!r}")
+        schema_payload = payload["schema"]
+        if schema_payload["features"] != list(FEATURE_NAMES):
+            raise ModelLoadError(f"invalid model payload: features must be "
+                                 f"{list(FEATURE_NAMES)}, got {schema_payload['features']!r}")
+        include_intercept = schema_payload["include_intercept"]
+        _check(type(include_intercept) is bool, "schema.include_intercept", include_intercept)
         schema = FeatureSchema(
-            include_intercept=bool(payload["schema"]["include_intercept"]),
-            size_registry=tuple(payload["schema"]["size_registry"]),
-            feature_names=tuple(payload["schema"]["features"]),
+            include_intercept=include_intercept,
+            size_registry=tuple(_list_of(schema_payload["size_registry"], (str,),
+                                         "schema.size_registry")),
         )
         scaler_payload = payload["scaler"]
         scaler = None
         if scaler_payload is not None:
-            scaler = ScalerStats(means=np.array(scaler_payload["means"], dtype=float),
-                                 stds=np.array(scaler_payload["stds"], dtype=float))
+            scaler = ScalerStats(
+                means=np.array(_list_of(scaler_payload["means"], _NUMBER, "scaler.means"),
+                               dtype=float),
+                stds=np.array(_list_of(scaler_payload["stds"], _NUMBER, "scaler.stds"),
+                              dtype=float))
+        alpha, iterations = payload["config"]["alpha"], payload["config"]["iterations"]
+        _check(type(alpha) in _NUMBER, "config.alpha", alpha)
+        _check(type(iterations) is int, "config.iterations", iterations)
         config = TrainingConfig(
             method=payload["method"],
-            alpha=float(payload["config"]["alpha"]),
-            iterations=int(payload["config"]["iterations"]),
-            include_intercept=schema.include_intercept,
+            alpha=float(alpha),
+            iterations=iterations,
+            include_intercept=include_intercept,
             scale_features=scaler is not None,
         )
+        keyword_map_ref = payload.get("keyword_map_ref", "")
+        _check(type(keyword_map_ref) is str, "keyword_map_ref", keyword_map_ref)
         return RegressionModel(
-            theta=np.array(payload["theta"], dtype=float),
+            theta=np.array(_list_of(payload["theta"], _NUMBER, "theta"), dtype=float),
             schema=schema,
             scaler=scaler,
             config=config,
-            cost_trace=tuple(float(c) for c in payload["cost_trace"]),
-            keyword_map_ref=str(payload.get("keyword_map_ref", "")),
+            cost_trace=tuple(map(float, _list_of(payload["cost_trace"], _NUMBER, "cost_trace"))),
+            keyword_map_ref=keyword_map_ref,
         )
     except (KeyError, TypeError, ValueError, ContractError) as exc:
         raise ModelLoadError(f"invalid model payload: {exc}") from exc

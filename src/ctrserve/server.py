@@ -239,6 +239,9 @@ _TEXT_FIELDS = ("size", "category", "area", "city", "country", "ip", "browser")
 
 MAX_EVENT_BODY = 64 * 1024  # bytes; a larger POST /event body is refused unread
 REQUEST_TIMEOUT_S = 10.0  # a connection idle this long, mid-request, is closed
+# serve_forever sees a shutdown request only between polls of the listening
+# socket, so this bounds how long AdServer.stop() waits.
+POLL_INTERVAL_S = 0.02
 
 
 def _request_context(fields: Mapping, page_keywords: frozenset[str]) -> RequestContext:
@@ -325,11 +328,17 @@ class AdRequestHandler(BaseHTTPRequestHandler):
             self.wfile.write(payload)
 
     def _answer(self, route) -> None:
-        """Send the (status, body) that `route` returns. A read that times
-        out drops the connection (the base class closes it); any other
+        """Send the (status, body) that `route` returns; a request target
+        that does not parse as a URL is answered 400 unrouted. A read that
+        times out drops the connection (the base class closes it); any other
         exception is a fault answered 500, its traceback sent to stderr."""
         try:
-            code, body = route(urlparse(self.path), self.server.app)
+            url = urlparse(self.path)
+        except ValueError as exc:
+            self._send(*_error(400, f"bad request target: {exc}"))
+            return
+        try:
+            code, body = route(url, self.server.app)
         except TimeoutError:
             raise
         except Exception as exc:
@@ -402,7 +411,8 @@ class AdServer:
         """Bind and start serving on a background thread; returns the port."""
         self._httpd = ThreadingHTTPServer(("127.0.0.1", self.config.port), AdRequestHandler)
         self._httpd.app = self
-        thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        thread = threading.Thread(target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,),
+                                  daemon=True)
         thread.start()
         return self._httpd.server_address[1]
 

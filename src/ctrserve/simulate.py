@@ -54,22 +54,19 @@ class SimulationOutput:
 
 def planted_keyword_map(category: str = "sports") -> KeywordMap:
     """A hand-built map over the planted vocabulary; centroids sit at the
-    usual 50/60/70 bases and members nearby."""
+    usual 50/60/70 bases and members nearby. `values` resolves the
+    centroids first, then each cluster's members in order."""
     centroids = tuple(PLANTED_CLUSTERS)
-    values: dict[str, float] = {}
+    values = {c: 50.0 + 10.0 * r for r, c in enumerate(centroids)}
     cluster_of: dict[str, str] = {}
-    for r, c in enumerate(centroids):
-        values[c] = 50.0 + 10.0 * r
+    for c in centroids:
         cluster_of[c] = c
         for i, (member, _) in enumerate(PLANTED_CLUSTERS[c]):
             sign = 1.0 if i % 2 == 0 else -1.0
             values[member] = values[c] + sign * (0.5 + 0.5 * i)
             cluster_of[member] = c
-    rank = tuple(centroids) + tuple(m for c in centroids for m, _ in PLANTED_CLUSTERS[c])
     return KeywordMap(category=category, centroids=centroids, values=values,
-                      cluster_of=cluster_of, rank=rank,
-                      params={"k": len(centroids), "base": 50.0, "spacing": 10.0,
-                              "spread": 5.0, "min_offset": 0.1})
+                      cluster_of=cluster_of)
 
 
 def _simulate_catalog(rng: random.Random, config: SimulationConfig) -> list[AdCreative]:

@@ -286,6 +286,9 @@ def test_training_table_round_trip(table6_rows):
     assert table6_rows[2].keyword_value == 52.1
     with pytest.raises(ParseError):
         parse_training_table("bad,header\n1,2\n")
+    with pytest.raises(ParseError, match="training row 2: 6 fields"):
+        parse_training_table("placement,size,bid,keyword_value,ctr\n"
+                             "1,1,20,50,0.1\n1,1,20,50,0.1,GARBAGE\n")
 
 
 @given(st.lists(st.text()))

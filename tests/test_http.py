@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import socket
+import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +147,28 @@ def served_ctr(base):
     return payload["ad_id"], payload["score"]
 
 
+@pytest.mark.parametrize("method", ["GET", "POST"])
+def test_request_target_that_is_not_a_url_is_400(running_server, capsys, method):
+    _, base = running_server
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(f"{method} a://[x HTTP/1.0\r\nContent-Length: 0\r\n\r\n".encode())
+        with sock.makefile("rb") as response:
+            status_line, *_, body = response.read().split(b"\r\n")
+    assert status_line.split()[1] == b"400"
+    assert "Invalid IPv6 URL" in json.loads(body)["error"]
+    assert http_get(base + "/healthz")[0] == 200
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_stop_returns_at_once(running_server):
+    srv, base = running_server
+    assert http_get(base + "/healthz")[0] == 200
+    start = time.perf_counter()
+    srv.stop()
+    assert time.perf_counter() - start < 0.1
+
+
 @pytest.mark.parametrize("length", ["-1", "abc", "", None])
 def test_event_bad_content_length_is_400(running_server, length):
     srv, base = running_server
@@ -199,13 +223,29 @@ def test_failed_reload_is_500_and_keeps_snapshot(running_server, tmp_path):
     srv, base = running_server
 
     before, snapshot = served_ctr(base), srv.state
-    model = json.loads(open(srv.config.model_path).read())
+    model = json.loads(Path(srv.config.model_path).read_text())
     model["theta"] = model["theta"][:4]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     srv.config.model_path = str(path)
     status, body = http_post(base + "/reload")
     assert status == 500 and "theta" in json.loads(body)["error"]
+    assert srv.state is snapshot and served_ctr(base) == before
+
+
+@pytest.mark.parametrize("field, value", [("include_intercept", "false"),
+                                          ("keyword_map_ref", None)])
+def test_reload_of_mistyped_model_is_500_and_keeps_snapshot(running_server, tmp_path,
+                                                            field, value):
+    srv, base = running_server
+    before, snapshot = served_ctr(base), srv.state
+    model = json.loads(Path(srv.config.model_path).read_text())
+    (model["schema"] if field in model["schema"] else model)[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    srv.config.model_path = str(path)
+    status, body = http_post(base + "/reload")
+    assert status == 500 and field in json.loads(body)["error"]
     assert srv.state is snapshot and served_ctr(base) == before
 
 
@@ -271,13 +311,17 @@ def test_model_and_map_of_different_categories_do_not_load(running_server, tmp_p
 
 def test_model_without_map_ref_loads_with_any_map(running_server, tmp_path):
     srv, _ = running_server
-    model = json.loads(open(srv.config.model_path).read())
+    model = json.loads(Path(srv.config.model_path).read_text())
     model["keyword_map_ref"] = ""
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     config = dataclasses.replace(srv.config, model_path=str(path),
                                  map_path=map_for_category(tmp_path, "news"))
-    assert AdServer(config).state.keyword_map.category == "news"
+    other = AdServer(config)
+    try:
+        assert other.state.keyword_map.category == "news"
+    finally:
+        other.stop()
 
 
 def test_reload_of_map_of_another_category_is_500_and_keeps_snapshot(running_server, tmp_path):

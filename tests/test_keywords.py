@@ -11,6 +11,7 @@ from ctrserve.keywords import (KeywordMap, assign_clusters, build_keyword_map,
                                confidence, count_cooccurrences, load_keyword_map,
                                resolve_page_value, save_keyword_map,
                                select_centroids)
+from ctrserve.simulate import PLANTED_CLUSTERS, planted_keyword_map
 
 FOOTBALL_TXNS = [{"football", "soccer"}, {"football", "ronaldo"}, {"football"}]
 
@@ -136,26 +137,24 @@ class TestAssignClusters:
             + [{"england", "football"}] * 3 + [{"england", "cricket"}] * 3
         )
         stats = count_cooccurrences(txns, "sports")
-        cluster_of, diagnostics = assign_clusters(stats, ["football", "cricket", "tennis"])
+        cluster_of = assign_clusters(stats, ["football", "cricket", "tennis"])
         assert cluster_of["england"] == "football"
-        assert diagnostics == []
 
     def test_argmax(self):
         txns = [{"ronaldo", "football"}] * 9 + [{"ronaldo"}] * 1 + [{"cricket"}] * 12
         stats = count_cooccurrences(txns, "sports")
-        cluster_of, _ = assign_clusters(stats, ["football", "cricket"])
+        cluster_of = assign_clusters(stats, ["football", "cricket"])
         assert cluster_of["ronaldo"] == "football"
 
     def test_zero_confidence_is_flagged(self):
         txns = [{"football"}] * 5 + [{"knitting"}]
         stats = count_cooccurrences(txns, "sports")
-        cluster_of, diagnostics = assign_clusters(stats, ["football"])
+        cluster_of = assign_clusters(stats, ["football"])
         assert cluster_of["knitting"] == "football"
-        assert diagnostics == ["knitting"]
 
     def test_centroids_self_assigned(self):
         stats = count_cooccurrences(FOOTBALL_TXNS, "sports")
-        cluster_of, _ = assign_clusters(stats, ["football"])
+        cluster_of = assign_clusters(stats, ["football"])
         assert cluster_of["football"] == "football"
 
 
@@ -219,7 +218,7 @@ class TestBuildKeywordMap:
         assert loaded.values == kmap.values
         assert loaded.centroids == kmap.centroids
         assert loaded.cluster_of == kmap.cluster_of
-        assert loaded.rank == kmap.rank
+        assert list(loaded.values) == list(kmap.values)
 
 
 class TestLoadKeywordMap:
@@ -230,6 +229,57 @@ class TestLoadKeywordMap:
     def test_unresolvable_map_rejected(self, kind, match):
         with pytest.raises(ParseError, match=match):
             load_keyword_map(unresolvable_map(kind))
+
+
+def by_support(stats):
+    return sorted(stats.support, key=lambda kw: (-stats.support[kw], kw))
+
+
+class TestResolutionOrder:
+    """`values` is the one keyword order: support descending, ties by
+    keyword, and resolution takes a page's first keyword in it."""
+
+    # support a 13, b 8, m 5, p 5, y 2; p and y cluster under a, m under b
+    TIED_TXNS = ([{"a"}] * 6 + [{"a", "p"}] * 5 + [{"a", "y"}] * 2
+                 + [{"b"}] * 3 + [{"b", "m"}] * 5)
+
+    @staticmethod
+    def assert_first_in_order_wins(kmap):
+        order = list(kmap.values)
+        rng = random.Random(0)
+        for _ in range(40):
+            page = set(rng.sample(order, rng.randint(1, min(4, len(order)))))
+            first = next(kw for kw in order if kw in page)
+            assert resolve_page_value(kmap, page | {"unmapped"}) == kmap.values[first]
+
+    def test_built_map(self):
+        stats = count_cooccurrences(self.TIED_TXNS, "x")
+        kmap = build_keyword_map(stats, 2)
+        assert list(kmap.values) == by_support(stats) == ["a", "b", "m", "p", "y"]
+        assert resolve_page_value(kmap, {"p", "m"}) == kmap.values["m"]
+        self.assert_first_in_order_wins(kmap)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_built_map_random_corpora(self, seed):
+        stats = count_cooccurrences(random_corpus(seed=seed), "x")
+        kmap = build_keyword_map(stats, 3)
+        assert list(kmap.values) == by_support(stats)
+        self.assert_first_in_order_wins(kmap)
+
+    def test_planted_map(self):
+        kmap = planted_keyword_map()
+        members = [m for c in PLANTED_CLUSTERS for m, _ in PLANTED_CLUSTERS[c]]
+        assert list(kmap.values) == list(PLANTED_CLUSTERS) + members
+        self.assert_first_in_order_wins(kmap)
+
+    @pytest.mark.parametrize("kmap", [
+        build_keyword_map(count_cooccurrences(TIED_TXNS, "x"), 2),
+        planted_keyword_map(),
+    ], ids=["built", "planted"])
+    def test_loaded_map(self, kmap):
+        loaded = load_keyword_map(save_keyword_map(kmap))
+        assert list(loaded.values) == list(kmap.values)
+        self.assert_first_in_order_wins(loaded)
 
 
 class TestResolvePageValue:

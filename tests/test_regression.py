@@ -278,7 +278,24 @@ class TestPersistence:
         with pytest.raises(ModelLoadError):
             load_model(json.dumps(payload))
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda m: m.update(version=True), "version"),
+        (lambda m: m["schema"].update(include_intercept="false"), "schema.include_intercept"),
+        (lambda m: m["schema"].update(size_registry="300x250"), "schema.size_registry"),
+        (lambda m: m["theta"].__setitem__(1, True), "theta"),
+        (lambda m: m["config"].update(alpha="0.01"), "config.alpha"),
+        (lambda m: m["config"].update(iterations=2.7), "config.iterations"),
+        (lambda m: m.update(cost_trace=[False]), "cost_trace"),
+        (lambda m: m.update(keyword_map_ref=None), "keyword_map_ref"),
+    ])
+    def test_rejects_mistyped_field_naming_it(self, paper_model, edit, field):
+        payload = json.loads(save_model(paper_model))
+        edit(payload)
+        with pytest.raises(ModelLoadError, match=field):
+            load_model(json.dumps(payload))
+
     @pytest.mark.parametrize("edit", [
+        lambda s: s["means"].__setitem__(0, "1.0"),
         lambda s: s.update(means=s["means"][:3]),
         lambda s: s.update(stds=s["stds"] + [1.0]),
         lambda s: s["stds"].__setitem__(2, 0.0),

@@ -341,30 +341,32 @@ class TestServe:
 
 
 class TestEventLogWriter:
-    def test_impression_then_click(self, tmp_path):
+    @pytest.fixture()
+    def log(self, tmp_path):
         log = EventLogWriter(tmp_path / "events.csv")
+        yield log
+        log.close()
+
+    def test_impression_then_click(self, tmp_path, log):
         state = ServingState(catalog=(make_ad("a1"),))
         log.record_event(state, "a1", make_context(), clicked=False, timestamp=1)
         log.record_event(state, "a1", make_context(), clicked=True, timestamp=2)
         events = list(read_event_log((tmp_path / "events.csv").read_text()))
         assert [e.clicked for e in events] == [False, True]
 
-    def test_unknown_ad(self, tmp_path):
-        log = EventLogWriter(tmp_path / "events.csv")
+    def test_unknown_ad(self, tmp_path, log):
         state = ServingState(catalog=(make_ad("a1"),))
         with pytest.raises(ValidationError):
             log.record_event(state, "ghost", make_context(), clicked=False)
 
-    def test_many_appends(self, tmp_path):
-        log = EventLogWriter(tmp_path / "events.csv")
+    def test_many_appends(self, tmp_path, log):
         state = ServingState(catalog=(make_ad("a1"),))
         for i in range(100):
             log.record_event(state, "a1", make_context(), clicked=False, timestamp=i + 1)
         lines = (tmp_path / "events.csv").read_text().strip().splitlines()
         assert len(lines) == 101  # header + 100 rows
 
-    def test_logged_row_reads_back(self, tmp_path):
-        log = EventLogWriter(tmp_path / "events.csv")
+    def test_logged_row_reads_back(self, tmp_path, log):
         state = ServingState(catalog=(make_ad("a1"),))
         row = log.record_event(state, "a1", make_context(keywords=("football", "epl")),
                                clicked=True, timestamp=5)
@@ -401,8 +403,7 @@ class TestEventLogWriter:
     @pytest.mark.parametrize("timestamp, keywords", [
         (0, ("football",)), (-1, ("football",)), (1, ()), (1, ("foot;ball",)),
     ])
-    def test_unreadable_event_is_refused_unwritten(self, tmp_path, timestamp, keywords):
-        log = EventLogWriter(tmp_path / "events.csv")
+    def test_unreadable_event_is_refused_unwritten(self, tmp_path, log, timestamp, keywords):
         state = ServingState(catalog=(make_ad("a1"),))
         with pytest.raises(ValidationError):
             log.record_event(state, "a1", make_context(keywords=keywords), clicked=False,
