@@ -119,6 +119,21 @@ def _as_text(stream) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
+_NUMBER = (int, float)  # the JSON numbers; a bool is neither
+
+
+def _check(ok: bool, name: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{name} has the wrong type: {value!r}")
+
+
+def _list_of(value, kinds: tuple, name: str) -> list:
+    """`value` if it is a list whose items' types are all in `kinds`;
+    otherwise ValueError naming the field."""
+    _check(type(value) is list and all(type(v) in kinds for v in value), name, value)
+    return value
+
+
 _CATALOG_TEXT = ("ad_id", "campaign_id", "category", "size", "landing_page")
 
 

@@ -113,11 +113,11 @@ def _require(args, *names) -> None:
 
 @contextmanager
 def _open_csv(path: str):
-    """The CSV file at `path` and its first line split on commas, the file
+    """The CSV file at `path` and its first row, read by CSV rules, the file
     left at its start. newline="" keeps a carriage return inside a quoted
     field as it was written."""
     with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
+        header = next(csv.reader(fh), [])
         fh.seek(0)
         yield fh, header
 
@@ -198,7 +198,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     from . import regression
-    from .features import encode_placement, encode_size
+    from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 
     _require(args, "model")
     with open(args.model) as fh:
@@ -211,7 +211,7 @@ def cmd_predict(args) -> int:
             keyword_map = keywords.load_keyword_map(fh)
         kw_value = keywords.resolve_page_value(keyword_map, keyword_set([args.keyword]))
     placement_code = encode_placement(Placement(args.placement))
-    size_code = encode_size(args.size, model.schema.size_registry)
+    size_code = encode_size(args.size, DEFAULT_SIZE_REGISTRY)
     ctr = regression.predict(model, (placement_code, size_code, args.bid, kw_value))
     print(repr(ctr))
     return 0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ class FeatureSchema:
     """Fixed feature order plus the size-label registry (1-based codes)."""
 
     include_intercept: bool = True
-    size_registry: tuple[str, ...] = DEFAULT_SIZE_REGISTRY
+    size_registry: ClassVar[tuple[str, ...]] = DEFAULT_SIZE_REGISTRY
 
     @property
     def n_columns(self) -> int:
@@ -65,7 +65,7 @@ def encode_placement(p: Placement) -> int:
 def encode_size(label: str, registry: Sequence[str]) -> int:
     """1-based code of a size label in the registry."""
     try:
-        return list(registry).index(label) + 1
+        return registry.index(label) + 1
     except ValueError:
         raise EncodingError(f"size {label!r} is not in the registry {list(registry)}") from None
 

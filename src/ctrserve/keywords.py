@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .catalog import _as_text
+from .catalog import _NUMBER, _as_text, _check, _list_of
 from .errors import CtrServeError, MappingError, ParseError
 
 BASE_VALUE = 50.0
@@ -31,7 +31,6 @@ class CooccurrenceStats:
     """Support and pairwise co-occurrence counts for one category's corpus."""
 
     category: str
-    transaction_count: int
     support: dict[str, int]
     pair_count: dict[frozenset, int]
 
@@ -79,8 +78,7 @@ def count_cooccurrences(transactions: Iterable[Iterable[str]] | Mapping[frozense
             for b in tokens[i + 1:]:
                 pair = frozenset((a, b))
                 pair_count[pair] = pair_count.get(pair, 0) + n
-    return CooccurrenceStats(category=category, transaction_count=sum(weights.values()),
-                             support=support, pair_count=pair_count)
+    return CooccurrenceStats(category=category, support=support, pair_count=pair_count)
 
 
 def confidence(stats: CooccurrenceStats, antecedent: str, consequent: str) -> float:
@@ -196,26 +194,34 @@ def save_keyword_map(keyword_map: KeywordMap) -> str:
 
 def load_keyword_map(stream) -> KeywordMap:
     """Parse a map file; `values` keeps the file's order, which is the
-    resolution order. A map that could not resolve a page is rejected here:
-    no centroids, a centroid without a value, or a non-finite value."""
+    resolution order. Every field is type-checked, not coerced: `category` a
+    string, `centroids` a nonempty list of strings, `values` an object of
+    finite numbers (a bool is not one) with a value for every centroid, and
+    `cluster_of` an object whose values are centroids. A bad field raises
+    ParseError naming it."""
     try:
         payload = json.loads(_as_text(stream))
-        values = {str(k): float(v) for k, v in payload["values"].items()}
-        centroids = tuple(payload["centroids"])
+        category, values, cluster_of = (payload["category"], payload["values"],
+                                         payload["cluster_of"])
+        _check(type(category) is str, "category", category)
+        centroids = tuple(_list_of(payload["centroids"], (str,), "centroids"))
         if not centroids:
             raise ValueError("centroids must be nonempty")
-        missing = [c for c in centroids if not isinstance(c, str) or c not in values]
+        _check(type(values) is dict, "values", values)
+        for kw, v in values.items():
+            _check(type(v) in _NUMBER, f"values[{kw!r}]", v)
+        values = {kw: float(v) for kw, v in values.items()}
+        missing = [c for c in centroids if c not in values]
         if missing:
             raise ValueError(f"centroids without a value: {missing}")
         nonfinite = [kw for kw, v in values.items() if not math.isfinite(v)]
         if nonfinite:
             raise ValueError(f"non-finite values for {nonfinite}")
-        keyword_map = KeywordMap(
-            category=str(payload["category"]),
-            centroids=centroids,
-            values=values,
-            cluster_of=dict(payload["cluster_of"]),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        _check(type(cluster_of) is dict, "cluster_of", cluster_of)
+        for kw, c in cluster_of.items():
+            if c not in centroids:
+                raise ValueError(f"cluster_of[{kw!r}] is not a centroid: {c!r}")
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid keyword-map file: {exc}") from exc
-    return keyword_map
+    return KeywordMap(category=category, centroids=centroids, values=values,
+                      cluster_of=cluster_of)

@@ -9,11 +9,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import TrainingRow, _as_text
+from .catalog import _NUMBER, TrainingRow, _as_text, _check, _list_of
 from .errors import (ContractError, CtrServeError, DegenerateFeatureError,
                      DivergenceError, ModelLoadError, SingularMatrixError)
-from .features import (FEATURE_NAMES, DesignMatrix, FeatureSchema, ScalerStats,
-                       build_design_matrix, fit_scaler, transform, transform_row)
+from .features import (DEFAULT_SIZE_REGISTRY, FEATURE_NAMES, DesignMatrix, FeatureSchema,
+                       ScalerStats, build_design_matrix, fit_scaler, transform, transform_row)
 
 GRADIENT_DESCENT = "gradient_descent"
 NORMAL_EQUATION = "normal_equation"
@@ -49,7 +49,6 @@ class TrainingConfig:
 @dataclass(frozen=True)
 class RegressionModel:
     theta: np.ndarray
-    schema: FeatureSchema
     scaler: Optional[ScalerStats]
     config: TrainingConfig
     cost_trace: tuple[float, ...] = ()
@@ -72,10 +71,14 @@ class RegressionModel:
                 raise ContractError("scaler means must be finite and stds finite and > 0")
 
     @property
+    def schema(self) -> FeatureSchema:
+        return FeatureSchema(include_intercept=self.config.include_intercept)
+
+    @property
     def bid_weight(self) -> float:
         """theta's bid coefficient. Scaling divides bid by a positive std,
         so its sign is the sign of the score's slope in bid."""
-        return float(self.theta[FEATURE_NAMES.index("bid") + self.schema.include_intercept])
+        return float(self.theta[FEATURE_NAMES.index("bid") + self.config.include_intercept])
 
 
 def predict(model: RegressionModel, raw: Sequence[float]) -> float:
@@ -85,7 +88,7 @@ def predict(model: RegressionModel, raw: Sequence[float]) -> float:
     if raw.shape != (len(FEATURE_NAMES),):
         raise ContractError(f"expected {len(FEATURE_NAMES)} features, got shape {raw.shape}")
     feats = transform_row(model.scaler, raw) if model.scaler is not None else raw
-    if model.schema.include_intercept:
+    if model.config.include_intercept:
         feats = np.concatenate([[1.0], feats])
     return float(feats @ model.theta)
 
@@ -138,8 +141,7 @@ def train(rows: Sequence[TrainingRow], keyword_map, config: TrainingConfig) -> R
     method and package the result with the frozen keyword-map reference."""
     if not rows:
         raise CtrServeError("cannot train on zero rows")
-    schema = FeatureSchema(include_intercept=config.include_intercept)
-    matrix = build_design_matrix(rows, schema)
+    matrix = build_design_matrix(rows, FeatureSchema(include_intercept=config.include_intercept))
     scaler = None
     if config.scale_features:
         scaler = fit_scaler(matrix)
@@ -149,12 +151,11 @@ def train(rows: Sequence[TrainingRow], keyword_map, config: TrainingConfig) -> R
     else:
         theta, trace = normal_equation(matrix), ()
     map_ref = getattr(keyword_map, "category", "")  # "" without a map (None)
-    return RegressionModel(theta=theta, schema=schema, scaler=scaler,
-                           config=config, cost_trace=trace, keyword_map_ref=map_ref)
+    return RegressionModel(theta=theta, scaler=scaler, config=config, cost_trace=trace,
+                           keyword_map_ref=map_ref)
 
 
-def simple_regression(x: Sequence[float], y: Sequence[float],
-                      config: Optional[TrainingConfig] = None) -> tuple[float, float]:
+def simple_regression(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Single-feature fit with intercept via the normal equation; returns
     (intercept, slope)."""
     x = np.asarray(x, dtype=float)
@@ -176,8 +177,8 @@ def save_model(model: RegressionModel) -> str:
         "theta": [float(t) for t in model.theta],
         "schema": {
             "features": list(FEATURE_NAMES),
-            "include_intercept": model.schema.include_intercept,
-            "size_registry": list(model.schema.size_registry),
+            "include_intercept": model.config.include_intercept,
+            "size_registry": list(DEFAULT_SIZE_REGISTRY),
         },
         "scaler": None if model.scaler is None else {
             "means": [float(v) for v in model.scaler.means],
@@ -190,26 +191,11 @@ def save_model(model: RegressionModel) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-_NUMBER = (int, float)  # the JSON numbers; a bool is neither
-
-
-def _check(ok: bool, name: str, value) -> None:
-    if not ok:
-        raise ModelLoadError(f"invalid model payload: {name} has the wrong type: {value!r}")
-
-
-def _list_of(value, kinds: tuple, name: str) -> list:
-    """`value` if it is a list whose items' types are all in `kinds`;
-    otherwise ModelLoadError naming the field."""
-    _check(type(value) is list and all(type(v) in kinds for v in value), name, value)
-    return value
-
-
 def load_model(stream) -> RegressionModel:
     """Parse a model file. Every field is type-checked, not coerced: a bool
     is not a number, a string is not a list, and a field of the wrong type
-    raises ModelLoadError naming it, as does a schema other than
-    FEATURE_NAMES or a theta/scaler that does not fit the schema."""
+    raises ModelLoadError naming it, as does a schema whose features or size
+    registry differ from the constants or a theta/scaler that does not fit."""
     try:
         payload = json.loads(_as_text(stream))
     except json.JSONDecodeError as exc:
@@ -219,16 +205,12 @@ def load_model(stream) -> RegressionModel:
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise ModelLoadError(f"unsupported model version {version!r}")
         schema_payload = payload["schema"]
-        if schema_payload["features"] != list(FEATURE_NAMES):
-            raise ModelLoadError(f"invalid model payload: features must be "
-                                 f"{list(FEATURE_NAMES)}, got {schema_payload['features']!r}")
+        for name, fixed in (("features", FEATURE_NAMES), ("size_registry", DEFAULT_SIZE_REGISTRY)):
+            if schema_payload[name] != list(fixed):
+                raise ModelLoadError(f"invalid model payload: schema.{name} must be "
+                                     f"{list(fixed)}, got {schema_payload[name]!r}")
         include_intercept = schema_payload["include_intercept"]
         _check(type(include_intercept) is bool, "schema.include_intercept", include_intercept)
-        schema = FeatureSchema(
-            include_intercept=include_intercept,
-            size_registry=tuple(_list_of(schema_payload["size_registry"], (str,),
-                                         "schema.size_registry")),
-        )
         scaler_payload = payload["scaler"]
         scaler = None
         if scaler_payload is not None:
@@ -251,11 +233,10 @@ def load_model(stream) -> RegressionModel:
         _check(type(keyword_map_ref) is str, "keyword_map_ref", keyword_map_ref)
         return RegressionModel(
             theta=np.array(_list_of(payload["theta"], _NUMBER, "theta"), dtype=float),
-            schema=schema,
             scaler=scaler,
             config=config,
             cost_trace=tuple(map(float, _list_of(payload["cost_trace"], _NUMBER, "cost_trace"))),
             keyword_map_ref=keyword_map_ref,
         )
-    except (KeyError, TypeError, ValueError, ContractError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ContractError) as exc:
         raise ModelLoadError(f"invalid model payload: {exc}") from exc

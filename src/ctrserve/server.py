@@ -93,7 +93,7 @@ def _rank_by_ctr(state: "ServingState",
     the tie, so the scan goes on while the score holds."""
     model = state.model
     try:
-        size_code = encode_size(request.size, model.schema.size_registry)
+        size_code = encode_size(request.size, DEFAULT_SIZE_REGISTRY)
     except EncodingError:
         return None
     bucket = state.bucket(request)
@@ -361,7 +361,7 @@ class AdRequestHandler(BaseHTTPRequestHandler):
             context, mode = _parse_request_qs(url.query)
         except ValueError as exc:
             return _error(400, str(exc))
-        mode = mode or app.default_mode
+        mode = mode or app.config.default_mode
         if mode not in (MODE_BID, MODE_CTR):
             return _error(400, f"unknown mode {mode!r}")
         state = app.state
@@ -398,7 +398,6 @@ class AdServer:
 
     def __init__(self, config: ServerConfig):
         self.config = config
-        self.default_mode = config.default_mode
         self.state = load_state(config)
         log_path = config.event_log_path or "events.csv"
         self.event_log = EventLogWriter(log_path)

@@ -8,6 +8,7 @@ import io
 import json
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement, keywords_field,
                       serialize_ad_catalog, write_event_row)
@@ -24,6 +25,9 @@ PLANTED_CLUSTERS = {
 
 _BASE_TIMESTAMP = 1_700_000_000_000
 
+N_ADS = 24
+BIDS = (5.0, 10.0, 20.0, 40.0)
+
 _COUNTRIES = ["PK", "US", "GB"]
 _BROWSERS = ["chrome", "firefox", "safari"]
 
@@ -33,15 +37,13 @@ class SimulationConfig:
     seed: int
     n_events: int
     category: str = "sports"
-    n_ads: int = 24
-    bids: tuple[float, ...] = (5.0, 10.0, 20.0, 40.0)
     # true_theta applies to raw (1, placement, size_code, bid, keyword_value);
     # chosen so every click probability stays inside (0, 1).
-    true_theta: tuple[float, ...] = (0.02, 0.01, 0.002, 0.001, 0.0003)
+    true_theta: ClassVar[tuple[float, ...]] = (0.02, 0.01, 0.002, 0.001, 0.0003)
 
     def __post_init__(self):
-        if self.n_events < 0 or self.n_ads <= 0:
-            raise CtrServeError("n_events must be >= 0 and n_ads > 0")
+        if self.n_events < 0:
+            raise CtrServeError("n_events must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ def planted_keyword_map(category: str = "sports") -> KeywordMap:
 def _simulate_catalog(rng: random.Random, config: SimulationConfig) -> list[AdCreative]:
     centroids = list(PLANTED_CLUSTERS)
     ads = []
-    for i in range(config.n_ads):
+    for i in range(N_ADS):
         centroid = centroids[i % len(centroids)]
         keywords = frozenset([centroid] + [m for m, _ in PLANTED_CLUSTERS[centroid]])
         ads.append(AdCreative(
@@ -80,7 +82,7 @@ def _simulate_catalog(rng: random.Random, config: SimulationConfig) -> list[AdCr
             campaign_id=f"camp-{i % 5}",
             category=config.category,
             size=DEFAULT_SIZE_REGISTRY[i % len(DEFAULT_SIZE_REGISTRY)],
-            bid=config.bids[rng.randrange(len(config.bids))],
+            bid=BIDS[rng.randrange(len(BIDS))],
             landing_page=f"https://example.com/{i}",
             keywords=keywords,
         ))

@@ -92,18 +92,17 @@ def brute_force_best_by_ctr(scored):
 
 def per_transaction_cooccurrences(transactions):
     """Support and pair counts taken one transaction at a time, in order.
-    Returns (transaction_count, support, pair_count); the dicts keep the
-    order in which each key first appears."""
-    support, pairs, count = {}, {}, 0
+    Returns (support, pair_count); the dicts keep the order in which each
+    key first appears."""
+    support, pairs = {}, {}
     for txn in transactions:
-        count += 1
         tokens = sorted(set(txn))
         for i, a in enumerate(tokens):
             support[a] = support.get(a, 0) + 1
             for b in tokens[i + 1:]:
                 pair = frozenset((a, b))
                 pairs[pair] = pairs.get(pair, 0) + 1
-    return count, support, pairs
+    return support, pairs
 
 
 def dictreader_groups(events_path, catalog_path, map_path, size_registry):

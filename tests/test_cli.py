@@ -130,6 +130,19 @@ def test_predict_zero_model(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == 0.0
 
 
+@pytest.mark.parametrize("registry", [["728x90", "300x250", "160x600"], ["300x250", "728x90"]])
+def test_predict_with_another_size_registry_is_json_error(tmp_path, capsys, registry):
+    payload = json.loads(sample_data._read("model_normal_eq.json"))
+    payload["schema"]["size_registry"] = registry
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    assert main(["predict", "--model", str(path), "above_fold", "300x250", "22", "51"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert "schema.size_registry" in json.loads(err[0])["error"]
+
+
 def test_predict_unknown_size(capsys):
     rc = main(["predict", "--model", sample_data.fixture_path("model_normal_eq.json"),
                "above_fold", "999x1", "22", "51"])
@@ -177,6 +190,18 @@ def test_evaluate_pairs_replay(capsys):
     out = capsys.readouterr().out
     se = float(out.splitlines()[0].split(":")[1])
     assert se == pytest.approx(0.010127, abs=1e-5)
+
+
+def test_evaluate_pairs_with_quoted_header(tmp_path, capsys):
+    plain = sample_data.fixture_path("validation_pairs.csv")
+    quoted = tmp_path / "pairs.csv"
+    quoted.write_text('"y","y_pred"' + Path(plain).read_text().removeprefix("y,y_pred"))
+    outputs = []
+    for data in (plain, str(quoted)):
+        assert main(["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"),
+                     "--data", data]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("SE: ")
 
 
 def test_env_override(tmp_path, monkeypatch, capsys):

@@ -234,7 +234,9 @@ def test_failed_reload_is_500_and_keeps_snapshot(running_server, tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("include_intercept", "false"),
-                                          ("keyword_map_ref", None)])
+                                          ("keyword_map_ref", None),
+                                          ("size_registry", ["728x90", "300x250", "160x600"]),
+                                          ("size_registry", ["300x250", "728x90"])])
 def test_reload_of_mistyped_model_is_500_and_keeps_snapshot(running_server, tmp_path,
                                                             field, value):
     srv, base = running_server
@@ -259,6 +261,19 @@ def test_reload_of_unresolvable_map_is_500_and_keeps_snapshot(running_server, tm
     srv.config.map_path = str(path)
     status, body = http_post(base + "/reload")
     assert status == 500 and "keyword-map" in json.loads(body)["error"]
+    assert srv.state is snapshot and served_ctr(base) == before
+
+
+def test_reload_of_mistyped_map_is_500_and_keeps_snapshot(running_server, tmp_path):
+    srv, base = running_server
+    before, snapshot = served_ctr(base), srv.state
+    keyword_map = json.loads(Path(srv.config.map_path).read_text())
+    keyword_map["values"]["england"] = True
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(keyword_map))
+    srv.config.map_path = str(path)
+    status, body = http_post(base + "/reload")
+    assert status == 500 and "values['england']" in json.loads(body)["error"]
     assert srv.state is snapshot and served_ctr(base) == before
 
 

@@ -38,13 +38,11 @@ class TestPredict:
         assert value == pytest.approx(0.048328, abs=1e-9)
 
     def test_zero_theta(self, paper_model):
-        model = RegressionModel(theta=np.zeros(5), schema=paper_model.schema,
-                                scaler=None, config=paper_model.config)
+        model = RegressionModel(theta=np.zeros(5), scaler=None, config=paper_model.config)
         assert predict(model, (1, 3, 99, 47)) == 0.0
 
     def test_intercept_only(self, paper_model):
-        model = RegressionModel(theta=np.array([0.3, 0, 0, 0, 0]),
-                                schema=paper_model.schema, scaler=None,
+        model = RegressionModel(theta=np.array([0.3, 0, 0, 0, 0]), scaler=None,
                                 config=paper_model.config)
         assert predict(model, (0, 2, 5, 50)) == 0.3
 
@@ -271,6 +269,7 @@ class TestPersistence:
         lambda m: m["schema"].update(features=["placement", "size", "keyword_value", "bid"]),
         lambda m: m["schema"].update(features=["placement", "size", "bid"]),
         lambda m: m["schema"].update(include_intercept=False),
+        lambda m: m["theta"].__setitem__(0, 10 ** 400),
     ])
     def test_rejects_theta_that_does_not_fit_schema(self, paper_model, edit):
         payload = json.loads(save_model(paper_model))
@@ -282,6 +281,8 @@ class TestPersistence:
         (lambda m: m.update(version=True), "version"),
         (lambda m: m["schema"].update(include_intercept="false"), "schema.include_intercept"),
         (lambda m: m["schema"].update(size_registry="300x250"), "schema.size_registry"),
+        (lambda m: m["schema"]["size_registry"].reverse(), "schema.size_registry"),
+        (lambda m: m["schema"]["size_registry"].pop(), "schema.size_registry"),
         (lambda m: m["theta"].__setitem__(1, True), "theta"),
         (lambda m: m["config"].update(alpha="0.01"), "config.alpha"),
         (lambda m: m["config"].update(iterations=2.7), "config.iterations"),

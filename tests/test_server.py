@@ -8,7 +8,7 @@ from conftest import make_context
 from ctrserve import server
 from ctrserve.catalog import AdCreative, Placement, read_event_log
 from ctrserve.errors import ContractError, ValidationError
-from ctrserve.features import DEFAULT_SIZE_REGISTRY, FeatureSchema, encode_placement, encode_size
+from ctrserve.features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from ctrserve.keywords import resolve_page_value
 from ctrserve.regression import TrainingConfig, predict, train
 from ctrserve.server import (MODE_BID, MODE_CTR, NO_FILL, EventLogWriter,
@@ -251,11 +251,9 @@ class TestCtrScan:
             assert_matches_oracles(catalog, random_request(rng), model, sports_map)
 
     def test_size_missing_from_registry(self, paper_model, sports_map):
-        model = dataclasses.replace(
-            paper_model, schema=FeatureSchema(size_registry=("728x90", "160x600")))
-        catalog = [make_ad("a1", size="300x250")]
-        request = make_context(size="300x250")
-        assert assert_matches_oracles(catalog, request, model, sports_map) is None
+        catalog = [make_ad("a1", size="999x1")]
+        request = make_context(size="999x1")
+        assert assert_matches_oracles(catalog, request, paper_model, sports_map) is None
         assert served(catalog, request, MODE_BID)[0] == "a1"
 
     @pytest.mark.parametrize("weight", [0.002, 0.0, -0.002])

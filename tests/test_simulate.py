@@ -31,8 +31,6 @@ def test_zero_events_header_only():
 def test_invalid_parameters():
     with pytest.raises(CtrServeError):
         SimulationConfig(seed=1, n_events=-1)
-    with pytest.raises(CtrServeError):
-        SimulationConfig(seed=1, n_events=10, n_ads=0)
 
 
 def test_planted_map_is_injective():
