@@ -12,11 +12,14 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, ValidationError
+
+
+FEATURE_NAMES = ("placement", "size", "bid", "keyword_value")
 
 
 class Placement(str, Enum):
@@ -123,8 +126,8 @@ _NUMBER = (int, float)  # the JSON numbers; a bool is neither
 
 
 def _check(ok: bool, name: str, value) -> None:
-    if not ok:
-        raise ValueError(f"{name} has the wrong type: {value!r}")
+    if not ok:  # the repr is cut short: a value from an /event body can be 64 KiB long
+        raise ValueError(f"{name} has the wrong type: {value!r:.100}")
 
 
 def _list_of(value, kinds: tuple, name: str) -> list:
@@ -189,26 +192,9 @@ def parse_ad_catalog(stream) -> list[AdCreative]:
 
 
 def serialize_ad_catalog(ads: Sequence[AdCreative]) -> str:
-    records = [
-        {
-            "ad_id": ad.ad_id,
-            "campaign_id": ad.campaign_id,
-            "category": ad.category,
-            "size": ad.size,
-            "bid": ad.bid,
-            "landing_page": ad.landing_page,
-            "keywords": sorted(ad.keywords),
-            "locations": sorted(ad.locations),
-        }
-        for ad in ads
-    ]
+    records = [{**asdict(ad), "keywords": sorted(ad.keywords), "locations": sorted(ad.locations)}
+               for ad in ads]
     return json.dumps(records, indent=2, sort_keys=True) + "\n"
-
-
-EVENT_LOG_HEADER = [
-    "timestamp", "ad_id", "placement", "size", "category", "keywords",
-    "country", "city", "area", "ip", "browser", "clicked",
-]
 
 
 class EventRow(NamedTuple):
@@ -231,6 +217,8 @@ class EventRow(NamedTuple):
     clicked: bool
     served_bid: Optional[float] = None
 
+
+EVENT_LOG_HEADER = list(EventRow._fields[:-1])  # every field but served_bid is written
 
 _PLACEMENTS = {p.value: p for p in Placement}
 
@@ -303,64 +291,80 @@ def read_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> Iterat
 def write_event_row(writer, row: EventRow) -> None:
     """Append one row in `EVENT_LOG_HEADER` order; `served_bid` is not
     written. A timestamp <= 0, which `read_event_log` rejects, raises."""
-    (timestamp, ad_id, placement, size, category, keywords,
-     country, city, area, ip, browser, clicked, _) = row
-    if timestamp <= 0:
-        raise ValidationError(f"event for {ad_id!r}: timestamp must be > 0")
-    writer.writerow([timestamp, ad_id, placement.value, size, category, keywords,
-                     country, city, area, ip, browser, "1" if clicked else "0"])
+    if row.timestamp <= 0:
+        raise ValidationError(f"event for {row.ad_id!r}: timestamp must be > 0")
+    writer.writerow(row._replace(placement=row.placement.value,
+                                 clicked="1" if row.clicked else "0")[:len(EVENT_LOG_HEADER)])
 
 
-TRAINING_TABLE_HEADER = ["placement", "size", "bid", "keyword_value", "ctr"]
+def start_event_log(fh):
+    """The csv writer that appends event rows to `fh`, a text file open for
+    reading and appending with newline="". An empty file gets the header.
+    Any other file must start with the header line and end with a line
+    terminator, so that the rows appended to it read back; otherwise
+    ParseError. Only those two places are read, however long the log."""
+    writer = csv.writer(fh)
+    fh.seek(0)
+    try:
+        first = fh.readline(1024)  # the header is ~90 characters; another file may be one line
+        if not first:
+            writer.writerow(EVENT_LOG_HEADER)
+            return writer
+        if next(csv.reader([first])) != EVENT_LOG_HEADER:
+            raise ParseError(f"unexpected event-log header: {first!r:.100}")
+        end = fh.seek(0, io.SEEK_END)
+        fh.seek(end - 1)
+        if fh.read(1) not in ("\n", "\r"):
+            raise ParseError("the last row lacks its line terminator")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not event-log text: {exc.reason}") from None
+    fh.seek(0, io.SEEK_END)
+    return writer
+
+
+TRAINING_TABLE_HEADER = [*FEATURE_NAMES, "ctr"]
+PAIRS_TABLE_HEADER = ["y", "y_pred"]
+
+
+def _read_table(stream, header: list[str], name: str, convert) -> list:
+    """`convert(row)` of each non-blank row of a CSV table whose first row
+    must be `header`. A row that `convert` refuses with ValueError raises
+    ParseError naming the row."""
+    reader = csv.reader(io.StringIO(_as_text(stream)))
+    first = next(reader, None)
+    if first != header:
+        raise ParseError(f"unexpected {name}-table header: {first}")
+    rows = []
+    for i, row in enumerate(reader, start=1):
+        if row:
+            try:
+                rows.append(convert(row))
+            except ValueError as exc:
+                raise ParseError(f"{name} row {i}: {exc}") from exc
+    return rows
+
+
+def _training_row(row: list[str]) -> TrainingRow:
+    if len(row) != len(TRAINING_TABLE_HEADER):
+        raise ValueError(f"{len(row)} fields, expected {len(TRAINING_TABLE_HEADER)}")
+    placement, size, bid, keyword_value, ctr = row
+    return TrainingRow(int(placement), int(size), float(bid), float(keyword_value), float(ctr))
 
 
 def parse_training_table(stream) -> list[TrainingRow]:
     """Parse a pre-aggregated training CSV (already in numeric-code form)."""
-    text = _as_text(stream)
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != TRAINING_TABLE_HEADER:
-        raise ParseError(f"unexpected training-table header: {header}")
-    rows = []
-    for i, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != len(TRAINING_TABLE_HEADER):
-            raise ParseError(f"training row {i}: {len(row)} fields, expected "
-                             f"{len(TRAINING_TABLE_HEADER)}")
-        try:
-            rows.append(TrainingRow(
-                placement_code=int(row[0]),
-                size_code=int(row[1]),
-                bid=float(row[2]),
-                keyword_value=float(row[3]),
-                ctr=float(row[4]),
-            ))
-        except ValueError as exc:
-            raise ParseError(f"training row {i}: {exc}") from exc
-    return rows
+    return _read_table(stream, TRAINING_TABLE_HEADER, "training", _training_row)
 
 
-PAIRS_TABLE_HEADER = ["y", "y_pred"]
+def _pair(row: list[str]) -> tuple[float, float]:
+    observed, predicted = map(float, row)  # a field that is not a number, or not two fields
+    return observed, predicted
 
 
 def parse_pairs_table(stream) -> tuple[list[float], list[float]]:
     """Parse a stored (observed, predicted) pairs CSV into its two columns."""
-    reader = csv.reader(io.StringIO(_as_text(stream)))
-    header = next(reader, None)
-    if header != PAIRS_TABLE_HEADER:
-        raise ParseError(f"unexpected pairs-table header: {header}")
-    y, y_pred = [], []
-    for i, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        try:
-            observed, predicted = map(float, row)
-        except ValueError as exc:  # a field that is not a number, or not two fields
-            raise ParseError(f"pairs row {i}: {exc}") from exc
-        y.append(observed)
-        y_pred.append(predicted)
-    return y, y_pred
+    pairs = _read_table(stream, PAIRS_TABLE_HEADER, "pairs", _pair)
+    return [y for y, _ in pairs], [y_pred for _, y_pred in pairs]
 
 
 def compute_ctr(clicks: int, impressions: int) -> float:

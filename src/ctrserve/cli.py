@@ -252,9 +252,9 @@ def cmd_serve(args) -> int:
         catalog_path=args.ads, model_path=args.model, map_path=args.map_path,
         event_log_path=args.out, port=args.port, default_mode=args.mode)
     srv = server.AdServer(config)
-    port = srv.start()
-    print(f"serving on port {port} (mode {config.default_mode})", flush=True)
     try:
+        port = srv.start()
+        print(f"serving on port {port} (mode {config.default_mode})", flush=True)
         threading.Event().wait()  # until Ctrl-C; the server runs on its own thread
     except KeyboardInterrupt:
         pass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .catalog import TrainingRow
@@ -25,15 +25,8 @@ class EvaluationReport:
     r_squared: float
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "pairs": [{"y": y, "y_pred": yp, "f": f} for y, yp, f in self.pairs],
-            "sse": self.sse,
-            "ym": self.ym,
-            "ssto": self.ssto,
-            "se": self.se,
-            "r_squared": self.r_squared,
-        }
+        payload = {**asdict(self),
+                   "pairs": [{"y": y, "y_pred": yp, "f": f} for y, yp, f in self.pairs]}
         return json.dumps(payload, indent=2) + "\n"
 
 

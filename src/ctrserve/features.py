@@ -7,10 +7,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .catalog import Placement, TrainingRow
+from .catalog import FEATURE_NAMES, Placement, TrainingRow
 from .errors import ContractError, CtrServeError, DegenerateFeatureError, EncodingError
-
-FEATURE_NAMES = ("placement", "size", "bid", "keyword_value")
 
 DEFAULT_SIZE_REGISTRY = ("300x250", "728x90", "160x600")
 

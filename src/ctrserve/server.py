@@ -4,7 +4,6 @@ snapshot reload."""
 
 from __future__ import annotations
 
-import csv
 import json
 import threading
 import time
@@ -15,10 +14,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
-from .catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement,
-                      RequestContext, keyword_set, keywords_field, parse_ad_catalog,
-                      write_event_row)
-from .errors import ContractError, EncodingError, ValidationError
+from .catalog import (AdCreative, EventRow, Placement, RequestContext, _check, keyword_set,
+                      keywords_field, parse_ad_catalog, start_event_log, write_event_row)
+from .errors import ContractError, EncodingError, ParseError, ValidationError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from .keywords import KeywordMap, load_keyword_map, resolve_page_value
 from .regression import RegressionModel, load_model, predict
@@ -42,12 +40,7 @@ class AdResponse:
     score: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps({
-            "status": self.status, "mode": self.mode,
-            "latency_micros": self.latency_micros, "ad_id": self.ad_id,
-            "campaign_id": self.campaign_id, "landing_page": self.landing_page,
-            "size": self.size, "score": self.score,
-        })
+        return json.dumps(vars(self))
 
 
 def keyword_overlap(ad: AdCreative, request: RequestContext) -> int:
@@ -164,18 +157,22 @@ def serve(request: RequestContext, mode: str, state: ServingState) -> AdResponse
 
 class EventLogWriter:
     """Append-only event log in the event-log CSV format, held open from
-    construction to `close()`. Appends are serialized per writer; each row
-    is flushed to the operating system when it is written, but never
-    fsynced, so a host crash can lose recent rows."""
+    construction to `close()`. A file that `catalog.start_event_log` refuses
+    raises ParseError naming the path, and its bytes are left as they were.
+    Appends are serialized per writer; each row is flushed to the operating
+    system when it is written, but never fsynced, so a host crash can lose
+    recent rows."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._fh = open(self.path, "a", newline="")
-        self._writer = csv.writer(self._fh)
-        if self._fh.tell() == 0:
-            self._writer.writerow(EVENT_LOG_HEADER)
-            self._fh.flush()
+        self._fh = open(self.path, "a+", newline="")
+        try:
+            self._writer = start_event_log(self._fh)
+        except ParseError as exc:
+            self._fh.close()
+            raise ParseError(f"cannot append to event log {self.path}: {exc}") from exc
+        self._fh.flush()
 
     def record_event(self, state: ServingState, ad_id: str,
                      request: RequestContext, clicked: bool,
@@ -249,9 +246,8 @@ def _request_context(fields: Mapping, page_keywords: frozenset[str]) -> RequestC
     wrong type or value raises ValueError."""
     placement = Placement(fields.get("placement", Placement.ABOVE_FOLD.value))
     text = {name: fields.get(name, "") for name in _TEXT_FIELDS}
-    bad = [name for name, value in text.items() if not isinstance(value, str)]
-    if bad:
-        raise ValueError(f"{', '.join(bad)} must be a string")
+    for name, value in text.items():
+        _check(isinstance(value, str), name, value)
     return RequestContext(
         placement=placement, size=text["size"], category=text["category"],
         page_keywords=page_keywords,
@@ -277,12 +273,10 @@ def _parse_event(body: bytes) -> tuple[str, RequestContext, bool]:
     if not isinstance(payload, dict):
         raise ValueError("event body must be a JSON object")
     ad_id = payload.get("ad_id")
-    if not isinstance(ad_id, str):
-        raise ValueError("ad_id must be a string")
+    _check(isinstance(ad_id, str), "ad_id", ad_id)
     keywords = keyword_set(payload.get("keywords", []))
     clicked = payload.get("clicked", False)
-    if not isinstance(clicked, bool):
-        raise ValueError("clicked must be true or false")
+    _check(isinstance(clicked, bool), "clicked", clicked)
     return ad_id, _request_context(payload, keywords), clicked
 
 

@@ -3,15 +3,14 @@ truth, so every pipeline stage can be exercised at scale."""
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import random
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement, keywords_field,
-                      serialize_ad_catalog, write_event_row)
+from .catalog import (AdCreative, EventRow, Placement, keywords_field, serialize_ad_catalog,
+                      start_event_log, write_event_row)
 from .errors import CtrServeError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from .keywords import KeywordMap, resolve_page_value, save_keyword_map
@@ -110,8 +109,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
     theta = config.true_theta
     centroids = list(PLANTED_CLUSTERS)
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(EVENT_LOG_HEADER)
+    writer = start_event_log(buf)
     for i in range(config.n_events):
         ad = ads[rng.randrange(len(ads))]
         placement = Placement.ABOVE_FOLD if rng.random() < 0.5 else Placement.BELOW_FOLD

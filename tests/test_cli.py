@@ -13,6 +13,7 @@ import pytest
 import ctrserve
 from _oracles import least_squares_exact
 from ctrserve import sample_data
+from ctrserve.catalog import EVENT_LOG_HEADER
 from ctrserve.cli import build_parser, main
 from ctrserve.features import FeatureSchema, build_design_matrix
 
@@ -437,6 +438,41 @@ def test_serve_on_a_port_in_use_is_an_error_and_prints_no_port(tmp_path):
             proc.kill()
     assert proc.returncode == 1 and out == ""
     assert "error" in json.loads(err.strip().splitlines()[-1])
+
+
+def test_serve_on_a_port_in_use_closes_its_event_log(tmp_path):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        proc = child_python("-X", "dev", "-W", "always::ResourceWarning", "-m", "ctrserve.cli",
+                            "serve", "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
+                            "--out", str(tmp_path / "events.csv"),
+                            "--port", str(taken.getsockname()[1]))
+        try:
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert proc.returncode == 1 and out == ""
+    [line] = err.splitlines()  # the error and no ResourceWarning
+    assert "error" in json.loads(line)
+
+
+@pytest.mark.parametrize("content", [
+    b"a,b\n1,2\n",
+    (",".join(EVENT_LOG_HEADER) + "\r\n1,boots-01,above_fold,300x250,sports,epl,,,,,,0").encode(),
+], ids=["other header", "unterminated last row"])
+def test_serve_refuses_an_event_log_it_cannot_extend(tmp_path, capsys, content):
+    path = tmp_path / "events.csv"
+    path.write_bytes(content)
+    with socket.socket() as taken:  # a server that took the log could not serve and hang
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        rc = main(["serve", "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
+                   "--out", str(path), "--port", str(taken.getsockname()[1])])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(path) in json.loads(err[0])["error"]
+    assert path.read_bytes() == content
 
 
 def test_cli_import_loads_neither_numpy_nor_the_http_server():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctrserve.errors import ContractError, CtrServeError
 from ctrserve.evaluation import evaluate, export_cost_trace, r_squared, standard_error
@@ -53,6 +53,8 @@ class TestRSquared:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=3, max_size=20),
            st.floats(-5, 5), st.floats(0.1, 10))
+    # R2 near -1.5e6: the mapped inputs round in the last bit, a relative gap of 2e-13
+    @example(pairs=[(0.0, 0.0), (0.0, 0.0), (0.001, 1.0)], shift=1.0, scale=1.0)
     def test_affine_invariance(self, pairs, shift, scale):
         y = [a for a, _ in pairs]
         y_pred = [b for _, b in pairs]
@@ -61,7 +63,7 @@ class TestRSquared:
         base = r_squared(y, y_pred)
         mapped = r_squared([a * scale + shift for a in y],
                            [b * scale + shift for b in y_pred])
-        assert mapped == pytest.approx(base, abs=1e-9)
+        assert mapped == pytest.approx(base, rel=1e-9, abs=1e-9)
 
     def test_adding_perfect_point_never_decreases(self):
         y = [0.01, 0.05, 0.09]

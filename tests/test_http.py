@@ -207,6 +207,19 @@ def test_event_malformed_body_is_400(running_server, payload):
     assert "boots-01" not in srv.event_log.path.read_text()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ad_id", ["boots-01"] * 5000), ("size", 300), ("city", {"name": "Lahore"}),
+    ("clicked", "false"),
+])
+def test_mistyped_event_field_is_400_naming_it_briefly(running_server, field, value):
+    _, base = running_server
+    status, body = http_post(base + "/event", {"ad_id": "boots-01", "keywords": ["football"],
+                                               field: value})
+    assert status == 400
+    error = json.loads(body)["error"]
+    assert field in error and len(error) < 200
+
+
 def test_event_deeply_nested_body_is_400(running_server):
     _, base = running_server
     body = b"[" * 20000 + b"]" * 20000

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from _oracles import brute_force_best_by_bid, brute_force_best_by_ctr, eligible_
 from conftest import make_context
 from ctrserve import server
 from ctrserve.catalog import AdCreative, Placement, read_event_log
-from ctrserve.errors import ContractError, ValidationError
+from ctrserve.errors import ContractError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from ctrserve.keywords import resolve_page_value
 from ctrserve.regression import TrainingConfig, predict, train
@@ -397,6 +398,52 @@ class TestEventLogWriter:
             log.record_event(state, "a1", make_context(size="999x1"), clicked=False)
         log.close()
         assert list(read_event_log((tmp_path / "events.csv").read_text())) == []
+
+    @staticmethod
+    def written_log(path, n_rows):
+        """The bytes of a log that EventLogWriter wrote with `n_rows` rows."""
+        log = EventLogWriter(path)
+        state = ServingState(catalog=(make_ad("a1"),))
+        for i in range(n_rows):
+            log.record_event(state, "a1", make_context(), clicked=i % 2 == 1, timestamp=i + 1)
+        log.close()
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("case", ["other header", "unterminated last row",
+                                      "unterminated header", "blank first line",
+                                      "unterminated multibyte last row", "not utf-8"])
+    def test_log_that_would_not_read_back_is_refused_unchanged(self, tmp_path, case):
+        valid = self.written_log(tmp_path / "valid.csv", 2)
+        header_only = self.written_log(tmp_path / "header.csv", 0)
+        content = {
+            "other header": b"a,b\n1,2\n",
+            "unterminated last row": valid[:-2],
+            "unterminated header": header_only[:-2],
+            "blank first line": b"\r\n" + valid,
+            "unterminated multibyte last row": valid + "1,a1,above_fold,caf\u00e9".encode(),
+            "not utf-8": b"\xff\xfe" + valid,
+        }[case]
+        path = tmp_path / "events.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            EventLogWriter(path)
+        assert path.read_bytes() == content
+
+    @pytest.mark.parametrize("n_rows", [None, 0, 2])  # an empty file, a header-only log, 2 rows
+    def test_existing_log_is_extended_and_reads_back(self, tmp_path, n_rows):
+        path = tmp_path / "events.csv"
+        if n_rows is None:
+            path.write_bytes(b"")
+        else:
+            self.written_log(path, n_rows)
+        before = path.read_bytes()
+        rows_before = list(read_event_log(before.decode()))
+        log = EventLogWriter(path)
+        row = log.record_event(ServingState(catalog=(make_ad("a1"),)), "a1", make_context(),
+                               clicked=True, timestamp=99)
+        log.close()
+        assert path.read_bytes().startswith(before)
+        assert list(read_event_log(path.read_text())) == rows_before + [row]
 
     @pytest.mark.parametrize("timestamp, keywords", [
         (0, ("football",)), (-1, ("football",)), (1, ()), (1, ("foot;ball",)),
