@@ -344,11 +344,20 @@ def _read_table(stream, header: list[str], name: str, convert) -> list:
     return rows
 
 
+def _finite(field: str) -> float:
+    """A table field as a float; nan and inf are refused like any other
+    text that is not a number."""
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"{field!r} is not a finite number")
+    return value
+
+
 def _training_row(row: list[str]) -> TrainingRow:
     if len(row) != len(TRAINING_TABLE_HEADER):
         raise ValueError(f"{len(row)} fields, expected {len(TRAINING_TABLE_HEADER)}")
     placement, size, bid, keyword_value, ctr = row
-    return TrainingRow(int(placement), int(size), float(bid), float(keyword_value), float(ctr))
+    return TrainingRow(int(placement), int(size), _finite(bid), _finite(keyword_value), _finite(ctr))
 
 
 def parse_training_table(stream) -> list[TrainingRow]:
@@ -357,7 +366,7 @@ def parse_training_table(stream) -> list[TrainingRow]:
 
 
 def _pair(row: list[str]) -> tuple[float, float]:
-    observed, predicted = map(float, row)  # a field that is not a number, or not two fields
+    observed, predicted = map(_finite, row)  # a field that is not a number, or not two fields
     return observed, predicted
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import threading
@@ -13,8 +14,9 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
-# numpy and the HTTP server are imported by the commands that use them, so
-# that map-keywords, say, does not pay for loading them.
+# The HTTP server is imported by `serve` alone, and numpy only by the fitting
+# functions that `train` calls, so that the other commands do not pay for
+# loading them.
 from . import keywords
 from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, Placement, aggregate_events,
                       keyword_set, page_keywords, parse_ad_catalog, parse_pairs_table,
@@ -183,7 +185,7 @@ def cmd_train(args) -> int:
     model = regression.train(rows, keyword_map, config)
     Path(args.out).write_text(regression.save_model(model))
     matrix_cost = model.cost_trace[-1] if model.cost_trace else None
-    print(f"theta: {[float(t) for t in model.theta]}")
+    print(f"theta: {list(model.theta)}")
     if matrix_cost is not None:
         trace_path = args.out + ".trace.csv"
         with open(trace_path, "w", newline="") as fh:
@@ -210,6 +212,9 @@ def cmd_predict(args) -> int:
         with open(args.map_path) as fh:
             keyword_map = keywords.load_keyword_map(fh)
         kw_value = keywords.resolve_page_value(keyword_map, keyword_set([args.keyword]))
+    for name, value in (("bid", args.bid), ("keyword value", kw_value)):
+        if not math.isfinite(value):
+            raise CtrServeError(f"{name} must be a finite number, got {value}")
     placement_code = encode_placement(Placement(args.placement))
     size_code = encode_size(args.size, DEFAULT_SIZE_REGISTRY)
     ctr = regression.predict(model, (placement_code, size_code, args.bid, kw_value))

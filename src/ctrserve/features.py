@@ -1,11 +1,16 @@
-"""Categorical encodings, design-matrix assembly and z-score scaling."""
+"""Categorical encodings, design-matrix assembly and z-score scaling.
+
+Serving scales one feature vector at a time in plain floats
+(`transform_row`); only the matrix functions import numpy, so `predict`
+and the server run without it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .catalog import FEATURE_NAMES, Placement, TrainingRow
 from .errors import ContractError, CtrServeError, DegenerateFeatureError, EncodingError
@@ -35,6 +40,8 @@ class DesignMatrix:
     include_intercept: bool
 
     def __post_init__(self):
+        import numpy as np
+
         if self.X.ndim != 2 or self.X.shape[0] < 1:
             raise ContractError(f"design matrix must be 2-D and nonempty, got shape {self.X.shape}")
         if self.y.shape != (self.X.shape[0],):
@@ -50,10 +57,14 @@ class DesignMatrix:
 @dataclass(frozen=True)
 class ScalerStats:
     """Per-column mean and sample (n-1) standard deviation of the
-    non-intercept feature columns."""
+    non-intercept feature columns, stored as tuples of floats."""
 
-    means: np.ndarray
-    stds: np.ndarray
+    means: tuple[float, ...]
+    stds: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "means", tuple(map(float, self.means)))
+        object.__setattr__(self, "stds", tuple(map(float, self.stds)))
 
 
 def encode_placement(p: Placement) -> int:
@@ -70,6 +81,8 @@ def encode_size(label: str, registry: Sequence[str]) -> int:
 
 def build_design_matrix(rows: Sequence[TrainingRow], schema: FeatureSchema) -> DesignMatrix:
     """One matrix row per TrainingRow, columns in schema order, y = ctr."""
+    import numpy as np
+
     if not rows:
         raise CtrServeError("cannot build a design matrix from zero rows")
     feats = np.array(
@@ -101,8 +114,8 @@ def fit_scaler(matrix: DesignMatrix) -> ScalerStats:
 
 
 def _check_arity(scaler: ScalerStats, width: int) -> None:
-    if width != scaler.means.shape[0]:
-        raise ContractError(f"scaler expects {scaler.means.shape[0]} feature columns, got {width}")
+    if width != len(scaler.means):
+        raise ContractError(f"scaler expects {len(scaler.means)} feature columns, got {width}")
 
 
 def transform(scaler: ScalerStats, matrix: DesignMatrix) -> DesignMatrix:
@@ -114,9 +127,9 @@ def transform(scaler: ScalerStats, matrix: DesignMatrix) -> DesignMatrix:
     return DesignMatrix(X=X, y=matrix.y.copy(), include_intercept=matrix.include_intercept)
 
 
-def transform_row(scaler: ScalerStats, raw: Sequence[float]) -> np.ndarray:
+def transform_row(scaler: ScalerStats, raw: Sequence[float]) -> tuple[float, ...]:
     """Inference-time counterpart of transform for one raw feature vector
-    (without the ones entry)."""
-    raw = np.asarray(raw, dtype=float)
-    _check_arity(scaler, raw.shape[0])
-    return (raw - scaler.means) / scaler.stds
+    (without the ones entry). Each entry is the same IEEE subtraction and
+    division as in `transform`, so it keeps the matrix's bits."""
+    _check_arity(scaler, len(raw))
+    return tuple((float(x) - m) / s for x, m, s in zip(raw, scaler.means, scaler.stds))

@@ -1,13 +1,18 @@
 """Linear CTR model: prediction, cost, batch gradient descent and the
-closed-form normal equation, plus model persistence."""
+closed-form normal equation, plus model persistence.
+
+The model and `predict` are plain Python floats; only the fitting
+functions import numpy, so serving, `predict` and `evaluate` never load it."""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .catalog import _NUMBER, TrainingRow, _as_text, _check, _list_of
 from .errors import (ContractError, CtrServeError, DegenerateFeatureError,
@@ -38,8 +43,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.method not in (GRADIENT_DESCENT, NORMAL_EQUATION):
             raise ContractError(f"unknown training method {self.method!r}")
-        if self.alpha <= 0:
-            raise ContractError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ContractError(f"alpha must be positive and finite, got {self.alpha}")
         if self.iterations <= 0:
             raise ContractError(f"iterations must be positive, got {self.iterations}")
         if self.scale_features is None:
@@ -48,26 +53,31 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class RegressionModel:
-    theta: np.ndarray
+    """theta is stored as a tuple of floats; any sequence of numbers is
+    accepted and converted."""
+
+    theta: tuple[float, ...]
     scaler: Optional[ScalerStats]
     config: TrainingConfig
     cost_trace: tuple[float, ...] = ()
     keyword_map_ref: str = ""
 
     def __post_init__(self):
-        if self.theta.shape != (self.schema.n_columns,):
-            raise ContractError(f"theta has shape {self.theta.shape}, the schema needs "
-                                f"{self.schema.n_columns} values")
-        if not np.isfinite(self.theta).all():
+        theta = tuple(map(float, self.theta))
+        object.__setattr__(self, "theta", theta)
+        if len(theta) != self.schema.n_columns:
+            raise ContractError(f"theta has {len(theta)} values, the schema needs "
+                                f"{self.schema.n_columns}")
+        if not all(map(math.isfinite, theta)):
             raise ContractError("theta must be finite")
         if (self.scaler is not None) != bool(self.config.scale_features):
             raise ContractError("scaler must be present iff scale_features is set")
         if self.scaler is not None:
-            width = (len(FEATURE_NAMES),)
-            if self.scaler.means.shape != width or self.scaler.stds.shape != width:
-                raise ContractError(f"scaler means and stds must each have {width[0]} values")
-            if not (np.isfinite(self.scaler.means).all() and np.isfinite(self.scaler.stds).all()
-                    and (self.scaler.stds > 0).all()):
+            width = len(FEATURE_NAMES)
+            if len(self.scaler.means) != width or len(self.scaler.stds) != width:
+                raise ContractError(f"scaler means and stds must each have {width} values")
+            if not (all(map(math.isfinite, self.scaler.means + self.scaler.stds))
+                    and all(s > 0 for s in self.scaler.stds)):
                 raise ContractError("scaler means must be finite and stds finite and > 0")
 
     @property
@@ -78,23 +88,30 @@ class RegressionModel:
     def bid_weight(self) -> float:
         """theta's bid coefficient. Scaling divides bid by a positive std,
         so its sign is the sign of the score's slope in bid."""
-        return float(self.theta[FEATURE_NAMES.index("bid") + self.config.include_intercept])
+        return self.theta[FEATURE_NAMES.index("bid") + self.config.include_intercept]
 
 
 def predict(model: RegressionModel, raw: Sequence[float]) -> float:
     """Predicted CTR for one raw feature vector (placement code, size code,
-    bid, keyword value). Output is deliberately not clamped to [0,1]."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape != (len(FEATURE_NAMES),):
-        raise ContractError(f"expected {len(FEATURE_NAMES)} features, got shape {raw.shape}")
+    bid, keyword value). Output is deliberately not clamped to [0,1].
+
+    The score is the correctly rounded sum (`math.fsum`) of the products
+    theta_i * x_i, the intercept's x being 1.0. So with the other features
+    fixed it never falls as bid rises when the bid weight is positive, and
+    never rises when it is negative, which the server's ordered scan needs."""
+    raw = tuple(map(float, raw))
+    if len(raw) != len(FEATURE_NAMES):
+        raise ContractError(f"expected {len(FEATURE_NAMES)} features, got {len(raw)}")
     feats = transform_row(model.scaler, raw) if model.scaler is not None else raw
     if model.config.include_intercept:
-        feats = np.concatenate([[1.0], feats])
-    return float(feats @ model.theta)
+        feats = (1.0, *feats)
+    return math.fsum(t * x for t, x in zip(model.theta, feats))
 
 
 def cost(theta: np.ndarray, matrix: DesignMatrix) -> float:
     """Half mean squared residual: (1/2m) * sum((h(x) - y)^2)."""
+    import numpy as np
+
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (matrix.X.shape[1],):
         raise ContractError(f"theta length {theta.shape} does not match {matrix.X.shape[1]} columns")
@@ -111,6 +128,8 @@ def gradient_descent(matrix: DesignMatrix,
                      config: TrainingConfig) -> tuple[np.ndarray, tuple[float, ...]]:
     """Exactly `config.iterations` simultaneous batch updates from theta = 0;
     trace[t] is the cost after update t."""
+    import numpy as np
+
     theta = np.zeros(matrix.X.shape[1])
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -126,6 +145,8 @@ def gradient_descent(matrix: DesignMatrix,
 def normal_equation(matrix: DesignMatrix) -> np.ndarray:
     """Solve (X^T X) theta = X^T y with a stable linear solve; rank
     deficiency is a hard error, never a silent pseudo-inverse."""
+    import numpy as np
+
     XtX = matrix.X.T @ matrix.X
     Xty = matrix.X.T @ matrix.y
     condition = float(np.linalg.cond(XtX))
@@ -158,6 +179,8 @@ def train(rows: Sequence[TrainingRow], keyword_map, config: TrainingConfig) -> R
 def simple_regression(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Single-feature fit with intercept via the normal equation; returns
     (intercept, slope)."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 2:
@@ -174,15 +197,15 @@ def save_model(model: RegressionModel) -> str:
     payload = {
         "version": MODEL_FORMAT_VERSION,
         "method": model.config.method,
-        "theta": [float(t) for t in model.theta],
+        "theta": list(model.theta),
         "schema": {
             "features": list(FEATURE_NAMES),
             "include_intercept": model.config.include_intercept,
             "size_registry": list(DEFAULT_SIZE_REGISTRY),
         },
         "scaler": None if model.scaler is None else {
-            "means": [float(v) for v in model.scaler.means],
-            "stds": [float(v) for v in model.scaler.stds],
+            "means": list(model.scaler.means),
+            "stds": list(model.scaler.stds),
         },
         "config": {"alpha": model.config.alpha, "iterations": model.config.iterations},
         "cost_trace": [float(c) for c in model.cost_trace],
@@ -215,10 +238,8 @@ def load_model(stream) -> RegressionModel:
         scaler = None
         if scaler_payload is not None:
             scaler = ScalerStats(
-                means=np.array(_list_of(scaler_payload["means"], _NUMBER, "scaler.means"),
-                               dtype=float),
-                stds=np.array(_list_of(scaler_payload["stds"], _NUMBER, "scaler.stds"),
-                              dtype=float))
+                means=_list_of(scaler_payload["means"], _NUMBER, "scaler.means"),
+                stds=_list_of(scaler_payload["stds"], _NUMBER, "scaler.stds"))
         alpha, iterations = payload["config"]["alpha"], payload["config"]["iterations"]
         _check(type(alpha) in _NUMBER, "config.alpha", alpha)
         _check(type(iterations) is int, "config.iterations", iterations)
@@ -232,7 +253,7 @@ def load_model(stream) -> RegressionModel:
         keyword_map_ref = payload.get("keyword_map_ref", "")
         _check(type(keyword_map_ref) is str, "keyword_map_ref", keyword_map_ref)
         return RegressionModel(
-            theta=np.array(_list_of(payload["theta"], _NUMBER, "theta"), dtype=float),
+            theta=_list_of(payload["theta"], _NUMBER, "theta"),
             scaler=scaler,
             config=config,
             cost_trace=tuple(map(float, _list_of(payload["cost_trace"], _NUMBER, "cost_trace"))),

@@ -289,6 +289,9 @@ def test_training_table_round_trip(table6_rows):
     with pytest.raises(ParseError, match="training row 2: 6 fields"):
         parse_training_table("placement,size,bid,keyword_value,ctr\n"
                              "1,1,20,50,0.1\n1,1,20,50,0.1,GARBAGE\n")
+    for row in ("1,1,inf,50,0.1", "1,1,20,inf,0.1", "1,1,20,50,inf"):
+        with pytest.raises(ParseError, match="training row 2: 'inf' is not a finite number"):
+            parse_training_table(f"placement,size,bid,keyword_value,ctr\n1,1,20,50,0.1\n{row}\n")
 
 
 @given(st.lists(st.text()))
@@ -316,6 +319,8 @@ def test_pairs_table(table10_pairs):
     ("y,y_pred\n0.1,abc\n", "pairs row 1"),
     ("y,y_pred\n0.1,0.2\n0.3\n", "pairs row 2: not enough values"),
     ("y,y_pred\n0.1,0.2,0.3\n", "pairs row 1: too many values"),
+    ("y,y_pred\n0.1,0.2\n0.1,nan\n", "pairs row 2: 'nan' is not a finite number"),
+    ("y,y_pred\n-Infinity,0.2\n", "pairs row 1: '-Infinity' is not a finite number"),
 ])
 def test_bad_pairs_table(text, message):
     with pytest.raises(ParseError, match=message):

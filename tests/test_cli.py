@@ -144,6 +144,47 @@ def test_predict_with_another_size_registry_is_json_error(tmp_path, capsys, regi
     assert "schema.size_registry" in json.loads(err[0])["error"]
 
 
+@pytest.mark.parametrize("bid, keyword", [("nan", "51"), ("inf", "51"), ("22", "nan"),
+                                          ("22", "infinity"), ("1e999", "51")])
+def test_predict_refuses_a_non_finite_number(capsys, bid, keyword):
+    rc = main(["predict", "--model", sample_data.fixture_path("model_normal_eq.json"),
+               "above_fold", "300x250", bid, keyword])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert "must be a finite number" in json.loads(err[0])["error"]
+
+
+@pytest.mark.parametrize("command, field", [("train", "nan"), ("train", "-inf"),
+                                            ("evaluate", "nan"), ("evaluate", "Infinity")])
+def test_non_finite_table_field_is_json_error_naming_the_row(tmp_path, capsys, command, field):
+    data = tmp_path / "table.csv"
+    data.write_text("placement,size,bid,keyword_value,ctr\n1,1,20,50,0.1\n"
+                    f"0,2,{field},51,0.02\n")
+    model = tmp_path / "model.json"
+    if command == "evaluate":
+        model.write_text(sample_data._read("model_normal_eq.json"))
+    args = {"train": ["--method", "normal", "--out", str(model)],
+            "evaluate": ["--model", str(model)]}[command]
+    assert main([command, "--data", str(data), *args]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0])["error"] == f"training row 2: {field!r} is not a finite number"
+    assert command == "evaluate" or not model.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
+def test_train_refuses_an_alpha_that_is_not_positive_and_finite(tmp_path, capsys, alpha):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", sample_data.fixture_path("training_sample.csv"),
+                 "--method", "normal", "--alpha", alpha, "--out", str(model)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "alpha must be positive and finite" in json.loads(err[0])["error"]
+    assert not model.exists()
+
+
 def test_predict_unknown_size(capsys):
     rc = main(["predict", "--model", sample_data.fixture_path("model_normal_eq.json"),
                "above_fold", "999x1", "22", "51"])
@@ -173,7 +214,8 @@ def test_predict_keyword_token_is_normalized_like_a_page_keyword(capsys):
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("text", ["y,y_pred\n0.03,abc\n", "y,y_pred\n0.03\n"])
+@pytest.mark.parametrize("text", ["y,y_pred\n0.03,abc\n", "y,y_pred\n0.03\n",
+                                  "y,y_pred\n0.03,nan\n", "y,y_pred\ninf,0.03\n"])
 def test_evaluate_bad_pairs_is_json_error(tmp_path, capsys, text):
     path = tmp_path / "pairs.csv"
     path.write_text(text)
@@ -481,3 +523,51 @@ def test_cli_import_loads_neither_numpy_nor_the_http_server():
     out, err = proc.communicate(timeout=30)
     assert proc.returncode == 0, err
     assert out.strip() == "[]"
+
+
+NUMPY_FREE_ONLINE_HALF = """
+import json, sys, tempfile, urllib.request
+from pathlib import Path
+
+loaded = {}
+import ctrserve.server
+loaded["import ctrserve.server"] = "numpy" in sys.modules
+
+from ctrserve import sample_data
+from ctrserve.cli import main
+from ctrserve.server import AdServer, ServerConfig
+
+fixture = sample_data.fixture_path
+model = fixture("model_normal_eq.json")
+with tempfile.TemporaryDirectory() as tmp:
+    srv = AdServer(ServerConfig(catalog_path=fixture("ad_catalog_sample.json"), model_path=model,
+                                map_path=fixture("keyword_map_sports.json"),
+                                event_log_path=str(Path(tmp) / "events.csv"), port=0))
+    try:
+        base = f"http://127.0.0.1:{srv.start()}"
+        with urllib.request.urlopen(base + "/ad?placement=above_fold&size=300x250"
+                                    "&category=sports&keywords=football&country=PK&mode=ctr") as r:
+            assert json.load(r)["status"] == "filled"
+        with urllib.request.urlopen(urllib.request.Request(base + "/reload", data=b"{}")) as r:
+            assert r.status == 200
+    finally:
+        srv.stop()
+loaded["serve a ctr /ad and a /reload"] = "numpy" in sys.modules
+
+assert main(["predict", "--model", model, "above_fold", "300x250", "22", "51"]) == 0
+loaded["predict"] = "numpy" in sys.modules
+for data in ("validation_sample.csv", "validation_pairs.csv"):
+    assert main(["evaluate", "--model", model, "--data", fixture(data)]) == 0
+loaded["evaluate"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_online_half_never_loads_numpy():
+    proc = child_python("-c", NUMPY_FREE_ONLINE_HALF)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert json.loads(out.splitlines()[-1]) == {
+        "import ctrserve.server": False, "serve a ctr /ad and a /reload": False,
+        "predict": False, "evaluate": False}
+

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _oracles import least_squares_exact
 from ctrserve.errors import (ContractError, CtrServeError, DegenerateFeatureError,
                              DivergenceError, ModelLoadError, SingularMatrixError)
-from ctrserve.features import DesignMatrix, FeatureSchema, build_design_matrix, fit_scaler, transform
+from ctrserve.features import (FEATURE_NAMES, DesignMatrix, FeatureSchema, ScalerStats,
+                               build_design_matrix, fit_scaler, transform)
 from ctrserve.regression import (GRADIENT_DESCENT, NORMAL_EQUATION, RegressionModel,
                                  TrainingConfig, cost, gradient, gradient_descent,
                                  load_model, normal_equation, predict, save_model,
@@ -30,7 +33,74 @@ def random_design(rng, m=None, n=None, y_unit=False):
     return DesignMatrix(X=X, y=y, include_intercept=False)
 
 
+def finite_floats(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def linear_models(draw, scaled, bid_sign=None):
+    """A model with random theta, with or without an intercept; `scaled`
+    adds random scaler stats, and `bid_sign` fixes the bid weight's sign."""
+    include_intercept = draw(st.booleans())
+    theta = draw(st.lists(finite_floats(-1e3, 1e3), min_size=len(FEATURE_NAMES) + include_intercept,
+                          max_size=len(FEATURE_NAMES) + include_intercept))
+    if bid_sign is not None:
+        bid = FEATURE_NAMES.index("bid") + include_intercept
+        theta[bid] = bid_sign * abs(theta[bid])
+    scaler = None
+    if scaled:
+        width = len(FEATURE_NAMES)
+        scaler = ScalerStats(
+            means=draw(st.lists(finite_floats(-1e3, 1e3), min_size=width, max_size=width)),
+            stds=draw(st.lists(finite_floats(1e-3, 1e3), min_size=width, max_size=width)))
+    config = TrainingConfig(method=NORMAL_EQUATION, include_intercept=include_intercept,
+                            scale_features=scaled)
+    return RegressionModel(theta=theta, scaler=scaler, config=config)
+
+
+RAW_FEATURES = st.lists(finite_floats(-1e6, 1e6), min_size=len(FEATURE_NAMES),
+                        max_size=len(FEATURE_NAMES))
+
+
+def numpy_terms(model, raw):
+    """theta and the scaled feature vector (ones entry first) built with
+    numpy; `float(feats @ theta)` is the reference formula for predict."""
+    scaled = np.asarray(raw, dtype=float)
+    if model.scaler is not None:
+        scaled = (scaled - np.array(model.scaler.means)) / np.array(model.scaler.stds)
+    if model.config.include_intercept:
+        scaled = np.concatenate([[1.0], scaled])
+    return np.array(model.theta), scaled
+
+
 class TestPredict:
+    @pytest.mark.parametrize("scaled", [False, True])
+    @given(data=st.data(), raw=RAW_FEATURES)
+    def test_matches_numpy_dot_product(self, scaled, data, raw):
+        model = data.draw(linear_models(scaled))
+        theta, feats = numpy_terms(model, raw)
+        # numpy's dot product and fsum each err by a few units of 2**-53 of
+        # sum |theta_i x_i|; products that underflow add a few 2**-1074.
+        bound = 8 * 2.0 ** -52 * float(np.abs(theta * feats).sum()) + 8 * 2.0 ** -1074
+        assert abs(predict(model, raw) - float(feats @ theta)) <= bound
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("sign", [1.0, 0.0, -1.0])
+    @given(data=st.data(), raw=RAW_FEATURES, bids=st.lists(finite_floats(-1e6, 1e6), min_size=2,
+                                                           max_size=2))
+    def test_monotone_in_bid(self, scaled, sign, data, raw, bids):
+        model = data.draw(linear_models(scaled, bid_sign=sign))
+        low, high = sorted(bids)
+        at = FEATURE_NAMES.index("bid")
+        score_low = predict(model, raw[:at] + [low] + raw[at + 1:])
+        score_high = predict(model, raw[:at] + [high] + raw[at + 1:])
+        if model.bid_weight > 0:
+            assert score_low <= score_high
+        elif model.bid_weight < 0:
+            assert score_low >= score_high
+        else:
+            assert score_low == score_high
+
     def test_paper_coefficients(self, paper_model):
         value = predict(paper_model, (1, 1, 22, 51))
         assert value == pytest.approx(0.048338, abs=2e-4)

@@ -82,7 +82,7 @@ def assert_matches_oracles(catalog, request, model, keyword_map):
 
 
 def with_bid_weight(model, weight):
-    theta = model.theta.copy()
+    theta = list(model.theta)
     theta[3] = weight  # intercept, placement, size, bid, keyword value
     return dataclasses.replace(model, theta=theta)
 
@@ -222,7 +222,7 @@ class TestCtrScan:
             assert_matches_oracles(catalog, random_request(rng), model, sports_map)
 
     def test_negative_weight_rounded_tie_goes_to_higher_bid(self, paper_model, sports_map):
-        model = with_bid_weight(paper_model, -1e-19)
+        model = with_bid_weight(paper_model, -1e-21)
         request = make_context()
         kw_value = resolve_page_value(sports_map, request.page_keywords, mode="fallback")
 
