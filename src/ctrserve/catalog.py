@@ -51,21 +51,19 @@ class AdCreative:
 class RequestContext:
     """One page-view request: publisher features plus raw viewer features.
 
-    Viewer fields (location/ip/browser) are carried through logging but
-    never enter the regression features.
+    Viewer fields (area/city/country/ip/browser) are carried through
+    logging but never enter the regression features.
     """
 
     placement: Placement
     size: str
     category: str
     page_keywords: frozenset[str]
-    location: tuple[str, str, str] = ("", "", "")  # (area, city, country)
+    area: str = ""
+    city: str = ""
+    country: str = ""
     ip: str = ""
     browser: str = ""
-
-    @property
-    def country(self) -> str:
-        return self.location[2]
 
 
 @dataclass(frozen=True)
@@ -395,7 +393,7 @@ def aggregate_events(events: Iterable[EventRow], keyword_map) -> list[TrainingRo
     computed once per distinct `size` and `keywords` field; a field that
     cannot be encoded or resolved raises at its first row.
     """
-    from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
+    from .features import encode_placement, encode_size
     from .keywords import resolve_page_value
 
     placement_codes = {p: encode_placement(p) for p in Placement}
@@ -408,7 +406,7 @@ def aggregate_events(events: Iterable[EventRow], keyword_map) -> list[TrainingRo
                                   "read the log with a catalog to join bids")
         size_code = size_codes.get(size)
         if size_code is None:
-            size_code = size_codes[size] = encode_size(size, DEFAULT_SIZE_REGISTRY)
+            size_code = size_codes[size] = encode_size(size)
         value = page_values.get(keywords)
         if value is None:
             value = page_values[keywords] = resolve_page_value(keyword_map,

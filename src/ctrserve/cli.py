@@ -200,7 +200,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     from . import regression
-    from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
+    from .features import encode_placement, encode_size
 
     _require(args, "model")
     with open(args.model) as fh:
@@ -211,12 +211,13 @@ def cmd_predict(args) -> int:
         _require(args, "map_path")
         with open(args.map_path) as fh:
             keyword_map = keywords.load_keyword_map(fh)
+        regression.check_keyword_map(model, args.model, keyword_map, args.map_path)
         kw_value = keywords.resolve_page_value(keyword_map, keyword_set([args.keyword]))
     for name, value in (("bid", args.bid), ("keyword value", kw_value)):
         if not math.isfinite(value):
             raise CtrServeError(f"{name} must be a finite number, got {value}")
     placement_code = encode_placement(Placement(args.placement))
-    size_code = encode_size(args.size, DEFAULT_SIZE_REGISTRY)
+    size_code = encode_size(args.size)
     ctr = regression.predict(model, (placement_code, size_code, args.bid, kw_value))
     print(repr(ctr))
     return 0
@@ -229,23 +230,21 @@ def cmd_evaluate(args) -> int:
     with open(args.model) as fh:
         model = regression.load_model(fh)
     with _open_csv(args.data) as (fh, header):
-        if header == PAIRS_TABLE_HEADER:
-            # replay a stored (observed, predicted) pair table directly
+        pairs = header == PAIRS_TABLE_HEADER  # a stored (observed, predicted) table is replayed
+        if pairs:
             y, y_pred = parse_pairs_table(fh)
-            se = evaluation.standard_error(y, y_pred)
-            r2 = evaluation.r_squared(y, y_pred)
-            print(f"SE: {se}")
-            print(f"R2: {r2}")
-            if args.out:
-                Path(args.out).write_text(json.dumps({"se": se, "r_squared": r2}, indent=2) + "\n")
-            return 0
-        rows = parse_training_table(fh)
-    report = evaluation.evaluate(model, rows)
-    print(f"SE: {report.se}")
-    print(f"R2: {report.r_squared}")
+            se, r2 = evaluation.standard_error(y, y_pred), evaluation.r_squared(y, y_pred)
+            report_json = json.dumps({"se": se, "r_squared": r2}, indent=2) + "\n"
+        else:
+            report = evaluation.evaluate(model, parse_training_table(fh))
+            se, r2 = report.se, evaluation.defined_r_squared(report.ssto, report.r_squared)
+            report_json = report.to_json()
+    print(f"SE: {se}")
+    print(f"R2: {r2}")
     if args.out:
-        Path(args.out).write_text(report.to_json())
-        print(f"wrote {args.out}")
+        Path(args.out).write_text(report_json)
+        if not pairs:
+            print(f"wrote {args.out}")
     return 0
 
 

@@ -53,12 +53,18 @@ def standard_error(y: Sequence[float], y_pred: Sequence[float]) -> float:
     return _summary(y, y_pred)[3]
 
 
-def r_squared(y: Sequence[float], y_pred: Sequence[float]) -> float:
-    """1 - SSE/SSTO, with SSTO taken about the observed mean."""
-    _, _, ssto, _, r2 = _summary(y, y_pred)
+def defined_r_squared(ssto: float, r2: float) -> float:
+    """`r2`, unless SSTO is 0: a constant observed series has no R squared
+    and raises CtrServeError."""
     if ssto == 0.0:
         raise CtrServeError("observed values are constant; R squared is undefined")
     return r2
+
+
+def r_squared(y: Sequence[float], y_pred: Sequence[float]) -> float:
+    """1 - SSE/SSTO, with SSTO taken about the observed mean."""
+    _, _, ssto, _, r2 = _summary(y, y_pred)
+    return defined_r_squared(ssto, r2)
 
 
 def evaluate(model: RegressionModel, validation: Sequence[TrainingRow]) -> EvaluationReport:

@@ -7,27 +7,15 @@ and the server run without it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
-from .catalog import FEATURE_NAMES, Placement, TrainingRow
+from .catalog import Placement, TrainingRow
 from .errors import ContractError, CtrServeError, DegenerateFeatureError, EncodingError
 
 DEFAULT_SIZE_REGISTRY = ("300x250", "728x90", "160x600")
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Fixed feature order plus the size-label registry (1-based codes)."""
-
-    include_intercept: bool = True
-    size_registry: ClassVar[tuple[str, ...]] = DEFAULT_SIZE_REGISTRY
-
-    @property
-    def n_columns(self) -> int:
-        return len(FEATURE_NAMES) + (1 if self.include_intercept else 0)
 
 
 @dataclass(frozen=True)
@@ -71,16 +59,19 @@ def encode_placement(p: Placement) -> int:
     return 1 if p is Placement.ABOVE_FOLD or p == Placement.ABOVE_FOLD else 0
 
 
-def encode_size(label: str, registry: Sequence[str]) -> int:
-    """1-based code of a size label in the registry."""
+def encode_size(label: str) -> int:
+    """1-based code of a size label in DEFAULT_SIZE_REGISTRY."""
     try:
-        return registry.index(label) + 1
+        return DEFAULT_SIZE_REGISTRY.index(label) + 1
     except ValueError:
-        raise EncodingError(f"size {label!r} is not in the registry {list(registry)}") from None
+        raise EncodingError(f"size {label!r} is not in the registry "
+                            f"{list(DEFAULT_SIZE_REGISTRY)}") from None
 
 
-def build_design_matrix(rows: Sequence[TrainingRow], schema: FeatureSchema) -> DesignMatrix:
-    """One matrix row per TrainingRow, columns in schema order, y = ctr."""
+def build_design_matrix(rows: Sequence[TrainingRow],
+                        include_intercept: bool = True) -> DesignMatrix:
+    """One matrix row per TrainingRow, columns in FEATURE_NAMES order after
+    a leading ones column when `include_intercept`, y = ctr."""
     import numpy as np
 
     if not rows:
@@ -89,14 +80,10 @@ def build_design_matrix(rows: Sequence[TrainingRow], schema: FeatureSchema) -> D
         [[r.placement_code, r.size_code, r.bid, r.keyword_value] for r in rows],
         dtype=float,
     )
-    if schema.include_intercept:
+    if include_intercept:
         feats = np.hstack([np.ones((len(rows), 1)), feats])
     y = np.array([r.ctr for r in rows], dtype=float)
-    return DesignMatrix(X=feats, y=y, include_intercept=schema.include_intercept)
-
-
-def _feature_slice(matrix: DesignMatrix) -> slice:
-    return slice(1, None) if matrix.include_intercept else slice(0, None)
+    return DesignMatrix(X=feats, y=y, include_intercept=include_intercept)
 
 
 def fit_scaler(matrix: DesignMatrix) -> ScalerStats:
@@ -104,7 +91,7 @@ def fit_scaler(matrix: DesignMatrix) -> ScalerStats:
     column is never scaled. Constant columns fail fast."""
     if matrix.m < 2:
         raise CtrServeError(f"need at least 2 rows to fit a scaler, got {matrix.m}")
-    cols = matrix.X[:, _feature_slice(matrix)]
+    cols = matrix.X[:, int(matrix.include_intercept):]
     means = cols.mean(axis=0)
     stds = cols.std(axis=0, ddof=1)
     for j, sigma in enumerate(stds):
@@ -120,7 +107,7 @@ def _check_arity(scaler: ScalerStats, width: int) -> None:
 
 def transform(scaler: ScalerStats, matrix: DesignMatrix) -> DesignMatrix:
     """Replace each non-intercept entry with (x - mean) / std."""
-    sl = _feature_slice(matrix)
+    sl = slice(int(matrix.include_intercept), None)
     _check_arity(scaler, matrix.X[:, sl].shape[1])
     X = matrix.X.copy()
     X[:, sl] = (X[:, sl] - scaler.means) / scaler.stds

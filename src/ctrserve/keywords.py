@@ -115,16 +115,8 @@ def assign_clusters(stats: CooccurrenceStats, centroids: Sequence[str]) -> dict[
         raise CtrServeError("centroids must be nonempty")
     cluster_of: dict[str, str] = {c: c for c in centroids}
     for kw in stats.support:
-        if kw in cluster_of:
-            continue
-        best_centroid = centroids[0]
-        best_conf = -1.0
-        for c in centroids:
-            conf = confidence(stats, kw, c)
-            if conf > best_conf:
-                best_conf = conf
-                best_centroid = c
-        cluster_of[kw] = best_centroid
+        if kw not in cluster_of:  # max keeps the first of equal confidences
+            cluster_of[kw] = max(centroids, key=lambda c: confidence(stats, kw, c))
     return cluster_of
 
 

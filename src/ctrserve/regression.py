@@ -14,11 +14,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .catalog import _NUMBER, TrainingRow, _as_text, _check, _list_of
-from .errors import (ContractError, CtrServeError, DegenerateFeatureError,
-                     DivergenceError, ModelLoadError, SingularMatrixError)
-from .features import (DEFAULT_SIZE_REGISTRY, FEATURE_NAMES, DesignMatrix, FeatureSchema,
-                       ScalerStats, build_design_matrix, fit_scaler, transform, transform_row)
+from .catalog import _NUMBER, FEATURE_NAMES, TrainingRow, _as_text, _check, _list_of
+from .errors import (ContractError, CtrServeError, DegenerateFeatureError, DivergenceError,
+                     ModelLoadError, SingularMatrixError, ValidationError)
+from .features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, ScalerStats, build_design_matrix,
+                       fit_scaler, transform, transform_row)
 
 GRADIENT_DESCENT = "gradient_descent"
 NORMAL_EQUATION = "normal_equation"
@@ -65,9 +65,9 @@ class RegressionModel:
     def __post_init__(self):
         theta = tuple(map(float, self.theta))
         object.__setattr__(self, "theta", theta)
-        if len(theta) != self.schema.n_columns:
-            raise ContractError(f"theta has {len(theta)} values, the schema needs "
-                                f"{self.schema.n_columns}")
+        n_columns = len(FEATURE_NAMES) + self.config.include_intercept
+        if len(theta) != n_columns:
+            raise ContractError(f"theta has {len(theta)} values, the schema needs {n_columns}")
         if not all(map(math.isfinite, theta)):
             raise ContractError("theta must be finite")
         if (self.scaler is not None) != bool(self.config.scale_features):
@@ -79,10 +79,6 @@ class RegressionModel:
             if not (all(map(math.isfinite, self.scaler.means + self.scaler.stds))
                     and all(s > 0 for s in self.scaler.stds)):
                 raise ContractError("scaler means must be finite and stds finite and > 0")
-
-    @property
-    def schema(self) -> FeatureSchema:
-        return FeatureSchema(include_intercept=self.config.include_intercept)
 
     @property
     def bid_weight(self) -> float:
@@ -162,7 +158,7 @@ def train(rows: Sequence[TrainingRow], keyword_map, config: TrainingConfig) -> R
     method and package the result with the frozen keyword-map reference."""
     if not rows:
         raise CtrServeError("cannot train on zero rows")
-    matrix = build_design_matrix(rows, FeatureSchema(include_intercept=config.include_intercept))
+    matrix = build_design_matrix(rows, config.include_intercept)
     scaler = None
     if config.scale_features:
         scaler = fit_scaler(matrix)
@@ -174,6 +170,15 @@ def train(rows: Sequence[TrainingRow], keyword_map, config: TrainingConfig) -> R
     map_ref = getattr(keyword_map, "category", "")  # "" without a map (None)
     return RegressionModel(theta=theta, scaler=scaler, config=config, cost_trace=trace,
                            keyword_map_ref=map_ref)
+
+
+def check_keyword_map(model: RegressionModel, model_path, keyword_map, map_path) -> None:
+    """A model that names the keyword map it was trained with must be used
+    with a map of that category; a model that names none goes with any map."""
+    if model.keyword_map_ref and model.keyword_map_ref != keyword_map.category:
+        raise ValidationError(f"model {model_path} was trained with the "
+                              f"{model.keyword_map_ref!r} keyword map, but map "
+                              f"{map_path} is for {keyword_map.category!r}")
 
 
 def simple_regression(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:

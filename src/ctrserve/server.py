@@ -19,7 +19,7 @@ from .catalog import (AdCreative, EventRow, Placement, RequestContext, _check, k
 from .errors import ContractError, EncodingError, ParseError, ValidationError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from .keywords import KeywordMap, load_keyword_map, resolve_page_value
-from .regression import RegressionModel, load_model, predict
+from .regression import RegressionModel, check_keyword_map, load_model, predict
 
 MODE_BID = "bid"
 MODE_CTR = "ctr"
@@ -86,7 +86,7 @@ def _rank_by_ctr(state: "ServingState",
     the tie, so the scan goes on while the score holds."""
     model = state.model
     try:
-        size_code = encode_size(request.size, DEFAULT_SIZE_REGISTRY)
+        size_code = encode_size(request.size)
     except EncodingError:
         return None
     bucket = state.bucket(request)
@@ -184,13 +184,12 @@ class EventLogWriter:
             raise ValidationError(f"unknown ad_id {ad_id!r}")
         if request.size not in DEFAULT_SIZE_REGISTRY:
             raise ValidationError(f"size {request.size!r} is not one of {DEFAULT_SIZE_REGISTRY}")
-        area, city, country = request.location
         row = EventRow(
             timestamp=timestamp if timestamp is not None else time.time_ns() // 1_000_000,
             ad_id=ad_id, placement=request.placement, size=request.size,
             category=request.category, keywords=keywords_field(request.page_keywords),
-            country=country, city=city, area=area, ip=request.ip, browser=request.browser,
-            clicked=clicked)
+            country=request.country, city=request.city, area=request.area, ip=request.ip,
+            browser=request.browser, clicked=clicked)
         with self._lock:
             write_event_row(self._writer, row)
             self._fh.flush()
@@ -212,9 +211,8 @@ class ServerConfig:
 
 
 def load_state(config: ServerConfig) -> ServingState:
-    """Load a snapshot from the configured files. A model that names the
-    keyword map it was trained with must be served with a map of that
-    category."""
+    """Load a snapshot from the configured files; a model and a map that
+    `check_keyword_map` refuses do not load."""
     with open(config.catalog_path) as fh:
         catalog = tuple(parse_ad_catalog(fh))
     model = keyword_map = None
@@ -224,11 +222,8 @@ def load_state(config: ServerConfig) -> ServingState:
     if config.map_path:
         with open(config.map_path) as fh:
             keyword_map = load_keyword_map(fh)
-    if model is not None and keyword_map is not None and model.keyword_map_ref \
-            and model.keyword_map_ref != keyword_map.category:
-        raise ValidationError(f"model {config.model_path} was trained with the "
-                              f"{model.keyword_map_ref!r} keyword map, but map "
-                              f"{config.map_path} is for {keyword_map.category!r}")
+        if model is not None:
+            check_keyword_map(model, config.model_path, keyword_map, config.map_path)
     return ServingState(catalog=catalog, model=model, keyword_map=keyword_map)
 
 
@@ -248,12 +243,7 @@ def _request_context(fields: Mapping, page_keywords: frozenset[str]) -> RequestC
     text = {name: fields.get(name, "") for name in _TEXT_FIELDS}
     for name, value in text.items():
         _check(isinstance(value, str), name, value)
-    return RequestContext(
-        placement=placement, size=text["size"], category=text["category"],
-        page_keywords=page_keywords,
-        location=(text["area"], text["city"], text["country"]),
-        ip=text["ip"], browser=text["browser"],
-    )
+    return RequestContext(placement=placement, page_keywords=page_keywords, **text)
 
 
 def _parse_request_qs(query: str) -> tuple[RequestContext, Optional[str]]:
@@ -380,8 +370,11 @@ class AdRequestHandler(BaseHTTPRequestHandler):
             return _error(413, f"event body over {MAX_EVENT_BODY} bytes")
         try:
             ad_id, context, clicked = _parse_event(self.rfile.read(length))
+        except ValueError as exc:
+            return _error(400, str(exc))
+        try:  # a fault of the log itself, such as a closed file, is a 500
             app.event_log.record_event(app.state, ad_id, context, clicked)
-        except (ValueError, ValidationError) as exc:
+        except ValidationError as exc:
             return _error(400, str(exc))
         return 202, json.dumps({"status": "accepted"})
 

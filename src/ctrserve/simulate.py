@@ -13,7 +13,7 @@ from .catalog import (AdCreative, EventRow, Placement, keywords_field, serialize
                       start_event_log, write_event_row)
 from .errors import CtrServeError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
-from .keywords import KeywordMap, resolve_page_value, save_keyword_map
+from .keywords import BASE_SPACING, BASE_VALUE, KeywordMap, resolve_page_value, save_keyword_map
 
 # Planted sports vocabulary: centroid -> [(member, inclusion probability)].
 PLANTED_CLUSTERS = {
@@ -55,10 +55,10 @@ class SimulationOutput:
 
 def planted_keyword_map(category: str = "sports") -> KeywordMap:
     """A hand-built map over the planted vocabulary; centroids sit at the
-    usual 50/60/70 bases and members nearby. `values` resolves the
+    bases `build_keyword_map` gives them (50/60/70) and members nearby. `values` resolves the
     centroids first, then each cluster's members in order."""
     centroids = tuple(PLANTED_CLUSTERS)
-    values = {c: 50.0 + 10.0 * r for r, c in enumerate(centroids)}
+    values = {c: BASE_VALUE + BASE_SPACING * r for r, c in enumerate(centroids)}
     cluster_of: dict[str, str] = {}
     for c in centroids:
         cluster_of[c] = c
@@ -120,8 +120,8 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         ip = f"10.0.0.{rng.randrange(256)}"
         browser = _BROWSERS[rng.randrange(len(_BROWSERS))]
         kw_value = resolve_page_value(keyword_map, page_keywords)
-        x = (1.0, float(encode_placement(placement)),
-             float(encode_size(ad.size, DEFAULT_SIZE_REGISTRY)), ad.bid, kw_value)
+        x = (1.0, float(encode_placement(placement)), float(encode_size(ad.size)), ad.bid,
+             kw_value)
         p_click = sum(t * xi for t, xi in zip(theta, x))
         if not 0.0 < p_click < 1.0:
             raise CtrServeError(f"planted click probability {p_click} left (0,1); "

@@ -38,8 +38,7 @@ def paper_model():
 def make_context(placement=Placement.ABOVE_FOLD, size="300x250",
                  category="sports", keywords=("football",), country="PK"):
     return RequestContext(placement=placement, size=size, category=category,
-                          page_keywords=frozenset(keywords),
-                          location=("", "", country))
+                          page_keywords=frozenset(keywords), country=country)
 
 
 def make_event(ad_id="a1", clicked=False, bid=20.0, timestamp=1, placement=Placement.ABOVE_FOLD,
@@ -48,6 +47,15 @@ def make_event(ad_id="a1", clicked=False, bid=20.0, timestamp=1, placement=Place
     return EventRow(timestamp=timestamp, ad_id=ad_id, placement=placement, size=size,
                     category=category, keywords=";".join(sorted(keywords)), country=country,
                     city="", area="", ip="", browser="", clicked=clicked, served_bid=bid)
+
+
+def map_for_category(tmp_path, category):
+    """The bundled sports map, written to `tmp_path` with another category."""
+    payload = json.loads(sample_data._read("keyword_map_sports.json"))
+    payload["category"] = category
+    path = tmp_path / f"map_{category}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
 
 
 def unresolvable_map(kind):

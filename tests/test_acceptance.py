@@ -12,8 +12,7 @@ from conftest import make_context
 from ctrserve import sample_data
 from ctrserve.catalog import aggregate_events, parse_ad_catalog, read_event_log
 from ctrserve.evaluation import r_squared, standard_error
-from ctrserve.features import (DEFAULT_SIZE_REGISTRY, FeatureSchema,
-                               build_design_matrix, fit_scaler, transform)
+from ctrserve.features import DEFAULT_SIZE_REGISTRY, build_design_matrix, fit_scaler, transform
 from ctrserve.keywords import (build_keyword_map, confidence,
                                count_cooccurrences, load_keyword_map,
                                resolve_page_value, save_keyword_map)
@@ -62,7 +61,7 @@ def test_criterion_3_r_squared_audit(table10_pairs):
 
 
 def test_criterion_4_normal_equation_oracle(table6_rows):
-    matrix = build_design_matrix(table6_rows, FeatureSchema())
+    matrix = build_design_matrix(table6_rows)
     theta = normal_equation(matrix)
     oracle = np.array([float(v) for v in
                        least_squares_exact(matrix.X.tolist(), matrix.y.tolist())])
@@ -74,7 +73,7 @@ def test_criterion_4_normal_equation_oracle(table6_rows):
 
 
 def test_criterion_5_gradient_descent_convergence(table6_rows):
-    matrix = build_design_matrix(table6_rows, FeatureSchema())
+    matrix = build_design_matrix(table6_rows)
     scaled = transform(fit_scaler(matrix), matrix)
     _, trace400 = gradient_descent(scaled, TrainingConfig(alpha=0.01, iterations=400))
     monotone = all(b <= a for a, b in zip(trace400, trace400[1:]))
@@ -113,7 +112,7 @@ def test_criterion_6_gradient_matches_finite_differences():
 
 
 def test_criterion_7_qualitative_signs(table6_rows):
-    matrix = build_design_matrix(table6_rows, FeatureSchema())
+    matrix = build_design_matrix(table6_rows)
     scaled = transform(fit_scaler(matrix), matrix)
     _, bid_slope = simple_regression(scaled.X[:, 3], scaled.y)
     _, kw_slope = simple_regression(scaled.X[:, 4], scaled.y)
@@ -139,9 +138,8 @@ def test_criterion_8_selection_oracle_equivalence(paper_model, sports_map):
         ok &= by_bid.ad_id == brute_force_best_by_bid(candidates).ad_id
         placement_code = encode_placement(request.placement)
         kw_value = resolve_page_value(sports_map, request.page_keywords, mode="fallback")
-        scored = [(predict(paper_model,
-                           (placement_code, encode_size(c.size, paper_model.schema.size_registry),
-                            c.bid, kw_value)), c.bid, c) for c, _ in candidates]
+        scored = [(predict(paper_model, (placement_code, encode_size(c.size), c.bid, kw_value)),
+                   c.bid, c) for c, _ in candidates]
         best_score, best_bid = max((s, b) for s, b, _ in scored)
         best_id = min(c.ad_id for s, b, c in scored if s == best_score and b == best_bid)
         ok &= (by_ctr.ad_id, by_ctr.score) == (best_id, best_score)
@@ -178,7 +176,7 @@ def test_criterion_10_planted_model_recovery():
     kmap = load_keyword_map(out.map_json)
     rows = aggregate_events(events, kmap)
     model = train(rows, kmap, TrainingConfig(method=NORMAL_EQUATION))
-    X = build_design_matrix(rows, FeatureSchema()).X
+    X = build_design_matrix(rows).X
     y = np.array([r.ctr for r in rows])
     resid = X @ model.theta - y
     sigma2 = resid @ resid / (X.shape[0] - X.shape[1])

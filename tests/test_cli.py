@@ -12,10 +12,11 @@ import pytest
 
 import ctrserve
 from _oracles import least_squares_exact
+from conftest import map_for_category
 from ctrserve import sample_data
 from ctrserve.catalog import EVENT_LOG_HEADER
 from ctrserve.cli import build_parser, main
-from ctrserve.features import FeatureSchema, build_design_matrix
+from ctrserve.features import build_design_matrix
 
 
 @pytest.fixture()
@@ -70,7 +71,7 @@ def test_train_normal_equation_matches_oracle(tmp_path, capsys, table6_rows):
                "--method", "normal", "--out", str(model_path)])
     assert rc == 0
     payload = json.loads(model_path.read_text())
-    matrix = build_design_matrix(table6_rows, FeatureSchema())
+    matrix = build_design_matrix(table6_rows)
     oracle = [float(v) for v in least_squares_exact(matrix.X.tolist(), matrix.y.tolist())]
     assert np.max(np.abs(np.array(payload["theta"]) - np.array(oracle))) < 1e-9
 
@@ -120,6 +121,33 @@ def test_predict_keyword_token_via_map(capsys):
     assert rc == 0
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(0.048338, abs=2e-4)
+
+
+def test_predict_refuses_a_map_of_another_category_like_serve(tmp_path, capsys):
+    model = sample_data.fixture_path("model_normal_eq.json")
+    health = map_for_category(tmp_path, "health")
+    rc = main(["predict", "--model", model, "--map", health,
+               "above_fold", "300x250", "10", "football"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0])["error"] == (f"model {model} was trained with the 'sports' "
+                                           f"keyword map, but map {health} is for 'health'")
+
+
+def test_predict_model_without_map_ref_takes_any_map(tmp_path, capsys):
+    payload = json.loads(sample_data._read("model_normal_eq.json"))
+    payload["keyword_map_ref"] = ""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    args = ["above_fold", "300x250", "10", "football"]
+    assert main(["predict", "--model", str(model), "--map",
+                 sample_data.fixture_path("keyword_map_sports.json"), *args]) == 0
+    expected = capsys.readouterr().out
+    assert main(["predict", "--model", str(model), "--map",
+                 map_for_category(tmp_path, "health"), *args]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_predict_zero_model(tmp_path, capsys):
@@ -224,6 +252,22 @@ def test_evaluate_bad_pairs_is_json_error(tmp_path, capsys, text):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "pairs row 1" in json.loads(err[0])["error"]
+
+
+@pytest.mark.parametrize("text", ["placement,size,bid,keyword_value,ctr\n1,1,20,50,0.05\n"
+                                  "0,2,10,51,0.05\n",
+                                  "y,y_pred\n0.05,0.04\n0.05,0.06\n"])
+def test_evaluate_refuses_a_constant_observed_series(tmp_path, capsys, text):
+    data, report = tmp_path / "table.csv", tmp_path / "report.json"
+    data.write_text(text)
+    rc = main(["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"),
+               "--data", str(data), "--out", str(report)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0])["error"] == "observed values are constant; R squared is undefined"
+    assert not report.exists()
 
 
 def test_evaluate_pairs_replay(capsys):

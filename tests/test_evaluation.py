@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctrserve.errors import ContractError, CtrServeError
 from ctrserve.evaluation import evaluate, export_cost_trace, r_squared, standard_error
-from ctrserve.features import FeatureSchema, build_design_matrix, fit_scaler, transform
+from ctrserve.features import build_design_matrix, fit_scaler, transform
 from ctrserve.regression import TrainingConfig, cost, gradient_descent, train
 
 
@@ -131,7 +131,7 @@ class TestExportCostTrace:
 
     def test_trace_matches_replayed_checkpoints(self, table6_rows, sports_map):
         model = train(table6_rows, sports_map, TrainingConfig(iterations=400))
-        matrix = build_design_matrix(table6_rows, FeatureSchema())
+        matrix = build_design_matrix(table6_rows)
         scaled = transform(fit_scaler(matrix), matrix)
         for checkpoint in (1, 200, 400):
             theta_ck, _ = gradient_descent(scaled, TrainingConfig(iterations=checkpoint))

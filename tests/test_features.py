@@ -8,9 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from ctrserve.catalog import Placement, TrainingRow
 from ctrserve.errors import ContractError, CtrServeError, DegenerateFeatureError, EncodingError
-from ctrserve.features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, FeatureSchema,
-                               build_design_matrix, encode_placement, encode_size,
-                               fit_scaler, transform, transform_row)
+from ctrserve.features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, build_design_matrix,
+                               encode_placement, encode_size, fit_scaler, transform,
+                               transform_row)
 
 TABLE6_BIDS = [20, 15, 10, 40, 20, 15, 10, 42, 25, 20, 10, 5]
 
@@ -25,16 +25,16 @@ def exact_mean_std(values):
 
 class TestEncodings:
     def test_size_codes(self):
-        assert encode_size("300x250", DEFAULT_SIZE_REGISTRY) == 1
-        assert encode_size("728x90", DEFAULT_SIZE_REGISTRY) == 2
-        assert encode_size("160x600", DEFAULT_SIZE_REGISTRY) == 3
+        assert encode_size("300x250") == 1
+        assert encode_size("728x90") == 2
+        assert encode_size("160x600") == 3
 
     def test_unknown_size(self):
         with pytest.raises(EncodingError, match="999x1"):
-            encode_size("999x1", DEFAULT_SIZE_REGISTRY)
+            encode_size("999x1")
 
     def test_size_injective_over_registry(self):
-        codes = [encode_size(label, DEFAULT_SIZE_REGISTRY) for label in DEFAULT_SIZE_REGISTRY]
+        codes = [encode_size(label) for label in DEFAULT_SIZE_REGISTRY]
         assert codes == sorted(set(codes))
 
     def test_placement(self):
@@ -44,31 +44,31 @@ class TestEncodings:
 
 class TestDesignMatrix:
     def test_table6_shape(self, table6_rows):
-        matrix = build_design_matrix(table6_rows, FeatureSchema())
+        matrix = build_design_matrix(table6_rows)
         assert matrix.X.shape == (12, 5)
         assert np.all(matrix.X[:, 0] == 1.0)
         assert matrix.y[0] == 0.08 and matrix.y[-1] == 0.0001
 
     def test_single_row_no_intercept(self):
         row = TrainingRow(1, 1, 20.0, 50.0, 0.08)
-        matrix = build_design_matrix([row], FeatureSchema(include_intercept=False))
+        matrix = build_design_matrix([row], include_intercept=False)
         assert matrix.X.tolist() == [[1.0, 1.0, 20.0, 50.0]]
         assert matrix.y.tolist() == [0.08]
 
     def test_column_count(self, table6_rows):
-        with_icpt = build_design_matrix(table6_rows, FeatureSchema())
-        without = build_design_matrix(table6_rows, FeatureSchema(include_intercept=False))
+        with_icpt = build_design_matrix(table6_rows)
+        without = build_design_matrix(table6_rows, include_intercept=False)
         assert with_icpt.X.shape[1] == 5
         assert without.X.shape[1] == 4
 
     def test_empty_rows(self):
         with pytest.raises(CtrServeError):
-            build_design_matrix([], FeatureSchema())
+            build_design_matrix([])
 
 
 class TestScaler:
     def test_table6_bid_column(self, table6_rows):
-        matrix = build_design_matrix(table6_rows, FeatureSchema())
+        matrix = build_design_matrix(table6_rows)
         scaler = fit_scaler(matrix)
         mean, std = exact_mean_std(TABLE6_BIDS)
         assert scaler.means[2] == pytest.approx(mean, abs=1e-12)
@@ -97,7 +97,7 @@ class TestScaler:
             fit_scaler(matrix)
 
     def test_scaling_identity(self, table6_rows):
-        matrix = build_design_matrix(table6_rows, FeatureSchema())
+        matrix = build_design_matrix(table6_rows)
         scaled = transform(fit_scaler(matrix), matrix)
         feats = scaled.X[:, 1:]
         assert np.all(np.abs(feats.mean(axis=0)) < 1e-12)
@@ -106,19 +106,19 @@ class TestScaler:
         assert np.array_equal(scaled.y, matrix.y)
 
     def test_mean_entry_maps_to_zero(self, table6_rows):
-        matrix = build_design_matrix(table6_rows, FeatureSchema())
+        matrix = build_design_matrix(table6_rows)
         scaler = fit_scaler(matrix)
         assert transform_row(scaler, scaler.means) == (0.0,) * 4
 
     def test_transform_row_matches_matrix(self, table6_rows):
-        matrix = build_design_matrix(table6_rows, FeatureSchema())
+        matrix = build_design_matrix(table6_rows)
         scaler = fit_scaler(matrix)
         scaled = transform(scaler, matrix)
         for i in range(matrix.m):
             assert np.array_equal(transform_row(scaler, matrix.X[i, 1:]), scaled.X[i, 1:])
 
     def test_bid_22_scales_as_expected(self, table6_rows):
-        matrix = build_design_matrix(table6_rows, FeatureSchema())
+        matrix = build_design_matrix(table6_rows)
         scaler = fit_scaler(matrix)
         mean, std = exact_mean_std(TABLE6_BIDS)
         row = transform_row(scaler, [1.0, 1.0, 22.0, 51.0])
@@ -126,7 +126,7 @@ class TestScaler:
         assert row[2] == pytest.approx(0.2300, abs=1e-4)
 
     def test_schema_mismatch(self, table6_rows):
-        matrix = build_design_matrix(table6_rows, FeatureSchema())
+        matrix = build_design_matrix(table6_rows)
         scaler = fit_scaler(matrix)
         with pytest.raises(ContractError):
             transform_row(scaler, [1.0, 2.0])

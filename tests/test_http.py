@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import unresolvable_map
+from conftest import map_for_category, unresolvable_map
 from ctrserve import sample_data
 from ctrserve.errors import ValidationError
 from ctrserve.server import MAX_EVENT_BODY, AdServer, ServerConfig
@@ -303,6 +303,16 @@ def test_unexpected_fault_is_500_and_the_server_keeps_serving(running_server, mo
     assert http_get(base + "/healthz")[0] == 200
 
 
+def test_event_on_a_closed_log_is_500_and_a_bad_event_still_400(running_server):
+    srv, base = running_server
+    srv.event_log.close()
+    status, body = http_post(base + "/event", {
+        "ad_id": "boots-01", "size": "300x250", "keywords": ["football"]})
+    assert status == 500 and "closed file" in json.loads(body)["error"]
+    assert http_post(base + "/event", {"ad_id": "boots-01", "keywords": "football"})[0] == 400
+    assert http_post(base + "/event", {"ad_id": "ghost", "keywords": ["football"]})[0] == 400
+
+
 @pytest.mark.parametrize("field, value", [
     ("keywords", "football"), ("keywords", [1]), ("ad_id", None),
     ("bid", True), ("locations", "PK"),
@@ -320,14 +330,6 @@ def test_reload_of_mistyped_catalog_is_500_and_keeps_snapshot(running_server, tm
     assert status == 500
     assert f"catalog record {len(records) - 1}" in json.loads(body)["error"]
     assert srv.state is snapshot and served_ctr(base) == before
-
-
-def map_for_category(tmp_path, category):
-    payload = json.loads(sample_data._read("keyword_map_sports.json"))
-    payload["category"] = category
-    path = tmp_path / f"map_{category}.json"
-    path.write_text(json.dumps(payload))
-    return str(path)
 
 
 def test_model_and_map_of_different_categories_do_not_load(running_server, tmp_path):

@@ -1,10 +1,17 @@
 """sha256 pins on outputs that must keep their bytes when the code that
-writes them is rewritten. Only pure-Python outputs are pinned: the floats of
-a trained model.json come from LAPACK and may differ in the last bit from one
-numpy build to another."""
+writes them is rewritten. Only pure-Python outputs are pinned, but for
+`scripts/replay_tables.py`: the floats of a trained model.json come from
+LAPACK and may differ in the last bit from one numpy build to another, and
+the replay script prints fitted coefficients, so its pin holds for the numpy
+build it was taken with (numpy 2.4.6)."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import ctrserve
 from ctrserve import sample_data
 from ctrserve.catalog import Placement, RequestContext, parse_ad_catalog, serialize_ad_catalog
 from ctrserve.cli import main
@@ -74,10 +81,10 @@ def test_event_log_writer_keeps_its_bytes(tmp_path):
     state = ServingState(catalog=tuple(sample_catalog()))
     events = [
         ("boots-01", RequestContext(Placement.ABOVE_FOLD, "300x250", "sports",
-                                    frozenset({"football", "epl"}), ("Punjab", "Lahore", "PK"),
+                                    frozenset({"football", "epl"}), "Punjab", "Lahore", "PK",
                                     "10.0.0.1", "chrome"), False, 1_700_000_000_001),
         ("jersey-02", RequestContext(Placement.BELOW_FOLD, "300x250", "sports",
-                                     frozenset({"ronaldo"}), ("", "London", "GB"),
+                                     frozenset({"ronaldo"}), "", "London", "GB",
                                      "10.0.0.2", 'Mozilla/5.0 (X11, "quoted")'), True,
          1_700_000_000_002),
         ("stream-03", RequestContext(Placement.ABOVE_FOLD, "728x90", "sports",
@@ -91,3 +98,16 @@ def test_event_log_writer_keeps_its_bytes(tmp_path):
     finally:
         log.close()
     assert sha256(path.read_bytes()) == EVENT_LOG_SHA256
+
+
+REPLAY_TABLES_SHA256 = "b1b8f148979b2d96ea951222a2fe70f68324c220d35d0d98ccd6062ed227d604"
+
+
+def test_replay_tables_script_keeps_its_stdout():
+    script = Path(__file__).parents[1] / "scripts" / "replay_tables.py"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ctrserve.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                            check=True)
+    assert sha256(result.stdout) == REPLAY_TABLES_SHA256

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from _oracles import least_squares_exact
 from ctrserve.errors import (ContractError, CtrServeError, DegenerateFeatureError,
                              DivergenceError, ModelLoadError, SingularMatrixError)
-from ctrserve.features import (FEATURE_NAMES, DesignMatrix, FeatureSchema, ScalerStats,
-                               build_design_matrix, fit_scaler, transform)
+from ctrserve.catalog import FEATURE_NAMES
+from ctrserve.features import (DesignMatrix, ScalerStats, build_design_matrix, fit_scaler,
+                               transform)
 from ctrserve.regression import (GRADIENT_DESCENT, NORMAL_EQUATION, RegressionModel,
                                  TrainingConfig, cost, gradient, gradient_descent,
                                  load_model, normal_equation, predict, save_model,
@@ -19,7 +20,7 @@ from ctrserve.regression import (GRADIENT_DESCENT, NORMAL_EQUATION, RegressionMo
 
 
 def table6_matrix(table6_rows, intercept=True):
-    return build_design_matrix(table6_rows, FeatureSchema(include_intercept=intercept))
+    return build_design_matrix(table6_rows, include_intercept=intercept)
 
 
 def random_design(rng, m=None, n=None, y_unit=False):
@@ -315,7 +316,7 @@ class TestPersistence:
         loaded = load_model(save_model(model))
         assert np.array_equal(loaded.theta, model.theta)
         assert loaded.cost_trace == model.cost_trace
-        assert loaded.schema == model.schema
+        assert loaded.config.include_intercept == model.config.include_intercept
         assert np.array_equal(loaded.scaler.means, model.scaler.means)
         assert np.array_equal(loaded.scaler.stds, model.scaler.stds)
         assert loaded.config.alpha == model.config.alpha

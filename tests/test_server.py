@@ -50,10 +50,10 @@ def random_request(rng):
 def oracle_ctr(catalog, request, model, keyword_map):
     """(ad, score) by exhaustive scoring of every eligible ad, or None."""
     candidates = eligible_candidates(catalog, request)
-    if not candidates or request.size not in model.schema.size_registry:
+    if not candidates or request.size not in DEFAULT_SIZE_REGISTRY:
         return None
     placement_code = encode_placement(request.placement)
-    size_code = encode_size(request.size, model.schema.size_registry)
+    size_code = encode_size(request.size)
     kw_value = resolve_page_value(keyword_map, request.page_keywords, mode="fallback")
     return brute_force_best_by_ctr(
         [(predict(model, (placement_code, size_code, ad.bid, kw_value)), ad)
@@ -193,7 +193,7 @@ class TestSelectByCtr:
                               paper_model, sports_map)
         expected = predict(paper_model, (
             encode_placement(request.placement),
-            encode_size("300x250", paper_model.schema.size_registry),
+            encode_size("300x250"),
             22.0,
             resolve_page_value(sports_map, request.page_keywords, mode="fallback"),
         ))

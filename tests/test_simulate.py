@@ -3,7 +3,7 @@ import pytest
 
 from ctrserve.catalog import aggregate_events, parse_ad_catalog, read_event_log
 from ctrserve.errors import CtrServeError
-from ctrserve.features import FeatureSchema, build_design_matrix
+from ctrserve.features import build_design_matrix
 from ctrserve.keywords import load_keyword_map
 from ctrserve.regression import NORMAL_EQUATION, TrainingConfig, train
 from ctrserve.simulate import SimulationConfig, planted_keyword_map, run_simulation
@@ -61,7 +61,7 @@ def test_planted_recovery_smoke():
     kmap = load_keyword_map(out.map_json)
     rows = aggregate_events(events, kmap)
     model = train(rows, kmap, TrainingConfig(method=NORMAL_EQUATION))
-    X = build_design_matrix(rows, FeatureSchema()).X
+    X = build_design_matrix(rows).X
     y = np.array([r.ctr for r in rows])
     resid = X @ model.theta - y
     sigma2 = resid @ resid / (X.shape[0] - X.shape[1])
