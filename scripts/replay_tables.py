@@ -3,7 +3,7 @@
 number: coefficients, predictions, validation metrics and the cost trace."""
 
 from ctrserve import sample_data
-from ctrserve.evaluation import evaluate, export_cost_trace, r_squared, standard_error
+from ctrserve.evaluation import evaluate, r_squared, standard_error
 from ctrserve.regression import NORMAL_EQUATION, TrainingConfig, predict, train
 
 
@@ -23,9 +23,9 @@ def main():
 
     print("\n== gradient descent (alpha 0.01, 400 iterations, scaled) ==")
     gd = train(rows, kmap, TrainingConfig())
-    trace = export_cost_trace(gd)
+    trace = gd.cost_trace
     print(f"theta (scaled space) = {[float(t) for t in gd.theta]}")
-    print(f"cost: start {trace[0][1]:.6e} -> end {trace[-1][1]:.6e} over {len(trace)} iterations")
+    print(f"cost: start {trace[0]:.6e} -> end {trace[-1]:.6e} over {len(trace)} iterations")
     print(f"gd vs normal-equation prediction gap at (1,1,22,51): "
           f"{abs(predict(gd, (1, 1, 22, 51)) - predict(refit, (1, 1, 22, 51))):.2e}")
 

@@ -111,7 +111,8 @@ def keyword_set(tokens: list) -> frozenset[str]:
     raise ValueError(f"keywords must be a list of strings, got {tokens!r}")
 
 
-def _as_text(stream) -> str:
+def as_text(stream) -> str:
+    """The text of a str, of UTF-8 bytes, or of a stream that reads either."""
     if isinstance(stream, bytes):
         return stream.decode("utf-8")
     if isinstance(stream, str):
@@ -120,18 +121,19 @@ def _as_text(stream) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-_NUMBER = (int, float)  # the JSON numbers; a bool is neither
+JSON_NUMBER = (int, float)  # the JSON numbers; a bool is neither
 
 
-def _check(ok: bool, name: str, value) -> None:
+def check_field(ok: bool, name: str, value) -> None:
+    """ValueError naming the field `name` unless `ok`, the field's type test."""
     if not ok:  # the repr is cut short: a value from an /event body can be 64 KiB long
         raise ValueError(f"{name} has the wrong type: {value!r:.100}")
 
 
-def _list_of(value, kinds: tuple, name: str) -> list:
+def list_of(value, kinds: tuple, name: str) -> list:
     """`value` if it is a list whose items' types are all in `kinds`;
     otherwise ValueError naming the field."""
-    _check(type(value) is list and all(type(v) in kinds for v in value), name, value)
+    check_field(type(value) is list and all(type(v) in kinds for v in value), name, value)
     return value
 
 
@@ -149,7 +151,7 @@ def _ad_creative(rec: dict) -> AdCreative:
         bad = [name for name, value in zip(_CATALOG_TEXT, text) if not isinstance(value, str)]
         raise ValueError(f"{', '.join(bad)} must be a string")
     bid = rec["bid"]
-    if type(bid) not in (int, float):  # the JSON numbers; a bool is not one
+    if type(bid) not in JSON_NUMBER:
         raise ValueError(f"bid must be a number, got {bid!r}")
     locations = rec.get("locations", [])
     if not (isinstance(locations, list) and _all_strings(locations)):
@@ -162,7 +164,7 @@ def _ad_creative(rec: dict) -> AdCreative:
 def parse_ad_catalog(stream) -> list[AdCreative]:
     """Parse a JSON-array ad catalog; enforces per-record invariants and
     ad_id uniqueness, preserving file order."""
-    text = _as_text(stream)
+    text = as_text(stream)
     if not text.strip():
         return []
     try:
@@ -246,7 +248,7 @@ def read_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> Iterat
     each row and rejects an ad_id outside the catalog; without it served_bid
     stays None and rows are only usable as keyword transactions."""
     if isinstance(stream, (str, bytes)):
-        stream = io.StringIO(_as_text(stream))
+        stream = io.StringIO(as_text(stream))
     reader = csv.reader(stream)
     for header in reader:
         if any(field.strip() for field in header):
@@ -328,7 +330,7 @@ def _read_table(stream, header: list[str], name: str, convert) -> list:
     """`convert(row)` of each non-blank row of a CSV table whose first row
     must be `header`. A row that `convert` refuses with ValueError raises
     ParseError naming the row."""
-    reader = csv.reader(io.StringIO(_as_text(stream)))
+    reader = csv.reader(io.StringIO(as_text(stream)))
     first = next(reader, None)
     if first != header:
         raise ParseError(f"unexpected {name}-table header: {first}")

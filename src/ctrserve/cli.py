@@ -168,7 +168,7 @@ def cmd_map_keywords(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from . import evaluation, regression
+    from . import regression
 
     _require(args, "data", "out")
     keyword_map = None
@@ -184,15 +184,14 @@ def cmd_train(args) -> int:
     )
     model = regression.train(rows, keyword_map, config)
     Path(args.out).write_text(regression.save_model(model))
-    matrix_cost = model.cost_trace[-1] if model.cost_trace else None
     print(f"theta: {list(model.theta)}")
-    if matrix_cost is not None:
+    if model.cost_trace:
         trace_path = args.out + ".trace.csv"
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "cost"])
-            writer.writerows(evaluation.export_cost_trace(model))
-        print(f"final cost: {matrix_cost}")
+            writer.writerows(enumerate(model.cost_trace, start=1))
+        print(f"final cost: {model.cost_trace[-1]}")
         print(f"trace: {trace_path}")
     print(f"wrote {args.out}")
     return 0
@@ -205,13 +204,14 @@ def cmd_predict(args) -> int:
     _require(args, "model")
     with open(args.model) as fh:
         model = regression.load_model(fh)
+    if args.map_path:
+        with open(args.map_path) as fh:
+            keyword_map = keywords.load_keyword_map(fh)
+        regression.check_keyword_map(model, args.model, keyword_map, args.map_path)
     try:
         kw_value = float(args.keyword)
     except ValueError:
         _require(args, "map_path")
-        with open(args.map_path) as fh:
-            keyword_map = keywords.load_keyword_map(fh)
-        regression.check_keyword_map(model, args.model, keyword_map, args.map_path)
         kw_value = keywords.resolve_page_value(keyword_map, keyword_set([args.keyword]))
     for name, value in (("bid", args.bid), ("keyword value", kw_value)):
         if not math.isfinite(value):
@@ -230,21 +230,16 @@ def cmd_evaluate(args) -> int:
     with open(args.model) as fh:
         model = regression.load_model(fh)
     with _open_csv(args.data) as (fh, header):
-        pairs = header == PAIRS_TABLE_HEADER  # a stored (observed, predicted) table is replayed
-        if pairs:
-            y, y_pred = parse_pairs_table(fh)
-            se, r2 = evaluation.standard_error(y, y_pred), evaluation.r_squared(y, y_pred)
-            report_json = json.dumps({"se": se, "r_squared": r2}, indent=2) + "\n"
+        if header == PAIRS_TABLE_HEADER:  # a stored (observed, predicted) table is replayed
+            report = evaluation.summarize(*parse_pairs_table(fh))
         else:
             report = evaluation.evaluate(model, parse_training_table(fh))
-            se, r2 = report.se, evaluation.defined_r_squared(report.ssto, report.r_squared)
-            report_json = report.to_json()
-    print(f"SE: {se}")
+    r2 = evaluation.defined_r_squared(report)
+    print(f"SE: {report.se}")
     print(f"R2: {r2}")
     if args.out:
-        Path(args.out).write_text(report_json)
-        if not pairs:
-            print(f"wrote {args.out}")
+        Path(args.out).write_text(report.to_json())
+        print(f"wrote {args.out}")
     return 0
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .catalog import _NUMBER, _as_text, _check, _list_of
+from .catalog import JSON_NUMBER, as_text, check_field, list_of
 from .errors import CtrServeError, MappingError, ParseError
 
 BASE_VALUE = 50.0
@@ -192,16 +192,16 @@ def load_keyword_map(stream) -> KeywordMap:
     `cluster_of` an object whose values are centroids. A bad field raises
     ParseError naming it."""
     try:
-        payload = json.loads(_as_text(stream))
+        payload = json.loads(as_text(stream))
         category, values, cluster_of = (payload["category"], payload["values"],
                                          payload["cluster_of"])
-        _check(type(category) is str, "category", category)
-        centroids = tuple(_list_of(payload["centroids"], (str,), "centroids"))
+        check_field(type(category) is str, "category", category)
+        centroids = tuple(list_of(payload["centroids"], (str,), "centroids"))
         if not centroids:
             raise ValueError("centroids must be nonempty")
-        _check(type(values) is dict, "values", values)
+        check_field(type(values) is dict, "values", values)
         for kw, v in values.items():
-            _check(type(v) in _NUMBER, f"values[{kw!r}]", v)
+            check_field(type(v) in JSON_NUMBER, f"values[{kw!r}]", v)
         values = {kw: float(v) for kw, v in values.items()}
         missing = [c for c in centroids if c not in values]
         if missing:
@@ -209,7 +209,7 @@ def load_keyword_map(stream) -> KeywordMap:
         nonfinite = [kw for kw, v in values.items() if not math.isfinite(v)]
         if nonfinite:
             raise ValueError(f"non-finite values for {nonfinite}")
-        _check(type(cluster_of) is dict, "cluster_of", cluster_of)
+        check_field(type(cluster_of) is dict, "cluster_of", cluster_of)
         for kw, c in cluster_of.items():
             if c not in centroids:
                 raise ValueError(f"cluster_of[{kw!r}] is not a centroid: {c!r}")

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .catalog import _NUMBER, FEATURE_NAMES, TrainingRow, _as_text, _check, _list_of
+from .catalog import FEATURE_NAMES, JSON_NUMBER, TrainingRow, as_text, check_field, list_of
 from .errors import (ContractError, CtrServeError, DegenerateFeatureError, DivergenceError,
                      ModelLoadError, SingularMatrixError, ValidationError)
 from .features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, ScalerStats, build_design_matrix,
@@ -225,7 +225,7 @@ def load_model(stream) -> RegressionModel:
     raises ModelLoadError naming it, as does a schema whose features or size
     registry differ from the constants or a theta/scaler that does not fit."""
     try:
-        payload = json.loads(_as_text(stream))
+        payload = json.loads(as_text(stream))
     except json.JSONDecodeError as exc:
         raise ModelLoadError(f"corrupt model stream: {exc}") from exc
     try:
@@ -238,16 +238,16 @@ def load_model(stream) -> RegressionModel:
                 raise ModelLoadError(f"invalid model payload: schema.{name} must be "
                                      f"{list(fixed)}, got {schema_payload[name]!r}")
         include_intercept = schema_payload["include_intercept"]
-        _check(type(include_intercept) is bool, "schema.include_intercept", include_intercept)
+        check_field(type(include_intercept) is bool, "schema.include_intercept", include_intercept)
         scaler_payload = payload["scaler"]
         scaler = None
         if scaler_payload is not None:
             scaler = ScalerStats(
-                means=_list_of(scaler_payload["means"], _NUMBER, "scaler.means"),
-                stds=_list_of(scaler_payload["stds"], _NUMBER, "scaler.stds"))
+                means=list_of(scaler_payload["means"], JSON_NUMBER, "scaler.means"),
+                stds=list_of(scaler_payload["stds"], JSON_NUMBER, "scaler.stds"))
         alpha, iterations = payload["config"]["alpha"], payload["config"]["iterations"]
-        _check(type(alpha) in _NUMBER, "config.alpha", alpha)
-        _check(type(iterations) is int, "config.iterations", iterations)
+        check_field(type(alpha) in JSON_NUMBER, "config.alpha", alpha)
+        check_field(type(iterations) is int, "config.iterations", iterations)
         config = TrainingConfig(
             method=payload["method"],
             alpha=float(alpha),
@@ -256,12 +256,12 @@ def load_model(stream) -> RegressionModel:
             scale_features=scaler is not None,
         )
         keyword_map_ref = payload.get("keyword_map_ref", "")
-        _check(type(keyword_map_ref) is str, "keyword_map_ref", keyword_map_ref)
+        check_field(type(keyword_map_ref) is str, "keyword_map_ref", keyword_map_ref)
         return RegressionModel(
-            theta=_list_of(payload["theta"], _NUMBER, "theta"),
+            theta=list_of(payload["theta"], JSON_NUMBER, "theta"),
             scaler=scaler,
             config=config,
-            cost_trace=tuple(map(float, _list_of(payload["cost_trace"], _NUMBER, "cost_trace"))),
+            cost_trace=tuple(map(float, list_of(payload["cost_trace"], JSON_NUMBER, "cost_trace"))),
             keyword_map_ref=keyword_map_ref,
         )
     except (KeyError, TypeError, ValueError, OverflowError, ContractError) as exc:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
-from .catalog import (AdCreative, EventRow, Placement, RequestContext, _check, keyword_set,
+from .catalog import (AdCreative, EventRow, Placement, RequestContext, check_field, keyword_set,
                       keywords_field, parse_ad_catalog, start_event_log, write_event_row)
 from .errors import ContractError, EncodingError, ParseError, ValidationError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
@@ -242,7 +242,7 @@ def _request_context(fields: Mapping, page_keywords: frozenset[str]) -> RequestC
     placement = Placement(fields.get("placement", Placement.ABOVE_FOLD.value))
     text = {name: fields.get(name, "") for name in _TEXT_FIELDS}
     for name, value in text.items():
-        _check(isinstance(value, str), name, value)
+        check_field(isinstance(value, str), name, value)
     return RequestContext(placement=placement, page_keywords=page_keywords, **text)
 
 
@@ -263,10 +263,10 @@ def _parse_event(body: bytes) -> tuple[str, RequestContext, bool]:
     if not isinstance(payload, dict):
         raise ValueError("event body must be a JSON object")
     ad_id = payload.get("ad_id")
-    _check(isinstance(ad_id, str), "ad_id", ad_id)
+    check_field(isinstance(ad_id, str), "ad_id", ad_id)
     keywords = keyword_set(payload.get("keywords", []))
     clicked = payload.get("clicked", False)
-    _check(isinstance(clicked, bool), "clicked", clicked)
+    check_field(isinstance(clicked, bool), "clicked", clicked)
     return ad_id, _request_context(payload, keywords), clicked
 
 

@@ -7,7 +7,6 @@ import io
 import json
 import random
 from dataclasses import dataclass
-from typing import ClassVar
 
 from .catalog import (AdCreative, EventRow, Placement, keywords_field, serialize_ad_catalog,
                       start_event_log, write_event_row)
@@ -27,6 +26,10 @@ _BASE_TIMESTAMP = 1_700_000_000_000
 N_ADS = 24
 BIDS = (5.0, 10.0, 20.0, 40.0)
 
+# The planted coefficients of raw (1, placement, size_code, bid, keyword_value),
+# chosen so every click probability stays inside (0, 1).
+TRUE_THETA = (0.02, 0.01, 0.002, 0.001, 0.0003)
+
 _COUNTRIES = ["PK", "US", "GB"]
 _BROWSERS = ["chrome", "firefox", "safari"]
 
@@ -36,9 +39,6 @@ class SimulationConfig:
     seed: int
     n_events: int
     category: str = "sports"
-    # true_theta applies to raw (1, placement, size_code, bid, keyword_value);
-    # chosen so every click probability stays inside (0, 1).
-    true_theta: ClassVar[tuple[float, ...]] = (0.02, 0.01, 0.002, 0.001, 0.0003)
 
     def __post_init__(self):
         if self.n_events < 0:
@@ -106,7 +106,6 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
     rng = random.Random(config.seed)
     keyword_map = planted_keyword_map(config.category)
     ads = _simulate_catalog(rng, config)
-    theta = config.true_theta
     centroids = list(PLANTED_CLUSTERS)
     buf = io.StringIO()
     writer = start_event_log(buf)
@@ -122,10 +121,10 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         kw_value = resolve_page_value(keyword_map, page_keywords)
         x = (1.0, float(encode_placement(placement)), float(encode_size(ad.size)), ad.bid,
              kw_value)
-        p_click = sum(t * xi for t, xi in zip(theta, x))
+        p_click = sum(t * xi for t, xi in zip(TRUE_THETA, x))
         if not 0.0 < p_click < 1.0:
             raise CtrServeError(f"planted click probability {p_click} left (0,1); "
-                                "adjust true_theta")
+                                "adjust TRUE_THETA")
         write_event_row(writer, EventRow(
             timestamp=_BASE_TIMESTAMP + i, ad_id=ad.ad_id, placement=placement, size=ad.size,
             category=config.category, keywords=keywords_field(page_keywords), country=country,
@@ -134,7 +133,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
     truth = {
         "seed": config.seed,
         "n_events": config.n_events,
-        "true_theta": list(theta),
+        "true_theta": list(TRUE_THETA),
         "feature_order": ["intercept", "placement", "size", "bid", "keyword_value"],
     }
     return SimulationOutput(

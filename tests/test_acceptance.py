@@ -20,7 +20,7 @@ from ctrserve.regression import (NORMAL_EQUATION, TrainingConfig, cost, gradient
                                  gradient_descent, normal_equation, predict,
                                  simple_regression, train)
 from ctrserve.server import MODE_BID, MODE_CTR, NO_FILL, ServingState, serve
-from ctrserve.simulate import SimulationConfig, run_simulation
+from ctrserve.simulate import TRUE_THETA, SimulationConfig, run_simulation
 from test_server import make_ad, random_catalog, random_request
 
 
@@ -181,7 +181,7 @@ def test_criterion_10_planted_model_recovery():
     resid = X @ model.theta - y
     sigma2 = resid @ resid / (X.shape[0] - X.shape[1])
     ses = np.sqrt(np.diag(sigma2 * np.linalg.inv(X.T @ X)))
-    z = np.abs(model.theta - np.array(config.true_theta)) / ses
+    z = np.abs(model.theta - np.array(TRUE_THETA)) / ses
     report(f"10 planted-theta recovery within 3 SE (max |z| = {np.max(z):.2f})",
            bool(np.all(z < 3.0)))
 

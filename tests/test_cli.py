@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import socket
@@ -76,6 +77,11 @@ def test_train_normal_equation_matches_oracle(tmp_path, capsys, table6_rows):
     assert np.max(np.abs(np.array(payload["theta"]) - np.array(oracle))) < 1e-9
 
 
+# The costs come from numpy arithmetic, so this pin holds for the numpy build
+# it was taken with (numpy 2.4.6), like the replay-script pin.
+TRACE_CSV_SHA256 = "691dac125672e1febd87548f01674be5cc6b19bfa0eb4d476a8fa6fbae3ec625"
+
+
 def test_train_gradient_descent_trace(tmp_path):
     model_path = tmp_path / "model.json"
     rc = main(["train", "--data", sample_data.fixture_path("training_sample.csv"),
@@ -85,8 +91,11 @@ def test_train_gradient_descent_trace(tmp_path):
     trace = payload["cost_trace"]
     assert len(trace) == 400
     assert all(b <= a for a, b in zip(trace, trace[1:]))
-    trace_csv = (tmp_path / "model.json.trace.csv").read_text().splitlines()
+    trace_bytes = (tmp_path / "model.json.trace.csv").read_bytes()
+    trace_csv = trace_bytes.decode().splitlines()
     assert trace_csv[0] == "iteration,cost" and len(trace_csv) == 401
+    assert trace_csv[1] == f"1,{trace[0]!r}" and trace_csv[-1] == f"400,{trace[-1]!r}"
+    assert hashlib.sha256(trace_bytes).hexdigest() == TRACE_CSV_SHA256
 
 
 def test_train_missing_input(tmp_path, capsys):
@@ -126,14 +135,27 @@ def test_predict_keyword_token_via_map(capsys):
 def test_predict_refuses_a_map_of_another_category_like_serve(tmp_path, capsys):
     model = sample_data.fixture_path("model_normal_eq.json")
     health = map_for_category(tmp_path, "health")
-    rc = main(["predict", "--model", model, "--map", health,
-               "above_fold", "300x250", "10", "football"])
-    assert rc == 1
-    captured = capsys.readouterr()
-    err = captured.err.strip().splitlines()
-    assert captured.out == "" and len(err) == 1
-    assert json.loads(err[0])["error"] == (f"model {model} was trained with the 'sports' "
-                                           f"keyword map, but map {health} is for 'health'")
+    for keyword in ("football", "51"):  # the map is checked whether or not it is read
+        rc = main(["predict", "--model", model, "--map", health,
+                   "above_fold", "300x250", "10", keyword])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert json.loads(err[0])["error"] == (f"model {model} was trained with the 'sports' "
+                                               f"keyword map, but map {health} is for 'health'")
+
+
+def test_predict_opens_its_map_for_a_numeric_keyword(tmp_path, capsys):
+    args = ["predict", "--model", sample_data.fixture_path("model_normal_eq.json")]
+    request = ["above_fold", "300x250", "10", "51"]
+    assert main(args + ["--map", str(tmp_path / "missing.json"), *request]) == 1
+    assert capsys.readouterr().out == ""
+    assert main(args + request) == 0
+    expected = capsys.readouterr().out
+    assert main(args + ["--map", sample_data.fixture_path("keyword_map_sports.json"),
+                        *request]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_predict_model_without_map_ref_takes_any_map(tmp_path, capsys):
@@ -219,12 +241,16 @@ def test_predict_unknown_size(capsys):
     assert rc != 0
 
 
+VALIDATION_REPORT_SHA256 = "fc747e6d6bfc42ef34c57abefc03a3bd03442d0b9f639cbdf7059b18e294a48c"
+
+
 def test_evaluate_validation_set(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     rc = main(["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"),
                "--data", sample_data.fixture_path("validation_sample.csv"),
                "--out", str(report_path)])
     assert rc == 0
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == VALIDATION_REPORT_SHA256
     report = json.loads(report_path.read_text())
     # frozen from direct per-row arithmetic with the published coefficients;
     # the printed predicted column came from a different (unpublished) fit
@@ -270,13 +296,20 @@ def test_evaluate_refuses_a_constant_observed_series(tmp_path, capsys, text):
     assert not report.exists()
 
 
-def test_evaluate_pairs_replay(capsys):
-    rc = main(["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"),
-               "--data", sample_data.fixture_path("validation_pairs.csv")])
-    assert rc == 0
-    out = capsys.readouterr().out
-    se = float(out.splitlines()[0].split(":")[1])
-    assert se == pytest.approx(0.010127, abs=1e-5)
+def test_evaluate_pairs_replay(tmp_path, capsys):
+    reports = {}
+    for data in ("validation_pairs.csv", "validation_sample.csv"):
+        reports[data] = tmp_path / f"{data}.json"
+        rc = main(["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"),
+                   "--data", sample_data.fixture_path(data), "--out", str(reports[data])])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == f"wrote {reports[data]}"  # one report format for both tables
+    pairs, table = (json.loads(path.read_text()) for path in reports.values())
+    assert pairs.keys() == table.keys()
+    assert pairs["se"] == pytest.approx(0.010127, abs=1e-5)
+    assert (pairs["se"], pairs["r_squared"]) == (0.01012637647433671, 0.7416941337488264)
+    assert len(pairs["pairs"]) == pairs["n"] == 6
 
 
 def test_evaluate_pairs_with_quoted_header(tmp_path, capsys):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ctrserve.errors import ContractError, CtrServeError
-from ctrserve.evaluation import evaluate, export_cost_trace, r_squared, standard_error
+from ctrserve.evaluation import evaluate, r_squared, standard_error
 from ctrserve.features import build_design_matrix, fit_scaler, transform
-from ctrserve.regression import TrainingConfig, cost, gradient_descent, train
+from ctrserve.regression import NORMAL_EQUATION, TrainingConfig, cost, gradient_descent, train
 
 
 class TestStandardError:
@@ -117,17 +117,19 @@ class TestEvaluate:
 
 
 class TestExportCostTrace:
+    """The cost trace a gradient-descent model stores, one cost per
+    iteration; `train` exports it as 1-based (iteration, cost) rows, which
+    `tests/test_cli.py::test_train_gradient_descent_trace` checks."""
+
     def test_default_training(self, table6_rows, sports_map):
         model = train(table6_rows, sports_map, TrainingConfig())
-        series = export_cost_trace(model)
-        assert len(series) == 400
-        assert series[0][0] == 1 and series[-1][0] == 400
-        costs = [c for _, c in series]
+        costs = model.cost_trace
+        assert len(costs) == 400
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     def test_single_iteration(self, table6_rows, sports_map):
         model = train(table6_rows, sports_map, TrainingConfig(iterations=1))
-        assert len(export_cost_trace(model)) == 1
+        assert len(model.cost_trace) == 1
 
     def test_trace_matches_replayed_checkpoints(self, table6_rows, sports_map):
         model = train(table6_rows, sports_map, TrainingConfig(iterations=400))
@@ -137,6 +139,6 @@ class TestExportCostTrace:
             theta_ck, _ = gradient_descent(scaled, TrainingConfig(iterations=checkpoint))
             assert model.cost_trace[checkpoint - 1] == cost(theta_ck, scaled)
 
-    def test_normal_equation_has_no_trace(self, paper_model):
-        with pytest.raises(CtrServeError):
-            export_cost_trace(paper_model)
+    def test_normal_equation_has_no_trace(self, paper_model, table6_rows, sports_map):
+        refit = train(table6_rows, sports_map, TrainingConfig(method=NORMAL_EQUATION))
+        assert paper_model.cost_trace == () and refit.cost_trace == ()

@@ -6,7 +6,7 @@ from ctrserve.errors import CtrServeError
 from ctrserve.features import build_design_matrix
 from ctrserve.keywords import load_keyword_map
 from ctrserve.regression import NORMAL_EQUATION, TrainingConfig, train
-from ctrserve.simulate import SimulationConfig, planted_keyword_map, run_simulation
+from ctrserve.simulate import TRUE_THETA, SimulationConfig, planted_keyword_map, run_simulation
 
 
 def test_same_seed_byte_identical():
@@ -66,5 +66,5 @@ def test_planted_recovery_smoke():
     resid = X @ model.theta - y
     sigma2 = resid @ resid / (X.shape[0] - X.shape[1])
     ses = np.sqrt(np.diag(sigma2 * np.linalg.inv(X.T @ X)))
-    z = np.abs(model.theta - np.array(cfg.true_theta)) / ses
+    z = np.abs(model.theta - np.array(TRUE_THETA)) / ses
     assert np.all(z < 4.0)
