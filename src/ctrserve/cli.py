@@ -7,7 +7,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import threading
 from collections import Counter
@@ -23,27 +22,24 @@ from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, Placement, aggr
                       parse_training_table, read_event_log)
 from .errors import CtrServeError
 
-ENV_PREFIX = "CTRF_"
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser. Each command declares only the flags it
-    reads; its namespace also carries `env_flags`, the actions of those
-    flags, which are all that CTRF_* variables may override."""
+    reads, and argparse requires those it cannot run without."""
     parser = argparse.ArgumentParser(prog="ctrserve")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("map-keywords", help="mine a keyword->value map from an event log")
-    p.add_argument("--data", help="event log CSV")
-    p.add_argument("--out", help="keyword map JSON file to write")
+    p.add_argument("--data", required=True, help="event log CSV")
+    p.add_argument("--out", required=True, help="keyword map JSON file to write")
     p.add_argument("--category", default="sports")
     p.add_argument("--k", type=int, default=3, help="number of centroids")
 
     p = sub.add_parser("train", help="fit the CTR model")
-    p.add_argument("--data", help="event log or training table CSV")
+    p.add_argument("--data", required=True, help="event log or training table CSV")
     p.add_argument("--ads", help="ad catalog JSON file (with an event log)")
     p.add_argument("--map", dest="map_path", help="keyword map JSON file (with an event log)")
-    p.add_argument("--out", help="model JSON file to write")
+    p.add_argument("--out", required=True, help="model JSON file to write")
     p.add_argument("--method", choices=["gd", "normal"], default="gd")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--iters", type=int, default=400)
@@ -51,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-scaling", action="store_true")
 
     p = sub.add_parser("predict", help="predict CTR for one request")
-    p.add_argument("--model", help="model JSON file")
+    p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--map", dest="map_path", help="keyword map JSON file (for a keyword token)")
     p.add_argument("placement", choices=[pl.value for pl in Placement])
     p.add_argument("size")
@@ -59,12 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("keyword", help="numeric keyword value, or a token resolved via --map")
 
     p = sub.add_parser("evaluate", help="score a model on a validation CSV")
-    p.add_argument("--model", help="model JSON file")
-    p.add_argument("--data", help="training table or (y, y_pred) pairs CSV")
+    p.add_argument("--model", required=True, help="model JSON file")
+    p.add_argument("--data", required=True, help="training table or (y, y_pred) pairs CSV")
     p.add_argument("--out", help="report JSON file to write")
 
     p = sub.add_parser("serve", help="run the ad-selection HTTP service")
-    p.add_argument("--ads", help="ad catalog JSON file")
+    p.add_argument("--ads", required=True, help="ad catalog JSON file")
     p.add_argument("--model", help="model JSON file (for ctr mode)")
     p.add_argument("--map", dest="map_path", help="keyword map JSON file (for ctr mode)")
     p.add_argument("--out", help="event log CSV to append to (default events.csv)")
@@ -72,44 +68,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["bid", "ctr"], default="bid")
 
     p = sub.add_parser("simulate", help="generate a seeded synthetic event log")
-    p.add_argument("--out", help="directory to write")
+    p.add_argument("--out", required=True, help="directory to write")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--events", type=int, default=10000)
     p.add_argument("--category", default="sports")
 
-    for p in sub.choices.values():
-        p.set_defaults(env_flags=[a for a in p._actions
-                                  if a.option_strings and a.default is not argparse.SUPPRESS])
     return parser
-
-
-def _apply_env_overrides(args: argparse.Namespace) -> None:
-    """CTRF_<DEST> overrides a flag of the chosen command (CTRF_ALPHA,
-    CTRF_MAP_PATH, ...), checked like the flag: through its type and its
-    choices. A switch is set by 1/true/yes and cleared by anything else."""
-    for action in args.env_flags:
-        name = ENV_PREFIX + action.dest.upper()
-        raw = os.environ.get(name)
-        if raw is None:
-            continue
-        if action.nargs == 0:
-            value = raw.strip().lower() in ("1", "true", "yes")
-        else:
-            try:
-                value = action.type(raw) if action.type else raw
-            except ValueError:
-                raise CtrServeError(f"{name}: expected {action.type.__name__}, "
-                                    f"got {raw!r}") from None
-            if action.choices is not None and value not in action.choices:
-                raise CtrServeError(f"{name}: expected one of {', '.join(action.choices)}, "
-                                    f"got {raw!r}")
-        setattr(args, action.dest, value)
 
 
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) in (None, ""):
-            flag = "--map" if name == "map_path" else "--" + name.replace("_", "-")
+            flag = "--map" if name == "map_path" else "--" + name
             raise CtrServeError(f"missing required flag {flag}")
 
 
@@ -152,7 +122,6 @@ def _load_training_rows(args, keyword_map):
 
 
 def cmd_map_keywords(args) -> int:
-    _require(args, "data", "out")
     transactions = _load_transactions(args.data, args.category)
     if not transactions:
         raise CtrServeError(f"no transactions for category {args.category!r} in {args.data}")
@@ -170,7 +139,6 @@ def cmd_map_keywords(args) -> int:
 def cmd_train(args) -> int:
     from . import regression
 
-    _require(args, "data", "out")
     keyword_map = None
     if args.map_path:
         with open(args.map_path) as fh:
@@ -201,7 +169,6 @@ def cmd_predict(args) -> int:
     from . import regression
     from .features import encode_placement, encode_size
 
-    _require(args, "model")
     with open(args.model) as fh:
         model = regression.load_model(fh)
     if args.map_path:
@@ -226,7 +193,6 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     from . import evaluation, regression
 
-    _require(args, "model", "data")
     with open(args.model) as fh:
         model = regression.load_model(fh)
     with _open_csv(args.data) as (fh, header):
@@ -246,7 +212,6 @@ def cmd_evaluate(args) -> int:
 def cmd_serve(args) -> int:
     from . import server
 
-    _require(args, "ads")
     config = server.ServerConfig(
         catalog_path=args.ads, model_path=args.model, map_path=args.map_path,
         event_log_path=args.out, port=args.port, default_mode=args.mode)
@@ -265,7 +230,6 @@ def cmd_serve(args) -> int:
 def cmd_simulate(args) -> int:
     from . import simulate
 
-    _require(args, "out")
     config = simulate.SimulationConfig(seed=args.seed, n_events=args.events,
                                        category=args.category)
     output = simulate.run_simulation(config)
@@ -296,9 +260,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_env_overrides(args)
         return _COMMANDS[args.command](args)
-    except (CtrServeError, OSError) as exc:
+    except (CtrServeError, OSError, OverflowError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

@@ -56,7 +56,7 @@ class ScalerStats:
 
 
 def encode_placement(p: Placement) -> int:
-    return 1 if p is Placement.ABOVE_FOLD or p == Placement.ABOVE_FOLD else 0
+    return 1 if p == Placement.ABOVE_FOLD else 0
 
 
 def encode_size(label: str) -> int:

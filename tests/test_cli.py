@@ -1,7 +1,9 @@
+import argparse
 import csv
 import hashlib
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -324,44 +326,70 @@ def test_evaluate_pairs_with_quoted_header(tmp_path, capsys):
     assert outputs[0] == outputs[1] and outputs[0].startswith("SE: ")
 
 
-def test_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CTRF_EVENTS", "5")
-    out = tmp_path / "env"
-    assert main(["simulate", "--seed", "1", "--events", "50", "--out", str(out)]) == 0
-    assert (out / "events.csv").read_text().count("\n") == 6  # header + 5 rows
-
-
-def test_bad_env_override_is_json_error(sim_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CTRF_ITERS", "abc")
-    rc = main(["train", "--data", sample_data.fixture_path("training_sample.csv"),
-               "--out", str(tmp_path / "m.json")])
-    assert rc == 1
-    assert "CTRF_ITERS" in json.loads(capsys.readouterr().err)["error"]
+FULL_COMMAND_LINES = {  # command -> (a command line it runs, the flags argparse requires)
+    "map-keywords": (["--data", "events.csv", "--out", "map.json"], ["--data", "--out"]),
+    "train": (["--data", "training.csv", "--out", "model.json"], ["--data", "--out"]),
+    "predict": (["--model", "model.json", "above_fold", "300x250", "22", "51"], ["--model"]),
+    "evaluate": (["--model", "model.json", "--data", "validation.csv"], ["--model", "--data"]),
+    "serve": (["--ads", "catalog.json", "--port", "0"], ["--ads"]),
+    "simulate": (["--out", "sim"], ["--out"]),
+}
 
 
 IO_FLAGS = {"--data", "--ads", "--map", "--model", "--out"}
-COMMAND_IO = {  # command -> (its I/O flags, its positionals)
-    "map-keywords": ({"--data", "--out"}, []),
-    "train": ({"--data", "--ads", "--map", "--out"}, []),
-    "predict": ({"--model", "--map"}, ["above_fold", "300x250", "22", "51"]),
-    "evaluate": ({"--model", "--data", "--out"}, []),
-    "serve": ({"--ads", "--model", "--map", "--out"}, []),
-    "simulate": ({"--out"}, []),
+COMMAND_IO = {  # command -> its I/O flags
+    "map-keywords": {"--data", "--out"},
+    "train": {"--data", "--ads", "--map", "--out"},
+    "predict": {"--model", "--map"},
+    "evaluate": {"--model", "--data", "--out"},
+    "serve": {"--ads", "--model", "--map", "--out"},
+    "simulate": {"--out"},
 }
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_IO))
 def test_each_command_has_only_the_io_flags_it_reads(command, capsys):
-    flags, positionals = COMMAND_IO[command]
+    flags = COMMAND_IO[command]
     with pytest.raises(SystemExit) as exit_:
         build_parser().parse_args([command, "--help"])
     assert exit_.value.code == 0
     listed = {word.strip("[],") for word in capsys.readouterr().out.split()}
     assert listed & IO_FLAGS == flags
+    argv, _ = FULL_COMMAND_LINES[command]
     for flag in sorted(IO_FLAGS - flags):
         with pytest.raises(SystemExit) as exit_:
-            build_parser().parse_args([command, *positionals, flag, "x"])
+            build_parser().parse_args([command, *argv, flag, "x"])
         assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+
+
+def test_ctrf_variables_do_nothing(tmp_path, monkeypatch, capsys):
+    """The command line is the only input: an environment variable named
+    like a flag, a positional or the command changes no output."""
+    runs = [
+        ["simulate", "--seed", "1", "--events", "50", "--out", str(tmp_path / "sim")],
+        ["train", "--data", sample_data.fixture_path("training_sample.csv"),
+         "--out", str(tmp_path / "m.json")],
+        ["predict", "--model", sample_data.fixture_path("model_normal_eq.json"),
+         "above_fold", "300x250", "22", "51"],
+    ]
+
+    def outputs():
+        for argv in runs:
+            assert main(argv) == 0
+        return (capsys.readouterr(), (tmp_path / "sim" / "events.csv").read_bytes(),
+                (tmp_path / "m.json").read_bytes())
+
+    expected = outputs()
+    assert expected[1].count(b"\n") == 51  # header + 50 rows
+    for name, value in [("EVENTS", "5"), ("ITERS", "abc"), ("ALPHA", "0.5"),
+                        ("METHOD", "banana"), ("NO_INTERCEPT", "yes"), ("COMMAND", "train"),
+                        ("OUT", str(tmp_path / "elsewhere")), ("MODEL", "missing.json"),
+                        ("PLACEMENT", "sideways"), ("BID", "x"), ("KEYWORD", "england"),
+                        ("PORT", "none"), ("MODE", "foo")]:
+        monkeypatch.setenv("CTRF_" + name, value)
+    assert outputs() == expected
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_env_cannot_choose_the_command(tmp_path, monkeypatch):
@@ -389,28 +417,33 @@ def test_env_reaches_only_the_chosen_commands_flags(tmp_path, monkeypatch):
     assert main(["simulate", "--seed", "1", "--events", "5", "--out", str(tmp_path)]) == 0
 
 
-def test_env_value_outside_the_flags_choices_is_json_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CTRF_METHOD", "banana")
-    rc = main(["train", "--data", sample_data.fixture_path("training_sample.csv"),
-               "--out", str(tmp_path / "m.json")])
-    assert rc == 1
-    assert "CTRF_METHOD" in json.loads(capsys.readouterr().err)["error"]
-    assert not (tmp_path / "m.json").exists()
+@pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in FULL_COMMAND_LINES.items()
+                                           for f in flags])
+def test_missing_required_flag_is_a_malformed_command_line(tmp_path, monkeypatch, capsys,
+                                                           command, flag):
+    argv, _ = FULL_COMMAND_LINES[command]
+    build_parser().parse_args([command, *argv])
+    i = argv.index(flag)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *argv[:i], *argv[i + 2:]])
+    assert exit_.value.code == 2
+    assert f"required: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
-    monkeypatch.setenv("CTRF_MODE", "foo")
-    rc = main(["serve", "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
-               "--out", str(tmp_path / "events.csv"), "--port", "0"])
-    assert rc == 1
-    assert "CTRF_MODE" in json.loads(capsys.readouterr().err)["error"]
 
-
-@pytest.mark.parametrize("raw, n_theta", [("yes", 4), ("1", 4), ("0", 5), ("no", 5)])
-def test_env_switch(tmp_path, monkeypatch, raw, n_theta):
-    monkeypatch.setenv("CTRF_NO_INTERCEPT", raw)
-    model_path = tmp_path / "model.json"
-    assert main(["train", "--data", sample_data.fixture_path("training_sample.csv"),
-                 "--method", "normal", "--no-intercept", "--out", str(model_path)]) == 0
-    assert len(json.loads(model_path.read_text())["theta"]) == n_theta
+def test_readme_command_table_lists_each_commands_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| command | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines():
+        command, flags = row.strip("|").split("|", 1)
+        listed[command.strip(" `")] = set(re.findall(r"--[a-z][a-z-]*", flags))
+    [commands] = [a.choices for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    declared = {name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+                for name, p in commands.items()}
+    assert listed == declared
 
 
 def rename_keyword(src, dst, old, new):
@@ -574,6 +607,39 @@ def test_serve_on_a_port_in_use_closes_its_event_log(tmp_path):
     assert proc.returncode == 1 and out == ""
     [line] = err.splitlines()  # the error and no ResourceWarning
     assert "error" in json.loads(line)
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_on_a_port_out_of_range_is_one_json_error_line(tmp_path, port):
+    log = tmp_path / "events.csv"
+    proc = child_python("-X", "dev", "-W", "always::ResourceWarning", "-m", "ctrserve.cli",
+                        "serve", "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
+                        "--out", str(log), "--port", port)
+    try:
+        out, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1 and out == ""
+    [line] = err.splitlines()  # the error and no ResourceWarning
+    assert "0-65535" in json.loads(line)["error"]
+    assert log.read_text().splitlines() == [",".join(EVENT_LOG_HEADER)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"), "--data", "bad.csv"],
+    ["predict", "--model", "bad.json", "above_fold", "300x250", "22", "51"],
+    ["map-keywords", "--data", "bad.csv", "--out", "map.json"],
+    # a port out of range, so that a catalog that loaded could not serve and hang
+    ["serve", "--ads", "bad.json", "--out", "events.csv", "--port", "70000"],
+], ids=lambda argv: argv[0])
+def test_a_file_that_is_not_utf8_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.csv").write_bytes(b"y,y_pred\n0.5,\xff\n")
+    Path("bad.json").write_bytes(b'{"category": "\xff"}')
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert "can't decode byte 0xff" in json.loads(line)["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "bad.json"]
 
 
 @pytest.mark.parametrize("content", [
