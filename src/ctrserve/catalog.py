@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -27,9 +28,10 @@ class Placement(str, Enum):
     BELOW_FOLD = "below_fold"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdCreative:
-    """An advertiser's creative: category, size, floor-price bid, keywords."""
+    """An advertiser's creative: category, size, floor-price bid, keywords.
+    Slotted: a serving snapshot holds one per catalog record."""
 
     ad_id: str
     campaign_id: str
@@ -121,6 +123,18 @@ def as_text(stream) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
+@contextmanager
+def open_text(path, newline=None):
+    """The file at `path`, open for reading as UTF-8 text. Bytes that are
+    not UTF-8, wherever in the file they are read, raise ParseError naming
+    the path."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 JSON_NUMBER = (int, float)  # the JSON numbers; a bool is neither
 
 
@@ -140,11 +154,13 @@ def list_of(value, kinds: tuple, name: str) -> list:
 _CATALOG_TEXT = ("ad_id", "campaign_id", "category", "size", "landing_page")
 
 
-def _ad_creative(rec: dict) -> AdCreative:
+def _ad_creative(rec: dict, shared: dict) -> AdCreative:
     """The AdCreative of one catalog record. A missing required field raises
     KeyError and a field of the wrong type ValueError: the text fields must
     be strings, `bid` a number (not a bool), `keywords` and `locations`
-    lists of strings."""
+    lists of strings. `shared` maps each value to the first equal one seen,
+    so ads with equal keyword sets, location sets, campaigns, categories or
+    sizes hold one object."""
     text = (rec["ad_id"], rec.get("campaign_id", ""), rec["category"], rec["size"],
             rec.get("landing_page", ""))
     if not _all_strings(text):
@@ -157,13 +173,17 @@ def _ad_creative(rec: dict) -> AdCreative:
     if not (isinstance(locations, list) and _all_strings(locations)):
         raise ValueError(f"locations must be a list of strings, got {locations!r}")
     ad_id, campaign_id, category, size, landing_page = text
-    return AdCreative(ad_id, campaign_id, category, size, float(bid), landing_page,
-                      keyword_set(rec["keywords"]), frozenset(locations))
+    bid = float(bid)
+    keywords = keyword_set(rec["keywords"])
+    locations = frozenset(locations)
+    share = shared.setdefault
+    return AdCreative(ad_id, share(campaign_id, campaign_id), share(category, category),
+                      share(size, size), bid, landing_page, share(keywords, keywords),
+                      share(locations, locations))
 
 
-def parse_ad_catalog(stream) -> list[AdCreative]:
-    """Parse a JSON-array ad catalog; enforces per-record invariants and
-    ad_id uniqueness, preserving file order."""
+def _catalog_records(stream) -> list:
+    """The decoded JSON array of a catalog; its text is dropped on return."""
     text = as_text(stream)
     if not text.strip():
         return []
@@ -173,13 +193,23 @@ def parse_ad_catalog(stream) -> list[AdCreative]:
         raise ParseError(f"catalog is not valid JSON: {exc}") from exc
     if not isinstance(records, list):
         raise ParseError("catalog must be a JSON array of objects")
+    return records
+
+
+def parse_ad_catalog(stream) -> list[AdCreative]:
+    """Parse a JSON-array ad catalog; enforces per-record invariants and
+    ad_id uniqueness, preserving file order. Equal values share one object
+    (see `_ad_creative`), and each record is freed once its ad is built."""
+    records = _catalog_records(stream)
     ads: list[AdCreative] = []
     seen: set[str] = set()
+    shared: dict = {}
     for i, rec in enumerate(records):
+        records[i] = None
         if not isinstance(rec, dict):
             raise ParseError(f"catalog record {i}: expected an object")
         try:
-            ad = _ad_creative(rec)
+            ad = _ad_creative(rec, shared)
         except KeyError as exc:
             raise ParseError(f"catalog record {i}: missing field {exc.args[0]!r}") from exc
         except ValueError as exc:

@@ -18,8 +18,8 @@ from pathlib import Path
 # loading them.
 from . import keywords
 from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, Placement, aggregate_events,
-                      keyword_set, page_keywords, parse_ad_catalog, parse_pairs_table,
-                      parse_training_table, read_event_log)
+                      keyword_set, open_text, page_keywords, parse_ad_catalog,
+                      parse_pairs_table, parse_training_table, read_event_log)
 from .errors import CtrServeError
 
 
@@ -88,7 +88,7 @@ def _open_csv(path: str):
     """The CSV file at `path` and its first row, read by CSV rules, the file
     left at its start. newline="" keeps a carriage return inside a quoted
     field as it was written."""
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         header = next(csv.reader(fh), [])
         fh.seek(0)
         yield fh, header
@@ -98,7 +98,7 @@ def _load_transactions(path: str, category: str) -> Counter:
     """Keyword transactions of `category` in one pass over the log, as a
     Counter of keyword sets. Every row is validated, whatever its category;
     each distinct `keywords` field is tokenized once."""
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         fields = Counter(e.keywords for e in read_event_log(fh) if e.category == category)
     transactions = Counter()
     for field, n in fields.items():
@@ -116,7 +116,7 @@ def _load_training_rows(args, keyword_map):
         if header == TRAINING_TABLE_HEADER:
             return parse_training_table(fh)
         _require(args, "map_path", "ads")
-        with open(args.ads) as ads:
+        with open_text(args.ads) as ads:
             bids = {ad.ad_id: ad.bid for ad in parse_ad_catalog(ads)}
         return aggregate_events(read_event_log(fh, bids=bids), keyword_map)
 
@@ -141,7 +141,7 @@ def cmd_train(args) -> int:
 
     keyword_map = None
     if args.map_path:
-        with open(args.map_path) as fh:
+        with open_text(args.map_path) as fh:
             keyword_map = keywords.load_keyword_map(fh)
     rows = _load_training_rows(args, keyword_map)
     method = regression.GRADIENT_DESCENT if args.method == "gd" else regression.NORMAL_EQUATION
@@ -169,10 +169,10 @@ def cmd_predict(args) -> int:
     from . import regression
     from .features import encode_placement, encode_size
 
-    with open(args.model) as fh:
+    with open_text(args.model) as fh:
         model = regression.load_model(fh)
     if args.map_path:
-        with open(args.map_path) as fh:
+        with open_text(args.map_path) as fh:
             keyword_map = keywords.load_keyword_map(fh)
         regression.check_keyword_map(model, args.model, keyword_map, args.map_path)
     try:
@@ -193,7 +193,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     from . import evaluation, regression
 
-    with open(args.model) as fh:
+    with open_text(args.model) as fh:
         model = regression.load_model(fh)
     with _open_csv(args.data) as (fh, header):
         if header == PAIRS_TABLE_HEADER:  # a stored (observed, predicted) table is replayed
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CtrServeError, OSError, OverflowError, UnicodeDecodeError) as exc:
+    except (CtrServeError, OSError, OverflowError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

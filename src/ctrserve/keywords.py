@@ -190,9 +190,11 @@ def load_keyword_map(stream) -> KeywordMap:
     string, `centroids` a nonempty list of strings, `values` an object of
     finite numbers (a bool is not one) with a value for every centroid, and
     `cluster_of` an object whose values are centroids. A bad field raises
-    ParseError naming it."""
+    ParseError naming it; text that is not UTF-8 raises UnicodeDecodeError,
+    which `catalog.open_text` turns into a ParseError naming the file."""
+    text = as_text(stream)
     try:
-        payload = json.loads(as_text(stream))
+        payload = json.loads(text)
         category, values, cluster_of = (payload["category"], payload["values"],
                                          payload["cluster_of"])
         check_field(type(category) is str, "category", category)

@@ -4,9 +4,11 @@ snapshot reload."""
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from operator import attrgetter
@@ -15,7 +17,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
 from .catalog import (AdCreative, EventRow, Placement, RequestContext, check_field, keyword_set,
-                      keywords_field, parse_ad_catalog, start_event_log, write_event_row)
+                      keywords_field, open_text, parse_ad_catalog, start_event_log,
+                      write_event_row)
 from .errors import ContractError, EncodingError, ParseError, ValidationError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from .keywords import KeywordMap, load_keyword_map, resolve_page_value
@@ -210,21 +213,45 @@ class ServerConfig:
     default_mode: str = MODE_BID
 
 
+# The collector is process-wide, so loads take turns: none resumes it while
+# another still runs, and a reload builds one new snapshot at a time.
+_LOAD_LOCK = threading.Lock()
+
+
+@contextmanager
+def _collector_paused():
+    """Take the load lock and pause the cyclic collector until the load ends.
+    A load allocates tens of thousands of containers, which would start
+    collections that also scan the live snapshot; a snapshot holds no
+    cycles, so reference counting alone frees the one a reload replaces. A
+    collector that was off stays off."""
+    with _LOAD_LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+
 def load_state(config: ServerConfig) -> ServingState:
     """Load a snapshot from the configured files; a model and a map that
-    `check_keyword_map` refuses do not load."""
-    with open(config.catalog_path) as fh:
-        catalog = tuple(parse_ad_catalog(fh))
-    model = keyword_map = None
-    if config.model_path:
-        with open(config.model_path) as fh:
-            model = load_model(fh)
-    if config.map_path:
-        with open(config.map_path) as fh:
-            keyword_map = load_keyword_map(fh)
-        if model is not None:
-            check_keyword_map(model, config.model_path, keyword_map, config.map_path)
-    return ServingState(catalog=catalog, model=model, keyword_map=keyword_map)
+    `check_keyword_map` refuses do not load, and a file that is not UTF-8
+    raises ParseError naming its path."""
+    with _collector_paused():
+        with open_text(config.catalog_path) as fh:
+            catalog = tuple(parse_ad_catalog(fh))
+        model = keyword_map = None
+        if config.model_path:
+            with open_text(config.model_path) as fh:
+                model = load_model(fh)
+        if config.map_path:
+            with open_text(config.map_path) as fh:
+                keyword_map = load_keyword_map(fh)
+            if model is not None:
+                check_keyword_map(model, config.model_path, keyword_map, config.map_path)
+        return ServingState(catalog=catalog, model=model, keyword_map=keyword_map)
 
 
 _TEXT_FIELDS = ("size", "category", "area", "city", "country", "ip", "browser")

@@ -98,6 +98,52 @@ class TestParseAdCatalog:
             parse_ad_catalog(json.dumps(records))
 
 
+class TestSharedLayout:
+    """Ads of one parse share equal values; nothing about the values changes."""
+
+    @staticmethod
+    def two_ads(first=None, second=None):
+        record = json.loads(CATALOG_ONE)[0]
+        return parse_ad_catalog(json.dumps([{**record, **(first or {})},
+                                            {**record, "ad_id": "a2", **(second or {})}]))
+
+    def test_keyword_lists_of_one_set_share_it(self):
+        a, b = self.two_ads({"keywords": ["epl", "football"]},
+                            {"keywords": [" Football", "EPL ", "epl"]})
+        assert a.keywords == {"epl", "football"} and a.keywords is b.keywords
+
+    @pytest.mark.parametrize("first, second", [([], []), ([], None), (["PK", "US"], ["US", "PK"])],
+                             ids=["empty", "empty and missing", "reordered"])
+    def test_equal_location_lists_share_one_set(self, first, second):
+        a, b = self.two_ads({"locations": first}, None if second is None else {"locations": second})
+        assert a.locations == set(first) and a.locations is b.locations
+
+    def test_campaign_category_and_size_are_shared(self):
+        a, b = self.two_ads()
+        assert (a.campaign_id, a.category, a.size) == ("c1", "sports", "300x250")
+        assert a.campaign_id is b.campaign_id and a.category is b.category and a.size is b.size
+
+    def test_ad_creative_has_no_instance_dict(self):
+        (ad,) = parse_ad_catalog(CATALOG_ONE)
+        assert not hasattr(ad, "__dict__")
+        with pytest.raises(AttributeError):
+            ad.bid = 1.0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("bid", "20", "catalog record 4999: bid must be a number, got '20'"),
+        ("keywords", ["ok", 7], "catalog record 4999: keywords must be a list of strings, "
+                                "got ['ok', 7]"),
+        ("locations", "PK", "catalog record 4999: locations must be a list of strings, got 'PK'"),
+    ])
+    def test_a_bad_last_record_of_a_large_catalog_is_named(self, field, value, message):
+        template = json.loads(CATALOG_ONE)[0]
+        records = [{**template, "ad_id": f"a{i}"} for i in range(5000)]
+        records[-1][field] = value
+        with pytest.raises(ParseError) as err:
+            parse_ad_catalog(json.dumps(records))
+        assert str(err.value) == message
+
+
 class TestParseEventLog:
     def test_three_rows(self):
         text = event_csv(

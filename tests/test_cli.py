@@ -629,6 +629,7 @@ def test_serve_on_a_port_out_of_range_is_one_json_error_line(tmp_path, port):
     ["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"), "--data", "bad.csv"],
     ["predict", "--model", "bad.json", "above_fold", "300x250", "22", "51"],
     ["map-keywords", "--data", "bad.csv", "--out", "map.json"],
+    ["train", "--data", "bad.csv", "--out", "model.json"],
     # a port out of range, so that a catalog that loaded could not serve and hang
     ["serve", "--ads", "bad.json", "--out", "events.csv", "--port", "70000"],
 ], ids=lambda argv: argv[0])
@@ -638,7 +639,10 @@ def test_a_file_that_is_not_utf8_is_one_json_error_line(tmp_path, monkeypatch, c
     Path("bad.json").write_bytes(b'{"category": "\xff"}')
     assert main(argv) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert "can't decode byte 0xff" in json.loads(line)["error"]
+    error = json.loads(line)["error"]
+    assert "can't decode byte 0xff" in error
+    [bad] = [arg for arg in argv if arg.startswith("bad.")]
+    assert error.startswith(f"{bad} is not UTF-8 text")  # the one file at fault is named
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "bad.json"]
 
 

@@ -361,3 +361,15 @@ def test_reload_of_map_of_another_category_is_500_and_keeps_snapshot(running_ser
     status, body = http_post(base + "/reload")
     assert status == 500 and "'news'" in json.loads(body)["error"]
     assert srv.state is snapshot and served_ctr(base) == before
+
+
+@pytest.mark.parametrize("field", ["catalog_path", "model_path", "map_path"])
+def test_reload_of_a_file_that_is_not_utf8_is_500_naming_it(running_server, tmp_path, field):
+    srv, base = running_server
+    before, snapshot = served_ctr(base), srv.state
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff" + Path(getattr(srv.config, field)).read_bytes())
+    setattr(srv.config, field, str(path))
+    status, body = http_post(base + "/reload")
+    assert status == 500 and f"{path} is not UTF-8 text" in json.loads(body)["error"]
+    assert srv.state is snapshot and served_ctr(base) == before
