@@ -1,9 +1,9 @@
-"""Domain entities plus catalog / event-log ingestion and aggregation.
+"""Domain entities plus the catalog, event-log and table file formats.
 
 The three parties are the advertiser (AdCreative), the publisher page
 (RequestContext) and the viewer (fields carried on the context). Each
-logged impression is one EventRow; rows are grouped into regression-ready
-TrainingRows.
+logged impression is one EventRow; `features.aggregate_events` groups rows
+into regression-ready TrainingRows.
 """
 
 from __future__ import annotations
@@ -123,6 +123,16 @@ def as_text(stream) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
+def parse_json(stream, error: type, what: str):
+    """The JSON value of a document read by `as_text`. Text that is not JSON,
+    too long an integer or too deep a nesting raises `error("<what>: ...")`."""
+    text = as_text(stream)  # outside the try: UnicodeDecodeError is a ValueError
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise error(f"{what}: {exc}") from exc
+
+
 @contextmanager
 def open_text(path, newline=None):
     """The file at `path`, open for reading as UTF-8 text. Bytes that are
@@ -173,7 +183,10 @@ def _ad_creative(rec: dict, shared: dict) -> AdCreative:
     if not (isinstance(locations, list) and _all_strings(locations)):
         raise ValueError(f"locations must be a list of strings, got {locations!r}")
     ad_id, campaign_id, category, size, landing_page = text
-    bid = float(bid)
+    try:
+        bid = float(bid)
+    except OverflowError:
+        raise ValueError("bid is too large for a float") from None
     keywords = keyword_set(rec["keywords"])
     locations = frozenset(locations)
     share = shared.setdefault
@@ -187,10 +200,7 @@ def _catalog_records(stream) -> list:
     text = as_text(stream)
     if not text.strip():
         return []
-    try:
-        records = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"catalog is not valid JSON: {exc}") from exc
+    records = parse_json(text, ParseError, "catalog is not valid JSON")
     if not isinstance(records, list):
         raise ParseError("catalog must be a JSON array of objects")
     return records
@@ -280,42 +290,46 @@ def read_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> Iterat
     if isinstance(stream, (str, bytes)):
         stream = io.StringIO(as_text(stream))
     reader = csv.reader(stream)
-    for header in reader:
-        if any(field.strip() for field in header):
-            break
-    else:
-        return  # an empty or blank log has no events
-    if header != EVENT_LOG_HEADER:
-        raise ParseError(f"unexpected event-log header: {header}")
-    if bids is not None:
-        bids = {ad_id: float(bid) for ad_id, bid in bids.items()}
-    for i, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != len(EVENT_LOG_HEADER):
-            raise ParseError(f"event row {i}: expected {len(EVENT_LOG_HEADER)} fields, got {len(row)}")
-        (ts, ad_id, placement, size, category, keywords,
-         country, city, area, ip, browser, clicked) = row
-        try:
-            timestamp = int(ts)
-        except ValueError as exc:
-            raise ValidationError(f"event row {i}: unparseable timestamp {ts!r}") from exc
-        if clicked not in ("0", "1"):
-            raise ValidationError(f"event row {i}: clicked must be 0 or 1, got {clicked!r}")
-        placement_val = _PLACEMENTS.get(placement)
-        if placement_val is None:
-            raise ValidationError(f"event row {i}: unknown placement {placement!r}")
-        served_bid = None
+    i = -1  # the row being read, the header being row 0
+    try:
+        for header in reader:
+            if any(field.strip() for field in header):
+                break
+        else:
+            return  # an empty or blank log has no events
+        if header != EVENT_LOG_HEADER:
+            raise ParseError(f"unexpected event-log header: {header}")
         if bids is not None:
-            served_bid = bids.get(ad_id)
-            if served_bid is None:
-                raise ValidationError(f"event row {i}: ad_id {ad_id!r} not in catalog")
-        if timestamp <= 0:
-            raise ValidationError(f"event row {i}: timestamp must be > 0, got {ts!r}")
-        # tuple.__new__ skips the generated keyword-argument __new__ (as _make does)
-        yield tuple.__new__(EventRow, (timestamp, ad_id, placement_val, size, category, keywords,
-                                       country, city, area, ip, browser, clicked == "1",
-                                       served_bid))
+            bids = {ad_id: float(bid) for ad_id, bid in bids.items()}
+        for i, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != len(EVENT_LOG_HEADER):
+                raise ParseError(f"event row {i}: expected {len(EVENT_LOG_HEADER)} fields, got {len(row)}")
+            (ts, ad_id, placement, size, category, keywords,
+             country, city, area, ip, browser, clicked) = row
+            try:
+                timestamp = int(ts)
+            except ValueError as exc:
+                raise ValidationError(f"event row {i}: unparseable timestamp {ts!r}") from exc
+            if clicked not in ("0", "1"):
+                raise ValidationError(f"event row {i}: clicked must be 0 or 1, got {clicked!r}")
+            placement_val = _PLACEMENTS.get(placement)
+            if placement_val is None:
+                raise ValidationError(f"event row {i}: unknown placement {placement!r}")
+            served_bid = None
+            if bids is not None:
+                served_bid = bids.get(ad_id)
+                if served_bid is None:
+                    raise ValidationError(f"event row {i}: ad_id {ad_id!r} not in catalog")
+            if timestamp <= 0:
+                raise ValidationError(f"event row {i}: timestamp must be > 0, got {ts!r}")
+            # tuple.__new__ skips the generated keyword-argument __new__ (as _make does)
+            yield tuple.__new__(EventRow, (timestamp, ad_id, placement_val, size, category,
+                                           keywords, country, city, area, ip, browser,
+                                           clicked == "1", served_bid))
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise ParseError(f"event row {i + 1}: {exc}") from exc
 
 
 def write_event_row(writer, row: EventRow) -> None:
@@ -358,19 +372,22 @@ PAIRS_TABLE_HEADER = ["y", "y_pred"]
 
 def _read_table(stream, header: list[str], name: str, convert) -> list:
     """`convert(row)` of each non-blank row of a CSV table whose first row
-    must be `header`. A row that `convert` refuses with ValueError raises
-    ParseError naming the row."""
+    must be `header`. A row that `convert` refuses with ValueError, or that
+    the csv module cannot read, raises ParseError naming the row."""
     reader = csv.reader(io.StringIO(as_text(stream)))
-    first = next(reader, None)
-    if first != header:
-        raise ParseError(f"unexpected {name}-table header: {first}")
-    rows = []
-    for i, row in enumerate(reader, start=1):
-        if row:
-            try:
-                rows.append(convert(row))
-            except ValueError as exc:
-                raise ParseError(f"{name} row {i}: {exc}") from exc
+    rows, i = [], -1  # the row being read, the header being row 0
+    try:
+        first = next(reader, None)
+        if first != header:
+            raise ParseError(f"unexpected {name}-table header: {first}")
+        for i, row in enumerate(reader, start=1):
+            if row:
+                try:
+                    rows.append(convert(row))
+                except ValueError as exc:
+                    raise ParseError(f"{name} row {i}: {exc}") from exc
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise ParseError(f"{name} row {i + 1}: {exc}") from exc
     return rows
 
 
@@ -404,51 +421,3 @@ def parse_pairs_table(stream) -> tuple[list[float], list[float]]:
     """Parse a stored (observed, predicted) pairs CSV into its two columns."""
     pairs = _read_table(stream, PAIRS_TABLE_HEADER, "pairs", _pair)
     return [y for y, _ in pairs], [y_pred for _, y_pred in pairs]
-
-
-def compute_ctr(clicks: int, impressions: int) -> float:
-    """Click-through rate of a group: clicks / impressions."""
-    if impressions <= 0:
-        raise ValidationError(f"impressions must be >= 1, got {impressions}")
-    if clicks < 0 or clicks > impressions:
-        raise ValidationError(f"clicks must lie in [0, impressions], got {clicks}/{impressions}")
-    return clicks / impressions
-
-
-def aggregate_events(events: Iterable[EventRow], keyword_map) -> list[TrainingRow]:
-    """Fold event rows, as `read_event_log` streams them, into groups by
-    (placement, size, bid, keyword value) and emit one TrainingRow per group
-    with its observed CTR.
-
-    Viewer fields are never grouped on. Group order follows first
-    appearance in the event stream. The size code and the page value are
-    computed once per distinct `size` and `keywords` field; a field that
-    cannot be encoded or resolved raises at its first row.
-    """
-    from .features import encode_placement, encode_size
-    from .keywords import resolve_page_value
-
-    placement_codes = {p: encode_placement(p) for p in Placement}
-    size_codes: dict[str, int] = {}
-    page_values: dict[str, float] = {}
-    groups: dict[tuple, list[int]] = {}  # key -> [impressions, clicks]
-    for _, ad_id, placement, size, _, keywords, _, _, _, _, _, clicked, bid in events:
-        if bid is None:
-            raise ValidationError(f"event for ad {ad_id!r} has no served bid; "
-                                  "read the log with a catalog to join bids")
-        size_code = size_codes.get(size)
-        if size_code is None:
-            size_code = size_codes[size] = encode_size(size)
-        value = page_values.get(keywords)
-        if value is None:
-            value = page_values[keywords] = resolve_page_value(keyword_map,
-                                                               page_keywords(keywords))
-        key = (placement_codes[placement], size_code, bid, value)
-        counts = groups.setdefault(key, [0, 0])
-        counts[0] += 1
-        counts[1] += clicked
-    return [
-        TrainingRow(placement_code=p, size_code=s, bid=b, keyword_value=kv,
-                    ctr=compute_ctr(clicks, impressions))
-        for (p, s, b, kv), (impressions, clicks) in groups.items()
-    ]

@@ -17,10 +17,11 @@ from pathlib import Path
 # functions that `train` calls, so that the other commands do not pay for
 # loading them.
 from . import keywords
-from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, Placement, aggregate_events,
-                      keyword_set, open_text, page_keywords, parse_ad_catalog,
-                      parse_pairs_table, parse_training_table, read_event_log)
-from .errors import CtrServeError
+from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, Placement, keyword_set,
+                      open_text, page_keywords, parse_ad_catalog, parse_pairs_table,
+                      parse_training_table, read_event_log)
+from .errors import CtrServeError, ParseError
+from .features import aggregate_events, encode_placement, encode_size
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +90,10 @@ def _open_csv(path: str):
     left at its start. newline="" keeps a carriage return inside a quoted
     field as it was written."""
     with open_text(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
+        try:
+            header = next(csv.reader(fh), [])
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise ParseError(f"{path} header: {exc}") from exc
         fh.seek(0)
         yield fh, header
 
@@ -167,7 +171,6 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     from . import regression
-    from .features import encode_placement, encode_size
 
     with open_text(args.model) as fh:
         model = regression.load_model(fh)

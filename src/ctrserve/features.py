@@ -1,4 +1,5 @@
-"""Categorical encodings, design-matrix assembly and z-score scaling.
+"""Categorical encodings, the fold of logged events into training rows,
+design-matrix assembly and z-score scaling.
 
 Serving scales one feature vector at a time in plain floats
 (`transform_row`); only the matrix functions import numpy, so `predict`
@@ -7,13 +8,15 @@ and the server run without it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
-from .catalog import Placement, TrainingRow
-from .errors import ContractError, CtrServeError, DegenerateFeatureError, EncodingError
+from .catalog import EventRow, Placement, TrainingRow, page_keywords
+from .errors import (ContractError, CtrServeError, DegenerateFeatureError, EncodingError,
+                     ValidationError)
+from .keywords import resolve_page_value
 
 DEFAULT_SIZE_REGISTRY = ("300x250", "728x90", "160x600")
 
@@ -120,3 +123,48 @@ def transform_row(scaler: ScalerStats, raw: Sequence[float]) -> tuple[float, ...
     division as in `transform`, so it keeps the matrix's bits."""
     _check_arity(scaler, len(raw))
     return tuple((float(x) - m) / s for x, m, s in zip(raw, scaler.means, scaler.stds))
+
+
+def compute_ctr(clicks: int, impressions: int) -> float:
+    """Click-through rate of a group: clicks / impressions."""
+    if impressions <= 0:
+        raise ValidationError(f"impressions must be >= 1, got {impressions}")
+    if clicks < 0 or clicks > impressions:
+        raise ValidationError(f"clicks must lie in [0, impressions], got {clicks}/{impressions}")
+    return clicks / impressions
+
+
+def aggregate_events(events: Iterable[EventRow], keyword_map) -> list[TrainingRow]:
+    """Fold event rows, as `read_event_log` streams them, into groups by
+    (placement, size, bid, keyword value) and emit one TrainingRow per group
+    with its observed CTR.
+
+    Viewer fields are never grouped on. Group order follows first
+    appearance in the event stream. The size code and the page value are
+    computed once per distinct `size` and `keywords` field; a field that
+    cannot be encoded or resolved raises at its first row.
+    """
+    placement_codes = {p: encode_placement(p) for p in Placement}
+    size_codes: dict[str, int] = {}
+    page_values: dict[str, float] = {}
+    groups: dict[tuple, list[int]] = {}  # key -> [impressions, clicks]
+    for _, ad_id, placement, size, _, keywords, _, _, _, _, _, clicked, bid in events:
+        if bid is None:
+            raise ValidationError(f"event for ad {ad_id!r} has no served bid; "
+                                  "read the log with a catalog to join bids")
+        size_code = size_codes.get(size)
+        if size_code is None:
+            size_code = size_codes[size] = encode_size(size)
+        value = page_values.get(keywords)
+        if value is None:
+            value = page_values[keywords] = resolve_page_value(keyword_map,
+                                                               page_keywords(keywords))
+        key = (placement_codes[placement], size_code, bid, value)
+        counts = groups.setdefault(key, [0, 0])
+        counts[0] += 1
+        counts[1] += clicked
+    return [
+        TrainingRow(placement_code=p, size_code=s, bid=b, keyword_value=kv,
+                    ctr=compute_ctr(clicks, impressions))
+        for (p, s, b, kv), (impressions, clicks) in groups.items()
+    ]

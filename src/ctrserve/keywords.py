@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .catalog import JSON_NUMBER, as_text, check_field, list_of
+from .catalog import JSON_NUMBER, check_field, list_of, parse_json
 from .errors import CtrServeError, MappingError, ParseError
 
 BASE_VALUE = 50.0
@@ -153,20 +153,18 @@ def build_keyword_map(stats: CooccurrenceStats, k: int) -> KeywordMap:
                       cluster_of=cluster_of, nudged=frozenset(nudged))
 
 
-def resolve_page_value(keyword_map: KeywordMap, page_keywords: Iterable[str],
-                       mode: str = "strict") -> float:
-    """Reduce a page's keyword set to one numeric value: its first mapped
-    keyword in resolution order wins. With no mapped keyword, strict mode
-    errors and fallback mode returns the first centroid's base value."""
+def resolve_page_value(keyword_map: KeywordMap, page_keywords: Iterable[str]) -> float:
+    """Reduce a page's keyword set to one numeric value: the value of its
+    first mapped keyword in resolution order, or the first centroid's value
+    when no keyword is mapped. This is the one page-value rule: serving,
+    training, `predict` and the simulator all value a page through it."""
     page = set(page_keywords)
     if not page:
         raise MappingError("page_keywords must be nonempty")
     for kw, value in keyword_map.values.items():
         if kw in page:
             return value
-    if mode == "fallback":
-        return keyword_map.values[keyword_map.centroids[0]]
-    raise MappingError(f"no page keyword is mapped: {sorted(page)}")
+    return keyword_map.values[keyword_map.centroids[0]]
 
 
 def save_keyword_map(keyword_map: KeywordMap) -> str:
@@ -192,9 +190,8 @@ def load_keyword_map(stream) -> KeywordMap:
     `cluster_of` an object whose values are centroids. A bad field raises
     ParseError naming it; text that is not UTF-8 raises UnicodeDecodeError,
     which `catalog.open_text` turns into a ParseError naming the file."""
-    text = as_text(stream)
+    payload = parse_json(stream, ParseError, "invalid keyword-map file")
     try:
-        payload = json.loads(text)
         category, values, cluster_of = (payload["category"], payload["values"],
                                          payload["cluster_of"])
         check_field(type(category) is str, "category", category)
@@ -215,7 +212,7 @@ def load_keyword_map(stream) -> KeywordMap:
         for kw, c in cluster_of.items():
             if c not in centroids:
                 raise ValueError(f"cluster_of[{kw!r}] is not a centroid: {c!r}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid keyword-map file: {exc}") from exc
     return KeywordMap(category=category, centroids=centroids, values=values,
                       cluster_of=cluster_of)

@@ -14,9 +14,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .catalog import FEATURE_NAMES, JSON_NUMBER, TrainingRow, as_text, check_field, list_of
-from .errors import (ContractError, CtrServeError, DegenerateFeatureError, DivergenceError,
-                     ModelLoadError, SingularMatrixError, ValidationError)
+from .catalog import FEATURE_NAMES, JSON_NUMBER, TrainingRow, check_field, list_of, parse_json
+from .errors import (ContractError, CtrServeError, DivergenceError, ModelLoadError,
+                     SingularMatrixError, ValidationError)
 from .features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, ScalerStats, build_design_matrix,
                        fit_scaler, transform, transform_row)
 
@@ -181,23 +181,6 @@ def check_keyword_map(model: RegressionModel, model_path, keyword_map, map_path)
                               f"{map_path} is for {keyword_map.category!r}")
 
 
-def simple_regression(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Single-feature fit with intercept via the normal equation; returns
-    (intercept, slope)."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 2:
-        raise ContractError("x and y must be equal-length 1-D series of length >= 2")
-    if np.all(x == x[0]):
-        raise DegenerateFeatureError("x is constant; no slope is identifiable")
-    X = np.column_stack([np.ones_like(x), x])
-    matrix = DesignMatrix(X=X, y=y, include_intercept=True)
-    theta = normal_equation(matrix)
-    return float(theta[0]), float(theta[1])
-
-
 def save_model(model: RegressionModel) -> str:
     payload = {
         "version": MODEL_FORMAT_VERSION,
@@ -224,10 +207,7 @@ def load_model(stream) -> RegressionModel:
     is not a number, a string is not a list, and a field of the wrong type
     raises ModelLoadError naming it, as does a schema whose features or size
     registry differ from the constants or a theta/scaler that does not fit."""
-    try:
-        payload = json.loads(as_text(stream))
-    except json.JSONDecodeError as exc:
-        raise ModelLoadError(f"corrupt model stream: {exc}") from exc
+    payload = parse_json(stream, ModelLoadError, "corrupt model stream")
     try:
         version = payload["version"]
         if type(version) is not int or version != MODEL_FORMAT_VERSION:

@@ -98,7 +98,7 @@ def _rank_by_ctr(state: "ServingState",
     if best is None:
         return None
     placement_code = encode_placement(request.placement)
-    kw_value = resolve_page_value(state.keyword_map, request.page_keywords, mode="fallback")
+    kw_value = resolve_page_value(state.keyword_map, request.page_keywords)
     best_score = predict(model, (placement_code, size_code, best.bid, kw_value))
     if state.bid_ascending:
         # Ascending bid puts equal bids in descending ad_id order, so a

@@ -10,17 +10,18 @@ import pytest
 from _oracles import brute_force_best_by_bid, eligible_candidates, least_squares_exact
 from conftest import make_context
 from ctrserve import sample_data
-from ctrserve.catalog import aggregate_events, parse_ad_catalog, read_event_log
+from ctrserve.catalog import parse_ad_catalog, read_event_log
 from ctrserve.evaluation import r_squared, standard_error
-from ctrserve.features import DEFAULT_SIZE_REGISTRY, build_design_matrix, fit_scaler, transform
+from ctrserve.features import (DEFAULT_SIZE_REGISTRY, aggregate_events, build_design_matrix,
+                               fit_scaler, transform)
 from ctrserve.keywords import (build_keyword_map, confidence,
                                count_cooccurrences, load_keyword_map,
                                resolve_page_value, save_keyword_map)
 from ctrserve.regression import (NORMAL_EQUATION, TrainingConfig, cost, gradient,
-                                 gradient_descent, normal_equation, predict,
-                                 simple_regression, train)
+                                 gradient_descent, normal_equation, predict, train)
 from ctrserve.server import MODE_BID, MODE_CTR, NO_FILL, ServingState, serve
 from ctrserve.simulate import TRUE_THETA, SimulationConfig, run_simulation
+from test_regression import single_feature_slope
 from test_server import make_ad, random_catalog, random_request
 
 
@@ -114,8 +115,8 @@ def test_criterion_6_gradient_matches_finite_differences():
 def test_criterion_7_qualitative_signs(table6_rows):
     matrix = build_design_matrix(table6_rows)
     scaled = transform(fit_scaler(matrix), matrix)
-    _, bid_slope = simple_regression(scaled.X[:, 3], scaled.y)
-    _, kw_slope = simple_regression(scaled.X[:, 4], scaled.y)
+    bid_slope = single_feature_slope(scaled.X[:, 3], scaled.y)
+    kw_slope = single_feature_slope(scaled.X[:, 4], scaled.y)
     report("7 sign checks: bid slope > 0 and |keyword slope| < bid slope",
            bid_slope > 0 and abs(kw_slope) < bid_slope)
 
@@ -137,7 +138,7 @@ def test_criterion_8_selection_oracle_equivalence(paper_model, sports_map):
             continue
         ok &= by_bid.ad_id == brute_force_best_by_bid(candidates).ad_id
         placement_code = encode_placement(request.placement)
-        kw_value = resolve_page_value(sports_map, request.page_keywords, mode="fallback")
+        kw_value = resolve_page_value(sports_map, request.page_keywords)
         scored = [(predict(paper_model, (placement_code, encode_size(c.size), c.bid, kw_value)),
                    c.bid, c) for c, _ in candidates]
         best_score, best_bid = max((s, b) for s, b, _ in scored)

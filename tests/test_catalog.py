@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import dictreader_groups
 from conftest import make_event
-from ctrserve.catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement,
-                              aggregate_events, compute_ctr, keyword_set, keywords_field,
-                              normalize_token, page_keywords, parse_ad_catalog,
+from ctrserve.catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement, keyword_set,
+                              keywords_field, normalize_token, page_keywords, parse_ad_catalog,
                               parse_pairs_table, parse_training_table, read_event_log,
                               serialize_ad_catalog, write_event_row)
-from ctrserve.errors import MappingError, ParseError, ValidationError
-from ctrserve.features import DEFAULT_SIZE_REGISTRY
+from ctrserve.errors import ParseError, ValidationError
+from ctrserve.features import DEFAULT_SIZE_REGISTRY, aggregate_events, compute_ctr
 from ctrserve.keywords import load_keyword_map
 
 CATALOG_ONE = json.dumps([{
@@ -134,6 +133,8 @@ class TestSharedLayout:
         ("keywords", ["ok", 7], "catalog record 4999: keywords must be a list of strings, "
                                 "got ['ok', 7]"),
         ("locations", "PK", "catalog record 4999: locations must be a list of strings, got 'PK'"),
+        pytest.param("bid", 10 ** 400, "catalog record 4999: bid is too large for a float",
+                     id="bid-too-large-for-a-float"),
     ])
     def test_a_bad_last_record_of_a_large_catalog_is_named(self, field, value, message):
         template = json.loads(CATALOG_ONE)[0]
@@ -169,6 +170,14 @@ class TestParseEventLog:
     def test_empty_stream(self):
         assert list(read_event_log("")) == []
 
+    def test_a_field_over_the_csv_size_limit_names_the_row(self):
+        long_row = "2,a1,above_fold,300x250,sports," + "x" * 140_000 + ",PK,k,c,ip,ch,0"
+        text = event_csv("1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0", long_row)
+        with pytest.raises(ParseError, match=r"^event row 2: field larger than field limit"):
+            list(read_event_log(text))
+        with pytest.raises(ParseError, match=r"^event row 0: field larger than field limit"):
+            list(read_event_log(long_row))
+
     def test_bid_join(self):
         text = event_csv("1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0")
         (event,) = read_event_log(text, bids={"a1": 20.0})
@@ -192,11 +201,6 @@ class TestAggregateEvents:
         events += [make_event(bid=30.0, clicked=i < 5, timestamp=i + 1) for i in range(50)]
         rows = aggregate_events(events, sports_map)
         assert sorted(r.ctr for r in rows) == [0.04, 0.10]
-
-    def test_strict_unknown_keyword(self, sports_map):
-        events = [make_event(keywords=("qwerty",))]
-        with pytest.raises(MappingError, match="qwerty"):
-            aggregate_events(events, sports_map)
 
     def test_unjoined_bid_rejected(self, sports_map):
         event = make_event(bid=None)
@@ -367,6 +371,10 @@ def test_pairs_table(table10_pairs):
     ("y,y_pred\n0.1,0.2,0.3\n", "pairs row 1: too many values"),
     ("y,y_pred\n0.1,0.2\n0.1,nan\n", "pairs row 2: 'nan' is not a finite number"),
     ("y,y_pred\n-Infinity,0.2\n", "pairs row 1: '-Infinity' is not a finite number"),
+    pytest.param("y,y_pred\n0.1,0.2\n0.1," + "9" * 140_000 + "\n",
+                 "pairs row 2: field larger than field limit", id="long field"),
+    pytest.param("y," + "9" * 140_000 + "\n",
+                 "pairs row 0: field larger than field limit", id="long header field"),
 ])
 def test_bad_pairs_table(text, message):
     with pytest.raises(ParseError, match=message):

@@ -646,6 +646,62 @@ def test_a_file_that_is_not_utf8_is_one_json_error_line(tmp_path, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "bad.json"]
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, "[1" + "0" * 5_000 + "]"],
+                         ids=["deep nesting", "integer over the digit limit"])
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "--model", "bad.json", "above_fold", "300x250", "22", "51"],
+     "corrupt model stream: "),
+    (["evaluate", "--model", "bad.json", "--data",
+      sample_data.fixture_path("validation_sample.csv")], "corrupt model stream: "),
+    (["predict", "--model", sample_data.fixture_path("model_normal_eq.json"), "--map", "bad.json",
+      "above_fold", "300x250", "22", "football"], "invalid keyword-map file: "),
+    # a port out of range, so that a catalog that loaded could not serve and hang
+    (["serve", "--ads", "bad.json", "--out", "events.csv", "--port", "70000"],
+     "catalog is not valid JSON: "),
+], ids=["predict --model", "evaluate --model", "predict --map", "serve --ads"])
+def test_json_the_parser_refuses_is_one_json_error_line(tmp_path, monkeypatch, capsys,
+                                                         argv, message, text):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(text)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert captured.out == "" and json.loads(line)["error"].startswith(message)
+
+
+LONG_FIELD = "x" * 140_000  # over the csv module's 131,072-byte field limit
+
+
+@pytest.mark.parametrize("where", ["header", "row 2"])
+@pytest.mark.parametrize("command", ["evaluate", "train", "map-keywords"])
+def test_a_csv_field_over_the_size_limit_is_one_json_error_line_naming_the_row(
+        tmp_path, capsys, command, where):
+    data = tmp_path / "data.csv"
+    if command == "evaluate":
+        header, rows = "y,y_pred", ["0.03,0.04", f"0.05,{LONG_FIELD}"]
+        args = ["--model", sample_data.fixture_path("model_normal_eq.json")]
+        row_error = "pairs row 2"
+    else:
+        header = ",".join(EVENT_LOG_HEADER)
+        rows = ["1,boots-01,above_fold,300x250,sports,football,PK,,,,,0",
+                f"2,boots-01,above_fold,300x250,sports,{LONG_FIELD},PK,,,,,1"]
+        args = ["--out", str(tmp_path / "out.json")]
+        if command == "train":
+            args += ["--ads", sample_data.fixture_path("ad_catalog_sample.json"),
+                     "--map", sample_data.fixture_path("keyword_map_sports.json")]
+        row_error = "event row 2"
+    if where == "header":
+        header, rows = f"{header},{LONG_FIELD}", rows[:1]
+        row_error = "event row 0" if command == "map-keywords" else f"{data} header"
+    data.write_text("\n".join([header, *rows]) + "\n")
+    assert main([command, "--data", str(data), *args]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert captured.out == "" and json.loads(line)["error"] == (
+        f"{row_error}: field larger than field limit (131072)")
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("content", [
     b"a,b\n1,2\n",
     (",".join(EVENT_LOG_HEADER) + "\r\n1,boots-01,above_fold,300x250,sports,epl,,,,,,0").encode(),

@@ -316,6 +316,7 @@ def test_event_on_a_closed_log_is_500_and_a_bad_event_still_400(running_server):
 @pytest.mark.parametrize("field, value", [
     ("keywords", "football"), ("keywords", [1]), ("ad_id", None),
     ("bid", True), ("locations", "PK"),
+    pytest.param("bid", 10 ** 400, id="bid-too-large-for-a-float"),
 ])
 def test_reload_of_mistyped_catalog_is_500_and_keeps_snapshot(running_server, tmp_path,
                                                               field, value):
@@ -372,4 +373,22 @@ def test_reload_of_a_file_that_is_not_utf8_is_500_naming_it(running_server, tmp_
     setattr(srv.config, field, str(path))
     status, body = http_post(base + "/reload")
     assert status == 500 and f"{path} is not UTF-8 text" in json.loads(body)["error"]
+    assert srv.state is snapshot and served_ctr(base) == before
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "[1" + "0" * 5_000 + "]"],
+                         ids=["deep nesting", "integer over the digit limit"])
+@pytest.mark.parametrize("field, message", [("catalog_path", "catalog is not valid JSON: "),
+                                            ("model_path", "corrupt model stream: "),
+                                            ("map_path", "invalid keyword-map file: ")],
+                         ids=["catalog", "model", "map"])
+def test_reload_of_json_the_parser_refuses_is_500_and_keeps_snapshot(running_server, tmp_path,
+                                                                     field, message, text):
+    srv, base = running_server
+    before, snapshot = served_ctr(base), srv.state
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    setattr(srv.config, field, str(path))
+    status, body = http_post(base + "/reload")
+    assert status == 500 and json.loads(body)["error"].startswith(message)
     assert srv.state is snapshot and served_ctr(base) == before

@@ -306,11 +306,7 @@ class TestResolvePageValue:
         assert resolve_page_value(sports_map, {"england", "ronaldo"}) == 51.0
 
     def test_fallback_returns_first_centroid_base(self, sports_map):
-        assert resolve_page_value(sports_map, {"unknownword"}, mode="fallback") == 50.0
-
-    def test_strict_unknown_errors(self, sports_map):
-        with pytest.raises(MappingError, match="unknownword"):
-            resolve_page_value(sports_map, {"unknownword"}, mode="strict")
+        assert resolve_page_value(sports_map, {"unknownword"}) == 50.0
 
     def test_empty_page_rejected(self, sports_map):
         with pytest.raises(MappingError):

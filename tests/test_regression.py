@@ -8,19 +8,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import least_squares_exact
-from ctrserve.errors import (ContractError, CtrServeError, DegenerateFeatureError,
-                             DivergenceError, ModelLoadError, SingularMatrixError)
+from ctrserve.errors import (ContractError, CtrServeError, DivergenceError, ModelLoadError,
+                             SingularMatrixError)
 from ctrserve.catalog import FEATURE_NAMES
 from ctrserve.features import (DesignMatrix, ScalerStats, build_design_matrix, fit_scaler,
                                transform)
 from ctrserve.regression import (GRADIENT_DESCENT, NORMAL_EQUATION, RegressionModel,
                                  TrainingConfig, cost, gradient, gradient_descent,
-                                 load_model, normal_equation, predict, save_model,
-                                 simple_regression, train)
+                                 load_model, normal_equation, predict, save_model, train)
 
 
 def table6_matrix(table6_rows, intercept=True):
     return build_design_matrix(table6_rows, include_intercept=intercept)
+
+
+def single_feature_slope(x, y):
+    """The slope of y on x alone, with an intercept, by the normal equation."""
+    X = np.column_stack([np.ones_like(x), x])
+    return normal_equation(DesignMatrix(X=X, y=y, include_intercept=True))[1]
 
 
 def random_design(rng, m=None, n=None, y_unit=False):
@@ -286,28 +291,18 @@ class TestTrain:
 
 
 class TestSimpleRegression:
-    def test_exact_line(self):
-        x = [1.0, 2.0, 3.0]
-        intercept, slope = simple_regression(x, [3 * v for v in x])
-        assert intercept == pytest.approx(0.0, abs=1e-12)
-        assert slope == pytest.approx(3.0, abs=1e-12)
-
     def test_bid_slope_positive(self, table6_rows):
         matrix = table6_matrix(table6_rows)
         scaled = transform(fit_scaler(matrix), matrix)
-        _, slope = simple_regression(scaled.X[:, 3], scaled.y)
+        slope = single_feature_slope(scaled.X[:, 3], scaled.y)
         assert slope > 0.0
 
     def test_keyword_relation_weaker_than_bid(self, table6_rows):
         matrix = table6_matrix(table6_rows)
         scaled = transform(fit_scaler(matrix), matrix)
-        _, bid_slope = simple_regression(scaled.X[:, 3], scaled.y)
-        _, kw_slope = simple_regression(scaled.X[:, 4], scaled.y)
+        bid_slope = single_feature_slope(scaled.X[:, 3], scaled.y)
+        kw_slope = single_feature_slope(scaled.X[:, 4], scaled.y)
         assert abs(kw_slope) < bid_slope
-
-    def test_constant_x(self):
-        with pytest.raises(DegenerateFeatureError):
-            simple_regression([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestPersistence:

@@ -54,7 +54,7 @@ def oracle_ctr(catalog, request, model, keyword_map):
         return None
     placement_code = encode_placement(request.placement)
     size_code = encode_size(request.size)
-    kw_value = resolve_page_value(keyword_map, request.page_keywords, mode="fallback")
+    kw_value = resolve_page_value(keyword_map, request.page_keywords)
     return brute_force_best_by_ctr(
         [(predict(model, (placement_code, size_code, ad.bid, kw_value)), ad)
          for ad, _ in candidates])
@@ -195,7 +195,7 @@ class TestSelectByCtr:
             encode_placement(request.placement),
             encode_size("300x250"),
             22.0,
-            resolve_page_value(sports_map, request.page_keywords, mode="fallback"),
+            resolve_page_value(sports_map, request.page_keywords),
         ))
         assert ad_id == "only" and score == expected
 
@@ -224,7 +224,7 @@ class TestCtrScan:
     def test_negative_weight_rounded_tie_goes_to_higher_bid(self, paper_model, sports_map):
         model = with_bid_weight(paper_model, -1e-21)
         request = make_context()
-        kw_value = resolve_page_value(sports_map, request.page_keywords, mode="fallback")
+        kw_value = resolve_page_value(sports_map, request.page_keywords)
 
         def score(bid):
             return predict(model, (1, 1, bid, kw_value))

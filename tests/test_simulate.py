@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ctrserve.catalog import aggregate_events, parse_ad_catalog, read_event_log
+from ctrserve.catalog import parse_ad_catalog, read_event_log
 from ctrserve.errors import CtrServeError
-from ctrserve.features import build_design_matrix
+from ctrserve.features import aggregate_events, build_design_matrix
 from ctrserve.keywords import load_keyword_map
 from ctrserve.regression import NORMAL_EQUATION, TrainingConfig, train
 from ctrserve.simulate import TRUE_THETA, SimulationConfig, planted_keyword_map, run_simulation
