@@ -1,6 +1,9 @@
+import csv
 import dataclasses
 import json
+import select
 import socket
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -8,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from conftest import map_for_category, unresolvable_map
-from ctrserve import sample_data
+from ctrserve import sample_data, server as server_module
 from ctrserve.errors import ValidationError
 from ctrserve.server import MAX_EVENT_BODY, AdServer, ServerConfig
+from test_snapshot_memory import catalog_records, config_for
 
 
 @pytest.fixture()
@@ -392,3 +396,144 @@ def test_reload_of_json_the_parser_refuses_is_500_and_keeps_snapshot(running_ser
     status, body = http_post(base + "/reload")
     assert status == 500 and json.loads(body)["error"].startswith(message)
     assert srv.state is snapshot and served_ctr(base) == before
+
+
+def raw_exchange(base, data, timeout=5):
+    """Send `data` on a fresh connection and read until the server closes it."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(data)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    return response
+
+
+def status_of_one_complete_response(response, head_request=False):
+    head, sep, body = response.partition(b"\r\n\r\n")
+    assert sep and head.startswith(b"HTTP/1."), response[:300]
+    lengths = [line.split(b":", 1)[1] for line in head.split(b"\r\n")[1:]
+               if line.lower().startswith(b"content-length:")]
+    assert len(lengths) == 1, response[:300]
+    # A HEAD answer may announce the length of a body it leaves out.
+    assert int(lengths[0]) == len(body) or head_request and not body, response[:300]
+    return int(head.split()[1])
+
+
+LINE_LIMIT = 64 * 1024  # bytes of a request or header line, its line break included
+
+
+@pytest.mark.parametrize("data, status", [
+    pytest.param(b"\r\n", 400, id="blank request line"),
+    pytest.param(b"GET /healthz HTTP/0.9\r\n\r\n", 400, id="explicit HTTP/0.9"),
+    pytest.param(b"GET /healthz HTTP/1.0 x\r\n\r\n", 400, id="four words"),
+    pytest.param(b"GET /healthz HTTP/1.x\r\n\r\n", 400, id="version not HTTP/x.y"),
+    pytest.param(b"GET /healthz HTTP/2.0\r\n\r\n", 505, id="HTTP/2.0"),
+    pytest.param(b"PUT /healthz HTTP/1.0\r\n\r\n", 501, id="PUT"),
+    pytest.param(b"HEAD /healthz HTTP/1.0\r\n\r\n", 501, id="HEAD"),
+    # The over-long lines stop just past the limit, so nothing is left
+    # unread when the server answers and closes.
+    pytest.param(b"GET /" + b"a" * LINE_LIMIT, 414, id="request line over 64 KiB"),
+    pytest.param(b"GET /healthz HTTP/1.0\r\nX: " + b"a" * LINE_LIMIT, 431,
+                 id="header line over 64 KiB"),
+    pytest.param(b"GET /healthz HTTP/1.0\r\n" + b"X: y\r\n" * 101 + b"\r\n", 431,
+                 id="more than 100 headers"),
+    pytest.param(b"GET a://[x HTTP/1.0\r\n\r\n", 400, id="bad target"),
+    pytest.param(b"POST /event HTTP/1.0\r\nContent-Length: 1e3\r\n\r\n", 400,
+                 id="Content-Length not an integer"),
+    pytest.param(b"POST /event HTTP/1.0\r\nContent-Length: -2\r\n\r\n{}", 400,
+                 id="negative Content-Length"),
+    pytest.param(b"POST /event HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % (MAX_EVENT_BODY + 1),
+                 413, id="body over 64 KiB"),
+    pytest.param(b"GET /healthz\r\n\r\n", 200, id="GET without a version"),
+    pytest.param(b"GET /healthz HTTP/1.0\r\nno colon\r\n\r\n", 200, id="header without a colon"),
+    pytest.param(b"GET /healthz HTTP/1.0\r\nX: y\r\n", None, id="stall in the headers"),
+])
+def test_status_of_each_protocol_error(running_server, monkeypatch, data, status):
+    """Every class of malformed request keeps its status code; a client
+    that stalls mid-request is closed unanswered."""
+    monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.5)
+    _, base = running_server
+    response = raw_exchange(base, data, timeout=server_module.REQUEST_TIMEOUT_S + 15)
+    if status is None:
+        assert response == b""
+    else:
+        assert status_of_one_complete_response(response, data.startswith(b"HEAD ")) == status
+    assert http_get(base + "/healthz")[0] == 200
+
+
+def test_stalled_clients_delay_neither_requests_nor_a_reload(tmp_path, monkeypatch):
+    """One loop serves every connection, so stalled clients must not hold
+    it, and a reload of a 10,000-ad catalog runs off it."""
+    monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.5)
+    srv = AdServer(config_for(tmp_path, catalog_records(10_000, seed=3)))
+    base = f"http://127.0.0.1:{srv.start()}"
+    host, port = base.removeprefix("http://").split(":")
+    query = "/ad?placement=above_fold&size=300x250&category=sports&keywords=football,epl&mode=ctr"
+
+    def served():
+        status, body = http_get(base + query)
+        return status, json.loads(body)["ad_id"], json.loads(body)["score"]
+
+    try:
+        stalled = [socket.create_connection((host, int(port)), timeout=5) for _ in range(2)]
+        try:
+            stalled[0].sendall(b"GET /healthz HTT")
+            stalled[1].sendall(b"POST /event HTTP/1.0\r\nContent-Length: 100\r\n\r\n{\"ad")
+            start = time.monotonic()
+            for path in ("/healthz", query):
+                assert http_get(base + path)[0] == 200
+                assert time.monotonic() - start < 1.0
+                start = time.monotonic()
+            for sock in stalled:
+                assert sock.recv(65536) == b""
+            assert time.monotonic() - start < 0.5 + 1.0
+        finally:
+            for sock in stalled:
+                sock.close()
+
+        before = served()
+        new_catalog = tmp_path / "new_catalog.json"
+        new_catalog.write_text(json.dumps(catalog_records(10_000, seed=4)))
+        srv.config.catalog_path = str(new_catalog)
+        with socket.create_connection((host, int(port)), timeout=10) as reload:
+            reload.sendall(b"POST /reload HTTP/1.0\r\nContent-Length: 0\r\n\r\n")
+            during = served()
+            assert select.select([reload], [], [], 0)[0] == []  # the reload has not answered
+            reload.settimeout(10)
+            response = b""
+            while chunk := reload.recv(65536):
+                response += chunk
+        assert status_of_one_complete_response(response) == 200
+        assert during in (before, served()) and before != served()
+    finally:
+        srv.stop()
+
+
+def test_stop_under_event_traffic_loses_no_accepted_event(running_server):
+    srv, base = running_server
+    answers, lock = [], threading.Lock()
+
+    def post_events(worker):
+        for n in range(10_000):
+            ip = f"10.0.{worker}.{n}"
+            try:
+                status, body = http_post(base + "/event", {
+                    "ad_id": "boots-01", "size": "300x250", "keywords": ["football"], "ip": ip})
+            except OSError:  # refused or reset: the server has stopped
+                return
+            with lock:
+                answers.append((ip, status, body))
+
+    threads = [threading.Thread(target=post_events, args=(worker,)) for worker in range(3)]
+    for thread in threads:
+        thread.start()
+    time.sleep(0.3)
+    srv.stop()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [answer for answer in answers if answer[1] != 202] == []
+    with open(srv.event_log.path, newline="") as fh:
+        logged = [row["ip"] for row in csv.DictReader(fh)]
+    assert sorted(logged) == sorted(ip for ip, _, _ in answers)

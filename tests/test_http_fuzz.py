@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctrserve import sample_data
-from ctrserve.server import AdRequestHandler, AdServer, ServerConfig
+from ctrserve import server
+from ctrserve.server import AdServer, ServerConfig
 
-TIMEOUT_S = 0.5  # the handler's request timeout during these tests
+TIMEOUT_S = 0.5  # the server's request timeout during these tests
 CLIENT_TIMEOUT_S = 5.0  # how long a client waits for a response before failing
 
 STATUS_LINE = re.compile(rb"HTTP/1\.[01] ([245]\d\d) ")
@@ -21,19 +22,18 @@ STATUS_LINE = re.compile(rb"HTTP/1\.[01] ([245]\d\d) ")
 
 @pytest.fixture(scope="module")
 def port(tmp_path_factory):
-    saved = AdRequestHandler.timeout
-    AdRequestHandler.timeout = TIMEOUT_S
-    srv = AdServer(ServerConfig(
-        catalog_path=sample_data.fixture_path("ad_catalog_sample.json"),
-        model_path=sample_data.fixture_path("model_normal_eq.json"),
-        map_path=sample_data.fixture_path("keyword_map_sports.json"),
-        event_log_path=str(tmp_path_factory.mktemp("fuzz") / "events.csv"),
-        port=0))
-    try:
-        yield srv.start()
-    finally:
-        srv.stop()
-        AdRequestHandler.timeout = saved
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server, "REQUEST_TIMEOUT_S", TIMEOUT_S)
+        srv = AdServer(ServerConfig(
+            catalog_path=sample_data.fixture_path("ad_catalog_sample.json"),
+            model_path=sample_data.fixture_path("model_normal_eq.json"),
+            map_path=sample_data.fixture_path("keyword_map_sports.json"),
+            event_log_path=str(tmp_path_factory.mktemp("fuzz") / "events.csv"),
+            port=0))
+        try:
+            yield srv.start()
+        finally:
+            srv.stop()
 
 
 def exchange(port, data):
