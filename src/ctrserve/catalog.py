@@ -2,8 +2,11 @@
 
 The three parties are the advertiser (AdCreative), the publisher page
 (RequestContext) and the viewer (fields carried on the context). Each
-logged impression is one EventRow; `features.aggregate_events` groups rows
-into regression-ready TrainingRows.
+logged impression is written as one EventRow. The offline commands read a
+log back as a tally (`tally_event_log`): how often each distinct (ad,
+placement, size, category, keywords, clicked) occurs, with no object per
+row. `features.aggregate_events` folds that tally into regression-ready
+TrainingRows.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -238,10 +241,10 @@ def serialize_ad_catalog(ads: Sequence[AdCreative]) -> str:
 
 
 class EventRow(NamedTuple):
-    """One event-log row as plain fields, the type both written and read.
-    `keywords` is the raw ';'-joined field (`keywords_field` builds it,
-    `page_keywords` tokenizes it); `served_bid` is the catalog bid when the
-    log is read with one, else None (the log has no bid column)."""
+    """One event-log row as plain fields, in `EVENT_LOG_HEADER` order: the
+    type the server and the simulator write. `keywords` is the raw
+    ';'-joined field (`keywords_field` builds it, `page_keywords` tokenizes
+    it)."""
 
     timestamp: int  # milliseconds since epoch
     ad_id: str
@@ -255,12 +258,11 @@ class EventRow(NamedTuple):
     ip: str
     browser: str
     clicked: bool
-    served_bid: Optional[float] = None
 
 
-EVENT_LOG_HEADER = list(EventRow._fields[:-1])  # every field but served_bid is written
+EVENT_LOG_HEADER = list(EventRow._fields)
 
-_PLACEMENTS = {p.value: p for p in Placement}
+_PLACEMENTS = {p.value for p in Placement}
 
 
 def page_keywords(field: str) -> frozenset[str]:
@@ -282,63 +284,72 @@ def keywords_field(keywords: Iterable[str]) -> str:
     return ";".join(tokens)
 
 
-def read_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> Iterator[EventRow]:
-    """Stream the event-log CSV (an open text file, str or bytes) one
-    validated row at a time. `bids` (ad_id -> bid) joins the served bid onto
-    each row and rejects an ad_id outside the catalog; without it served_bid
-    stays None and rows are only usable as keyword transactions."""
+def tally_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> dict[tuple, list[int]]:
+    """The event-log CSV (an open text file, str or bytes) as a tally: each
+    distinct (ad_id, placement, size, category, keywords, clicked) of raw
+    fields, in order of first appearance, maps to [how many rows have it,
+    the number of the first of them]. These counts are all that
+    `map-keywords` and `train` read of a log.
+
+    Every row is checked, the first bad one raising with its number: its
+    field count, then a timestamp that must be an integer, then `clicked`
+    (0 or 1), the placement and, with `bids` (ad_id -> catalog bid), the
+    ad_id, then the timestamp > 0. The checks of the tallied fields run only
+    at a key's first row: a repeat of a key that passed them cannot fail
+    them. Blank rows are skipped but numbered; an empty or blank log tallies
+    nothing."""
     if isinstance(stream, (str, bytes)):
         stream = io.StringIO(as_text(stream))
     reader = csv.reader(stream)
+    tally: dict[tuple, list[int]] = {}
+    get = tally.get
+    fields = len(EVENT_LOG_HEADER)
     i = -1  # the row being read, the header being row 0
     try:
         for header in reader:
             if any(field.strip() for field in header):
                 break
         else:
-            return  # an empty or blank log has no events
+            return tally  # an empty or blank log has no events
         if header != EVENT_LOG_HEADER:
             raise ParseError(f"unexpected event-log header: {header}")
-        if bids is not None:
-            bids = {ad_id: float(bid) for ad_id, bid in bids.items()}
         for i, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(EVENT_LOG_HEADER):
-                raise ParseError(f"event row {i}: expected {len(EVENT_LOG_HEADER)} fields, got {len(row)}")
+            if len(row) != fields:
+                if not row:
+                    continue
+                raise ParseError(f"event row {i}: expected {fields} fields, got {len(row)}")
             (ts, ad_id, placement, size, category, keywords,
-             country, city, area, ip, browser, clicked) = row
+             _, _, _, _, _, clicked) = row
             try:
                 timestamp = int(ts)
             except ValueError as exc:
                 raise ValidationError(f"event row {i}: unparseable timestamp {ts!r}") from exc
-            if clicked not in ("0", "1"):
-                raise ValidationError(f"event row {i}: clicked must be 0 or 1, got {clicked!r}")
-            placement_val = _PLACEMENTS.get(placement)
-            if placement_val is None:
-                raise ValidationError(f"event row {i}: unknown placement {placement!r}")
-            served_bid = None
-            if bids is not None:
-                served_bid = bids.get(ad_id)
-                if served_bid is None:
+            key = (ad_id, placement, size, category, keywords, clicked)
+            counts = get(key)
+            if counts is None:
+                if clicked not in ("0", "1"):
+                    raise ValidationError(f"event row {i}: clicked must be 0 or 1, got {clicked!r}")
+                if placement not in _PLACEMENTS:
+                    raise ValidationError(f"event row {i}: unknown placement {placement!r}")
+                if bids is not None and ad_id not in bids:
                     raise ValidationError(f"event row {i}: ad_id {ad_id!r} not in catalog")
+                tally[key] = [1, i]
+            else:
+                counts[0] += 1
             if timestamp <= 0:
                 raise ValidationError(f"event row {i}: timestamp must be > 0, got {ts!r}")
-            # tuple.__new__ skips the generated keyword-argument __new__ (as _make does)
-            yield tuple.__new__(EventRow, (timestamp, ad_id, placement_val, size, category,
-                                           keywords, country, city, area, ip, browser,
-                                           clicked == "1", served_bid))
     except csv.Error as exc:  # such as a field over the csv module's size limit
         raise ParseError(f"event row {i + 1}: {exc}") from exc
+    return tally
 
 
 def write_event_row(writer, row: EventRow) -> None:
-    """Append one row in `EVENT_LOG_HEADER` order; `served_bid` is not
-    written. A timestamp <= 0, which `read_event_log` rejects, raises."""
+    """Append one row in `EVENT_LOG_HEADER` order. A timestamp <= 0, which
+    `tally_event_log` rejects, raises."""
     if row.timestamp <= 0:
         raise ValidationError(f"event for {row.ad_id!r}: timestamp must be > 0")
     writer.writerow(row._replace(placement=row.placement.value,
-                                 clicked="1" if row.clicked else "0")[:len(EVENT_LOG_HEADER)])
+                                 clicked="1" if row.clicked else "0"))
 
 
 def start_event_log(fh):

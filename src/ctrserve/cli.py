@@ -19,7 +19,7 @@ from pathlib import Path
 from . import keywords
 from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, Placement, keyword_set,
                       open_text, page_keywords, parse_ad_catalog, parse_pairs_table,
-                      parse_training_table, read_event_log)
+                      parse_training_table, tally_event_log)
 from .errors import CtrServeError, ParseError
 from .features import aggregate_events, encode_placement, encode_size
 
@@ -103,7 +103,11 @@ def _load_transactions(path: str, category: str) -> Counter:
     Counter of keyword sets. Every row is validated, whatever its category;
     each distinct `keywords` field is tokenized once."""
     with open_text(path, newline="") as fh:
-        fields = Counter(e.keywords for e in read_event_log(fh) if e.category == category)
+        tally = tally_event_log(fh)
+    fields = Counter()
+    for (_, _, _, row_category, field, _), (count, _) in tally.items():
+        if row_category == category:
+            fields[field] += count
     transactions = Counter()
     for field, n in fields.items():
         tokens = page_keywords(field)
@@ -114,15 +118,15 @@ def _load_transactions(path: str, category: str) -> Counter:
 
 def _load_training_rows(args, keyword_map):
     """--data is either a pre-aggregated training CSV or a raw event log
-    (detected by header); the latter needs --map and --ads and is folded
-    into groups as it streams."""
+    (detected by header); the latter needs --map and --ads, and its tally
+    is folded into groups."""
     with _open_csv(args.data) as (fh, header):
         if header == TRAINING_TABLE_HEADER:
             return parse_training_table(fh)
         _require(args, "map_path", "ads")
         with open_text(args.ads) as ads:
             bids = {ad.ad_id: ad.bid for ad in parse_ad_catalog(ads)}
-        return aggregate_events(read_event_log(fh, bids=bids), keyword_map)
+        return aggregate_events(tally_event_log(fh, bids=bids), bids, keyword_map)
 
 
 def cmd_map_keywords(args) -> int:

@@ -8,14 +8,14 @@ and the server run without it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
-from .catalog import EventRow, Placement, TrainingRow, page_keywords
+from .catalog import Placement, TrainingRow, page_keywords
 from .errors import (ContractError, CtrServeError, DegenerateFeatureError, EncodingError,
-                     ValidationError)
+                     MappingError, ValidationError)
 from .keywords import resolve_page_value
 
 DEFAULT_SIZE_REGISTRY = ("300x250", "728x90", "160x600")
@@ -134,35 +134,38 @@ def compute_ctr(clicks: int, impressions: int) -> float:
     return clicks / impressions
 
 
-def aggregate_events(events: Iterable[EventRow], keyword_map) -> list[TrainingRow]:
-    """Fold event rows, as `read_event_log` streams them, into groups by
-    (placement, size, bid, keyword value) and emit one TrainingRow per group
-    with its observed CTR.
+def aggregate_events(tally: Mapping[tuple, list[int]], bids: Mapping[str, float],
+                     keyword_map) -> list[TrainingRow]:
+    """Fold an event-log tally, as `catalog.tally_event_log` reads it, into
+    groups by (placement, size, bid, keyword value) and emit one TrainingRow
+    per group with its observed CTR. `bids` maps each ad_id to its catalog
+    bid.
 
-    Viewer fields are never grouped on. Group order follows first
-    appearance in the event stream. The size code and the page value are
-    computed once per distinct `size` and `keywords` field; a field that
-    cannot be encoded or resolved raises at its first row.
+    Viewer fields and the category are never grouped on. Group order follows
+    first appearance in the log. Each distinct row is folded once, with its
+    count; the page value is resolved once per distinct `keywords` field. An
+    ad_id outside `bids`, a size outside the registry or a `keywords` field
+    without a token raises naming the first row that has it.
     """
-    placement_codes = {p: encode_placement(p) for p in Placement}
-    size_codes: dict[str, int] = {}
+    placement_codes = {p.value: encode_placement(p) for p in Placement}
     page_values: dict[str, float] = {}
     groups: dict[tuple, list[int]] = {}  # key -> [impressions, clicks]
-    for _, ad_id, placement, size, _, keywords, _, _, _, _, _, clicked, bid in events:
+    for (ad_id, placement, size, _, keywords, clicked), (count, row) in tally.items():
+        bid = bids.get(ad_id)
         if bid is None:
-            raise ValidationError(f"event for ad {ad_id!r} has no served bid; "
-                                  "read the log with a catalog to join bids")
-        size_code = size_codes.get(size)
-        if size_code is None:
-            size_code = size_codes[size] = encode_size(size)
-        value = page_values.get(keywords)
-        if value is None:
-            value = page_values[keywords] = resolve_page_value(keyword_map,
-                                                               page_keywords(keywords))
-        key = (placement_codes[placement], size_code, bid, value)
-        counts = groups.setdefault(key, [0, 0])
-        counts[0] += 1
-        counts[1] += clicked
+            raise ValidationError(f"event row {row}: ad_id {ad_id!r} not in catalog")
+        try:
+            size_code = encode_size(size)
+            value = page_values.get(keywords)
+            if value is None:
+                value = page_values[keywords] = resolve_page_value(keyword_map,
+                                                                   page_keywords(keywords))
+        except (EncodingError, MappingError) as exc:
+            raise type(exc)(f"event row {row}: {exc}") from exc
+        counts = groups.setdefault((placement_codes[placement], size_code, bid, value), [0, 0])
+        counts[0] += count
+        if clicked == "1":
+            counts[1] += count
     return [
         TrainingRow(placement_code=p, size_code=s, bid=b, keyword_value=kv,
                     ctr=compute_ctr(clicks, impressions))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -52,16 +51,12 @@ class KeywordMap:
     nudged: frozenset = frozenset()
 
 
-def count_cooccurrences(transactions: Iterable[Iterable[str]] | Mapping[frozenset[str], int],
+def count_cooccurrences(weights: Mapping[frozenset[str], int],
                         category: str) -> CooccurrenceStats:
-    """Support / pair counting over keyword transactions, given one by one or
-    as a mapping from a keyword set to how often it occurs (a Counter). Each
-    distinct transaction is counted once, weighted by its occurrences; keys
-    keep the order in which they first appear."""
-    if isinstance(transactions, Mapping):
-        weights = transactions
-    else:
-        weights = Counter(frozenset(t) for t in transactions)
+    """Support / pair counting over keyword transactions, given as a mapping
+    from a keyword set to how often it occurs (a Counter). Each distinct
+    transaction is counted once, weighted by its occurrences; keys keep the
+    order in which they first appear."""
     if not weights:
         raise CtrServeError(f"category {category!r}: no transactions to mine")
     support: dict[str, int] = {}

@@ -128,8 +128,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         write_event_row(writer, EventRow(
             timestamp=_BASE_TIMESTAMP + i, ad_id=ad.ad_id, placement=placement, size=ad.size,
             category=config.category, keywords=keywords_field(page_keywords), country=country,
-            city="", area="", ip=ip, browser=browser, clicked=rng.random() < p_click,
-            served_bid=ad.bid))
+            city="", area="", ip=ip, browser=browser, clicked=rng.random() < p_click))
     truth = {
         "seed": config.seed,
         "n_events": config.n_events,

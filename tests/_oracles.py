@@ -1,11 +1,18 @@
 """Independent brute-force / exact-arithmetic oracles used by the tests.
 
 These deliberately avoid the library's own linear algebra: the least-squares
-oracle runs Gaussian elimination over exact Fractions, and the selection
-oracles are plain exhaustive scans over the whole catalog, in catalog order.
+oracle runs Gaussian elimination over exact Fractions, the selection
+oracles are plain exhaustive scans over the whole catalog, in catalog order,
+and the event-log reader builds one EventRow per row.
 """
 
+import csv
+import io
 from fractions import Fraction
+from typing import Iterator, Mapping, Optional
+
+from ctrserve.catalog import EVENT_LOG_HEADER, EventRow, Placement, as_text
+from ctrserve.errors import ParseError, ValidationError
 
 
 def solve_exact(A, b):
@@ -130,3 +137,61 @@ def dictreader_groups(events_path, catalog_path, map_path, size_registry):
             counts[0] += 1
             counts[1] += int(row["clicked"])
     return [key + (clicks / shown,) for key, (shown, clicks) in groups.items()]
+
+
+_PLACEMENTS = {p.value: p for p in Placement}
+
+
+def read_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> Iterator[EventRow]:
+    """Stream the event-log CSV (an open text file, str or bytes) one
+    validated row at a time. `bids` (ad_id -> bid) rejects an ad_id outside
+    the catalog. The reference for `catalog.tally_event_log`: the same
+    checks, messages and row numbers, one row at a time."""
+    if isinstance(stream, (str, bytes)):
+        stream = io.StringIO(as_text(stream))
+    reader = csv.reader(stream)
+    i = -1  # the row being read, the header being row 0
+    try:
+        for header in reader:
+            if any(field.strip() for field in header):
+                break
+        else:
+            return  # an empty or blank log has no events
+        if header != EVENT_LOG_HEADER:
+            raise ParseError(f"unexpected event-log header: {header}")
+        if bids is not None:
+            bids = {ad_id: float(bid) for ad_id, bid in bids.items()}
+        for i, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != len(EVENT_LOG_HEADER):
+                raise ParseError(f"event row {i}: expected {len(EVENT_LOG_HEADER)} fields, got {len(row)}")
+            (ts, ad_id, placement, size, category, keywords,
+             country, city, area, ip, browser, clicked) = row
+            try:
+                timestamp = int(ts)
+            except ValueError as exc:
+                raise ValidationError(f"event row {i}: unparseable timestamp {ts!r}") from exc
+            if clicked not in ("0", "1"):
+                raise ValidationError(f"event row {i}: clicked must be 0 or 1, got {clicked!r}")
+            placement_val = _PLACEMENTS.get(placement)
+            if placement_val is None:
+                raise ValidationError(f"event row {i}: unknown placement {placement!r}")
+            if bids is not None:
+                if bids.get(ad_id) is None:
+                    raise ValidationError(f"event row {i}: ad_id {ad_id!r} not in catalog")
+            if timestamp <= 0:
+                raise ValidationError(f"event row {i}: timestamp must be > 0, got {ts!r}")
+            # tuple.__new__ skips the generated keyword-argument __new__ (as _make does)
+            yield tuple.__new__(EventRow, (timestamp, ad_id, placement_val, size, category,
+                                           keywords, country, city, area, ip, browser,
+                                           clicked == "1"))
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise ParseError(f"event row {i + 1}: {exc}") from exc
+
+
+def event_key(event):
+    """The fields of an EventRow that `catalog.tally_event_log` tallies, as
+    the raw strings of the log."""
+    return (event.ad_id, event.placement.value, event.size, event.category, event.keywords,
+            "1" if event.clicked else "0")

@@ -1,5 +1,6 @@
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,12 +42,18 @@ def make_context(placement=Placement.ABOVE_FOLD, size="300x250",
                           page_keywords=frozenset(keywords), country=country)
 
 
-def make_event(ad_id="a1", clicked=False, bid=20.0, timestamp=1, placement=Placement.ABOVE_FOLD,
+def make_event(ad_id="a1", clicked=False, timestamp=1, placement=Placement.ABOVE_FOLD,
                size="300x250", category="sports", keywords=("football",), country="PK"):
-    """An event row as `read_event_log` yields it with a catalog joined."""
+    """An event row as the server writes it."""
     return EventRow(timestamp=timestamp, ad_id=ad_id, placement=placement, size=size,
                     category=category, keywords=";".join(sorted(keywords)), country=country,
-                    city="", area="", ip="", browser="", clicked=clicked, served_bid=bid)
+                    city="", area="", ip="", browser="", clicked=clicked)
+
+
+def weighted(txns):
+    """Keyword transactions in the form `count_cooccurrences` takes: each
+    distinct keyword set with how often it occurs."""
+    return Counter(frozenset(t) for t in txns)
 
 
 def map_for_category(tmp_path, category):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_best_by_bid, eligible_candidates, least_squares_exact
-from conftest import make_context
+from conftest import make_context, weighted
 from ctrserve import sample_data
-from ctrserve.catalog import parse_ad_catalog, read_event_log
+from ctrserve.catalog import parse_ad_catalog, tally_event_log
 from ctrserve.evaluation import r_squared, standard_error
 from ctrserve.features import (DEFAULT_SIZE_REGISTRY, aggregate_events, build_design_matrix,
                                fit_scaler, transform)
@@ -153,7 +153,7 @@ def test_criterion_9_keyword_map_properties():
     for seed in range(100):
         rng = random.Random(seed)
         txns = [set(rng.sample(vocab, rng.randint(1, 5))) for _ in range(rng.randint(5, 50))]
-        stats = count_cooccurrences(txns, "x")
+        stats = count_cooccurrences(weighted(txns), "x")
         k = min(3, len(stats.support))
         kmap = build_keyword_map(stats, k)
         ok &= save_keyword_map(kmap) == save_keyword_map(build_keyword_map(stats, k))
@@ -173,9 +173,9 @@ def test_criterion_10_planted_model_recovery():
     config = SimulationConfig(seed=7, n_events=10000)
     out = run_simulation(config)
     ads = parse_ad_catalog(out.catalog_json)
-    events = read_event_log(out.events_csv, bids={a.ad_id: a.bid for a in ads})
+    bids = {a.ad_id: a.bid for a in ads}
     kmap = load_keyword_map(out.map_json)
-    rows = aggregate_events(events, kmap)
+    rows = aggregate_events(tally_event_log(out.events_csv, bids=bids), bids, kmap)
     model = train(rows, kmap, TrainingConfig(method=NORMAL_EQUATION))
     X = build_design_matrix(rows).X
     y = np.array([r.ctr for r in rows])

@@ -1,17 +1,18 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import dictreader_groups
+from _oracles import dictreader_groups, event_key, read_event_log
 from conftest import make_event
 from ctrserve.catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement, keyword_set,
                               keywords_field, normalize_token, page_keywords, parse_ad_catalog,
-                              parse_pairs_table, parse_training_table, read_event_log,
-                              serialize_ad_catalog, write_event_row)
-from ctrserve.errors import ParseError, ValidationError
+                              parse_pairs_table, parse_training_table, serialize_ad_catalog,
+                              tally_event_log, write_event_row)
+from ctrserve.errors import CtrServeError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, aggregate_events, compute_ctr
 from ctrserve.keywords import load_keyword_map
 
@@ -145,67 +146,103 @@ class TestSharedLayout:
         assert str(err.value) == message
 
 
+ROW = "1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0"
+KEY = ("a1", "above_fold", "300x250", "sports", "football", "0")
+
+
 class TestParseEventLog:
     def test_three_rows(self):
         text = event_csv(
             "1,a1,above_fold,300x250,sports,football;epl,PK,khi,clifton,1.2.3.4,chrome,0",
             "2,a1,below_fold,300x250,sports,football,PK,khi,clifton,1.2.3.4,chrome,1",
-            "3,a2,above_fold,728x90,sports,cricket,PK,khi,clifton,1.2.3.4,firefox,0",
+            "3,a1,above_fold,300x250,sports,football;epl,US,lhr,,5.6.7.8,firefox,0",
         )
-        events = list(read_event_log(text))
-        assert [e.timestamp for e in events] == [1, 2, 3]
-        assert page_keywords(events[0].keywords) == frozenset({"football", "epl"})
-        assert [e.clicked for e in events] == [False, True, False]
+        assert tally_event_log(text) == {
+            ("a1", "above_fold", "300x250", "sports", "football;epl", "0"): [2, 1],
+            ("a1", "below_fold", "300x250", "sports", "football", "1"): [1, 2],
+        }
+
+    def test_keys_keep_first_appearance_order_and_first_row(self):
+        # a blank row is skipped but still numbered
+        other = "2,a2,below_fold,728x90,news,election,US,k,c,ip,ch,1"
+        tally = tally_event_log(event_csv(ROW, "", other, ROW))
+        assert list(tally.items()) == [
+            (KEY, [2, 1]), (("a2", "below_fold", "728x90", "news", "election", "1"), [1, 3])]
 
     def test_bad_clicked_flag(self):
         text = event_csv("1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,maybe")
         with pytest.raises(ValidationError, match="maybe"):
-            list(read_event_log(text))
+            tally_event_log(text)
 
     def test_bad_timestamp(self):
         text = event_csv("soon,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0")
         with pytest.raises(ValidationError, match="timestamp"):
-            list(read_event_log(text))
+            tally_event_log(text)
+
+    @pytest.mark.parametrize("ts, message", [
+        ("soon", "event row 2: unparseable timestamp 'soon'"),
+        ("0", "event row 2: timestamp must be > 0, got '0'"),
+    ])
+    def test_a_repeated_key_still_checks_its_timestamp(self, ts, message):
+        with pytest.raises(ValidationError) as err:
+            tally_event_log(event_csv(ROW, ts + ROW[1:]))
+        assert str(err.value) == message
 
     def test_empty_stream(self):
-        assert list(read_event_log("")) == []
+        assert tally_event_log("") == {}
 
     def test_a_field_over_the_csv_size_limit_names_the_row(self):
         long_row = "2,a1,above_fold,300x250,sports," + "x" * 140_000 + ",PK,k,c,ip,ch,0"
         text = event_csv("1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0", long_row)
         with pytest.raises(ParseError, match=r"^event row 2: field larger than field limit"):
-            list(read_event_log(text))
+            tally_event_log(text)
         with pytest.raises(ParseError, match=r"^event row 0: field larger than field limit"):
-            list(read_event_log(long_row))
+            tally_event_log(long_row)
 
     def test_bid_join(self):
         text = event_csv("1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0")
-        (event,) = read_event_log(text, bids={"a1": 20.0})
-        assert event.served_bid == 20.0
+        assert tally_event_log(text, bids={"a1": 20.0}) == {KEY: [1, 1]}
         with pytest.raises(ValidationError, match="a1"):
-            list(read_event_log(text, bids={"other": 5.0}))
+            tally_event_log(text, bids={"other": 5.0})
+
+
+def fold(events, bids, keyword_map):
+    """The training rows of `events`, written as a log and read back."""
+    return aggregate_events(tally_event_log(written_log(events)), bids, keyword_map)
 
 
 class TestAggregateEvents:
     def test_single_group_ctr(self, sports_map):
         events = [make_event(clicked=i < 8, timestamp=i + 1) for i in range(100)]
-        (row,) = aggregate_events(events, sports_map)
+        (row,) = fold(events, {"a1": 20.0}, sports_map)
         assert row.ctr == pytest.approx(0.08)
         assert (row.placement_code, row.size_code, row.bid, row.keyword_value) == (1, 1, 20.0, 50.0)
 
     def test_empty(self, sports_map):
-        assert aggregate_events([], sports_map) == []
+        assert aggregate_events({}, {}, sports_map) == []
 
     def test_two_groups(self, sports_map):
-        events = [make_event(bid=10.0, clicked=i < 2, timestamp=i + 1) for i in range(50)]
-        events += [make_event(bid=30.0, clicked=i < 5, timestamp=i + 1) for i in range(50)]
-        rows = aggregate_events(events, sports_map)
+        events = [make_event(ad_id="a10", clicked=i < 2, timestamp=i + 1) for i in range(50)]
+        events += [make_event(ad_id="a30", clicked=i < 5, timestamp=i + 1) for i in range(50)]
+        rows = fold(events, {"a10": 10.0, "a30": 30.0}, sports_map)
         assert sorted(r.ctr for r in rows) == [0.04, 0.10]
 
     def test_unjoined_bid_rejected(self, sports_map):
-        event = make_event(bid=None)
-        with pytest.raises(ValidationError, match="bid"):
-            aggregate_events([event], sports_map)
+        events = [make_event(), make_event(ad_id="a2", timestamp=2), make_event(ad_id="a2")]
+        with pytest.raises(ValidationError, match=r"^event row 2: ad_id 'a2' not in catalog$"):
+            fold(events, {"a1": 20.0}, sports_map)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"size": "999x1"}, "event row 3: size '999x1' is not in the registry "
+                            "['300x250', '728x90', '160x600']"),
+        ({"keywords": ()}, "event row 3: page_keywords must be nonempty"),
+    ], ids=["size", "keywords"])
+    def test_a_field_it_cannot_encode_names_its_first_row(self, sports_map, edit, message):
+        events = [make_event(timestamp=i + 1) for i in range(2)]
+        events += [make_event(clicked=True, timestamp=3, **edit), make_event(timestamp=4, **edit)]
+        with pytest.raises(CtrServeError) as err:
+            fold(events, {"a1": 20.0}, sports_map)
+        assert str(err.value) == message
 
     @given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([5.0, 10.0]),
                               st.booleans()), min_size=1, max_size=60))
@@ -215,11 +252,11 @@ class TestAggregateEvents:
         from ctrserve import sample_data
         sports_map = sample_data.sports_keyword_map()
         events = [
-            make_event(bid=bid, clicked=clicked, timestamp=i + 1,
+            make_event(ad_id=f"a{bid}", clicked=clicked, timestamp=i + 1,
                        placement=Placement.ABOVE_FOLD if pl else Placement.BELOW_FOLD)
             for i, (pl, bid, clicked) in enumerate(spec)
         ]
-        rows = aggregate_events(events, sports_map)
+        rows = fold(events, {"a5.0": 5.0, "a10.0": 10.0}, sports_map)
         groups = {}
         for pl, bid, clicked in spec:
             groups.setdefault((pl, bid), []).append(clicked)
@@ -236,7 +273,7 @@ class TestAggregateEvents:
         with open(sim / "keyword_map.json") as fh:
             kmap = load_keyword_map(fh)
         with open(sim / "events.csv") as fh:
-            rows = aggregate_events(read_event_log(fh, bids=bids), kmap)
+            rows = aggregate_events(tally_event_log(fh, bids=bids), bids, kmap)
         expected = dictreader_groups(sim / "events.csv", sim / "catalog.json",
                                      sim / "keyword_map.json", DEFAULT_SIZE_REGISTRY)
         assert len(rows) > 100
@@ -247,7 +284,8 @@ class TestAggregateEvents:
         # page values are cached per raw field; equal keyword sets still meet
         text = event_csv("1,a1,above_fold,300x250,sports,England;Spain,PK,k,c,ip,ch,1",
                          "2,a1,above_fold,300x250,sports,spain; england,PK,k,c,ip,ch,0")
-        (row,) = aggregate_events(read_event_log(text, bids={"a1": 20.0}), sports_map)
+        bids = {"a1": 20.0}
+        (row,) = aggregate_events(tally_event_log(text, bids=bids), bids, sports_map)
         assert (row.keyword_value, row.ctr) == (51.0, 0.5)
 
 
@@ -255,7 +293,7 @@ EVENT_ROWS = st.builds(
     EventRow, timestamp=st.integers(min_value=1), ad_id=st.text(),
     placement=st.sampled_from(Placement), size=st.text(), category=st.text(),
     keywords=st.text(), country=st.text(), city=st.text(), area=st.text(), ip=st.text(),
-    browser=st.text(), clicked=st.booleans(), served_bid=st.none())
+    browser=st.text(), clicked=st.booleans())
 
 
 def written_log(rows):
@@ -267,23 +305,96 @@ def written_log(rows):
     return buf.getvalue()
 
 
+def counts(tally):
+    return Counter({key: count for key, (count, _) in tally.items()})
+
+
+def reference_counts(log, bids=None):
+    return Counter(map(event_key, read_event_log(log, bids=bids)))
+
+
 class TestWriteEventRow:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(EVENT_ROWS, max_size=4))
     def test_round_trip(self, rows):
-        assert list(read_event_log(written_log(rows))) == rows
+        log = written_log(rows)
+        assert list(read_event_log(log)) == rows
+        assert counts(tally_event_log(log)) == Counter(map(event_key, rows))
 
     @settings(deadline=None)
     @given(st.lists(EVENT_ROWS, min_size=1, max_size=4), st.floats(min_value=0.01, max_value=1e6))
     def test_round_trip_with_bids(self, rows, bid):
         bids = {row.ad_id: bid for row in rows}
-        assert list(read_event_log(written_log(rows), bids=bids)) == \
-            [row._replace(served_bid=bid) for row in rows]
+        log = written_log(rows)
+        assert list(tally_event_log(log, bids=bids).items()) == \
+            list(tally_event_log(log).items())
+        assert counts(tally_event_log(log, bids=bids)) == reference_counts(log, bids)
 
     @pytest.mark.parametrize("timestamp", [0, -1])
     def test_nonpositive_timestamp_refused(self, timestamp):
         with pytest.raises(ValidationError, match="timestamp"):
             written_log([make_event(timestamp=timestamp)])
+
+
+# Edits of one row's fields; each makes the row one the readers must refuse
+# or read in an unusual way.
+MUTATIONS = {
+    "drop a field": lambda f: f[:-1],
+    "add a field": lambda f: f + ["x"],
+    "comma in a field": lambda f: f[:5] + [f[5] + ",epl"] + f[6:],
+    "newline in a field": lambda f: f[:8] + ["a\nb\r\nc"] + f[9:],
+    "timestamp text": lambda f: ["soon"] + f[1:],
+    "timestamp zero": lambda f: ["0"] + f[1:],
+    "timestamp negative": lambda f: ["-3"] + f[1:],
+    "clicked": lambda f: f[:11] + ["maybe"],
+    "placement": lambda f: f[:2] + ["sidebar"] + f[3:],
+    "ad_id": lambda f: ["1", "ghost"] + f[2:],
+    "every checked field": lambda f: ["0", "ghost", "sidebar"] + f[3:11] + ["maybe"],
+    "long field": lambda f: f[:6] + ["x" * 140_000] + f[7:],
+}
+
+# Few values per field, so that keys repeat and a bad row often shares its
+# key with earlier good ones.
+SMALL_EVENT_ROWS = st.builds(
+    EventRow, timestamp=st.integers(1, 3), ad_id=st.sampled_from(["a1", "a2"]),
+    placement=st.sampled_from(Placement), size=st.just("300x250"), category=st.just("sports"),
+    keywords=st.just("epl;football"), country=st.text(max_size=2), city=st.just(""),
+    area=st.just(""), ip=st.text(max_size=2), browser=st.just("chrome"), clicked=st.booleans())
+
+
+def outcome(read):
+    """What `read()` returns, or the type and message of the error it raises."""
+    try:
+        return list(read().items())
+    except CtrServeError as exc:
+        return type(exc), str(exc)
+
+
+class TestTallyMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(rows=st.lists(SMALL_EVENT_ROWS, max_size=10),
+           edits=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(sorted(MUTATIONS))),
+                          max_size=3),
+           layout=st.lists(st.tuples(st.booleans(), st.sampled_from(["\n", "\r\n"])),
+                           min_size=11, max_size=11),
+           with_bids=st.booleans())
+    def test_counts_or_error_equal_the_per_row_reader(self, rows, edits, layout, with_bids):
+        """A log written by write_event_row, then edited: up to three edits
+        of rows near its start (two may hit one row), blank lines put in and
+        line endings mixed."""
+        records = list(csv.reader(io.StringIO(written_log(rows), newline="")))
+        for index, name in edits:
+            if index + 1 < len(records):
+                records[index + 1] = MUTATIONS[name](records[index + 1])
+        buf = io.StringIO(newline="")
+        for fields, (blank_before, ending) in zip(records, layout):
+            if blank_before:
+                buf.write(ending)
+            csv.writer(buf, lineterminator=ending).writerow(fields)
+        log = buf.getvalue()
+        bids = {"a1": 20.0, "a2": 10.0} if with_bids else None
+        expected = outcome(lambda: reference_counts(log, bids))
+        assert outcome(lambda: counts(tally_event_log(log, bids=bids))) == expected
 
 
 NORMALIZED_TOKENS = st.text(min_size=1).map(normalize_token).filter(lambda t: t and ";" not in t)

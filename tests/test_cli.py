@@ -523,9 +523,19 @@ def test_map_keywords_names_bad_row(sim_dir, tmp_path, capsys, kind, category):
     assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize("kind", sorted(BAD_ROWS) + ["ad_id"])
+# `train` also refuses an ad outside the catalog, a size outside the registry
+# and a keywords field without a token; map-keywords reads none of these.
+TRAIN_BAD_ROWS = {
+    **BAD_ROWS,
+    "ad_id": lambda f: f[:1] + ["ghost-ad"] + f[2:],
+    "size": lambda f: f[:3] + ["999x1"] + f[4:],
+    "keywords": lambda f: f[:5] + [";"] + f[6:],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRAIN_BAD_ROWS))
 def test_train_names_bad_row(sim_dir, tmp_path, capsys, kind):
-    edit = BAD_ROWS.get(kind, lambda f: f[:1] + ["ghost-ad"] + f[2:])
+    edit = TRAIN_BAD_ROWS[kind]
     path = log_with_bad_row(sim_dir, tmp_path, edit)
     rc = main(["train", "--data", str(path), "--ads", str(sim_dir / "catalog.json"),
                "--map", str(sim_dir / "keyword_map.json"), "--method", "normal",
@@ -728,7 +738,7 @@ def test_cli_import_loads_neither_numpy_nor_the_http_server():
     assert out.strip() == "[]"
 
 
-NUMPY_FREE_ONLINE_HALF = """
+NUMPY_FREE_COMMANDS = """
 import json, sys, tempfile, urllib.request
 from pathlib import Path
 
@@ -757,6 +767,13 @@ with tempfile.TemporaryDirectory() as tmp:
         srv.stop()
 loaded["serve a ctr /ad and a /reload"] = "numpy" in sys.modules
 
+with tempfile.TemporaryDirectory() as tmp:
+    assert main(["simulate", "--seed", "1", "--events", "500", "--out", tmp]) == 0
+    loaded["simulate"] = "numpy" in sys.modules
+    assert main(["map-keywords", "--data", str(Path(tmp) / "events.csv"),
+                 "--out", str(Path(tmp) / "map.json")]) == 0
+loaded["map-keywords"] = "numpy" in sys.modules
+
 assert main(["predict", "--model", model, "above_fold", "300x250", "22", "51"]) == 0
 loaded["predict"] = "numpy" in sys.modules
 for data in ("validation_sample.csv", "validation_pairs.csv"):
@@ -767,10 +784,11 @@ print(json.dumps(loaded))
 
 
 def test_online_half_never_loads_numpy():
-    proc = child_python("-c", NUMPY_FREE_ONLINE_HALF)
+    """Nor do simulate and map-keywords: only `train` pays for numpy."""
+    proc = child_python("-c", NUMPY_FREE_COMMANDS)
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
     assert json.loads(out.splitlines()[-1]) == {
         "import ctrserve.server": False, "serve a ctr /ad and a /reload": False,
-        "predict": False, "evaluate": False}
+        "simulate": False, "map-keywords": False, "predict": False, "evaluate": False}
 

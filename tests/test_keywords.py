@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import brute_force_cooccurrences, per_transaction_cooccurrences
-from conftest import unresolvable_map
+from conftest import unresolvable_map, weighted
 from ctrserve import sample_data
 from ctrserve.errors import CtrServeError, MappingError, ParseError
 from ctrserve.keywords import (KeywordMap, assign_clusters, build_keyword_map,
@@ -30,7 +30,7 @@ def random_corpus(seed, n_txns=200, vocab_size=12):
 
 class TestCountCooccurrences:
     def test_small_example(self):
-        stats = count_cooccurrences(FOOTBALL_TXNS, "sports")
+        stats = count_cooccurrences(weighted(FOOTBALL_TXNS), "sports")
         assert stats.support == {"football": 3, "soccer": 1, "ronaldo": 1}
         assert stats.pair_count == {
             frozenset({"football", "soccer"}): 1,
@@ -38,17 +38,17 @@ class TestCountCooccurrences:
         }
 
     def test_singleton(self):
-        stats = count_cooccurrences([{"a"}], "x")
+        stats = count_cooccurrences(weighted([{"a"}]), "x")
         assert stats.support == {"a": 1}
         assert stats.pair_count == {}
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(CtrServeError):
-            count_cooccurrences([], "sports")
+            count_cooccurrences(weighted([]), "sports")
 
     def test_against_brute_force(self):
         txns = random_corpus(seed=42, n_txns=1000)
-        stats = count_cooccurrences(txns, "x")
+        stats = count_cooccurrences(weighted(txns), "x")
         support, pairs = brute_force_cooccurrences(txns)
         assert stats.support == support
         assert stats.pair_count == pairs
@@ -59,17 +59,16 @@ class TestCountCooccurrences:
     def test_weighted_count_matches_per_transaction_oracle(self, txns):
         # six keywords make repeated transactions common
         support, pairs = per_transaction_cooccurrences(txns)
-        for given_as in (txns, Counter(frozenset(t) for t in txns)):
-            stats = count_cooccurrences(given_as, "x")
-            assert stats.support == support
-            assert list(stats.support) == list(support)
-            assert stats.pair_count == pairs
+        stats = count_cooccurrences(weighted(txns), "x")
+        assert stats.support == support
+        assert list(stats.support) == list(support)
+        assert stats.pair_count == pairs
 
     @pytest.mark.parametrize("seed", range(5))
     def test_weighted_count_matches_oracle_on_random_corpora(self, seed):
         txns = random_corpus(seed=seed, n_txns=2000, vocab_size=5)
         support, pairs = per_transaction_cooccurrences(txns)
-        stats = count_cooccurrences(Counter(frozenset(t) for t in txns), "x")
+        stats = count_cooccurrences(weighted(txns), "x")
         assert (stats.support, stats.pair_count) == (support, pairs)
         assert list(stats.support) == list(support)
 
@@ -83,7 +82,7 @@ class TestCountCooccurrences:
 class TestConfidence:
     @pytest.fixture()
     def stats(self):
-        return count_cooccurrences(FOOTBALL_TXNS, "sports")
+        return count_cooccurrences(weighted(FOOTBALL_TXNS), "sports")
 
     def test_directional(self, stats):
         assert confidence(stats, "soccer", "football") == 1.0
@@ -98,7 +97,7 @@ class TestConfidence:
 
     def test_range(self):
         txns = random_corpus(seed=3)
-        stats = count_cooccurrences(txns, "x")
+        stats = count_cooccurrences(weighted(txns), "x")
         for a in stats.support:
             for b in stats.support:
                 assert 0.0 <= confidence(stats, a, b) <= 1.0
@@ -111,20 +110,20 @@ class TestSelectCentroids:
             + [{"cricket", "afridi"}] * 2 + [{"cricket"}] * 3
             + [{"tennis"}] * 3 + [{"nadal", "tennis"}]
         )
-        stats = count_cooccurrences(txns, "sports")
+        stats = count_cooccurrences(weighted(txns), "sports")
         assert select_centroids(stats, 3) == ["football", "cricket", "tennis"]
 
     def test_tie_breaks_lexicographically(self):
-        stats = count_cooccurrences([{"a"}, {"b"}, {"a"}, {"b"}, {"b", "a"}], "x")
+        stats = count_cooccurrences(weighted([{"a"}, {"b"}, {"a"}, {"b"}, {"b", "a"}]), "x")
         assert select_centroids(stats, 1) == ["a"]
 
     def test_k_zero(self):
-        stats = count_cooccurrences([{"a"}], "x")
+        stats = count_cooccurrences(weighted([{"a"}]), "x")
         with pytest.raises(CtrServeError):
             select_centroids(stats, 0)
 
     def test_k_exceeds_vocabulary(self):
-        stats = count_cooccurrences([{"a"}], "x")
+        stats = count_cooccurrences(weighted([{"a"}]), "x")
         with pytest.raises(CtrServeError):
             select_centroids(stats, 2)
 
@@ -136,24 +135,24 @@ class TestAssignClusters:
             [{"football"}] * 10 + [{"cricket"}] * 8 + [{"tennis"}] * 6
             + [{"england", "football"}] * 3 + [{"england", "cricket"}] * 3
         )
-        stats = count_cooccurrences(txns, "sports")
+        stats = count_cooccurrences(weighted(txns), "sports")
         cluster_of = assign_clusters(stats, ["football", "cricket", "tennis"])
         assert cluster_of["england"] == "football"
 
     def test_argmax(self):
         txns = [{"ronaldo", "football"}] * 9 + [{"ronaldo"}] * 1 + [{"cricket"}] * 12
-        stats = count_cooccurrences(txns, "sports")
+        stats = count_cooccurrences(weighted(txns), "sports")
         cluster_of = assign_clusters(stats, ["football", "cricket"])
         assert cluster_of["ronaldo"] == "football"
 
     def test_zero_confidence_is_flagged(self):
         txns = [{"football"}] * 5 + [{"knitting"}]
-        stats = count_cooccurrences(txns, "sports")
+        stats = count_cooccurrences(weighted(txns), "sports")
         cluster_of = assign_clusters(stats, ["football"])
         assert cluster_of["knitting"] == "football"
 
     def test_centroids_self_assigned(self):
-        stats = count_cooccurrences(FOOTBALL_TXNS, "sports")
+        stats = count_cooccurrences(weighted(FOOTBALL_TXNS), "sports")
         cluster_of = assign_clusters(stats, ["football"])
         assert cluster_of["football"] == "football"
 
@@ -163,7 +162,7 @@ def engineered_stats():
     txns = [{"soccer", "football"}] * 49 + [{"soccer"}] * 1
     txns += [{"ronaldo", "football"}] * 10 + [{"ronaldo"}] * 10
     txns += [{"football"}] * 30
-    return count_cooccurrences(txns, "sports")
+    return count_cooccurrences(weighted(txns), "sports")
 
 
 class TestBuildKeywordMap:
@@ -173,33 +172,33 @@ class TestBuildKeywordMap:
         assert abs(kmap.values["soccer"] - base) < abs(kmap.values["ronaldo"] - base)
 
     def test_single_centroid_no_members(self):
-        stats = count_cooccurrences([{"a"}], "x")
+        stats = count_cooccurrences(weighted([{"a"}]), "x")
         kmap = build_keyword_map(stats, 1)
         assert kmap.values == {"a": 50.0}
 
     def test_centroid_bases(self):
         txns = [{"a"}] * 5 + [{"b"}] * 4 + [{"c"}] * 3
-        kmap = build_keyword_map(count_cooccurrences(txns, "x"), 3)
+        kmap = build_keyword_map(count_cooccurrences(weighted(txns), "x"), 3)
         assert kmap.values["a"] == 50.0
         assert kmap.values["b"] == 60.0
         assert kmap.values["c"] == 70.0
 
     def test_determinism_byte_identical(self):
         txns = random_corpus(seed=11)
-        first = save_keyword_map(build_keyword_map(count_cooccurrences(txns, "x"), 3))
-        second = save_keyword_map(build_keyword_map(count_cooccurrences(txns, "x"), 3))
+        first = save_keyword_map(build_keyword_map(count_cooccurrences(weighted(txns), "x"), 3))
+        second = save_keyword_map(build_keyword_map(count_cooccurrences(weighted(txns), "x"), 3))
         assert first == second
 
     @pytest.mark.parametrize("seed", range(10))
     def test_injectivity_random_corpora(self, seed):
         txns = random_corpus(seed=seed)
-        kmap = build_keyword_map(count_cooccurrences(txns, "x"), 3)
+        kmap = build_keyword_map(count_cooccurrences(weighted(txns), "x"), 3)
         assert len(set(kmap.values.values())) == len(kmap.values)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cluster_sanity(self, seed):
         txns = random_corpus(seed=seed)
-        stats = count_cooccurrences(txns, "x")
+        stats = count_cooccurrences(weighted(txns), "x")
         kmap = build_keyword_map(stats, 3)
         for kw, centroid in kmap.cluster_of.items():
             if kw in kmap.centroids:
@@ -272,7 +271,7 @@ class TestResolutionOrder:
             assert resolve_page_value(kmap, page | {"unmapped"}) == kmap.values[first]
 
     def test_built_map(self):
-        stats = count_cooccurrences(self.TIED_TXNS, "x")
+        stats = count_cooccurrences(weighted(self.TIED_TXNS), "x")
         kmap = build_keyword_map(stats, 2)
         assert list(kmap.values) == by_support(stats) == ["a", "b", "m", "p", "y"]
         assert resolve_page_value(kmap, {"p", "m"}) == kmap.values["m"]
@@ -280,7 +279,7 @@ class TestResolutionOrder:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_built_map_random_corpora(self, seed):
-        stats = count_cooccurrences(random_corpus(seed=seed), "x")
+        stats = count_cooccurrences(weighted(random_corpus(seed=seed)), "x")
         kmap = build_keyword_map(stats, 3)
         assert list(kmap.values) == by_support(stats)
         self.assert_first_in_order_wins(kmap)
@@ -292,7 +291,7 @@ class TestResolutionOrder:
         self.assert_first_in_order_wins(kmap)
 
     @pytest.mark.parametrize("kmap", [
-        build_keyword_map(count_cooccurrences(TIED_TXNS, "x"), 2),
+        build_keyword_map(count_cooccurrences(weighted(TIED_TXNS), "x"), 2),
         planted_keyword_map(),
     ], ids=["built", "planted"])
     def test_loaded_map(self, kmap):
@@ -317,7 +316,7 @@ class TestResolvePageValue:
 @given(st.lists(st.sets(st.sampled_from([f"k{i}" for i in range(8)]),
                         min_size=1, max_size=4), min_size=3, max_size=40))
 def test_map_properties_hold_on_arbitrary_corpora(txns):
-    stats = count_cooccurrences(txns, "x")
+    stats = count_cooccurrences(weighted(txns), "x")
     k = min(2, len(stats.support))
     kmap = build_keyword_map(stats, k)
     # injectivity

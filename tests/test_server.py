@@ -4,10 +4,11 @@ import re
 
 import pytest
 
-from _oracles import brute_force_best_by_bid, brute_force_best_by_ctr, eligible_candidates
+from _oracles import (brute_force_best_by_bid, brute_force_best_by_ctr, eligible_candidates,
+                      read_event_log)
 from conftest import make_context
 from ctrserve import server
-from ctrserve.catalog import AdCreative, Placement, read_event_log
+from ctrserve.catalog import AdCreative, Placement
 from ctrserve.errors import ContractError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from ctrserve.keywords import resolve_page_value

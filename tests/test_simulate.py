@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctrserve.catalog import parse_ad_catalog, read_event_log
+from ctrserve.catalog import parse_ad_catalog, tally_event_log
 from ctrserve.errors import CtrServeError
 from ctrserve.features import aggregate_events, build_design_matrix
 from ctrserve.keywords import load_keyword_map
@@ -43,11 +43,11 @@ def test_outputs_parse_and_aggregate():
     out = run_simulation(SimulationConfig(seed=5, n_events=2000))
     ads = parse_ad_catalog(out.catalog_json)
     bids = {a.ad_id: a.bid for a in ads}
-    events = list(read_event_log(out.events_csv, bids=bids))
+    tally = tally_event_log(out.events_csv, bids=bids)
     kmap = load_keyword_map(out.map_json)
-    rows = aggregate_events(events, kmap)
+    rows = aggregate_events(tally, bids, kmap)
     assert rows
-    assert sum(1 for e in events if e.clicked) > 0
+    assert sum(count for key, (count, _) in tally.items() if key[-1] == "1") > 0
     assert all(0.0 <= r.ctr <= 1.0 for r in rows)
 
 
@@ -57,9 +57,9 @@ def test_planted_recovery_smoke():
     cfg = SimulationConfig(seed=7, n_events=8000)
     out = run_simulation(cfg)
     ads = parse_ad_catalog(out.catalog_json)
-    events = read_event_log(out.events_csv, bids={a.ad_id: a.bid for a in ads})
+    bids = {a.ad_id: a.bid for a in ads}
     kmap = load_keyword_map(out.map_json)
-    rows = aggregate_events(events, kmap)
+    rows = aggregate_events(tally_event_log(out.events_csv, bids=bids), bids, kmap)
     model = train(rows, kmap, TrainingConfig(method=NORMAL_EQUATION))
     X = build_design_matrix(rows).X
     y = np.array([r.ctr for r in rows])
