@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["gd", "normal"], default="gd")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--iters", type=int, default=400)
-    p.add_argument("--no-intercept", action="store_true")
-    p.add_argument("--no-scaling", action="store_true")
 
     p = sub.add_parser("predict", help="predict CTR for one request")
     p.add_argument("--model", required=True, help="model JSON file")
@@ -153,11 +151,7 @@ def cmd_train(args) -> int:
             keyword_map = keywords.load_keyword_map(fh)
     rows = _load_training_rows(args, keyword_map)
     method = regression.GRADIENT_DESCENT if args.method == "gd" else regression.NORMAL_EQUATION
-    config = regression.TrainingConfig(
-        method=method, alpha=args.alpha, iterations=args.iters,
-        include_intercept=not args.no_intercept,
-        scale_features=False if args.no_scaling else None,
-    )
+    config = regression.TrainingConfig(method=method, alpha=args.alpha, iterations=args.iters)
     model = regression.train(rows, keyword_map, config)
     Path(args.out).write_text(regression.save_model(model))
     print(f"theta: {list(model.theta)}")

@@ -71,22 +71,19 @@ def encode_size(label: str) -> int:
                             f"{list(DEFAULT_SIZE_REGISTRY)}") from None
 
 
-def build_design_matrix(rows: Sequence[TrainingRow],
-                        include_intercept: bool = True) -> DesignMatrix:
-    """One matrix row per TrainingRow, columns in FEATURE_NAMES order after
-    a leading ones column when `include_intercept`, y = ctr."""
+def build_design_matrix(rows: Sequence[TrainingRow]) -> DesignMatrix:
+    """One matrix row per TrainingRow: a ones entry, then the columns in
+    FEATURE_NAMES order; y = ctr."""
     import numpy as np
 
     if not rows:
         raise CtrServeError("cannot build a design matrix from zero rows")
-    feats = np.array(
-        [[r.placement_code, r.size_code, r.bid, r.keyword_value] for r in rows],
+    X = np.array(
+        [[1.0, r.placement_code, r.size_code, r.bid, r.keyword_value] for r in rows],
         dtype=float,
     )
-    if include_intercept:
-        feats = np.hstack([np.ones((len(rows), 1)), feats])
     y = np.array([r.ctr for r in rows], dtype=float)
-    return DesignMatrix(X=feats, y=y, include_intercept=include_intercept)
+    return DesignMatrix(X=X, y=y, include_intercept=True)
 
 
 def fit_scaler(matrix: DesignMatrix) -> ScalerStats:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .catalog import JSON_NUMBER, check_field, list_of, parse_json
+from .catalog import JSON_NUMBER, check_field, list_of, normalize_token, parse_json
 from .errors import CtrServeError, MappingError, ParseError
 
 BASE_VALUE = 50.0
@@ -181,7 +181,8 @@ def load_keyword_map(stream) -> KeywordMap:
     """Parse a map file; `values` keeps the file's order, which is the
     resolution order. Every field is type-checked, not coerced: `category` a
     string, `centroids` a nonempty list of strings, `values` an object of
-    finite numbers (a bool is not one) with a value for every centroid, and
+    finite numbers (a bool is not one) whose keys are normalized keywords
+    (`catalog.normalize_token`, not empty) with a value for every centroid, and
     `cluster_of` an object whose values are centroids. A bad field raises
     ParseError naming it; text that is not UTF-8 raises UnicodeDecodeError,
     which `catalog.open_text` turns into a ParseError naming the file."""
@@ -196,6 +197,9 @@ def load_keyword_map(stream) -> KeywordMap:
         check_field(type(values) is dict, "values", values)
         for kw, v in values.items():
             check_field(type(v) in JSON_NUMBER, f"values[{kw!r}]", v)
+            if not kw or kw != normalize_token(kw):  # a page keyword could never match it
+                raise ValueError(f"values key {kw!r} is not a normalized keyword "
+                                 "(nonempty, stripped and lowercased)")
         values = {kw: float(v) for kw, v in values.items()}
         missing = [c for c in centroids if c not in values]
         if missing:

@@ -25,20 +25,26 @@ NORMAL_EQUATION = "normal_equation"
 
 MODEL_FORMAT_VERSION = 1
 
+# The `schema` block of every model file, the one model shape: a file restates it exactly.
+MODEL_SCHEMA = {
+    "features": list(FEATURE_NAMES),
+    "include_intercept": True,
+    "size_registry": list(DEFAULT_SIZE_REGISTRY),
+}
+
 _MAX_CONDITION = 1e12
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Defaults mirror the shipped setup: alpha 0.01, 400 iterations,
-    intercept on; scaling on for gradient descent, off for normal equation
-    unless overridden."""
+    """How `train` fits the one model shape, an intercept plus FEATURE_NAMES:
+    by gradient descent on z-scored features (the default, alpha 0.01, 400
+    iterations) or by the normal equation on raw features, which reads
+    neither alpha nor iterations."""
 
     method: str = GRADIENT_DESCENT
     alpha: float = 0.01
     iterations: int = 400
-    include_intercept: bool = True
-    scale_features: Optional[bool] = None
 
     def __post_init__(self):
         if self.method not in (GRADIENT_DESCENT, NORMAL_EQUATION):
@@ -47,14 +53,13 @@ class TrainingConfig:
             raise ContractError(f"alpha must be positive and finite, got {self.alpha}")
         if self.iterations <= 0:
             raise ContractError(f"iterations must be positive, got {self.iterations}")
-        if self.scale_features is None:
-            object.__setattr__(self, "scale_features", self.method == GRADIENT_DESCENT)
 
 
 @dataclass(frozen=True)
 class RegressionModel:
-    """theta is stored as a tuple of floats; any sequence of numbers is
-    accepted and converted."""
+    """theta is the intercept followed by one weight per FEATURE_NAMES entry,
+    stored as a tuple of floats; any sequence of numbers is accepted and
+    converted. A model with a scaler predicts on z-scored features."""
 
     theta: tuple[float, ...]
     scaler: Optional[ScalerStats]
@@ -65,13 +70,11 @@ class RegressionModel:
     def __post_init__(self):
         theta = tuple(map(float, self.theta))
         object.__setattr__(self, "theta", theta)
-        n_columns = len(FEATURE_NAMES) + self.config.include_intercept
+        n_columns = len(FEATURE_NAMES) + 1
         if len(theta) != n_columns:
             raise ContractError(f"theta has {len(theta)} values, the schema needs {n_columns}")
         if not all(map(math.isfinite, theta)):
             raise ContractError("theta must be finite")
-        if (self.scaler is not None) != bool(self.config.scale_features):
-            raise ContractError("scaler must be present iff scale_features is set")
         if self.scaler is not None:
             width = len(FEATURE_NAMES)
             if len(self.scaler.means) != width or len(self.scaler.stds) != width:
@@ -84,7 +87,7 @@ class RegressionModel:
     def bid_weight(self) -> float:
         """theta's bid coefficient. Scaling divides bid by a positive std,
         so its sign is the sign of the score's slope in bid."""
-        return self.theta[FEATURE_NAMES.index("bid") + self.config.include_intercept]
+        return self.theta[FEATURE_NAMES.index("bid") + 1]
 
 
 def predict(model: RegressionModel, raw: Sequence[float]) -> float:
@@ -99,9 +102,7 @@ def predict(model: RegressionModel, raw: Sequence[float]) -> float:
     if len(raw) != len(FEATURE_NAMES):
         raise ContractError(f"expected {len(FEATURE_NAMES)} features, got {len(raw)}")
     feats = transform_row(model.scaler, raw) if model.scaler is not None else raw
-    if model.config.include_intercept:
-        feats = (1.0, *feats)
-    return math.fsum(t * x for t, x in zip(model.theta, feats))
+    return math.fsum(t * x for t, x in zip(model.theta, (1.0, *feats)))
 
 
 def cost(theta: np.ndarray, matrix: DesignMatrix) -> float:
@@ -154,19 +155,17 @@ def normal_equation(matrix: DesignMatrix) -> np.ndarray:
 
 
 def train(rows: Sequence[TrainingRow], keyword_map, config: TrainingConfig) -> RegressionModel:
-    """Assemble the design matrix, optionally scale, fit by the configured
-    method and package the result with the frozen keyword-map reference."""
+    """Assemble the design matrix, fit it by the configured method (gradient
+    descent on the scaled matrix, the normal equation on the raw one) and
+    package the result with the frozen keyword-map reference."""
     if not rows:
         raise CtrServeError("cannot train on zero rows")
-    matrix = build_design_matrix(rows, config.include_intercept)
-    scaler = None
-    if config.scale_features:
-        scaler = fit_scaler(matrix)
-        matrix = transform(scaler, matrix)
+    matrix = build_design_matrix(rows)
     if config.method == GRADIENT_DESCENT:
-        theta, trace = gradient_descent(matrix, config)
+        scaler = fit_scaler(matrix)
+        theta, trace = gradient_descent(transform(scaler, matrix), config)
     else:
-        theta, trace = normal_equation(matrix), ()
+        scaler, theta, trace = None, normal_equation(matrix), ()
     map_ref = getattr(keyword_map, "category", "")  # "" without a map (None)
     return RegressionModel(theta=theta, scaler=scaler, config=config, cost_trace=trace,
                            keyword_map_ref=map_ref)
@@ -186,11 +185,7 @@ def save_model(model: RegressionModel) -> str:
         "version": MODEL_FORMAT_VERSION,
         "method": model.config.method,
         "theta": list(model.theta),
-        "schema": {
-            "features": list(FEATURE_NAMES),
-            "include_intercept": model.config.include_intercept,
-            "size_registry": list(DEFAULT_SIZE_REGISTRY),
-        },
+        "schema": MODEL_SCHEMA,
         "scaler": None if model.scaler is None else {
             "means": list(model.scaler.means),
             "stds": list(model.scaler.stds),
@@ -205,20 +200,20 @@ def save_model(model: RegressionModel) -> str:
 def load_model(stream) -> RegressionModel:
     """Parse a model file. Every field is type-checked, not coerced: a bool
     is not a number, a string is not a list, and a field of the wrong type
-    raises ModelLoadError naming it, as does a schema whose features or size
-    registry differ from the constants or a theta/scaler that does not fit."""
+    raises ModelLoadError naming it, as does a `schema` entry that is not the
+    one of MODEL_SCHEMA, value and type (`1` is not `true`), or a
+    theta/scaler that does not fit."""
     payload = parse_json(stream, ModelLoadError, "corrupt model stream")
     try:
         version = payload["version"]
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise ModelLoadError(f"unsupported model version {version!r}")
         schema_payload = payload["schema"]
-        for name, fixed in (("features", FEATURE_NAMES), ("size_registry", DEFAULT_SIZE_REGISTRY)):
-            if schema_payload[name] != list(fixed):
+        for name, fixed in MODEL_SCHEMA.items():
+            value = schema_payload[name]
+            if type(value) is not type(fixed) or value != fixed:
                 raise ModelLoadError(f"invalid model payload: schema.{name} must be "
-                                     f"{list(fixed)}, got {schema_payload[name]!r}")
-        include_intercept = schema_payload["include_intercept"]
-        check_field(type(include_intercept) is bool, "schema.include_intercept", include_intercept)
+                                     f"{json.dumps(fixed)}, got {value!r:.100}")
         scaler_payload = payload["scaler"]
         scaler = None
         if scaler_payload is not None:
@@ -228,13 +223,7 @@ def load_model(stream) -> RegressionModel:
         alpha, iterations = payload["config"]["alpha"], payload["config"]["iterations"]
         check_field(type(alpha) in JSON_NUMBER, "config.alpha", alpha)
         check_field(type(iterations) is int, "config.iterations", iterations)
-        config = TrainingConfig(
-            method=payload["method"],
-            alpha=float(alpha),
-            iterations=iterations,
-            include_intercept=include_intercept,
-            scale_features=scaler is not None,
-        )
+        config = TrainingConfig(method=payload["method"], alpha=float(alpha), iterations=iterations)
         keyword_map_ref = payload.get("keyword_map_ref", "")
         check_field(type(keyword_map_ref) is str, "keyword_map_ref", keyword_map_ref)
         return RegressionModel(

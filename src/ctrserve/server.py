@@ -12,7 +12,7 @@ import threading
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from http import HTTPStatus
 from operator import attrgetter
 from pathlib import Path
@@ -116,26 +116,27 @@ def _rank_by_ctr(state: "ServingState",
 
 @dataclass
 class ServingState:
-    """Immutable snapshot of the state one request reads: the catalog, its
-    (size, category) buckets each sorted by (bid descending, ad_id), the
-    model and the keyword map."""
+    """Immutable snapshot of the state one request reads: the catalog's
+    (size, category) buckets each sorted by (bid descending, ad_id), its set
+    of ad_ids, the model and the keyword map. The catalog itself is read
+    once, to build the buckets, and not kept: they hold its only copy."""
 
-    catalog: tuple[AdCreative, ...]
+    catalog: InitVar[tuple[AdCreative, ...]]
     model: Optional[RegressionModel] = None
     keyword_map: Optional[KeywordMap] = None
     index: dict = field(init=False)
     ad_ids: frozenset = field(init=False)
     bid_ascending: bool = field(init=False)  # ctr scans a bucket from its end
 
-    def __post_init__(self):
+    def __post_init__(self, catalog: tuple[AdCreative, ...]):
         index: dict[tuple[str, str], list[AdCreative]] = {}
-        for ad in self.catalog:
+        for ad in catalog:
             index.setdefault((ad.size, ad.category), []).append(ad)
         for ads in index.values():
             ads.sort(key=attrgetter("ad_id"))
             ads.sort(key=attrgetter("bid"), reverse=True)  # stable: ties keep ad_id order
         self.index = {key: tuple(ads) for key, ads in index.items()}
-        self.ad_ids = frozenset(ad.ad_id for ad in self.catalog)
+        self.ad_ids = frozenset(ad.ad_id for ad in catalog)
         self.bid_ascending = self.model is not None and self.model.bid_weight < 0
 
     def bucket(self, request: RequestContext) -> tuple[AdCreative, ...]:
@@ -172,7 +173,7 @@ class EventLogWriter:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._fh = open(self.path, "a+", newline="")
+        self._fh = open(self.path, "a+", encoding="utf-8", newline="")
         try:
             self._writer = start_event_log(self._fh)
         except ParseError as exc:
@@ -184,8 +185,9 @@ class EventLogWriter:
                      request: RequestContext, clicked: bool,
                      timestamp: Optional[int] = None) -> EventRow:
         """Log one impression; an unknown ad_id, a size `train` cannot
-        encode, a timestamp <= 0 or page keywords the log could not read
-        back raise ValidationError and nothing is written."""
+        encode, a timestamp <= 0, page keywords the log could not read back
+        or text that UTF-8 cannot encode (a lone surrogate, which a JSON
+        escape can spell) raise ValidationError and nothing is written."""
         if ad_id not in state.ad_ids:
             raise ValidationError(f"unknown ad_id {ad_id!r}")
         if request.size not in DEFAULT_SIZE_REGISTRY:
@@ -196,6 +198,13 @@ class EventLogWriter:
             category=request.category, keywords=keywords_field(request.page_keywords),
             country=request.country, city=request.city, area=request.area, ip=request.ip,
             browser=request.browser, clicked=clicked)
+        for name, value in zip(row._fields, row):
+            if isinstance(value, str):
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValidationError(f"{name} cannot be stored as UTF-8: "
+                                          f"{value!r:.100}") from None
         with self._lock:
             write_event_row(self._writer, row)
             self._fh.flush()

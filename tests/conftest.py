@@ -66,14 +66,19 @@ def map_for_category(tmp_path, category):
 
 
 def unresolvable_map(kind):
-    """The bundled sports map edited so that it could not resolve a page:
-    "no centroids", "centroid without value", or a non-finite value given as
-    its float() spelling ("nan", "inf")."""
+    """The bundled sports map edited so that it could not resolve a page as
+    written: "no centroids", "centroid without value", "unnormalized key"
+    (keys no normalized page keyword can match), or a non-finite value given
+    as its float() spelling ("nan", "inf")."""
     payload = json.loads(sample_data._read("keyword_map_sports.json"))
     if kind == "no centroids":
         payload["centroids"] = []
     elif kind == "centroid without value":
         payload["centroids"] = ["curling"]
+    elif kind == "unnormalized key":
+        payload["centroids"] = ["Football", "Cricket "]
+        payload["values"] = {"Football": 50, "Cricket ": 60}
+        payload["cluster_of"] = {c: c for c in payload["centroids"]}
     else:
         payload["values"][next(iter(payload["values"]))] = float(kind)
     return json.dumps(payload)

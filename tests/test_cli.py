@@ -560,9 +560,10 @@ def test_offline_commands_build_no_event_objects(sim_dir, tmp_path, monkeypatch)
 
 
 
-def child_python(*args):
-    """A Python child process that imports this checkout's ctrserve."""
-    env = dict(os.environ)
+def child_python(*args, **environ):
+    """A Python child process that imports this checkout's ctrserve, with
+    `environ` added to this process's environment."""
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ctrserve.__file__).parents[1]),
                                                       env.get("PYTHONPATH")]))
     return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,

@@ -49,17 +49,11 @@ class TestDesignMatrix:
         assert np.all(matrix.X[:, 0] == 1.0)
         assert matrix.y[0] == 0.08 and matrix.y[-1] == 0.0001
 
-    def test_single_row_no_intercept(self):
-        row = TrainingRow(1, 1, 20.0, 50.0, 0.08)
-        matrix = build_design_matrix([row], include_intercept=False)
-        assert matrix.X.tolist() == [[1.0, 1.0, 20.0, 50.0]]
+    def test_single_row_has_the_ones_entry_first(self):
+        row = TrainingRow(1, 2, 20.0, 50.0, 0.08)
+        matrix = build_design_matrix([row])
+        assert matrix.X.tolist() == [[1.0, 1.0, 2.0, 20.0, 50.0]]
         assert matrix.y.tolist() == [0.08]
-
-    def test_column_count(self, table6_rows):
-        with_icpt = build_design_matrix(table6_rows)
-        without = build_design_matrix(table6_rows, include_intercept=False)
-        assert with_icpt.X.shape[1] == 5
-        assert without.X.shape[1] == 4
 
     def test_empty_rows(self):
         with pytest.raises(CtrServeError):

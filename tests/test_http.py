@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import select
+import signal
 import socket
 import threading
 import time
@@ -12,8 +13,10 @@ import pytest
 
 from conftest import map_for_category, unresolvable_map
 from ctrserve import sample_data, server as server_module
+from ctrserve.catalog import tally_event_log
 from ctrserve.errors import ValidationError
 from ctrserve.server import MAX_EVENT_BODY, AdServer, ServerConfig
+from test_cli import child_python
 from test_snapshot_memory import catalog_records, config_for
 
 
@@ -224,6 +227,42 @@ def test_mistyped_event_field_is_400_naming_it_briefly(running_server, field, va
     assert field in error and len(error) < 200
 
 
+@pytest.mark.parametrize("field, value", [("keywords", ["\ud800"]), ("city", "\udfff")])
+def test_event_text_utf8_cannot_encode_is_400_and_not_logged(running_server, capsys,
+                                                             field, value):
+    srv, base = running_server
+    before = srv.event_log.path.read_bytes()
+    event = {"ad_id": "boots-01", "size": "300x250", "keywords": ["football"]}
+    status, body = http_post(base + "/event", {**event, field: value})
+    assert status == 400 and field in json.loads(body)["error"]
+    assert srv.event_log.path.read_bytes() == before
+    assert "Traceback" not in capsys.readouterr().err
+    assert http_post(base + "/event", event)[0] == 202
+
+
+def test_a_non_ascii_keyword_is_logged_as_utf8_under_an_ascii_locale(tmp_path):
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    probe = child_python("-c", "import locale; print(locale.getpreferredencoding(False))",
+                         **ascii_locale)
+    assert probe.communicate(timeout=30)[0].strip() == "ANSI_X3.4-1968"
+    log = tmp_path / "events.csv"
+    proc = child_python("-m", "ctrserve.cli", "serve", "--port", "0",
+                        "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
+                        "--out", str(log), **ascii_locale)
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("serving on port "), line + proc.stderr.read()
+        status, _ = http_post(f"http://127.0.0.1:{int(line.split()[3])}/event", {
+            "ad_id": "boots-01", "size": "300x250", "category": "sports",
+            "keywords": ["fútbol"]})
+    finally:
+        proc.send_signal(signal.SIGINT)
+        proc.communicate(timeout=30)
+    assert status == 202
+    with open(log, encoding="utf-8", newline="") as fh:
+        assert [key[4] for key in tally_event_log(fh)] == ["fútbol"]
+
+
 def test_event_deeply_nested_body_is_400(running_server):
     _, base = running_server
     body = b"[" * 20000 + b"]" * 20000
@@ -253,7 +292,9 @@ def test_failed_reload_is_500_and_keeps_snapshot(running_server, tmp_path):
 @pytest.mark.parametrize("field, value", [("include_intercept", "false"),
                                           ("keyword_map_ref", None),
                                           ("size_registry", ["728x90", "300x250", "160x600"]),
-                                          ("size_registry", ["300x250", "728x90"])])
+                                          ("size_registry", ["300x250", "728x90"]),
+                                          ("include_intercept", False),
+                                          ("include_intercept", 1)])
 def test_reload_of_mistyped_model_is_500_and_keeps_snapshot(running_server, tmp_path,
                                                             field, value):
     srv, base = running_server
@@ -268,7 +309,8 @@ def test_reload_of_mistyped_model_is_500_and_keeps_snapshot(running_server, tmp_
     assert srv.state is snapshot and served_ctr(base) == before
 
 
-@pytest.mark.parametrize("kind", ["no centroids", "centroid without value", "nan"])
+@pytest.mark.parametrize("kind", ["no centroids", "centroid without value", "nan",
+                                  "unnormalized key"])
 def test_reload_of_unresolvable_map_is_500_and_keeps_snapshot(running_server, tmp_path, kind):
     srv, base = running_server
 

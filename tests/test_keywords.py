@@ -224,7 +224,8 @@ class TestLoadKeywordMap:
     @pytest.mark.parametrize("kind,match", [("no centroids", "centroids"),
                                             ("centroid without value", "curling"),
                                             ("nan", "non-finite"), ("inf", "non-finite"),
-                                            ("-inf", "non-finite")])
+                                            ("-inf", "non-finite"),
+                                            ("unnormalized key", "'Football' is not a normalized")])
     def test_unresolvable_map_rejected(self, kind, match):
         with pytest.raises(ParseError, match=match):
             load_keyword_map(unresolvable_map(kind))

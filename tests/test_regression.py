@@ -18,8 +18,8 @@ from ctrserve.regression import (GRADIENT_DESCENT, NORMAL_EQUATION, RegressionMo
                                  load_model, normal_equation, predict, save_model, train)
 
 
-def table6_matrix(table6_rows, intercept=True):
-    return build_design_matrix(table6_rows, include_intercept=intercept)
+def table6_matrix(table6_rows):
+    return build_design_matrix(table6_rows)
 
 
 def single_feature_slope(x, y):
@@ -45,13 +45,12 @@ def finite_floats(low, high):
 
 @st.composite
 def linear_models(draw, scaled, bid_sign=None):
-    """A model with random theta, with or without an intercept; `scaled`
-    adds random scaler stats, and `bid_sign` fixes the bid weight's sign."""
-    include_intercept = draw(st.booleans())
-    theta = draw(st.lists(finite_floats(-1e3, 1e3), min_size=len(FEATURE_NAMES) + include_intercept,
-                          max_size=len(FEATURE_NAMES) + include_intercept))
+    """A model with random theta, the intercept first; `scaled` adds random
+    scaler stats, and `bid_sign` fixes the bid weight's sign."""
+    theta = draw(st.lists(finite_floats(-1e3, 1e3), min_size=len(FEATURE_NAMES) + 1,
+                          max_size=len(FEATURE_NAMES) + 1))
     if bid_sign is not None:
-        bid = FEATURE_NAMES.index("bid") + include_intercept
+        bid = FEATURE_NAMES.index("bid") + 1
         theta[bid] = bid_sign * abs(theta[bid])
     scaler = None
     if scaled:
@@ -59,9 +58,7 @@ def linear_models(draw, scaled, bid_sign=None):
         scaler = ScalerStats(
             means=draw(st.lists(finite_floats(-1e3, 1e3), min_size=width, max_size=width)),
             stds=draw(st.lists(finite_floats(1e-3, 1e3), min_size=width, max_size=width)))
-    config = TrainingConfig(method=NORMAL_EQUATION, include_intercept=include_intercept,
-                            scale_features=scaled)
-    return RegressionModel(theta=theta, scaler=scaler, config=config)
+    return RegressionModel(theta=theta, scaler=scaler, config=TrainingConfig())
 
 
 RAW_FEATURES = st.lists(finite_floats(-1e6, 1e6), min_size=len(FEATURE_NAMES),
@@ -74,9 +71,7 @@ def numpy_terms(model, raw):
     scaled = np.asarray(raw, dtype=float)
     if model.scaler is not None:
         scaled = (scaled - np.array(model.scaler.means)) / np.array(model.scaler.stds)
-    if model.config.include_intercept:
-        scaled = np.concatenate([[1.0], scaled])
-    return np.array(model.theta), scaled
+    return np.array(model.theta), np.concatenate([[1.0], scaled])
 
 
 class TestPredict:
@@ -281,10 +276,11 @@ class TestTrain:
             train([], sports_map, TrainingConfig())
 
     def test_affine_equivalence(self, table6_rows, sports_map):
-        raw = train(table6_rows, sports_map,
-                    TrainingConfig(method=NORMAL_EQUATION, scale_features=False))
-        scaled = train(table6_rows, sports_map,
-                       TrainingConfig(method=NORMAL_EQUATION, scale_features=True))
+        raw = train(table6_rows, sports_map, TrainingConfig(method=NORMAL_EQUATION))
+        matrix = table6_matrix(table6_rows)
+        scaler = fit_scaler(matrix)
+        scaled = RegressionModel(theta=normal_equation(transform(scaler, matrix)), scaler=scaler,
+                                 config=raw.config)
         for raw_features in [(1, 1, 22, 51), (0, 3, 5, 47), (1, 2, 40, 52.1)]:
             assert predict(raw, raw_features) == pytest.approx(
                 predict(scaled, raw_features), abs=1e-9)
@@ -311,7 +307,6 @@ class TestPersistence:
         loaded = load_model(save_model(model))
         assert np.array_equal(loaded.theta, model.theta)
         assert loaded.cost_trace == model.cost_trace
-        assert loaded.config.include_intercept == model.config.include_intercept
         assert np.array_equal(loaded.scaler.means, model.scaler.means)
         assert np.array_equal(loaded.scaler.stds, model.scaler.stds)
         assert loaded.config.alpha == model.config.alpha
@@ -336,6 +331,7 @@ class TestPersistence:
         lambda m: m["schema"].update(features=["placement", "size", "bid"]),
         lambda m: m["schema"].update(include_intercept=False),
         lambda m: m["theta"].__setitem__(0, 10 ** 400),
+        lambda m: m.update(theta=m["theta"][1:]) or m["schema"].update(include_intercept=False),
     ])
     def test_rejects_theta_that_does_not_fit_schema(self, paper_model, edit):
         payload = json.loads(save_model(paper_model))
@@ -354,6 +350,8 @@ class TestPersistence:
         (lambda m: m["config"].update(iterations=2.7), "config.iterations"),
         (lambda m: m.update(cost_trace=[False]), "cost_trace"),
         (lambda m: m.update(keyword_map_ref=None), "keyword_map_ref"),
+        pytest.param(lambda m: m["schema"].update(include_intercept=1),
+                     "schema.include_intercept", id="schema.include_intercept=1"),
     ])
     def test_rejects_mistyped_field_naming_it(self, paper_model, edit, field):
         payload = json.loads(save_model(paper_model))

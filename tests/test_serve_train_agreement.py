@@ -11,7 +11,7 @@ import pytest
 
 from conftest import make_context
 from ctrserve import cli, sample_data, server
-from ctrserve.catalog import Placement, serialize_ad_catalog
+from ctrserve.catalog import Placement, parse_ad_catalog, serialize_ad_catalog
 from ctrserve.features import DEFAULT_SIZE_REGISTRY
 from test_http import http_get, http_post
 from test_server import VOCAB, random_catalog, random_request
@@ -38,6 +38,11 @@ def ctr_server(tmp_path):
         srv.stop()
 
 
+def catalog_bids(path):
+    with open(path, encoding="utf-8") as fh:
+        return {ad.ad_id: ad.bid for ad in parse_ad_catalog(fh)}
+
+
 def get_ad(base, request):
     """The ctr /ad answer to `request` as a dict, or None on a no-fill."""
     query = urlencode({"placement": request.placement.value, "size": request.size,
@@ -51,7 +56,7 @@ def get_ad(base, request):
 def test_a_log_that_serve_wrote_trains_on_the_features_serve_computed(ctr_server, tmp_path,
                                                                       monkeypatch):
     srv, base, catalog = ctr_server
-    bids = {ad.ad_id: ad.bid for ad in srv.state.catalog}
+    bids = catalog_bids(catalog)
     scored = []  # the raw feature vectors `serve` scored for the current request
     real_predict = server.predict
     monkeypatch.setattr(server, "predict",
@@ -94,8 +99,8 @@ def test_a_log_that_serve_wrote_trains_on_the_features_serve_computed(ctr_server
 
 
 def test_predict_prints_the_score_that_serve_answers(ctr_server, capsys):
-    srv, base, _ = ctr_server
-    bids = {ad.ad_id: ad.bid for ad in srv.state.catalog}
+    srv, base, catalog = ctr_server
+    bids = catalog_bids(catalog)
     filled = set()  # (token is mapped, placement, size) of each filled request
     for token in VOCAB:
         for placement in Placement:

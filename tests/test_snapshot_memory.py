@@ -76,7 +76,7 @@ def test_a_loaded_10k_catalog_retains_at_most_5_mb(tmp_path):
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(state.catalog) == 10_000
+    assert len(state.ad_ids) == 10_000
     assert retained <= 5 * 1024 * 1024
 
 
@@ -101,7 +101,7 @@ def test_a_hundred_reloads_free_the_snapshots_they_replace(server):
         tracemalloc.stop()
         if enabled:
             gc.enable()
-    assert len(server.state.catalog) == 1_000
+    assert len(server.state.ad_ids) == 1_000
     # One snapshot of this catalog is about 450 KB. What does grow, about
     # 20 KB, is blocks that CPython keeps on its free lists for reuse.
     assert after_last - after_first < 64 * 1024
