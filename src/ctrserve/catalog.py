@@ -5,22 +5,29 @@ The three parties are the advertiser (AdCreative), the publisher page
 logged impression is written as one EventRow. The offline commands read a
 log back as a tally (`tally_event_log`): how often each distinct (ad,
 placement, size, category, keywords, clicked) occurs, with no object per
-row. `features.aggregate_events` folds that tally into regression-ready
+row; a large log file is read in two processes.
+`features.aggregate_events` folds that tally into regression-ready
 TrainingRows.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
+import marshal
 import math
+import os
+import stat
+import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import CtrServeError, ParseError, ValidationError
 
 
 FEATURE_NAMES = ("placement", "size", "bid", "keyword_value")
@@ -284,36 +291,31 @@ def keywords_field(keywords: Iterable[str]) -> str:
     return ";".join(tokens)
 
 
-def tally_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> dict[tuple, list[int]]:
-    """The event-log CSV (an open text file, str or bytes) as a tally: each
-    distinct (ad_id, placement, size, category, keywords, clicked) of raw
-    fields, in order of first appearance, maps to [how many rows have it,
-    the number of the first of them]. These counts are all that
-    `map-keywords` and `train` read of a log.
-
-    Every row is checked, the first bad one raising with its number: its
-    field count, then a timestamp that must be an integer, then `clicked`
-    (0 or 1), the placement and, with `bids` (ad_id -> catalog bid), the
-    ad_id, then the timestamp > 0. The checks of the tallied fields run only
-    at a key's first row: a repeat of a key that passed them cannot fail
-    them. Blank rows are skipped but numbered; an empty or blank log tallies
-    nothing."""
-    if isinstance(stream, (str, bytes)):
-        stream = io.StringIO(as_text(stream))
-    reader = csv.reader(stream)
-    tally: dict[tuple, list[int]] = {}
-    get = tally.get
-    fields = len(EVENT_LOG_HEADER)
-    i = -1  # the row being read, the header being row 0
+def _header(rows) -> bool:
+    """Read the header, the first row with a field that is not blank, from
+    `rows`; False if there is none (an empty or blank log has no events). A
+    header other than EVENT_LOG_HEADER raises ParseError."""
     try:
-        for header in reader:
+        for header in rows:
             if any(field.strip() for field in header):
                 break
         else:
-            return tally  # an empty or blank log has no events
-        if header != EVENT_LOG_HEADER:
-            raise ParseError(f"unexpected event-log header: {header}")
-        for i, row in enumerate(reader, start=1):
+            return False
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise ParseError(f"event row 0: {exc}") from exc
+    if header != EVENT_LOG_HEADER:
+        raise ParseError(f"unexpected event-log header: {header}")
+    return True
+
+
+def _tally_rows(rows, tally: dict, bids) -> int:
+    """Check each row of `rows`, numbered from 1, and count it into `tally`
+    (see `tally_event_log`); return how many rows there were."""
+    get = tally.get
+    fields = len(EVENT_LOG_HEADER)
+    i = -1  # i + 1 is the row being read, except that a csv.Error in row 1 names row 0
+    try:
+        for i, row in enumerate(rows, start=1):
             if len(row) != fields:
                 if not row:
                     continue
@@ -340,6 +342,182 @@ def tally_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> dict[
                 raise ValidationError(f"event row {i}: timestamp must be > 0, got {ts!r}")
     except csv.Error as exc:  # such as a field over the csv module's size limit
         raise ParseError(f"event row {i + 1}: {exc}") from exc
+    return max(i, 0)
+
+
+# About the size where two processes start to beat one: a smaller log is read in one.
+SPLIT_MIN_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 16
+
+
+class _NotPlain(Exception):
+    """A half of the log that `_plain_rows` cannot read as `csv.reader` would."""
+
+
+def _plain_lines(chunk: bytes, field_limit: int) -> list[str]:
+    """The lines of a chunk of whole lines, if it is plain: no quote or NUL
+    (which `csv.reader` refuses before Python 3.11), line ends all "\\n" or
+    all "\\r\\n", UTF-8, and no line over the csv module's field size limit.
+    Such lines split on "," into the fields `csv.reader` reads. Any other
+    chunk raises _NotPlain."""
+    if b'"' in chunk or b"\0" in chunk:
+        raise _NotPlain
+    returns = chunk.count(b"\r")
+    if returns and not returns == chunk.count(b"\r\n") == chunk.count(b"\n"):
+        raise _NotPlain
+    try:
+        lines = chunk.decode("utf-8").split("\r\n" if returns else "\n")
+    except UnicodeDecodeError:
+        raise _NotPlain from None
+    if not lines[-1]:
+        lines.pop()  # the chunk ends with a line break
+    if field_limit < _CHUNK_BYTES and max(map(len, lines), default=0) > field_limit:
+        raise _NotPlain
+    return lines
+
+
+def _plain_rows(fd: int, start: int, end: int):
+    """The rows of the bytes [start, end) of the file `fd`, which start a
+    line, read in chunks of whole lines that `_plain_lines` accepts; a chunk
+    it refuses, or a line of `_CHUNK_BYTES` or more, raises _NotPlain."""
+    field_limit = csv.field_size_limit()
+    while start < end:
+        chunk = os.pread(fd, min(_CHUNK_BYTES, end - start), start)
+        if start + len(chunk) < end:
+            cut = chunk.rfind(b"\n") + 1
+            if not cut:
+                raise _NotPlain
+            chunk = chunk[:cut]
+        start += len(chunk)
+        yield map(str.split, _plain_lines(chunk, field_limit), repeat(","))
+
+
+def _tally_half(fd: int, start: int, end: int, bids):
+    """The tally and row count of the bytes [start, end) of the log; the
+    half that starts the file starts with the header."""
+    rows = chain.from_iterable(_plain_rows(fd, start, end))
+    if start == 0 and not _header(rows):
+        raise _NotPlain  # the header is not in the first half
+    tally: dict = {}
+    return tally, _tally_rows(rows, tally, bids)
+
+
+def _quoted(fd: int, size: int) -> bool:
+    """Whether the first `size` bytes of the file `fd` hold a '"'. A log
+    written by csv.writer has one wherever a field holds a comma, a quote or
+    a line break (a browser "... (KHTML, like Gecko)", a city "Washington,
+    D.C."), and a half would refuse it only after reading up to it."""
+    return any(b'"' in os.pread(fd, _CHUNK_BYTES, at) for at in range(0, size, _CHUNK_BYTES))
+
+
+def _splittable(stream) -> Optional[tuple[int, int]]:
+    """The file descriptor and size of `stream` if it is a UTF-8 text file
+    at its start, of at least SPLIT_MIN_BYTES and without a quote, in a
+    process of one thread that may run on two CPUs and can fork; otherwise
+    None."""
+    try:
+        fd = stream.fileno()
+        st = os.fstat(fd)
+        encoding = codecs.lookup(stream.encoding).name
+        at_start = stream.tell() == 0
+    except (AttributeError, LookupError, OSError, ValueError):
+        return None
+    if (at_start and encoding == "utf-8" and stat.S_ISREG(st.st_mode)
+            and st.st_size >= SPLIT_MIN_BYTES and hasattr(os, "fork")
+            and threading.active_count() == 1 and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and not _quoted(fd, st.st_size)):
+        return fd, st.st_size
+    return None
+
+
+def _tally_in_two_processes(fd: int, size: int, bids) -> Optional[dict]:
+    """The tally of the log in file `fd`, its second half read by a forked
+    child, or None if either half refuses anything. The child sends its
+    tally back over a pipe; the parent merges it into its own: counts of a
+    key both saw add up, keys only the child saw follow in the child's
+    order, their first rows numbered after the parent's rows."""
+    import signal  # `import ctrserve.cli` does not load it otherwise
+
+    middle = size // 2
+    cut = os.pread(fd, _CHUNK_BYTES, middle).find(b"\n") + 1  # the first line break past it
+    if not cut:
+        return None
+    middle += cut
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # such as too many processes: one process reads it all
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:  # the child never returns: it always leaves by os._exit
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                half = _tally_half(fd, middle, size, bids)[0]
+            except Exception:  # any failure is a refusal: the parent reads the log again
+                half = None
+            with open(write_end, "wb") as out:
+                marshal.dump(half, out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as received:
+            try:
+                tally, rows = _tally_half(fd, 0, middle, bids)
+            except (CtrServeError, _NotPlain, OSError):
+                return None
+            try:
+                child = marshal.load(received)
+            except (EOFError, ValueError):  # the child died before it sent
+                return None
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if child is None:
+        return None
+    get = tally.get
+    for key, (count, first) in child.items():
+        counts = get(key)
+        if counts is None:
+            tally[key] = [count, first + rows]
+        else:
+            counts[0] += count
+    return tally
+
+
+def tally_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> dict[tuple, list[int]]:
+    """The event-log CSV (an open text file, str or bytes) as a tally: each
+    distinct (ad_id, placement, size, category, keywords, clicked) of raw
+    fields, in order of first appearance, maps to [how many rows have it,
+    the number of the first of them]. These counts are all that
+    `map-keywords` and `train` read of a log.
+
+    Every row is checked, the first bad one raising with its number: its
+    field count, then a timestamp that must be an integer, then `clicked`
+    (0 or 1), the placement and, with `bids` (ad_id -> catalog bid), the
+    ad_id, then the timestamp > 0. The checks of the tallied fields run only
+    at a key's first row: a repeat of a key that passed them cannot fail
+    them. Blank rows are skipped but numbered; an empty or blank log tallies
+    nothing.
+
+    A UTF-8 text file of at least SPLIT_MIN_BYTES, with no '"', is read in
+    two processes (`_tally_in_two_processes`), each splitting plain lines
+    on "," (`_plain_lines`). If either half refuses anything, the log is read
+    again from the start by `csv.reader`, so the tally, or the error and
+    its message, is always the one `csv.reader` gives."""
+    if isinstance(stream, (str, bytes)):
+        stream = io.StringIO(as_text(stream))
+    split = _splittable(stream)
+    tally = None if split is None else _tally_in_two_processes(*split, bids)
+    if tally is None:
+        tally = {}
+        rows = csv.reader(stream)
+        if _header(rows):
+            _tally_rows(rows, tally, bids)
     return tally
 
 

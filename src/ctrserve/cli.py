@@ -259,6 +259,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # so that text the locale cannot encode still prints; stderr already does
+    reconfigure = getattr(sys.stdout, "reconfigure", None)  # a StringIO stand-in has none
+    if reconfigure is not None:
+        reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import math
+import os
+import random
+import threading
 from collections import Counter
 
 import pytest
@@ -8,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import dictreader_groups, event_key, read_event_log
 from conftest import make_event
-from ctrserve.catalog import (EVENT_LOG_HEADER, AdCreative, EventRow, Placement, keyword_set,
-                              keywords_field, normalize_token, page_keywords, parse_ad_catalog,
-                              parse_pairs_table, parse_training_table, serialize_ad_catalog,
-                              tally_event_log, write_event_row)
+from ctrserve import catalog, sample_data
+from ctrserve.catalog import (EVENT_LOG_HEADER, SPLIT_MIN_BYTES, AdCreative, EventRow, Placement,
+                              keyword_set, keywords_field, normalize_token, open_text,
+                              page_keywords, parse_ad_catalog, parse_pairs_table,
+                              parse_training_table, serialize_ad_catalog, tally_event_log,
+                              write_event_row)
 from ctrserve.errors import CtrServeError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, aggregate_events, compute_ctr
 from ctrserve.keywords import load_keyword_map
@@ -395,6 +401,245 @@ class TestTallyMatchesReference:
         bids = {"a1": 20.0, "a2": 10.0} if with_bids else None
         expected = outcome(lambda: reference_counts(log, bids))
         assert outcome(lambda: counts(tally_event_log(log, bids=bids))) == expected
+
+
+BIG_LOG_ADS = {f"ad-{n:02d}": float(n + 1) for n in range(24)}
+
+
+def big_log_records(seed):
+    """The records (header first) of a seeded event log a little over
+    SPLIT_MIN_BYTES whose data rows all have one length. Ads ad-18 to ad-23
+    first appear in its second half, so that half has keys of its own."""
+    rng = random.Random(seed)
+    fields = ["1700000000000", "ad-00", "above_fold", "300x250", "sports", "epl;football",
+              "GB", "", "", "10.0.0.100", "chrome", "0"]
+    length = len(",".join(fields)) + 1
+    n_rows = SPLIT_MIN_BYTES * 5 // 4 // length
+    records = [EVENT_LOG_HEADER]
+    for n in range(n_rows):
+        records.append([
+            str(1_700_000_000_000 + n), f"ad-{rng.randrange(12 + 12 * n // n_rows):02d}",
+            rng.choice(["above_fold", "below_fold"]), rng.choice(["300x250", "160x600"]),
+            rng.choice(["sports", "health"]),
+            rng.choice(["epl;football", "nba;football", "cricket;test", "golf;masters"]),
+            rng.choice(["GB", "US"]), "", "", f"10.0.0.{rng.randrange(100, 200)}",
+            rng.choice(["chrome", "safari"]), rng.choice("0001")])
+    return records
+
+
+def log_bytes(records, ending="\n"):
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator=ending).writerows(records)
+    return buf.getvalue().encode("utf-8")
+
+
+def second_half_start(data):
+    """The byte where the child's half starts: after the first line break
+    after the middle byte."""
+    return data.index(b"\n", len(data) // 2) + 1
+
+
+def split_row(data):
+    """The number of the first event row the child reads."""
+    return data.count(b"\n", 0, second_half_start(data))
+
+
+def split_row_after_edit(records, name):
+    """The row that starts the child's half once it is edited by
+    `MUTATIONS[name]`. The edit moves the middle byte, by the same amount
+    wherever it is, since every data row has one length; the rows before
+    the edited one keep their places."""
+    data = log_bytes(records)
+    edit = len(log_bytes([MUTATIONS[name](records[1])])) - len(log_bytes([records[1]]))
+    return data.count(b"\n", 0, data.index(b"\n", (len(data) + edit) // 2) + 1)
+
+
+@pytest.fixture(scope="module")
+def big_logs():
+    """The records of two seeded logs over SPLIT_MIN_BYTES, by the line end
+    they are written with."""
+    return {"\n": big_log_records(1), "\r\n": big_log_records(2)}
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The forks made during the test; at its end no child is left, running
+    or unreaped."""
+    made = []
+    fork = os.fork
+
+    def counted_fork():
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield made
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def file_outcome(path, bids=None):
+    def read():
+        with open_text(path, newline="") as fh:
+            return tally_event_log(fh, bids=bids)
+    return outcome(read)
+
+
+def sequential_outcome(path, bids, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(catalog, "SPLIT_MIN_BYTES", math.inf)
+        return file_outcome(path, bids)
+
+
+def split_tally(path, bids):
+    """The tally of the log at `path` as the two halves read it."""
+    with open_text(path, newline="") as fh:
+        tally = tally_event_log(fh, bids=bids)
+        assert fh.tell() == 0  # csv.reader never read the stream: no half refused
+    return tally
+
+
+def reference_tally(data, bids):
+    """The tally of a log without blank rows built from the per-row reader."""
+    tally = {}
+    for i, event in enumerate(read_event_log(data, bids=bids), start=1):
+        tally.setdefault(event_key(event), [0, i])[0] += 1
+    return tally
+
+
+def edit_late_line(ending, edit):
+    """An edit of the seeded log with line ends `ending`: `edit` applied to
+    the fields of a line in the second half, past the split."""
+    def edited(records):
+        data = log_bytes(records, ending)
+        start = data.index(b"\n", second_half_start(data) + 1000) + 1
+        end = data.index(b"\n", start)
+        return data[:start] + b",".join(edit(data[start:end].split(b","))) + data[end:]
+    return edited
+
+
+def mixed_endings(records, first, second):
+    """The log of `records` whose rows end with `first` in the parent's half
+    and with `second` in the child's."""
+    head = len(log_bytes(records[:1], first))
+    a, b = (len(log_bytes(records[1:2], ending)) for ending in (first, second))
+    n = len(records) - 1
+    k = next(k for k in range(n)  # rows in the first half: the middle byte is in the last
+             if head + (k - 1) * a <= (head + k * a + (n - k) * b) // 2 < head + k * a)
+    data = log_bytes(records[:k + 1], first) + log_bytes(records[k + 1:], second)
+    assert second_half_start(data) == head + k * a
+    return data
+
+
+# Edits of the seeded "\n" and "\r\n" logs, and how the result is read: by
+# the two halves, by csv.reader after a half refuses it, or by csv.reader
+# alone, a log with a quote anywhere never being split.
+LOG_EDITS = {
+    "quote in the second half": ("one process", edit_late_line(
+        "\n", lambda f: [*f[:5], b'"' + f[5] + b'"', *f[6:]])),
+    "lone carriage return in an LF log": ("refused", edit_late_line(
+        "\n", lambda f: [*f[:9], b"10\r0", *f[10:]])),
+    "lone carriage return in a CRLF log": ("refused", edit_late_line(
+        "\r\n", lambda f: [*f[:9], b"10\r0", *f[10:]])),
+    "lone line feed in a CRLF log": ("refused", edit_late_line(
+        "\r\n", lambda f: [*f[:9], b"10\n0", *f[10:]])),
+    "blank line in the second half": ("refused", edit_late_line(
+        "\n", lambda f: [b"\n" + f[0], *f[1:]])),
+    "blank line in the first half": ("refused", lambda records: (
+        log_bytes(records[:100]) + b"\n" + log_bytes(records[100:]))),
+    "BOM": ("refused", lambda records: "\ufeff".encode("utf-8") + log_bytes(records)),
+    "no final line break": ("halves", lambda records: log_bytes(records)[:-1]),
+    "CRLF then LF": ("halves", lambda records: mixed_endings(records, "\r\n", "\n")),
+    "LF then CRLF": ("halves", lambda records: mixed_endings(records, "\n", "\r\n")),
+}
+
+
+class TestTwoProcessTally:
+    @pytest.mark.parametrize("with_bids", [False, True])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_equals_the_per_row_reader(self, big_logs, tmp_path, forks, ending, with_bids):
+        data = log_bytes(big_logs[ending], ending)
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        bids = BIG_LOG_ADS if with_bids else None
+        tally = split_tally(path, bids)
+        assert len(forks) == 1
+        expected = reference_tally(data, bids)
+        assert list(tally.items()) == list(expected.items())
+        second_half = split_row(data)
+        assert any(first >= second_half for _, first in tally.values())  # keys of the child's
+        keyword_map = sample_data.sports_keyword_map()
+        assert (aggregate_events(tally, BIG_LOG_ADS, keyword_map)
+                == aggregate_events(expected, BIG_LOG_ADS, keyword_map))
+
+    @pytest.mark.parametrize("where", ["first half", "after the split", "last row"])
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_a_mutated_row_gives_the_sequential_outcome(self, big_logs, tmp_path, forks,
+                                                        monkeypatch, name, where):
+        records = big_logs["\n"]
+        index = {"first half": 100, "after the split": split_row_after_edit(records, name),
+                 "last row": len(records) - 1}[where]
+        data = log_bytes(records[:index] + [MUTATIONS[name](records[index])]
+                         + records[index + 1:])
+        assert where != "after the split" or split_row(data) == index
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        assert file_outcome(path, BIG_LOG_ADS) == sequential_outcome(path, BIG_LOG_ADS,
+                                                                     monkeypatch)
+        assert len(forks) == (b'"' not in data)  # csv.writer quotes a comma or line break
+
+    @pytest.mark.parametrize("case", sorted(LOG_EDITS))
+    def test_an_edited_log_gives_the_sequential_outcome(self, big_logs, tmp_path, forks,
+                                                        monkeypatch, case):
+        read, edit = LOG_EDITS[case]
+        path = tmp_path / "events.csv"
+        path.write_bytes(edit(big_logs["\n"]))
+        expected = sequential_outcome(path, BIG_LOG_ADS, monkeypatch)
+        assert file_outcome(path, BIG_LOG_ADS) == expected
+        if read == "halves":
+            assert list(split_tally(path, BIG_LOG_ADS).items()) == expected
+        assert len(forks) == {"one process": 0, "refused": 1, "halves": 2}[read]
+
+    def test_bytes_not_utf8_in_the_second_half_name_the_file(self, big_logs, tmp_path, forks,
+                                                             monkeypatch):
+        data = log_bytes(big_logs["\n"])
+        late = data.index(b",chrome,", second_half_start(data))
+        path = tmp_path / "events.csv"
+        path.write_bytes(data[:late] + b",chr\xffme," + data[late + 8:])
+        got = file_outcome(path)
+        assert got == sequential_outcome(path, None, monkeypatch)
+        assert got[0] is ParseError and got[1].startswith(f"{path} is not UTF-8 text")
+        assert len(forks) == 1
+
+    def test_an_interrupt_in_the_parent_half_leaves_no_child(self, big_logs, tmp_path, forks):
+        path = tmp_path / "events.csv"
+        path.write_bytes(log_bytes(big_logs["\n"]))
+        parent = os.getpid()
+
+        class InterruptedInTheParent(dict):
+            def __contains__(self, ad_id):
+                if os.getpid() == parent:
+                    raise KeyboardInterrupt
+                return super().__contains__(ad_id)
+
+        with pytest.raises(KeyboardInterrupt), open_text(path, newline="") as fh:
+            tally_event_log(fh, bids=InterruptedInTheParent(BIG_LOG_ADS))
+        assert len(forks) == 1
+
+    def test_a_second_thread_keeps_the_read_in_one_process(self, big_logs, tmp_path, forks):
+        data = log_bytes(big_logs["\n"])
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            got = file_outcome(path, BIG_LOG_ADS)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and forks == []
+        assert got == list(reference_tally(data, BIG_LOG_ADS).items())
 
 
 NORMALIZED_TOKENS = st.text(min_size=1).map(normalize_token).filter(lambda t: t and ";" not in t)

@@ -793,3 +793,42 @@ def test_online_half_never_loads_numpy():
         "import ctrserve.server": False, "serve a ctr /ad and a /reload": False,
         "simulate": False, "map-keywords": False, "predict": False, "evaluate": False}
 
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.fixture(scope="module")
+def non_ascii_run(tmp_path_factory):
+    """A simulated log whose `football` is spelled `fútbol`, so that the
+    mined map's first centroid is not ASCII, with its map and model."""
+    out = tmp_path_factory.mktemp("non_ascii")
+    assert main(["simulate", "--seed", "3", "--events", "2000", "--out", str(out)]) == 0
+    events = out / "events.csv"
+    events.write_text(events.read_text().replace("football", "fútbol"), encoding="utf-8")
+    assert main(["map-keywords", "--data", str(events), "--out", str(out / "map.json")]) == 0
+    assert json.loads((out / "map.json").read_text())["centroids"][0] == "fútbol"
+    assert main(["train", "--data", str(events), "--ads", str(out / "catalog.json"),
+                 "--map", str(out / "map.json"), "--method", "normal",
+                 "--out", str(out / "model.json")]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["map-keywords", "train", "predict", "evaluate", "simulate"])
+def test_every_command_prints_under_an_ascii_locale(non_ascii_run, tmp_path, command):
+    d = non_ascii_run
+    argv = {
+        "map-keywords": ["--data", d / "events.csv", "--out", tmp_path / "map.json"],
+        "train": ["--data", d / "events.csv", "--ads", d / "catalog.json", "--map", d / "map.json",
+                  "--method", "normal", "--out", tmp_path / "model.json"],
+        "predict": ["--model", d / "model.json", "--map", d / "map.json",
+                    "above_fold", "300x250", "10", "fútbol"],
+        "evaluate": ["--model", d / "model.json",
+                     "--data", sample_data.fixture_path("validation_sample.csv")],
+        "simulate": ["--events", "50", "--out", tmp_path / "sim"],
+    }[command]
+    proc = child_python("-m", "ctrserve.cli", command, *map(str, argv), **ASCII_LOCALE)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
+    if command == "map-keywords":
+        assert "centroids: f\\xfatbol," in out
