@@ -313,7 +313,7 @@ def _tally_rows(rows, tally: dict, bids) -> int:
     (see `tally_event_log`); return how many rows there were."""
     get = tally.get
     fields = len(EVENT_LOG_HEADER)
-    i = -1  # i + 1 is the row being read, except that a csv.Error in row 1 names row 0
+    i = 0  # i + 1 is the row being read
     try:
         for i, row in enumerate(rows, start=1):
             if len(row) != fields:
@@ -342,7 +342,7 @@ def _tally_rows(rows, tally: dict, bids) -> int:
                 raise ValidationError(f"event row {i}: timestamp must be > 0, got {ts!r}")
     except csv.Error as exc:  # such as a field over the csv module's size limit
         raise ParseError(f"event row {i + 1}: {exc}") from exc
-    return max(i, 0)
+    return i
 
 
 # About the size where two processes start to beat one: a smaller log is read in one.
@@ -564,11 +564,12 @@ def _read_table(stream, header: list[str], name: str, convert) -> list:
     must be `header`. A row that `convert` refuses with ValueError, or that
     the csv module cannot read, raises ParseError naming the row."""
     reader = csv.reader(io.StringIO(as_text(stream)))
-    rows, i = [], -1  # the row being read, the header being row 0
+    rows, i = [], -1  # i + 1 is the row being read, the header being row 0
     try:
         first = next(reader, None)
         if first != header:
             raise ParseError(f"unexpected {name}-table header: {first}")
+        i = 0
         for i, row in enumerate(reader, start=1):
             if row:
                 try:

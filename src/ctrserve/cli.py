@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", dest="map_path", help="keyword map JSON file (with an event log)")
     p.add_argument("--out", required=True, help="model JSON file to write")
     p.add_argument("--method", choices=["gd", "normal"], default="gd")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--iters", type=int, default=400)
 
     p = sub.add_parser("predict", help="predict CTR for one request")
     p.add_argument("--model", required=True, help="model JSON file")
@@ -70,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="directory to write")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--events", type=int, default=10000)
-    p.add_argument("--category", default="sports")
 
     return parser
 
@@ -151,8 +148,7 @@ def cmd_train(args) -> int:
             keyword_map = keywords.load_keyword_map(fh)
     rows = _load_training_rows(args, keyword_map)
     method = regression.GRADIENT_DESCENT if args.method == "gd" else regression.NORMAL_EQUATION
-    config = regression.TrainingConfig(method=method, alpha=args.alpha, iterations=args.iters)
-    model = regression.train(rows, keyword_map, config)
+    model = regression.train(rows, keyword_map, regression.TrainingConfig(method=method))
     Path(args.out).write_text(regression.save_model(model))
     print(f"theta: {list(model.theta)}")
     if model.cost_trace:
@@ -231,8 +227,7 @@ def cmd_serve(args) -> int:
 def cmd_simulate(args) -> int:
     from . import simulate
 
-    config = simulate.SimulationConfig(seed=args.seed, n_events=args.events,
-                                       category=args.category)
+    config = simulate.SimulationConfig(seed=args.seed, n_events=args.events)
     output = simulate.run_simulation(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

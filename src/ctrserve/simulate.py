@@ -14,7 +14,8 @@ from .errors import CtrServeError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from .keywords import BASE_SPACING, BASE_VALUE, KeywordMap, resolve_page_value, save_keyword_map
 
-# Planted sports vocabulary: centroid -> [(member, inclusion probability)].
+# Planted vocabulary of CATEGORY: centroid -> [(member, inclusion probability)].
+CATEGORY = "sports"
 PLANTED_CLUSTERS = {
     "football": [("soccer", 0.6), ("epl", 0.4), ("ronaldo", 0.3)],
     "cricket": [("afridi", 0.5), ("pakistan", 0.4)],
@@ -38,7 +39,6 @@ _BROWSERS = ["chrome", "firefox", "safari"]
 class SimulationConfig:
     seed: int
     n_events: int
-    category: str = "sports"
 
     def __post_init__(self):
         if self.n_events < 0:
@@ -53,7 +53,7 @@ class SimulationOutput:
     truth_json: str
 
 
-def planted_keyword_map(category: str = "sports") -> KeywordMap:
+def planted_keyword_map() -> KeywordMap:
     """A hand-built map over the planted vocabulary; centroids sit at the
     bases `build_keyword_map` gives them (50/60/70) and members nearby. `values` resolves the
     centroids first, then each cluster's members in order."""
@@ -66,11 +66,11 @@ def planted_keyword_map(category: str = "sports") -> KeywordMap:
             sign = 1.0 if i % 2 == 0 else -1.0
             values[member] = values[c] + sign * (0.5 + 0.5 * i)
             cluster_of[member] = c
-    return KeywordMap(category=category, centroids=centroids, values=values,
+    return KeywordMap(category=CATEGORY, centroids=centroids, values=values,
                       cluster_of=cluster_of)
 
 
-def _simulate_catalog(rng: random.Random, config: SimulationConfig) -> list[AdCreative]:
+def _simulate_catalog(rng: random.Random) -> list[AdCreative]:
     centroids = list(PLANTED_CLUSTERS)
     ads = []
     for i in range(N_ADS):
@@ -79,7 +79,7 @@ def _simulate_catalog(rng: random.Random, config: SimulationConfig) -> list[AdCr
         ads.append(AdCreative(
             ad_id=f"ad-{i:04d}",
             campaign_id=f"camp-{i % 5}",
-            category=config.category,
+            category=CATEGORY,
             size=DEFAULT_SIZE_REGISTRY[i % len(DEFAULT_SIZE_REGISTRY)],
             bid=BIDS[rng.randrange(len(BIDS))],
             landing_page=f"https://example.com/{i}",
@@ -104,8 +104,8 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
     """Deterministic for a given config: identical seeds give byte-identical
     outputs. Clicks are Bernoulli draws from the planted linear model."""
     rng = random.Random(config.seed)
-    keyword_map = planted_keyword_map(config.category)
-    ads = _simulate_catalog(rng, config)
+    keyword_map = planted_keyword_map()
+    ads = _simulate_catalog(rng)
     centroids = list(PLANTED_CLUSTERS)
     buf = io.StringIO()
     writer = start_event_log(buf)
@@ -127,7 +127,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
                                 "adjust TRUE_THETA")
         write_event_row(writer, EventRow(
             timestamp=_BASE_TIMESTAMP + i, ad_id=ad.ad_id, placement=placement, size=ad.size,
-            category=config.category, keywords=keywords_field(page_keywords), country=country,
+            category=CATEGORY, keywords=keywords_field(page_keywords), country=country,
             city="", area="", ip=ip, browser=browser, clicked=rng.random() < p_click))
     truth = {
         "seed": config.seed,

@@ -150,7 +150,7 @@ def read_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> Iterat
     if isinstance(stream, (str, bytes)):
         stream = io.StringIO(as_text(stream))
     reader = csv.reader(stream)
-    i = -1  # the row being read, the header being row 0
+    i = -1  # i + 1 is the row being read, the header being row 0
     try:
         for header in reader:
             if any(field.strip() for field in header):
@@ -159,6 +159,7 @@ def read_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> Iterat
             return  # an empty or blank log has no events
         if header != EVENT_LOG_HEADER:
             raise ParseError(f"unexpected event-log header: {header}")
+        i = 0
         if bids is not None:
             bids = {ad_id: float(bid) for ad_id, bid in bids.items()}
         for i, row in enumerate(reader, start=1):

@@ -202,6 +202,8 @@ class TestParseEventLog:
         text = event_csv("1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0", long_row)
         with pytest.raises(ParseError, match=r"^event row 2: field larger than field limit"):
             tally_event_log(text)
+        with pytest.raises(ParseError, match=r"^event row 1: field larger than field limit"):
+            tally_event_log(event_csv(long_row))
         with pytest.raises(ParseError, match=r"^event row 0: field larger than field limit"):
             tally_event_log(long_row)
 
@@ -554,6 +556,36 @@ LOG_EDITS = {
 }
 
 
+def edit_row(data, index, edit):
+    """`data` with `edit` applied to the fields of its line `index`, the
+    header being line 0."""
+    start = 0
+    for _ in range(index):
+        start = data.index(b"\n", start) + 1
+    end = data.index(b"\n", start)
+    return data[:start] + b",".join(edit(data[start:end].split(b","))) + data[end:]
+
+
+def read_by_csv_reader(path, bids):
+    """Whether `tally_event_log` read the log at `path` with csv.reader. The
+    halves read it with os.pread, which leaves the file at its start."""
+    with open_text(path, newline="") as fh:
+        try:
+            tally_event_log(fh, bids=bids)
+        except CtrServeError:
+            pass
+        return fh.buffer.tell() != 0
+
+
+# Rows `_plain_lines` refuses and csv.reader may read: the csv field size
+# limit each is read under, and the edit of the row's fields.
+PLAIN_CHUNK_REFUSALS = {
+    "NUL byte": (csv.field_size_limit(), lambda f: [*f[:10], b"chr\0me", f[11]]),
+    "line over a lowered field limit": (200, lambda f: [*f[:7], b"c" * 150, b"a" * 150, *f[9:]]),
+    "field over a lowered field limit": (200, lambda f: [*f[:7], b"c" * 250, *f[8:]]),
+}
+
+
 class TestTwoProcessTally:
     @pytest.mark.parametrize("with_bids", [False, True])
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
@@ -599,6 +631,31 @@ class TestTwoProcessTally:
         if read == "halves":
             assert list(split_tally(path, BIG_LOG_ADS).items()) == expected
         assert len(forks) == {"one process": 0, "refused": 1, "halves": 2}[read]
+
+    @pytest.mark.parametrize("half", ["parent", "child"])
+    @pytest.mark.parametrize("rule", sorted(PLAIN_CHUNK_REFUSALS))
+    def test_a_chunk_the_halves_refuse_is_read_by_csv_reader(self, big_logs, tmp_path, forks,
+                                                            monkeypatch, rule, half):
+        """A NUL byte, which csv.reader refuses before Python 3.11, and a line
+        longer than a field size limit lowered below a chunk, in either half."""
+        limit, edit = PLAIN_CHUNK_REFUSALS[rule]
+        records = big_logs["\n"]
+        index = 100 if half == "parent" else len(records) - 100
+        data = edit_row(log_bytes(records), index, edit)
+        assert (index < split_row(data)) == (half == "parent")
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        old_limit = csv.field_size_limit(limit)
+        try:
+            expected = sequential_outcome(path, BIG_LOG_ADS, monkeypatch)
+            assert file_outcome(path, BIG_LOG_ADS) == expected
+            assert read_by_csv_reader(path, BIG_LOG_ADS)
+        finally:
+            csv.field_size_limit(old_limit)
+        if rule == "field over a lowered field limit":
+            assert expected == (ParseError, f"event row {index}: field larger than field limit "
+                                            f"({limit})")
+        assert len(forks) == 2
 
     def test_bytes_not_utf8_in_the_second_half_name_the_file(self, big_logs, tmp_path, forks,
                                                              monkeypatch):
@@ -700,6 +757,23 @@ def test_training_table_round_trip(table6_rows):
             parse_training_table(f"placement,size,bid,keyword_value,ctr\n1,1,20,50,0.1\n{row}\n")
 
 
+@pytest.mark.parametrize("read, header, row, name", [
+    pytest.param(tally_event_log, EVENT_HEADER,
+                 "1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0", "event", id="event"),
+    pytest.param(parse_training_table, "placement,size,bid,keyword_value,ctr", "1,1,20,50,0.1",
+                 "training", id="training"),
+    pytest.param(parse_pairs_table, "y,y_pred", "0.1,0.2", "pairs", id="pairs"),
+])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_row_the_csv_module_refuses_is_named_by_its_number(read, header, row, name, n):
+    """An unquoted carriage return inside row n is a csv.Error in row n."""
+    rows = [row] * (n - 1) + [row[:3] + "\r" + row[3:]]
+    with pytest.raises(ParseError, match=rf"^{name} row {n}: new-line character seen"):
+        read("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ParseError, match=rf"^{name} row 0: new-line character seen"):
+        read(header[:3] + "\r" + header[3:] + "\n" + row + "\n")
+
+
 @given(st.lists(st.text()))
 def test_keyword_set_normalizes_and_drops_empty_tokens(tokens):
     result = keyword_set(tokens)
@@ -729,6 +803,8 @@ def test_pairs_table(table10_pairs):
     ("y,y_pred\n-Infinity,0.2\n", "pairs row 1: '-Infinity' is not a finite number"),
     pytest.param("y,y_pred\n0.1,0.2\n0.1," + "9" * 140_000 + "\n",
                  "pairs row 2: field larger than field limit", id="long field"),
+    pytest.param("y,y_pred\n0.1," + "9" * 140_000 + "\n",
+                 "pairs row 1: field larger than field limit", id="long field in row 1"),
     pytest.param("y," + "9" * 140_000 + "\n",
                  "pairs row 0: field larger than field limit", id="long header field"),
 ])

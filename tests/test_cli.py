@@ -227,16 +227,6 @@ def test_non_finite_table_field_is_json_error_naming_the_row(tmp_path, capsys, c
     assert command == "evaluate" or not model.exists()
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
-def test_train_refuses_an_alpha_that_is_not_positive_and_finite(tmp_path, capsys, alpha):
-    model = tmp_path / "model.json"
-    assert main(["train", "--data", sample_data.fixture_path("training_sample.csv"),
-                 "--method", "normal", "--alpha", alpha, "--out", str(model)]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "alpha must be positive and finite" in json.loads(err[0])["error"]
-    assert not model.exists()
-
-
 def test_predict_unknown_size(capsys):
     rc = main(["predict", "--model", sample_data.fixture_path("model_normal_eq.json"),
                "above_fold", "999x1", "22", "51"])
@@ -361,6 +351,25 @@ def test_each_command_has_only_the_io_flags_it_reads(command, capsys):
             build_parser().parse_args([command, *argv, flag, "x"])
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, removed", [
+    ("train", {"--data", "--ads", "--map", "--out", "--method"}, ["--alpha 0.01", "--iters 400"]),
+    ("simulate", {"--out", "--seed", "--events"}, ["--category sports"]),
+])
+def test_the_recipe_is_not_a_flag(command, flags, removed, capsys):
+    """Gradient descent runs alpha 0.01 for 400 iterations and the simulator
+    plants the sports vocabulary; neither is settable from the command line."""
+    [commands] = [a.choices for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    declared = {opt for a in commands[command]._actions for opt in a.option_strings}
+    assert declared - {"-h", "--help"} == flags
+    argv, _ = FULL_COMMAND_LINES[command]
+    for flag_value in removed:
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args([command, *argv, *flag_value.split()])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag_value}" in capsys.readouterr().err
 
 
 def test_ctrf_variables_do_nothing(tmp_path, monkeypatch, capsys):
@@ -683,7 +692,7 @@ def test_json_the_parser_refuses_is_one_json_error_line(tmp_path, monkeypatch, c
 LONG_FIELD = "x" * 140_000  # over the csv module's 131,072-byte field limit
 
 
-@pytest.mark.parametrize("where", ["header", "row 2"])
+@pytest.mark.parametrize("where", ["header", "row 1", "row 2"])
 @pytest.mark.parametrize("command", ["evaluate", "train", "map-keywords"])
 def test_a_csv_field_over_the_size_limit_is_one_json_error_line_naming_the_row(
         tmp_path, capsys, command, where):
@@ -704,6 +713,8 @@ def test_a_csv_field_over_the_size_limit_is_one_json_error_line_naming_the_row(
     if where == "header":
         header, rows = f"{header},{LONG_FIELD}", rows[:1]
         row_error = "event row 0" if command == "map-keywords" else f"{data} header"
+    elif where == "row 1":
+        rows, row_error = rows[1:], row_error.replace("row 2", "row 1")
     data.write_text("\n".join([header, *rows]) + "\n")
     assert main([command, "--data", str(data), *args]) == 1
     captured = capsys.readouterr()
@@ -711,6 +722,30 @@ def test_a_csv_field_over_the_size_limit_is_one_json_error_line_naming_the_row(
     assert captured.out == "" and json.loads(line)["error"] == (
         f"{row_error}: field larger than field limit (131072)")
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--data", "events.csv", "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
+      "--out", "out.json"], "missing required flag --map"),
+    (["train", "--data", "events.csv", "--map", sample_data.fixture_path("keyword_map_sports.json"),
+      "--out", "out.json"], "missing required flag --ads"),
+    (["predict", "--model", sample_data.fixture_path("model_normal_eq.json"),
+      "above_fold", "300x250", "22", "football"], "missing required flag --map"),
+    (["map-keywords", "--data", "events.csv", "--category", "health", "--out", "out.json"],
+     "no transactions for category 'health' in events.csv"),
+])
+def test_a_flag_the_input_needs_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv,
+                                                        message):
+    """The refusals that argparse cannot make: a flag needed by what the
+    input holds, and a category the log does not hold."""
+    monkeypatch.chdir(tmp_path)
+    row = "1,boots-01,above_fold,300x250,sports,football,PK,,,,,0"
+    Path("events.csv").write_text(f"{','.join(EVENT_LOG_HEADER)}\n{row}\n")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert captured.out == "" and json.loads(line) == {"error": message}
+    assert sorted(os.listdir()) == ["events.csv"]
 
 
 @pytest.mark.parametrize("content", [

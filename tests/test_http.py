@@ -127,6 +127,7 @@ def test_reload_swaps_snapshot(running_server, tmp_path):
 def test_unknown_route_404(running_server):
     _, base = running_server
     assert http_get(base + "/nope")[0] == 404
+    assert http_post(base + "/nope") == (404, json.dumps({"error": "not found"}))
 
 
 def raw_post_event(base, headers, body=b""):
@@ -273,6 +274,38 @@ def test_unknown_mode_is_400(running_server):
     _, base = running_server
     status, body = http_get(base + AD_QUERY + "foo")
     assert status == 400 and "foo" in json.loads(body)["error"]
+
+
+def test_a_bad_query_value_is_400(running_server):
+    _, base = running_server
+    status, body = http_get(base + AD_QUERY.replace("above_fold", "sidebar") + "bid")
+    assert status == 400 and "'sidebar'" in json.loads(body)["error"]
+
+
+def test_ctr_mode_without_a_model_and_map_is_400(tmp_path):
+    srv = AdServer(ServerConfig(catalog_path=sample_data.fixture_path("ad_catalog_sample.json"),
+                                event_log_path=str(tmp_path / "events.csv"), port=0))
+    base = f"http://127.0.0.1:{srv.start()}"
+    try:
+        ctr = http_get(base + AD_QUERY + "ctr")
+        bid = http_get(base + AD_QUERY + "bid")
+    finally:
+        srv.stop()
+    assert ctr == (400, json.dumps({"error": "ctr mode requires a model and keyword map"}))
+    assert bid[0] == 200
+
+
+def test_a_client_that_leaves_mid_request_line_is_closed_unanswered(running_server):
+    """The server sees the end of the stream and closes at once, well
+    before REQUEST_TIMEOUT_S, and goes on serving."""
+    _, base = running_server
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(b"GET /heal")
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(65536) == b""
+    assert server_module.REQUEST_TIMEOUT_S > 5
+    assert http_get(base + "/healthz")[0] == 200
 
 
 def test_failed_reload_is_500_and_keeps_snapshot(running_server, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -252,6 +253,13 @@ class TestNormalEquation:
         theta_ne = normal_equation(scaled)
         theta_gd, _ = gradient_descent(scaled, TrainingConfig(iterations=400))
         assert cost(theta_ne, scaled) <= cost(theta_gd, scaled) + 1e-15
+
+
+class TestTrainingConfig:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0])
+    def test_refuses_an_alpha_that_is_not_positive_and_finite(self, alpha):
+        with pytest.raises(ContractError, match="alpha must be positive and finite"):
+            TrainingConfig(method=NORMAL_EQUATION, alpha=alpha)
 
 
 class TestTrain:
