@@ -14,13 +14,14 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from http import HTTPStatus
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import unquote_plus, urlparse
 
-from .catalog import (AdCreative, EventRow, Placement, RequestContext, check_field, keyword_set,
-                      keywords_field, open_text, parse_ad_catalog, start_event_log,
+from .catalog import (AdCreative, EventRow, Placement, RequestContext, _all_strings, check_field,
+                      keyword_set, keywords_field, open_text, parse_ad_catalog, start_event_log,
                       write_event_row)
 from .errors import ContractError, EncodingError, ParseError, ValidationError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
@@ -46,7 +47,14 @@ class AdResponse:
     score: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(vars(self))
+        """The bytes of `json.dumps(vars(self))`, with the fixed keys spelled out."""
+        score = self.score  # a float; NaN and the infinities take json's spelling
+        score = float.__repr__(score) if score - score == 0 else json.dumps(score)
+        return (f'{{"status": {_json_str(self.status)}, "mode": {_json_str(self.mode)}, '
+                f'"latency_micros": {self.latency_micros}, "ad_id": {_json_str(self.ad_id)}, '
+                f'"campaign_id": {_json_str(self.campaign_id)}, '
+                f'"landing_page": {_json_str(self.landing_page)}, '
+                f'"size": {_json_str(self.size)}, "score": {score}}}')
 
 
 def keyword_overlap(ad: AdCreative, request: RequestContext) -> int:
@@ -198,13 +206,16 @@ class EventLogWriter:
             category=request.category, keywords=keywords_field(request.page_keywords),
             country=request.country, city=request.city, area=request.area, ip=request.ip,
             browser=request.browser, clicked=clicked)
-        for name, value in zip(row._fields, row):
-            if isinstance(value, str):
-                try:
-                    value.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ValidationError(f"{name} cannot be stored as UTF-8: "
-                                          f"{value!r:.100}") from None
+        try:  # one encode checks every field: UTF-8 refuses a surrogate whatever is beside it
+            "".join([value for value in row if isinstance(value, str)]).encode("utf-8")
+        except UnicodeEncodeError:
+            for name, value in zip(row._fields, row):
+                if isinstance(value, str):
+                    try:
+                        value.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ValidationError(f"{name} cannot be stored as UTF-8: "
+                                              f"{value!r:.100}") from None
         with self._lock:
             write_event_row(self._writer, row)
             self._fh.flush()
@@ -274,18 +285,42 @@ MAX_LINE = 64 * 1024  # bytes of a request or header line, its line break includ
 MAX_HEADER_LINES = 100  # lines after the request line, the blank one that ends them included
 
 
+_PLACEMENTS = {placement.value: placement for placement in Placement}
+
+
 def _request_context(fields: Mapping, page_keywords: frozenset[str]) -> RequestContext:
     """The RequestContext of an /ad query or an /event body; a field of the
     wrong type or value raises ValueError."""
-    placement = Placement(fields.get("placement", Placement.ABOVE_FOLD.value))
-    text = {name: fields.get(name, "") for name in _TEXT_FIELDS}
-    for name, value in text.items():
-        check_field(isinstance(value, str), name, value)
-    return RequestContext(placement=placement, page_keywords=page_keywords, **text)
+    placement = fields.get("placement", Placement.ABOVE_FOLD.value)
+    try:
+        placement = _PLACEMENTS[placement]
+    except (KeyError, TypeError):  # Placement's ValueError names the value
+        placement = Placement(placement)
+    text = [fields.get(name, "") for name in _TEXT_FIELDS]
+    if not _all_strings(text):
+        for name, value in zip(_TEXT_FIELDS, text):
+            check_field(isinstance(value, str), name, value)
+    size, category, *viewer = text
+    return RequestContext(placement, size, category, page_keywords, *viewer)
+
+
+def _query_fields(query: str) -> dict[str, str]:
+    """Each name's first value in a query string, read as `parse_qs` reads
+    it: pairs split on '&' and their first '=', a pair without a value
+    dropped, '+' a space and %-escapes UTF-8 with replacement."""
+    fields: dict[str, str] = {}
+    for pair in query.split("&"):
+        name, _, value = pair.partition("=")
+        if value:
+            if "%" in pair or "+" in pair:
+                name, value = unquote_plus(name), unquote_plus(value)
+            if name not in fields:
+                fields[name] = value
+    return fields
 
 
 def _parse_request_qs(query: str) -> tuple[RequestContext, Optional[str]]:
-    params = {k: v[0] for k, v in parse_qs(query).items()}
+    params = _query_fields(query)
     keywords = keyword_set(params.get("keywords", "").split(","))
     return _request_context(params, keywords), params.get("mode")
 
@@ -312,13 +347,13 @@ def _error(code: int, message: str) -> tuple[int, str]:
     return code, json.dumps({"error": message})
 
 
-def _get(url, app: "AdServer") -> tuple[int, str]:
-    if url.path == "/healthz":
+def _get(path: str, query: str, app: "AdServer") -> tuple[int, str]:
+    if path == "/healthz":
         return 200, json.dumps({"status": "ok"})
-    if url.path != "/ad":
+    if path != "/ad":
         return _error(404, "not found")
     try:
-        context, mode = _parse_request_qs(url.query)
+        context, mode = _parse_request_qs(query)
     except ValueError as exc:
         return _error(400, str(exc))
     mode = mode or app.config.default_mode
@@ -331,9 +366,9 @@ def _get(url, app: "AdServer") -> tuple[int, str]:
     return (204, "") if response.status == NO_FILL else (200, response.to_json())
 
 
-def _post(url, body: bytes, app: "AdServer") -> tuple[int, str]:
+def _post(path: str, body: bytes, app: "AdServer") -> tuple[int, str]:
     """POST /event. POST /reload never comes here: it runs off the loop."""
-    if url.path != "/event":
+    if path != "/event":
         return _error(404, "not found")
     try:
         ad_id, context, clicked = _parse_event(body)
@@ -346,10 +381,13 @@ def _post(url, body: bytes, app: "AdServer") -> tuple[int, str]:
     return 202, json.dumps({"status": "accepted"})
 
 
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+
+
 def _response(code: int, body: str = "") -> bytes:
     """An HTTP/1.0 response; the connection closes after it."""
     payload = body.encode("utf-8")
-    head = f"HTTP/1.0 {code} {HTTPStatus(code).phrase}\r\n"
+    head = f"HTTP/1.0 {code} {_PHRASES[code]}\r\n"
     if payload:
         head += "Content-Type: application/json\r\n"
     return f"{head}Content-Length: {len(payload)}\r\n\r\n".encode("latin-1") + payload
@@ -398,18 +436,35 @@ def _check_request_line(words: list[str]) -> None:
         raise _Refused(400, "a request line without a version must be a GET")
 
 
+def _split_target(target: str) -> tuple[str, str]:
+    """The path and query of a request target, as `urlparse` reads them,
+    whose ValueError a malformed target raises. A target with no whitespace
+    that starts with one '/' and holds no ';' (path parameters) or '#' (a
+    fragment) splits on its first '?'; any other goes through `urlparse`."""
+    if target[:1] == "/" and target[1:2] != "/" and ";" not in target and "#" not in target:
+        path, _, query = target.partition("?")
+        return path, query
+    url = urlparse(target)
+    return url.path, url.query
+
+
 def _parse_request(buf: bytearray):
     """Read one request from `buf` as bytes arrive: a generator that yields
-    while it needs more and returns (method, url, body), or raises _Refused.
-    Only a POST /event reads its Content-Length body; any other body is left
-    unread."""
-    pos = yield from _line_end(buf, 0, 414)
+    while it needs more and returns (method, path, query, body), or raises
+    _Refused. A line already whole in `buf` is read in place; only one still
+    incomplete, or over MAX_LINE, waits in `_line_end`. Only a POST /event
+    reads its Content-Length body; any other body is left unread."""
+    pos = buf.find(b"\n") + 1
+    if not 0 < pos <= MAX_LINE:
+        pos = yield from _line_end(buf, 0, 414)
     words = buf[:pos].decode("latin-1").split()
     _check_request_line(words)
     method, target = words[0], words[1]
     length, lines = None, 0
     while True:
-        end = yield from _line_end(buf, pos, 431)
+        end = buf.find(b"\n", pos) + 1
+        if not pos < end <= pos + MAX_LINE:
+            end = yield from _line_end(buf, pos, 431)
         line, pos = buf[pos:end], end
         lines += 1
         if lines > MAX_HEADER_LINES:
@@ -424,11 +479,11 @@ def _parse_request(buf: bytearray):
     if target.startswith("//"):  # as http.server: no open redirect through //host
         target = "/" + target.lstrip("/")
     try:
-        url = urlparse(target)
+        path, query = _split_target(target)
     except ValueError as exc:
         raise _Refused(400, f"bad request target: {exc}") from None
-    if method != "POST" or url.path != "/event":
-        return method, url, b""
+    if method != "POST" or path != "/event":
+        return method, path, query, b""
     try:
         size = int(length)
     except (TypeError, ValueError):
@@ -439,7 +494,7 @@ def _parse_request(buf: bytearray):
         raise _Refused(413, f"event body over {MAX_EVENT_BODY} bytes")
     while len(buf) - pos < size:
         yield
-    return method, url, bytes(buf[pos:pos + size])
+    return method, path, query, bytes(buf[pos:pos + size])
 
 
 class _Connection:
@@ -592,10 +647,11 @@ class AdServer:
         else:
             self._wait(conn, selectors.EVENT_READ)
 
-    def _dispatch(self, conn: _Connection, method: str, url, body: bytes) -> None:
+    def _dispatch(self, conn: _Connection, method: str, path: str, query: str,
+                  body: bytes) -> None:
         """Answer one request. A fault that no route expects is a 500, its
         traceback sent to stderr."""
-        if method == "POST" and url.path == "/reload":
+        if method == "POST" and path == "/reload":
             self._forget(conn)
             self._reloads = [thread for thread in self._reloads if thread.is_alive()]
             thread = threading.Thread(target=self._reload, args=(conn.sock,), daemon=True)
@@ -603,7 +659,7 @@ class AdServer:
             thread.start()
             return
         try:
-            code, text = _get(url, self) if method == "GET" else _post(url, body, self)
+            code, text = _get(path, query, self) if method == "GET" else _post(path, body, self)
         except Exception as exc:
             traceback.print_exc()
             code, text = _error(500, str(exc))

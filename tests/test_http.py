@@ -228,14 +228,19 @@ def test_mistyped_event_field_is_400_naming_it_briefly(running_server, field, va
     assert field in error and len(error) < 200
 
 
-@pytest.mark.parametrize("field, value", [("keywords", ["\ud800"]), ("city", "\udfff")])
+@pytest.mark.parametrize("bad, named", [
+    ({"keywords": ["\ud800"]}, "keywords"),
+    ({"city": "\udfff"}, "city"),
+    ({"browser": "\ud800", "city": "\udfff"}, "city"),  # the first in log column order
+])
 def test_event_text_utf8_cannot_encode_is_400_and_not_logged(running_server, capsys,
-                                                             field, value):
+                                                             bad, named):
     srv, base = running_server
     before = srv.event_log.path.read_bytes()
     event = {"ad_id": "boots-01", "size": "300x250", "keywords": ["football"]}
-    status, body = http_post(base + "/event", {**event, field: value})
-    assert status == 400 and field in json.loads(body)["error"]
+    status, body = http_post(base + "/event", {**event, **bad})
+    assert status == 400
+    assert json.loads(body)["error"].startswith(f"{named} cannot be stored as UTF-8: ")
     assert srv.event_log.path.read_bytes() == before
     assert "Traceback" not in capsys.readouterr().err
     assert http_post(base + "/event", event)[0] == 202

@@ -1,8 +1,11 @@
 import dataclasses
+import json
+import math
 import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import (brute_force_best_by_bid, brute_force_best_by_ctr, eligible_candidates,
                       read_event_log)
@@ -13,7 +16,7 @@ from ctrserve.errors import ContractError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from ctrserve.keywords import resolve_page_value
 from ctrserve.regression import TrainingConfig, predict, train
-from ctrserve.server import (MODE_BID, MODE_CTR, NO_FILL, EventLogWriter,
+from ctrserve.server import (MODE_BID, MODE_CTR, NO_FILL, AdResponse, EventLogWriter,
                              ServingState, keyword_overlap, serve)
 
 VOCAB = ["football", "soccer", "epl", "cricket", "tennis", "nadal", "ronaldo", "brazil"]
@@ -338,6 +341,23 @@ class TestServe:
         a = serve(request, MODE_CTR, state)
         b = serve(request, MODE_CTR, state)
         assert (a.ad_id, a.score, a.status) == (b.ad_id, b.score, b.status)
+
+
+
+# Any text a catalog or a query can hold: control characters, quotes,
+# backslashes, non-ASCII, astral characters and lone surrogates.
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+
+
+@settings(max_examples=2_000, deadline=None)
+@given(st.builds(AdResponse, ANY_TEXT, ANY_TEXT, st.integers(), ANY_TEXT, ANY_TEXT, ANY_TEXT,
+                 ANY_TEXT, st.floats()))
+@example(AdResponse("filled", "ctr", score=math.nan))
+@example(AdResponse("filled", "ctr", score=math.inf))
+@example(AdResponse("filled", "ctr", score=-math.inf))
+@example(AdResponse("filled", "ctr", score=-0.0))
+def test_to_json_is_json_dumps_of_the_fields(response):
+    assert response.to_json() == json.dumps(vars(response))
 
 
 class TestEventLogWriter:
