@@ -38,6 +38,10 @@ class Placement(str, Enum):
     BELOW_FOLD = "below_fold"
 
 
+# The one table of placement text: queries, /event bodies, event logs and the CLI read it.
+PLACEMENTS = {placement.value: placement for placement in Placement}
+
+
 @dataclass(frozen=True, slots=True)
 class AdCreative:
     """An advertiser's creative: category, size, floor-price bid, keywords.
@@ -59,8 +63,7 @@ class AdCreative:
             raise ValidationError(f"ad {self.ad_id!r}: keywords must be nonempty")
 
 
-@dataclass(frozen=True)
-class RequestContext:
+class RequestContext(NamedTuple):
     """One page-view request: publisher features plus raw viewer features.
 
     Viewer fields (area/city/country/ip/browser) are carried through
@@ -269,8 +272,6 @@ class EventRow(NamedTuple):
 
 EVENT_LOG_HEADER = list(EventRow._fields)
 
-_PLACEMENTS = {p.value for p in Placement}
-
 
 def page_keywords(field: str) -> frozenset[str]:
     """The normalized keyword set of an event-log `keywords` field."""
@@ -331,7 +332,7 @@ def _tally_rows(rows, tally: dict, bids) -> int:
             if counts is None:
                 if clicked not in ("0", "1"):
                     raise ValidationError(f"event row {i}: clicked must be 0 or 1, got {clicked!r}")
-                if placement not in _PLACEMENTS:
+                if placement not in PLACEMENTS:
                     raise ValidationError(f"event row {i}: unknown placement {placement!r}")
                 if bids is not None and ad_id not in bids:
                     raise ValidationError(f"event row {i}: ad_id {ad_id!r} not in catalog")
@@ -561,8 +562,8 @@ PAIRS_TABLE_HEADER = ["y", "y_pred"]
 
 def _read_table(stream, header: list[str], name: str, convert) -> list:
     """`convert(row)` of each non-blank row of a CSV table whose first row
-    must be `header`. A row that `convert` refuses with ValueError, or that
-    the csv module cannot read, raises ParseError naming the row."""
+    must be `header`. A row that `convert` refuses (ValueError, ValidationError)
+    or that the csv module cannot read raises ParseError naming the row."""
     reader = csv.reader(io.StringIO(as_text(stream)))
     rows, i = [], -1  # i + 1 is the row being read, the header being row 0
     try:
@@ -574,7 +575,7 @@ def _read_table(stream, header: list[str], name: str, convert) -> list:
             if row:
                 try:
                     rows.append(convert(row))
-                except ValueError as exc:
+                except (ValueError, ValidationError) as exc:
                     raise ParseError(f"{name} row {i}: {exc}") from exc
     except csv.Error as exc:  # such as a field over the csv module's size limit
         raise ParseError(f"{name} row {i + 1}: {exc}") from exc

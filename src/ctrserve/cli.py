@@ -17,7 +17,7 @@ from pathlib import Path
 # functions that `train` calls, so that the other commands do not pay for
 # loading them.
 from . import keywords
-from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, Placement, keyword_set,
+from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, PLACEMENTS, keyword_set,
                       open_text, page_keywords, parse_ad_catalog, parse_pairs_table,
                       parse_training_table, tally_event_log)
 from .errors import CtrServeError, ParseError
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict CTR for one request")
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--map", dest="map_path", help="keyword map JSON file (for a keyword token)")
-    p.add_argument("placement", choices=[pl.value for pl in Placement])
+    p.add_argument("placement", choices=PLACEMENTS)
     p.add_argument("size")
     p.add_argument("bid", type=float)
     p.add_argument("keyword", help="numeric keyword value, or a token resolved via --map")
@@ -180,7 +180,7 @@ def cmd_predict(args) -> int:
     for name, value in (("bid", args.bid), ("keyword value", kw_value)):
         if not math.isfinite(value):
             raise CtrServeError(f"{name} must be a finite number, got {value}")
-    placement_code = encode_placement(Placement(args.placement))
+    placement_code = encode_placement(PLACEMENTS[args.placement])
     size_code = encode_size(args.size)
     ctr = regression.predict(model, (placement_code, size_code, args.bid, kw_value))
     print(repr(ctr))

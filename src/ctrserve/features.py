@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .catalog import Placement, TrainingRow, page_keywords
+from .catalog import PLACEMENTS, Placement, TrainingRow, page_keywords
 from .errors import (ContractError, CtrServeError, DegenerateFeatureError, EncodingError,
                      MappingError, ValidationError)
 from .keywords import resolve_page_value
@@ -144,7 +144,6 @@ def aggregate_events(tally: Mapping[tuple, list[int]], bids: Mapping[str, float]
     ad_id outside `bids`, a size outside the registry or a `keywords` field
     without a token raises naming the first row that has it.
     """
-    placement_codes = {p.value: encode_placement(p) for p in Placement}
     page_values: dict[str, float] = {}
     groups: dict[tuple, list[int]] = {}  # key -> [impressions, clicks]
     for (ad_id, placement, size, _, keywords, clicked), (count, row) in tally.items():
@@ -159,7 +158,8 @@ def aggregate_events(tally: Mapping[tuple, list[int]], bids: Mapping[str, float]
                                                                    page_keywords(keywords))
         except (EncodingError, MappingError) as exc:
             raise type(exc)(f"event row {row}: {exc}") from exc
-        counts = groups.setdefault((placement_codes[placement], size_code, bid, value), [0, 0])
+        counts = groups.setdefault((encode_placement(PLACEMENTS[placement]), size_code, bid, value),
+                                  [0, 0])
         counts[0] += count
         if clicked == "1":
             counts[1] += count

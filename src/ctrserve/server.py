@@ -17,12 +17,12 @@ from http import HTTPStatus
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from urllib.parse import unquote_plus, urlparse
 
-from .catalog import (AdCreative, EventRow, Placement, RequestContext, _all_strings, check_field,
-                      keyword_set, keywords_field, open_text, parse_ad_catalog, start_event_log,
-                      write_event_row)
+from .catalog import (PLACEMENTS, AdCreative, EventRow, Placement, RequestContext, _all_strings,
+                      check_field, keyword_set, keywords_field, open_text, parse_ad_catalog,
+                      start_event_log, write_event_row)
 from .errors import ContractError, EncodingError, ParseError, ValidationError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from .keywords import KeywordMap, load_keyword_map, resolve_page_value
@@ -35,8 +35,7 @@ NO_FILL = "no_fill"
 FILLED = "filled"
 
 
-@dataclass(frozen=True)
-class AdResponse:
+class AdResponse(NamedTuple):
     status: str
     mode: str
     latency_micros: int = 0
@@ -47,7 +46,7 @@ class AdResponse:
     score: float = 0.0
 
     def to_json(self) -> str:
-        """The bytes of `json.dumps(vars(self))`, with the fixed keys spelled out."""
+        """The bytes of `json.dumps(self._asdict())`, with the fixed keys spelled out."""
         score = self.score  # a float; NaN and the infinities take json's spelling
         score = float.__repr__(score) if score - score == 0 else json.dumps(score)
         return (f'{{"status": {_json_str(self.status)}, "mode": {_json_str(self.mode)}, '
@@ -153,14 +152,17 @@ class ServingState:
 
 def serve(request: RequestContext, mode: str, state: ServingState) -> AdResponse:
     """Rank the request's (size, category) bucket in one ordered scan; a
-    no-fill is a status, not an error."""
+    no-fill is a status, not an error. An unknown mode, or ctr on a snapshot
+    without both a model and a keyword map, raises ContractError."""
     start = time.perf_counter_ns()
     if mode == MODE_CTR:
+        if state.model is None or state.keyword_map is None:
+            raise ContractError("ctr mode requires a model and keyword map")
         best = _rank_by_ctr(state, request)
     elif mode == MODE_BID:
         best = _rank_by_bid(state.bucket(request), request)
     else:
-        raise ContractError(f"unknown serving mode {mode!r}")
+        raise ContractError(f"unknown mode {mode!r}")
     latency = int((time.perf_counter_ns() - start) // 1000)
     if best is None:
         return AdResponse(status=NO_FILL, mode=mode, latency_micros=latency)
@@ -285,17 +287,14 @@ MAX_LINE = 64 * 1024  # bytes of a request or header line, its line break includ
 MAX_HEADER_LINES = 100  # lines after the request line, the blank one that ends them included
 
 
-_PLACEMENTS = {placement.value: placement for placement in Placement}
-
-
 def _request_context(fields: Mapping, page_keywords: frozenset[str]) -> RequestContext:
     """The RequestContext of an /ad query or an /event body; a field of the
     wrong type or value raises ValueError."""
     placement = fields.get("placement", Placement.ABOVE_FOLD.value)
     try:
-        placement = _PLACEMENTS[placement]
-    except (KeyError, TypeError):  # Placement's ValueError names the value
-        placement = Placement(placement)
+        placement = PLACEMENTS[placement]
+    except (KeyError, TypeError):  # the value is cut short, as `check_field` cuts it
+        raise ValueError(f"{placement!r:.100} is not a valid Placement") from None
     text = [fields.get(name, "") for name in _TEXT_FIELDS]
     if not _all_strings(text):
         for name, value in zip(_TEXT_FIELDS, text):
@@ -317,12 +316,6 @@ def _query_fields(query: str) -> dict[str, str]:
             if name not in fields:
                 fields[name] = value
     return fields
-
-
-def _parse_request_qs(query: str) -> tuple[RequestContext, Optional[str]]:
-    params = _query_fields(query)
-    keywords = keyword_set(params.get("keywords", "").split(","))
-    return _request_context(params, keywords), params.get("mode")
 
 
 def _parse_event(body: bytes) -> tuple[str, RequestContext, bool]:
@@ -353,16 +346,16 @@ def _get(path: str, query: str, app: "AdServer") -> tuple[int, str]:
     if path != "/ad":
         return _error(404, "not found")
     try:
-        context, mode = _parse_request_qs(query)
+        fields = _query_fields(query)
+        context = _request_context(fields, keyword_set(fields.get("keywords", "").split(",")))
     except ValueError as exc:
         return _error(400, str(exc))
-    mode = mode or app.config.default_mode
-    if mode not in (MODE_BID, MODE_CTR):
-        return _error(400, f"unknown mode {mode!r}")
-    state = app.state
-    if mode == MODE_CTR and (state.model is None or state.keyword_map is None):
-        return _error(400, "ctr mode requires a model and keyword map")
-    response = serve(context, mode, state)
+    # RegressionModel fixes theta's length and the scaler's width at load, so ranking
+    # cannot raise ContractError: one from serve() refuses the mode the client chose.
+    try:
+        response = serve(context, fields.get("mode") or app.config.default_mode, app.state)
+    except ContractError as exc:
+        return _error(400, str(exc))
     return (204, "") if response.status == NO_FILL else (200, response.to_json())
 
 

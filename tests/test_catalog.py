@@ -65,6 +65,14 @@ class TestParseAdCatalog:
         with pytest.raises(ValidationError, match="bid"):
             parse_ad_catalog(json.dumps(rec))
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"ad_id": "a1"}', "catalog must be a JSON array of objects"),
+        ('[["a1", "c1"]]', "catalog record 0: expected an object"),
+    ])
+    def test_a_catalog_of_the_wrong_shape_is_refused(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_ad_catalog(text)
+
     def test_missing_field_names_it(self):
         rec = json.loads(CATALOG_ONE)
         del rec[0]["size"]
@@ -683,6 +691,80 @@ class TestTwoProcessTally:
             tally_event_log(fh, bids=InterruptedInTheParent(BIG_LOG_ADS))
         assert len(forks) == 1
 
+    def test_no_line_break_near_the_middle_keeps_the_read_in_one_process(self, big_logs,
+                                                                         tmp_path, forks,
+                                                                         monkeypatch):
+        """A line longer than a chunk holds the middle byte: no half starts
+        in the chunk after it, so nothing forks and csv.reader reads it all."""
+        records = big_logs["\n"]
+        header, row = (len(log_bytes([records[i]])) for i in (0, 1))  # data rows share a length
+        long_row = [*records[1][:10], "c" * 100_000, records[1][11]]
+        length = len(log_bytes([long_row]))
+        n = len(records) - 1
+        k = next(k for k in range(n)  # data rows before the long one
+                 if 0 <= (header + length + n * row) // 2 - (header + k * row)
+                 < length - catalog._CHUNK_BYTES - 1)
+        data = log_bytes(records[:k + 1] + [long_row] + records[k + 1:])
+        assert data.find(b"\n", len(data) // 2) > len(data) // 2 + catalog._CHUNK_BYTES
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        expected = sequential_outcome(path, BIG_LOG_ADS, monkeypatch)
+        assert file_outcome(path, BIG_LOG_ADS) == expected
+        assert expected == list(reference_tally(data, BIG_LOG_ADS).items())
+        assert read_by_csv_reader(path, BIG_LOG_ADS)
+        assert forks == []
+
+    def test_a_fork_that_fails_leaves_the_read_to_one_process(self, big_logs, tmp_path, forks,
+                                                              monkeypatch):
+        data = log_bytes(big_logs["\n"])
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+
+        def failed_fork():
+            forks.append(None)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failed_fork)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        assert file_outcome(path, BIG_LOG_ADS) == list(reference_tally(data, BIG_LOG_ADS).items())
+        assert len(os.listdir("/proc/self/fd")) == open_fds  # both ends of the pipe closed
+        assert read_by_csv_reader(path, BIG_LOG_ADS)
+        assert len(forks) == 2
+
+    def test_a_child_that_exits_before_it_sends_leaves_the_read_to_csv_reader(
+            self, big_logs, tmp_path, forks):
+        data = log_bytes(big_logs["\n"])
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        parent = os.getpid()
+
+        class ExitsInTheChild(dict):
+            def __contains__(self, ad_id):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return super().__contains__(ad_id)
+
+        with open_text(path, newline="") as fh:
+            tally = tally_event_log(fh, bids=ExitsInTheChild(BIG_LOG_ADS))
+            assert fh.tell() != 0  # csv.reader read the log
+        assert list(tally.items()) == list(reference_tally(data, BIG_LOG_ADS).items())
+        assert len(forks) == 1
+
+    def test_a_first_half_without_the_header_is_read_by_csv_reader(self, big_logs, tmp_path,
+                                                                   forks, monkeypatch):
+        """Blank lines fill the first half and more: the header is in the second."""
+        records = big_logs["\n"]
+        data = b"\n" * 2 * len(log_bytes(records)) + log_bytes(records)
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        expected = sequential_outcome(path, BIG_LOG_ADS, monkeypatch)
+        assert file_outcome(path, BIG_LOG_ADS) == expected
+        reference = reference_tally(log_bytes(records), BIG_LOG_ADS)  # its rows numbered from 1
+        assert [(key, count) for key, (count, _) in expected] == \
+            [(key, count) for key, (count, _) in reference.items()]
+        assert read_by_csv_reader(path, BIG_LOG_ADS)
+        assert len(forks) == 2
+
     def test_a_second_thread_keeps_the_read_in_one_process(self, big_logs, tmp_path, forks):
         data = log_bytes(big_logs["\n"])
         path = tmp_path / "events.csv"
@@ -755,6 +837,15 @@ def test_training_table_round_trip(table6_rows):
     for row in ("1,1,inf,50,0.1", "1,1,20,inf,0.1", "1,1,20,50,inf"):
         with pytest.raises(ParseError, match="training row 2: 'inf' is not a finite number"):
             parse_training_table(f"placement,size,bid,keyword_value,ctr\n1,1,20,50,0.1\n{row}\n")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2,1,20,51,0.05", r"placement_code must be 0 or 1, got 2"),
+    ("1,1,20,51,-0.5", r"ctr must lie in \[0,1\], got -0.5"),
+])
+def test_a_training_row_that_breaks_a_rule_is_named(row, message):
+    with pytest.raises(ParseError, match=f"^training row 2: {message}$"):
+        parse_training_table(f"placement,size,bid,keyword_value,ctr\n1,1,20,50,0.1\n{row}\n")
 
 
 @pytest.mark.parametrize("read, header, row, name", [

@@ -227,6 +227,28 @@ def test_non_finite_table_field_is_json_error_naming_the_row(tmp_path, capsys, c
     assert command == "evaluate" or not model.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("row, message", [
+    ("2,1,20,51,0.05", "placement_code must be 0 or 1, got 2"),
+    ("1,1,20,51,1.5", "ctr must lie in [0,1], got 1.5"),
+])
+def test_a_training_row_rule_is_json_error_naming_the_row(tmp_path, capsys, command, row,
+                                                          message):
+    data = tmp_path / "table.csv"
+    data.write_text(f"placement,size,bid,keyword_value,ctr\n1,1,20,50,0.1\n{row}\n")
+    model = tmp_path / "model.json"
+    if command == "evaluate":
+        model.write_text(sample_data._read("model_normal_eq.json"))
+    args = {"train": ["--method", "normal", "--out", str(model)],
+            "evaluate": ["--model", str(model)]}[command]
+    assert main([command, "--data", str(data), *args]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0])["error"] == f"training row 2: {message}"
+    assert command == "evaluate" or not model.exists()
+
+
 def test_predict_unknown_size(capsys):
     rc = main(["predict", "--model", sample_data.fixture_path("model_normal_eq.json"),
                "above_fold", "999x1", "22", "51"])
@@ -764,6 +786,25 @@ def test_serve_refuses_an_event_log_it_cannot_extend(tmp_path, capsys, content):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(path) in json.loads(err[0])["error"]
     assert path.read_bytes() == content
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_serve_refuses_a_model_whose_theta_is_not_finite(tmp_path, capsys, literal):
+    model = json.loads(sample_data._read("model_normal_eq.json"))
+    model["theta"][3] = "THETA"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model).replace('"THETA"', literal))
+    with socket.socket() as taken:  # a server that loaded the model could not serve and hang
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        rc = main(["serve", "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
+                   "--model", str(path),
+                   "--map", sample_data.fixture_path("keyword_map_sports.json"),
+                   "--out", str(tmp_path / "events.csv"), "--port", str(taken.getsockname()[1])])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "invalid model payload: theta must be finite"}
+    assert not (tmp_path / "events.csv").exists()
 
 
 def test_cli_import_loads_neither_numpy_nor_the_http_server():

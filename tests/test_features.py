@@ -59,6 +59,18 @@ class TestDesignMatrix:
         with pytest.raises(CtrServeError):
             build_design_matrix([])
 
+    @pytest.mark.parametrize("X, y, message", [
+        (np.ones(3), np.ones(3), "must be 2-D and nonempty"),
+        (np.ones((0, 5)), np.ones(0), "must be 2-D and nonempty"),
+        (np.ones((3, 5)), np.ones(2), "target length must equal the row count"),
+        (np.ones((3, 5)), np.ones((3, 1)), "target length must equal the row count"),
+        (np.array([[1.0, math.nan]] * 2), np.ones(2), "entries must be finite"),
+        (np.ones((2, 2)), np.array([0.1, math.inf]), "entries must be finite"),
+    ], ids=["1-D", "no rows", "short target", "2-D target", "NaN entry", "infinite target"])
+    def test_refuses_a_matrix_it_cannot_hold(self, X, y, message):
+        with pytest.raises(ContractError, match=message):
+            DesignMatrix(X=X, y=y, include_intercept=True)
+
 
 class TestScaler:
     def test_table6_bid_column(self, table6_rows):

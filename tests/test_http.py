@@ -2,10 +2,12 @@ import csv
 import dataclasses
 import json
 import select
+import selectors
 import signal
 import socket
 import threading
 import time
+import types
 import urllib.request
 from pathlib import Path
 
@@ -281,10 +283,31 @@ def test_unknown_mode_is_400(running_server):
     assert status == 400 and "foo" in json.loads(body)["error"]
 
 
+def test_unknown_mode_body_names_the_mode(running_server):
+    _, base = running_server
+    assert http_get(base + AD_QUERY + "x") == (400, json.dumps({"error": "unknown mode 'x'"}))
+
+
 def test_a_bad_query_value_is_400(running_server):
     _, base = running_server
     status, body = http_get(base + AD_QUERY.replace("above_fold", "sidebar") + "bid")
     assert status == 400 and "'sidebar'" in json.loads(body)["error"]
+
+
+@pytest.mark.parametrize("method", ["GET", "POST"])
+def test_a_long_placement_is_named_briefly(running_server, method):
+    _, base = running_server
+    placement = "x" * 60_000
+    if method == "GET":
+        response = raw_exchange(base, f"GET /ad?placement={placement} HTTP/1.0\r\n\r\n".encode())
+    else:
+        body = json.dumps({"ad_id": "boots-01", "keywords": ["football"], "placement": placement})
+        response = raw_exchange(base, b"POST /event HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s"
+                                % (len(body), body.encode()))
+    assert status_of_one_complete_response(response) == 400
+    assert len(response) < 300
+    error = json.loads(response.partition(b"\r\n\r\n")[2])["error"]
+    assert error == f"'{placement[:99]} is not a valid Placement"
 
 
 def test_ctr_mode_without_a_model_and_map_is_400(tmp_path):
@@ -324,6 +347,23 @@ def test_failed_reload_is_500_and_keeps_snapshot(running_server, tmp_path):
     srv.config.model_path = str(path)
     status, body = http_post(base + "/reload")
     assert status == 500 and "theta" in json.loads(body)["error"]
+    assert srv.state is snapshot and served_ctr(base) == before
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_reload_of_a_theta_that_is_not_finite_is_500_and_keeps_snapshot(running_server,
+                                                                         tmp_path, literal):
+    """json reads these literals as floats; the model refuses them."""
+    srv, base = running_server
+    before, snapshot = served_ctr(base), srv.state
+    model = json.loads(Path(srv.config.model_path).read_text())
+    model["theta"][3] = "THETA"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model).replace('"THETA"', literal))
+    srv.config.model_path = str(path)
+    status, body = http_post(base + "/reload")
+    assert (status, json.loads(body)) == (500, {"error": "invalid model payload: "
+                                                         "theta must be finite"})
     assert srv.state is snapshot and served_ctr(base) == before
 
 
@@ -617,3 +657,120 @@ def test_stop_under_event_traffic_loses_no_accepted_event(running_server):
     with open(srv.event_log.path, newline="") as fh:
         logged = [row["ip"] for row in csv.DictReader(fh)]
     assert sorted(logged) == sorted(ip for ip, _, _ in answers)
+
+
+# A header after the request line, so that a request can break inside one.
+AD_REQUEST = f"GET {AD_QUERY}bid HTTP/1.0\r\nUser-Agent: pieces\r\n\r\n".encode()
+
+
+def event_request(ip):
+    body = json.dumps({"ad_id": "boots-01", "size": "300x250", "keywords": ["football"],
+                       "ip": ip}).encode()
+    return b"POST /event HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+def pieces_of(case):
+    """(the pieces of one request, the one-piece request it must answer as)."""
+    if case == "inside the request line":
+        return [AD_REQUEST[:12], AD_REQUEST[12:]], AD_REQUEST
+    if case == "inside a header line":
+        cut = AD_REQUEST.index(b"User-Agent") + 4
+        return [AD_REQUEST[:cut], AD_REQUEST[cut:]], AD_REQUEST
+    if case == "byte by byte":
+        return [AD_REQUEST[i:i + 1] for i in range(len(AD_REQUEST))], AD_REQUEST
+    request = event_request("10.9.0.2")
+    cut = len(request) - 20
+    return [request[:cut], request[cut:]], event_request("10.9.0.1")
+
+
+@pytest.mark.parametrize("case", ["inside the request line", "inside a header line",
+                                  "byte by byte", "inside the event body"])
+def test_a_request_in_pieces_gets_the_one_piece_answer(running_server, monkeypatch, case):
+    """The server reads each piece as it arrives and resumes the request
+    where it stopped; the answer is the one the whole request gets."""
+    srv, base = running_server
+    # A clock that stands still, so that latency_micros reads 0 in both answers.
+    monkeypatch.setattr(server_module, "time", types.SimpleNamespace(
+        perf_counter_ns=lambda: 0, monotonic=time.monotonic, time_ns=time.time_ns))
+    line_ends = []
+    line_end = server_module._line_end
+
+    def counted_line_end(buf, start, code):
+        end = yield from line_end(buf, start, code)
+        line_ends.append(end)
+        return end
+
+    monkeypatch.setattr(server_module, "_line_end", counted_line_end)
+    pieces, whole = pieces_of(case)
+    expected = raw_exchange(base, whole)
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for piece in pieces:
+            sock.sendall(piece)
+            time.sleep(0.02 if len(pieces) == 2 else 0.002)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    assert response == expected
+    assert status_of_one_complete_response(response) == (202 if "event" in case else 200)
+    if "event" in case:
+        with open(srv.event_log.path, newline="") as fh:
+            logged = [row["ip"] for row in csv.DictReader(fh)]
+        assert logged == ["10.9.0.1", "10.9.0.2"]
+    else:
+        assert line_ends  # a line was incomplete and resumed when the rest arrived
+
+
+def test_a_slow_reader_gets_the_whole_answer_while_the_loop_serves_others(tmp_path,
+                                                                          monkeypatch):
+    """A 4 MiB answer to a client with a small receive buffer that waits
+    before it reads: the loop sends what the socket takes, turns from
+    waiting to read to waiting to write the rest, and answers another
+    connection meanwhile."""
+    landing_page = "https://example.com/" + "a" * (4 << 20)
+    records = [{"ad_id": "long", "campaign_id": "c", "category": "sports", "size": "300x250",
+                "bid": 1.0, "landing_page": landing_page, "keywords": ["football"]}]
+    srv = AdServer(config_for(tmp_path, records))
+    waits = []
+    wait = srv._wait
+
+    def counted_wait(conn, events):
+        waits.append(events)
+        wait(conn, events)
+
+    monkeypatch.setattr(srv, "_wait", counted_wait)
+    base = f"http://127.0.0.1:{srv.start()}"
+    try:
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10)
+            sock.connect(("127.0.0.1", int(base.rsplit(":", 1)[1])))
+            time.sleep(0.05)  # accepted with nothing to read, the connection waits to read
+            sock.sendall(AD_REQUEST)
+            time.sleep(0.3)
+            assert waits[:2] == [selectors.EVENT_READ, selectors.EVENT_WRITE]
+            assert http_get(base + "/healthz")[0] == 200
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+    finally:
+        srv.stop()
+    assert status_of_one_complete_response(response) == 200
+    assert json.loads(response.partition(b"\r\n\r\n")[2])["landing_page"] == landing_page
+
+
+def test_stop_closes_a_connection_mid_request_unanswered(running_server):
+    srv, base = running_server
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(b"GET /healthz HT")
+        deadline = time.monotonic() + 5
+        while not srv._deadlines and time.monotonic() < deadline:  # the server waits for more
+            time.sleep(0.01)
+        assert srv._deadlines
+        start = time.perf_counter()
+        srv.stop()
+        assert time.perf_counter() - start < 1.0 < server_module.REQUEST_TIMEOUT_S
+        assert sock.recv(65536) == b""
+    assert srv.event_log._fh.closed

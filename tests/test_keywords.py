@@ -95,6 +95,10 @@ class TestConfidence:
         with pytest.raises(MappingError):
             confidence(stats, "hockey", "football")
 
+    def test_unknown_consequent(self, stats):
+        with pytest.raises(MappingError, match="unknown keyword 'hockey'"):
+            confidence(stats, "football", "hockey")
+
     def test_range(self):
         txns = random_corpus(seed=3)
         stats = count_cooccurrences(weighted(txns), "x")
@@ -155,6 +159,11 @@ class TestAssignClusters:
         stats = count_cooccurrences(weighted(FOOTBALL_TXNS), "sports")
         cluster_of = assign_clusters(stats, ["football"])
         assert cluster_of["football"] == "football"
+
+    def test_no_centroids(self):
+        stats = count_cooccurrences(weighted(FOOTBALL_TXNS), "sports")
+        with pytest.raises(CtrServeError, match="centroids must be nonempty"):
+            assign_clusters(stats, [])
 
 
 def engineered_stats():

@@ -261,6 +261,15 @@ class TestTrainingConfig:
         with pytest.raises(ContractError, match="alpha must be positive and finite"):
             TrainingConfig(method=NORMAL_EQUATION, alpha=alpha)
 
+    def test_refuses_an_unknown_method(self):
+        with pytest.raises(ContractError, match="unknown training method 'x'"):
+            TrainingConfig(method="x")
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_refuses_iterations_that_are_not_positive(self, iterations):
+        with pytest.raises(ContractError, match="iterations must be positive"):
+            TrainingConfig(iterations=iterations)
+
 
 class TestTrain:
     def test_normal_equation_model_predicts_like_oracle(self, table6_rows, sports_map):
@@ -379,6 +388,14 @@ class TestPersistence:
         edit(payload["scaler"])
         with pytest.raises(ModelLoadError):
             load_model(json.dumps(payload))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_a_theta_literal_that_is_not_finite(self, paper_model, literal):
+        """json reads these three literals as floats."""
+        payload = json.loads(save_model(paper_model))
+        payload["theta"][2] = "THETA"
+        with pytest.raises(ModelLoadError, match="theta must be finite"):
+            load_model(json.dumps(payload).replace('"THETA"', literal))
 
     def test_bid_weight(self, paper_model):
         assert paper_model.bid_weight == paper_model.theta[3]

@@ -11,7 +11,7 @@ from _oracles import (brute_force_best_by_bid, brute_force_best_by_ctr, eligible
                       read_event_log)
 from conftest import make_context
 from ctrserve import server
-from ctrserve.catalog import AdCreative, Placement
+from ctrserve.catalog import AdCreative, Placement, RequestContext
 from ctrserve.errors import ContractError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from ctrserve.keywords import resolve_page_value
@@ -299,6 +299,20 @@ class TestCtrScan:
         with pytest.raises(ContractError):
             serve(make_context(), "foo", state)
 
+    def test_unknown_mode_is_named(self, paper_model, sports_map):
+        state = ServingState(catalog=(make_ad("a1"),), model=paper_model, keyword_map=sports_map)
+        with pytest.raises(ContractError, match=r"^unknown mode 'x'$"):
+            serve(make_context(), "x", state)
+
+    @pytest.mark.parametrize("has_model, has_map", [(False, False), (True, False), (False, True)])
+    def test_ctr_needs_a_model_and_a_keyword_map(self, paper_model, sports_map, has_model,
+                                                 has_map):
+        state = ServingState(catalog=(make_ad("a1"),), model=paper_model if has_model else None,
+                             keyword_map=sports_map if has_map else None)
+        with pytest.raises(ContractError, match="^ctr mode requires a model and keyword map$"):
+            serve(make_context(), MODE_CTR, state)
+        assert serve(make_context(), MODE_BID, state).ad_id == "a1"
+
     def test_buckets_sorted_by_bid_then_ad_id(self):
         catalog = (make_ad("b", bid=10.0), make_ad("a", bid=10.0), make_ad("c", bid=30.0))
         state = ServingState(catalog=catalog)
@@ -357,7 +371,17 @@ ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
 @example(AdResponse("filled", "ctr", score=-math.inf))
 @example(AdResponse("filled", "ctr", score=-0.0))
 def test_to_json_is_json_dumps_of_the_fields(response):
-    assert response.to_json() == json.dumps(vars(response))
+    assert response.to_json() == json.dumps(response._asdict())
+
+
+def test_the_request_records_keep_their_fields_and_defaults():
+    assert RequestContext._fields == ("placement", "size", "category", "page_keywords", "area",
+                                      "city", "country", "ip", "browser")
+    assert RequestContext._field_defaults == dict.fromkeys(RequestContext._fields[4:], "")
+    assert AdResponse._fields == ("status", "mode", "latency_micros", "ad_id", "campaign_id",
+                                  "landing_page", "size", "score")
+    assert AdResponse._field_defaults == {"latency_micros": 0, "ad_id": "", "campaign_id": "",
+                                          "landing_page": "", "size": "", "score": 0.0}
 
 
 class TestEventLogWriter:
