@@ -166,12 +166,8 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     from . import regression
 
-    with open_text(args.model) as fh:
-        model = regression.load_model(fh)
-    if args.map_path:
-        with open_text(args.map_path) as fh:
-            keyword_map = keywords.load_keyword_map(fh)
-        regression.check_keyword_map(model, args.model, keyword_map, args.map_path)
+    _require(args, "model")
+    model, keyword_map = regression.load_model_and_map(args.model, args.map_path)
     try:
         kw_value = float(args.keyword)
     except ValueError:
@@ -261,7 +257,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CtrServeError, OSError, OverflowError) as exc:
+    except (CtrServeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ class MappingError(CtrServeError):
     """A keyword cannot be resolved through a keyword map."""
 
 
-class EncodingError(CtrServeError):
+class EncodingError(ValidationError):
     """A categorical label has no registered numeric code."""
 
 

@@ -14,11 +14,13 @@ from typing import TYPE_CHECKING, Optional, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .catalog import FEATURE_NAMES, JSON_NUMBER, TrainingRow, check_field, list_of, parse_json
+from .catalog import (FEATURE_NAMES, JSON_NUMBER, TrainingRow, check_field, list_of, open_text,
+                      parse_json)
 from .errors import (ContractError, CtrServeError, DivergenceError, ModelLoadError,
                      SingularMatrixError, ValidationError)
 from .features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, ScalerStats, build_design_matrix,
                        fit_scaler, transform, transform_row)
+from .keywords import KeywordMap, load_keyword_map
 
 GRADIENT_DESCENT = "gradient_descent"
 NORMAL_EQUATION = "normal_equation"
@@ -171,15 +173,6 @@ def train(rows: Sequence[TrainingRow], keyword_map, config: TrainingConfig) -> R
                            keyword_map_ref=map_ref)
 
 
-def check_keyword_map(model: RegressionModel, model_path, keyword_map, map_path) -> None:
-    """A model that names the keyword map it was trained with must be used
-    with a map of that category; a model that names none goes with any map."""
-    if model.keyword_map_ref and model.keyword_map_ref != keyword_map.category:
-        raise ValidationError(f"model {model_path} was trained with the "
-                              f"{model.keyword_map_ref!r} keyword map, but map "
-                              f"{map_path} is for {keyword_map.category!r}")
-
-
 def save_model(model: RegressionModel) -> str:
     payload = {
         "version": MODEL_FORMAT_VERSION,
@@ -235,3 +228,23 @@ def load_model(stream) -> RegressionModel:
         )
     except (KeyError, TypeError, ValueError, OverflowError, ContractError) as exc:
         raise ModelLoadError(f"invalid model payload: {exc}") from exc
+
+
+def load_model_and_map(model_path, map_path) -> tuple[Optional[RegressionModel],
+                                                      Optional[KeywordMap]]:
+    """The model and the keyword map at these paths, either None where its
+    path is empty. A model that names the keyword map it was trained with
+    must be paired with a map of that category; a model that names none
+    goes with any map."""
+    model = keyword_map = None
+    if model_path:
+        with open_text(model_path) as fh:
+            model = load_model(fh)
+    if map_path:
+        with open_text(map_path) as fh:
+            keyword_map = load_keyword_map(fh)
+        if model is not None and model.keyword_map_ref not in ("", keyword_map.category):
+            raise ValidationError(f"model {model_path} was trained with the "
+                                  f"{model.keyword_map_ref!r} keyword map, but map "
+                                  f"{map_path} is for {keyword_map.category!r}")
+    return model, keyword_map

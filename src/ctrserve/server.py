@@ -4,6 +4,7 @@ one thread, with atomic snapshot reload."""
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import selectors
@@ -24,9 +25,9 @@ from .catalog import (PLACEMENTS, AdCreative, EventRow, Placement, RequestContex
                       check_field, keyword_set, keywords_field, open_text, parse_ad_catalog,
                       start_event_log, write_event_row)
 from .errors import ContractError, EncodingError, ParseError, ValidationError
-from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
-from .keywords import KeywordMap, load_keyword_map, resolve_page_value
-from .regression import RegressionModel, check_keyword_map, load_model, predict
+from .features import encode_placement, encode_size
+from .keywords import KeywordMap, resolve_page_value
+from .regression import RegressionModel, load_model_and_map, predict
 
 MODE_BID = "bid"
 MODE_CTR = "ctr"
@@ -200,8 +201,7 @@ class EventLogWriter:
         escape can spell) raise ValidationError and nothing is written."""
         if ad_id not in state.ad_ids:
             raise ValidationError(f"unknown ad_id {ad_id!r}")
-        if request.size not in DEFAULT_SIZE_REGISTRY:
-            raise ValidationError(f"size {request.size!r} is not one of {DEFAULT_SIZE_REGISTRY}")
+        encode_size(request.size)
         row = EventRow(
             timestamp=timestamp if timestamp is not None else time.time_ns() // 1_000_000,
             ad_id=ad_id, placement=request.placement, size=request.size,
@@ -262,20 +262,12 @@ def _collector_paused():
 
 def load_state(config: ServerConfig) -> ServingState:
     """Load a snapshot from the configured files; a model and a map that
-    `check_keyword_map` refuses do not load, and a file that is not UTF-8
-    raises ParseError naming its path."""
+    `load_model_and_map` refuses to pair do not load, and a file that is not
+    UTF-8 raises ParseError naming its path."""
     with _collector_paused():
         with open_text(config.catalog_path) as fh:
             catalog = tuple(parse_ad_catalog(fh))
-        model = keyword_map = None
-        if config.model_path:
-            with open_text(config.model_path) as fh:
-                model = load_model(fh)
-        if config.map_path:
-            with open_text(config.map_path) as fh:
-                keyword_map = load_keyword_map(fh)
-            if model is not None:
-                check_keyword_map(model, config.model_path, keyword_map, config.map_path)
+        model, keyword_map = load_model_and_map(config.model_path, config.map_path)
         return ServingState(catalog=catalog, model=model, keyword_map=keyword_map)
 
 
@@ -285,6 +277,9 @@ MAX_EVENT_BODY = 64 * 1024  # bytes; a larger POST /event body is refused unread
 REQUEST_TIMEOUT_S = 10.0  # a connection idle this long, mid-request, is closed
 MAX_LINE = 64 * 1024  # bytes of a request or header line, its line break included
 MAX_HEADER_LINES = 100  # lines after the request line, the blank one that ends them included
+ACCEPT_RETRY_S = 0.1  # out of resources, the listener is unwatched this long or until a close
+
+_OUT_OF_RESOURCES = (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM)
 
 
 def _request_context(fields: Mapping, page_keywords: frozenset[str]) -> RequestContext:
@@ -377,7 +372,7 @@ def _post(path: str, body: bytes, app: "AdServer") -> tuple[int, str]:
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 
 
-def _response(code: int, body: str = "") -> bytes:
+def _response(code: int, body: str) -> bytes:
     """An HTTP/1.0 response; the connection closes after it."""
     payload = body.encode("utf-8")
     head = f"HTTP/1.0 {code} {_PHRASES[code]}\r\n"
@@ -528,15 +523,12 @@ class AdServer:
         self.state = load_state(self.config)
 
     def start(self) -> int:
-        """Bind and start the loop on a background thread; returns the port."""
-        self._listener = socket.socket()
-        try:  # socket.create_server would leave the socket open on OverflowError
-            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._listener.bind(("127.0.0.1", self.config.port))
-            self._listener.listen()
-        except BaseException:
-            self._listener.close()
-            raise
+        """Bind and start the loop on a background thread; returns the port.
+        A port outside 0-65535 raises ContractError before any socket opens."""
+        port = self.config.port
+        if not 0 <= port <= 65535:
+            raise ContractError(f"port must be 0-65535, got {port}")
+        self._listener = socket.create_server(("127.0.0.1", port))
         self._listener.setblocking(False)
         self._wake, self._waker = socket.socketpair()
         self._selector = selectors.DefaultSelector()
@@ -546,6 +538,7 @@ class AdServer:
         # one timeout, so insertion order is deadline order.
         self._deadlines: dict[_Connection, float] = {}
         self._reloads: list[threading.Thread] = []
+        self._accept_resume: Optional[float] = None  # when an unwatched listener is watched again
         self._stopping = False
         self._thread = threading.Thread(target=self._loop, name="ctrserve-loop", daemon=True)
         self._thread.start()
@@ -574,6 +567,12 @@ class AdServer:
                 timeout = None
                 if self._deadlines:
                     timeout = max(0.0, next(iter(self._deadlines.values())) - time.monotonic())
+                if self._accept_resume is not None:
+                    retry = self._accept_resume - time.monotonic()
+                    if retry > 0:
+                        timeout = retry if timeout is None else min(timeout, retry)
+                    else:
+                        self._resume_accept()
                 for key, events in self._selector.select(timeout):
                     if key.fileobj is self._listener:
                         self._accept()
@@ -593,10 +592,21 @@ class AdServer:
         while True:
             try:
                 sock, _ = self._listener.accept()
-            except OSError:  # none left (BlockingIOError), or out of descriptors
+            except BlockingIOError:  # none left
+                return
+            except OSError as exc:
+                # Out of descriptors or memory, the connection stays queued and
+                # keeps the listener readable, so watching it would spin the loop.
+                if exc.errno in _OUT_OF_RESOURCES:
+                    self._selector.unregister(self._listener)
+                    self._accept_resume = time.monotonic() + ACCEPT_RETRY_S
                 return
             sock.setblocking(False)
             self._receive(_Connection(sock))  # the request has often arrived already
+
+    def _resume_accept(self) -> None:
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._accept_resume = None
 
     def _wait(self, conn: _Connection, events: int) -> None:
         """Watch `conn` for `events` and restart its timeout."""
@@ -618,6 +628,8 @@ class AdServer:
     def _close(self, conn: _Connection) -> None:
         self._forget(conn)
         conn.sock.close()
+        if self._accept_resume is not None:  # a descriptor is free
+            self._resume_accept()
 
     def _receive(self, conn: _Connection) -> None:
         try:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from _oracles import dictreader_groups, event_key, read_event_log
 from conftest import make_event
 from ctrserve import catalog, sample_data
-from ctrserve.catalog import (EVENT_LOG_HEADER, SPLIT_MIN_BYTES, AdCreative, EventRow, Placement,
+from ctrserve.catalog import (EVENT_LOG_HEADER, SPLIT_MIN_BYTES, EventRow, Placement,
                               keyword_set, keywords_field, normalize_token, open_text,
                               page_keywords, parse_ad_catalog, parse_pairs_table,
                               parse_training_table, serialize_ad_catalog, tally_event_log,

@@ -5,6 +5,7 @@ import select
 import selectors
 import signal
 import socket
+import struct
 import threading
 import time
 import types
@@ -16,7 +17,7 @@ import pytest
 from conftest import map_for_category, unresolvable_map
 from ctrserve import sample_data, server as server_module
 from ctrserve.catalog import tally_event_log
-from ctrserve.errors import ValidationError
+from ctrserve.errors import ContractError, EncodingError, ValidationError
 from ctrserve.server import MAX_EVENT_BODY, AdServer, ServerConfig
 from test_cli import child_python
 from test_snapshot_memory import catalog_records, config_for
@@ -774,3 +775,178 @@ def test_stop_closes_a_connection_mid_request_unanswered(running_server):
         assert time.perf_counter() - start < 1.0 < server_module.REQUEST_TIMEOUT_S
         assert sock.recv(65536) == b""
     assert srv.event_log._fh.closed
+
+
+@pytest.mark.parametrize("port", [70000, -1])
+def test_start_refuses_a_port_out_of_range_before_any_socket_opens(tmp_path, monkeypatch, port):
+    srv = AdServer(ServerConfig(catalog_path=sample_data.fixture_path("ad_catalog_sample.json"),
+                                event_log_path=str(tmp_path / "events.csv"), port=port))
+    opened = []
+
+    class CountedSocket(socket.socket):
+        def __init__(self, *args, **kwargs):
+            opened.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "socket", CountedSocket)
+    with pytest.raises(ContractError) as refused:
+        srv.start()
+    assert str(refused.value) == f"port must be 0-65535, got {port}"
+    assert opened == []
+    srv.stop()
+    assert srv.event_log._fh.closed
+
+
+def test_an_event_of_an_unregistered_size_is_400_with_the_registry_text(running_server):
+    srv, base = running_server
+    assert issubclass(EncodingError, ValidationError)
+    before = srv.event_log.path.read_bytes()
+    status, body = http_post(base + "/event", {"ad_id": "boots-01", "size": "999x1",
+                                               "keywords": ["football"]})
+    assert (status, json.loads(body)) == (400, {
+        "error": "size '999x1' is not in the registry ['300x250', '728x90', '160x600']"})
+    assert srv.event_log.path.read_bytes() == before
+
+
+def reset(sock):
+    """Close `sock` with a reset instead of the orderly close."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def wait_until(ready, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not ready() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert ready()
+
+
+def test_a_client_that_resets_its_connection_is_dropped_quietly(tmp_path, monkeypatch,
+                                                                 capsys):
+    """Resets in the middle of the request line, in the middle of a 4 MiB
+    answer and right after POST /reload: `recv`, `send`, `shutdown` and the
+    reload thread's `sendall` each raise, and each connection is dropped
+    with no traceback and no socket left open."""
+    records = [{"ad_id": "long", "campaign_id": "c", "category": "sports", "size": "300x250",
+                "bid": 1.0, "landing_page": "https://example.com/" + "a" * (4 << 20),
+                "keywords": ["football"]}]
+    srv = AdServer(config_for(tmp_path, records))
+    reloading = threading.Event()
+    reload = srv.reload
+
+    def held_reload():  # answers only once the client has reset
+        reloading.wait(5)
+        reload()
+
+    monkeypatch.setattr(srv, "reload", held_reload)
+    raised = []
+
+    def trace(frame, event, arg):  # the errors the loop and the reload thread catch
+        if frame.f_code.co_filename == server_module.__file__ and \
+                frame.f_code.co_name in ("_receive", "_send", "_reload"):
+            def local(frame, event, arg):
+                if event == "exception" and issubclass(arg[0], OSError) and \
+                        arg[0] is not BlockingIOError:
+                    raised.append((frame.f_code.co_name, arg[0]))
+                return local
+            return local
+        return None
+
+    threading.settrace(trace)
+    try:
+        address = ("127.0.0.1", srv.start())
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(b"GET /he")
+            wait_until(lambda: srv._deadlines)
+            reset(sock)
+        wait_until(lambda: not srv._deadlines)
+
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(5)
+            sock.connect(address)
+            sock.sendall(AD_REQUEST)
+            wait_until(lambda: [conn for conn in srv._deadlines
+                                if conn.events == selectors.EVENT_WRITE])
+            assert len(sock.recv(1000)) > 0
+            reset(sock)
+        wait_until(lambda: not srv._deadlines)
+
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(b"POST /reload HTTP/1.0\r\n\r\n")
+            wait_until(lambda: srv._reloads)
+            reset(sock)
+        reloading.set()
+        srv._reloads[0].join(5)
+        assert not srv._deadlines
+        assert http_get(f"http://127.0.0.1:{address[1]}/healthz")[0] == 200
+    finally:
+        reloading.set()
+        threading.settrace(None)
+        srv.stop()
+    assert [name for name, _ in raised] == ["_receive", "_send", "_send", "_reload"]
+    assert capsys.readouterr().err == ""
+
+
+DESCRIPTOR_CHILD = """
+import os, resource, sys, threading, time
+from ctrserve import sample_data
+from ctrserve.server import AdServer, ServerConfig
+
+srv = AdServer(ServerConfig(catalog_path=sample_data.fixture_path("ad_catalog_sample.json"),
+                            event_log_path=sys.argv[1], port=0))
+port = srv.start()
+free = [os.open(os.devnull, os.O_RDONLY) for _ in range(2)]  # the two lowest free descriptors
+resource.setrlimit(resource.RLIMIT_NOFILE,
+                   (max(free) + 1, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+for fd in free:
+    os.close(fd)
+print(port, flush=True)
+while len(srv._deadlines) < 2:  # two connections hold the two descriptors
+    time.sleep(0.01)
+time.sleep(0.2)  # and a third is queued, which accept cannot take
+cpu = time.process_time()
+time.sleep(1.0)
+print(time.process_time() - cpu, flush=True)
+try:
+    threading.Event().wait()
+except KeyboardInterrupt:
+    srv.stop()
+"""
+
+
+def test_out_of_descriptors_the_loop_waits_instead_of_spinning(tmp_path):
+    """A server whose process may open two more descriptors, with two
+    connections mid-request and a third queued: the loop does not spin on
+    the listener it cannot accept from, still answers the connections it
+    holds, and takes the queued one once a descriptor frees."""
+    proc = child_python("-c", DESCRIPTOR_CHILD, str(tmp_path / "events.csv"))
+    try:
+        line = proc.stdout.readline()
+        assert line.strip().isdigit(), line + proc.stderr.read()
+        address = ("127.0.0.1", int(line))
+        with socket.create_connection(address, timeout=5) as a, \
+                socket.create_connection(address, timeout=5) as b, \
+                socket.create_connection(address, timeout=5) as queued:
+            a.sendall(b"GET /healthz HTTP/1.0\r\n")
+            b.sendall(b"GET /healthz HTTP/1.0\r\n")
+            queued.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            cpu_seconds = float(proc.stdout.readline())
+            a.sendall(b"\r\n")
+            for sock in (a, queued):
+                sock.settimeout(1.0)
+                response = b""
+                while chunk := sock.recv(65536):
+                    response += chunk
+                assert status_of_one_complete_response(response) == 200
+        with socket.create_connection(address, timeout=1.0) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        assert status_of_one_complete_response(response) == 200
+    finally:
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    assert cpu_seconds < 0.1
+    assert proc.returncode == 0 and err == ""

@@ -9,7 +9,7 @@ from _oracles import brute_force_cooccurrences, per_transaction_cooccurrences
 from conftest import unresolvable_map, weighted
 from ctrserve import sample_data
 from ctrserve.errors import CtrServeError, MappingError, ParseError
-from ctrserve.keywords import (KeywordMap, assign_clusters, build_keyword_map,
+from ctrserve.keywords import (assign_clusters, build_keyword_map,
                                confidence, count_cooccurrences, load_keyword_map,
                                resolve_page_value, save_keyword_map,
                                select_centroids)

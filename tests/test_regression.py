@@ -14,7 +14,7 @@ from ctrserve.errors import (ContractError, CtrServeError, DivergenceError, Mode
 from ctrserve.catalog import FEATURE_NAMES
 from ctrserve.features import (DesignMatrix, ScalerStats, build_design_matrix, fit_scaler,
                                transform)
-from ctrserve.regression import (GRADIENT_DESCENT, NORMAL_EQUATION, RegressionModel,
+from ctrserve.regression import (NORMAL_EQUATION, RegressionModel,
                                  TrainingConfig, cost, gradient, gradient_descent,
                                  load_model, normal_equation, predict, save_model, train)
 
