@@ -25,6 +25,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import chain, repeat
+from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CtrServeError, ParseError, ValidationError
@@ -522,28 +523,34 @@ def tally_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> dict[
     return tally
 
 
-def write_event_row(writer, row: EventRow) -> None:
-    """Append one row in `EVENT_LOG_HEADER` order. A timestamp <= 0, which
+# The file of this csv.writer writes nowhere: its `write` returns the text it
+# is given (`str` of a str is that str), so `writerow` returns the line it built.
+_csv_line = csv.writer(SimpleNamespace(write=str)).writerow
+
+EVENT_LOG_HEADER_LINE = _csv_line(EVENT_LOG_HEADER)
+
+
+def event_line(row: EventRow) -> str:
+    """The event-log line of `row`, in `EVENT_LOG_HEADER` order with its
+    line terminator: the text csv.writer writes. A timestamp <= 0, which
     `tally_event_log` rejects, raises."""
     if row.timestamp <= 0:
         raise ValidationError(f"event for {row.ad_id!r}: timestamp must be > 0")
-    writer.writerow(row._replace(placement=row.placement.value,
-                                 clicked="1" if row.clicked else "0"))
+    return _csv_line(row._replace(placement=row.placement.value,
+                                  clicked="1" if row.clicked else "0"))
 
 
-def start_event_log(fh):
-    """The csv writer that appends event rows to `fh`, a text file open for
-    reading and appending with newline="". An empty file gets the header.
-    Any other file must start with the header line and end with a line
-    terminator, so that the rows appended to it read back; otherwise
-    ParseError. Only those two places are read, however long the log."""
-    writer = csv.writer(fh)
+def start_event_log(fh) -> bool:
+    """Whether `fh`, a text file open for reading with newline="", is empty
+    and so needs `EVENT_LOG_HEADER_LINE` before its first row. Any other file
+    must start with the header line and end with a line terminator, so that
+    the rows appended to it read back; otherwise ParseError. Only those two
+    places are read, however long the log."""
     fh.seek(0)
     try:
         first = fh.readline(1024)  # the header is ~90 characters; another file may be one line
         if not first:
-            writer.writerow(EVENT_LOG_HEADER)
-            return writer
+            return True
         if next(csv.reader([first])) != EVENT_LOG_HEADER:
             raise ParseError(f"unexpected event-log header: {first!r:.100}")
         end = fh.seek(0, io.SEEK_END)
@@ -552,8 +559,7 @@ def start_event_log(fh):
             raise ParseError("the last row lacks its line terminator")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not event-log text: {exc.reason}") from None
-    fh.seek(0, io.SEEK_END)
-    return writer
+    return False
 
 
 TRAINING_TABLE_HEADER = [*FEATURE_NAMES, "ctr"]

@@ -7,6 +7,7 @@ from __future__ import annotations
 import errno
 import gc
 import json
+import os
 import selectors
 import socket
 import threading
@@ -21,9 +22,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from urllib.parse import unquote_plus, urlparse
 
-from .catalog import (PLACEMENTS, AdCreative, EventRow, Placement, RequestContext, _all_strings,
-                      check_field, keyword_set, keywords_field, open_text, parse_ad_catalog,
-                      start_event_log, write_event_row)
+from .catalog import (EVENT_LOG_HEADER_LINE, PLACEMENTS, AdCreative, EventRow, Placement,
+                      RequestContext, _all_strings, check_field, event_line, keyword_set,
+                      keywords_field, open_text, parse_ad_catalog, start_event_log)
 from .errors import ContractError, EncodingError, ParseError, ValidationError
 from .features import encode_placement, encode_size
 from .keywords import KeywordMap, resolve_page_value
@@ -177,28 +178,31 @@ class EventLogWriter:
     """Append-only event log in the event-log CSV format, held open from
     construction to `close()`. A file that `catalog.start_event_log` refuses
     raises ParseError naming the path, and its bytes are left as they were.
-    Appends are serialized per writer; each row is flushed to the operating
-    system when it is written, but never fsynced, so a host crash can lose
-    recent rows."""
+    Each row goes to the file in one write on its O_APPEND descriptor, so the
+    file holds whole every row `record_event` returned and no byte of one it
+    raised for: a write that fails is cut back off (`_append`). Rows are
+    never fsynced, so a host crash can lose recent rows."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._fh = open(self.path, "a+", encoding="utf-8", newline="")
         try:
-            self._writer = start_event_log(self._fh)
-        except ParseError as exc:
+            if start_event_log(self._fh):
+                self._append(EVENT_LOG_HEADER_LINE.encode())
+        except BaseException as exc:
             self._fh.close()
-            raise ParseError(f"cannot append to event log {self.path}: {exc}") from exc
-        self._fh.flush()
+            if isinstance(exc, ParseError):
+                raise ParseError(f"cannot append to event log {self.path}: {exc}") from exc
+            raise
 
     def record_event(self, state: ServingState, ad_id: str,
                      request: RequestContext, clicked: bool,
                      timestamp: Optional[int] = None) -> EventRow:
-        """Log one impression; an unknown ad_id, a size `train` cannot
-        encode, a timestamp <= 0, page keywords the log could not read back
-        or text that UTF-8 cannot encode (a lone surrogate, which a JSON
-        escape can spell) raise ValidationError and nothing is written."""
+        """Log one impression. An unknown ad_id, a size `train` cannot encode,
+        page keywords the log could not read back, text UTF-8 cannot encode (a
+        lone surrogate, which a JSON escape can spell) and a timestamp <= 0
+        raise ValidationError, in that order, and nothing is written. A write
+        that fails raises OSError, and `_append` cuts off what it wrote."""
         if ad_id not in state.ad_ids:
             raise ValidationError(f"unknown ad_id {ad_id!r}")
         encode_size(request.size)
@@ -209,8 +213,8 @@ class EventLogWriter:
             country=request.country, city=request.city, area=request.area, ip=request.ip,
             browser=request.browser, clicked=clicked)
         try:  # one encode checks every field: UTF-8 refuses a surrogate whatever is beside it
-            "".join([value for value in row if isinstance(value, str)]).encode("utf-8")
-        except UnicodeEncodeError:
+            data = event_line(row).encode("utf-8")
+        except (UnicodeEncodeError, ValidationError):  # UTF-8 is refused before the timestamp
             for name, value in zip(row._fields, row):
                 if isinstance(value, str):
                     try:
@@ -218,14 +222,28 @@ class EventLogWriter:
                     except UnicodeEncodeError:
                         raise ValidationError(f"{name} cannot be stored as UTF-8: "
                                               f"{value!r:.100}") from None
-        with self._lock:
-            write_event_row(self._writer, row)
-            self._fh.flush()
+            raise
+        self._append(data)
         return row
 
+    def _append(self, data: bytes) -> None:
+        """Write `data` at the end of the log in one call. A write that fails
+        or falls short is cut back off and raises OSError; if the cut fails
+        too, the log closes, so that no row can follow a partial one."""
+        fd = self._fh.fileno()
+        end = os.lseek(fd, 0, os.SEEK_END)
+        try:
+            if (written := os.write(fd, data)) != len(data):
+                raise OSError(f"the event log took {written} of {len(data)} bytes")
+        except OSError:
+            try:
+                os.ftruncate(fd, end)
+            except OSError:
+                self._fh.close()
+            raise
+
     def close(self) -> None:
-        with self._lock:
-            self._fh.close()
+        self._fh.close()
 
 
 @dataclass

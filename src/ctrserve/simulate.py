@@ -3,13 +3,12 @@ truth, so every pipeline stage can be exercised at scale."""
 
 from __future__ import annotations
 
-import io
 import json
 import random
 from dataclasses import dataclass
 
-from .catalog import (AdCreative, EventRow, Placement, keywords_field, serialize_ad_catalog,
-                      start_event_log, write_event_row)
+from .catalog import (EVENT_LOG_HEADER_LINE, AdCreative, EventRow, Placement, event_line,
+                      keywords_field, serialize_ad_catalog)
 from .errors import CtrServeError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from .keywords import BASE_SPACING, BASE_VALUE, KeywordMap, resolve_page_value, save_keyword_map
@@ -107,8 +106,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
     keyword_map = planted_keyword_map()
     ads = _simulate_catalog(rng)
     centroids = list(PLANTED_CLUSTERS)
-    buf = io.StringIO()
-    writer = start_event_log(buf)
+    lines = [EVENT_LOG_HEADER_LINE]
     for i in range(config.n_events):
         ad = ads[rng.randrange(len(ads))]
         placement = Placement.ABOVE_FOLD if rng.random() < 0.5 else Placement.BELOW_FOLD
@@ -125,10 +123,10 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         if not 0.0 < p_click < 1.0:
             raise CtrServeError(f"planted click probability {p_click} left (0,1); "
                                 "adjust TRUE_THETA")
-        write_event_row(writer, EventRow(
+        lines.append(event_line(EventRow(
             timestamp=_BASE_TIMESTAMP + i, ad_id=ad.ad_id, placement=placement, size=ad.size,
             category=CATEGORY, keywords=keywords_field(page_keywords), country=country,
-            city="", area="", ip=ip, browser=browser, clicked=rng.random() < p_click))
+            city="", area="", ip=ip, browser=browser, clicked=rng.random() < p_click)))
     truth = {
         "seed": config.seed,
         "n_events": config.n_events,
@@ -137,7 +135,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
     }
     return SimulationOutput(
         catalog_json=serialize_ad_catalog(ads),
-        events_csv=buf.getvalue(),
+        events_csv="".join(lines),
         map_json=save_keyword_map(keyword_map),
         truth_json=json.dumps(truth, indent=2) + "\n",
     )

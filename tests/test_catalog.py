@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from _oracles import dictreader_groups, event_key, read_event_log
 from conftest import make_event
 from ctrserve import catalog, sample_data
-from ctrserve.catalog import (EVENT_LOG_HEADER, SPLIT_MIN_BYTES, EventRow, Placement,
-                              keyword_set, keywords_field, normalize_token, open_text,
-                              page_keywords, parse_ad_catalog, parse_pairs_table,
-                              parse_training_table, serialize_ad_catalog, tally_event_log,
-                              write_event_row)
+from ctrserve.catalog import (EVENT_LOG_HEADER, EVENT_LOG_HEADER_LINE, SPLIT_MIN_BYTES, EventRow,
+                              Placement, event_line, keyword_set, keywords_field,
+                              normalize_token, open_text, page_keywords, parse_ad_catalog,
+                              parse_pairs_table, parse_training_table, serialize_ad_catalog,
+                              tally_event_log)
 from ctrserve.errors import CtrServeError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, aggregate_events, compute_ctr
 from ctrserve.keywords import load_keyword_map
@@ -313,12 +313,7 @@ EVENT_ROWS = st.builds(
 
 
 def written_log(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(EVENT_LOG_HEADER)
-    for row in rows:
-        write_event_row(writer, row)
-    return buf.getvalue()
+    return EVENT_LOG_HEADER_LINE + "".join(map(event_line, rows))
 
 
 def counts(tally):

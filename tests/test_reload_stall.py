@@ -1,0 +1,26 @@
+import json
+from pathlib import Path
+
+from ctrserve.catalog import AdCreative, serialize_ad_catalog
+from test_cli import child_python
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reload_stall.py"
+
+
+def test_the_reload_stall_probe_prints_one_json_line(tmp_path):
+    ads = tmp_path / "ads.json"
+    ads.write_text(serialize_ad_catalog([
+        AdCreative(ad_id=f"ad-{i}", campaign_id="c", category="sports", size="300x250",
+                   bid=1.0 + i, landing_page="https://x.example",
+                   keywords=frozenset({"football", f"k{i}"}))
+        for i in range(20)]))
+    probe = child_python(str(SCRIPT), "--ads", str(ads), "--seconds", "0.5")
+    out, err = probe.communicate(timeout=60)
+    assert probe.returncode == 0, err
+    (line,) = out.splitlines()
+    result = json.loads(line)
+    assert set(result) == {
+        "seconds", "requests", "reloads", "reload_ms_min", "reload_ms_median", "overlapping",
+        "overlapping_over_1ms", "overlapping_over_10ms", "overlapping_over_20ms",
+        "overlapping_max_ms", "outside_p999_ms"}
+    assert result["requests"] > 0 and result["reloads"] >= 1
