@@ -5,9 +5,9 @@ The three parties are the advertiser (AdCreative), the publisher page
 logged impression is written as one EventRow. The offline commands read a
 log back as a tally (`tally_event_log`): how often each distinct (ad,
 placement, size, category, keywords, clicked) occurs, with no object per
-row; a large log file is read in two processes.
-`features.aggregate_events` folds that tally into regression-ready
-TrainingRows.
+row; a large log file is read in two processes, which cut a row only where
+a tallied field ends. `features.aggregate_events` folds that tally into
+regression-ready TrainingRows.
 """
 
 from __future__ import annotations
@@ -310,9 +310,21 @@ def _header(rows) -> bool:
     return True
 
 
-def _tally_rows(rows, tally: dict, bids) -> int:
+def _check_key(i: int, key: tuple, bids) -> None:
+    """ValidationError naming row `i`, a key's first, unless `clicked` is 0
+    or 1, the placement is known and, with `bids`, the ad_id is in the catalog."""
+    ad_id, placement, _, _, _, clicked = key
+    if clicked not in ("0", "1"):
+        raise ValidationError(f"event row {i}: clicked must be 0 or 1, got {clicked!r}")
+    if placement not in PLACEMENTS:
+        raise ValidationError(f"event row {i}: unknown placement {placement!r}")
+    if bids is not None and ad_id not in bids:
+        raise ValidationError(f"event row {i}: ad_id {ad_id!r} not in catalog")
+
+
+def _tally_rows(rows, tally: dict, bids) -> None:
     """Check each row of `rows`, numbered from 1, and count it into `tally`
-    (see `tally_event_log`); return how many rows there were."""
+    (see `tally_event_log`)."""
     get = tally.get
     fields = len(EVENT_LOG_HEADER)
     i = 0  # i + 1 is the row being read
@@ -331,12 +343,7 @@ def _tally_rows(rows, tally: dict, bids) -> int:
             key = (ad_id, placement, size, category, keywords, clicked)
             counts = get(key)
             if counts is None:
-                if clicked not in ("0", "1"):
-                    raise ValidationError(f"event row {i}: clicked must be 0 or 1, got {clicked!r}")
-                if placement not in PLACEMENTS:
-                    raise ValidationError(f"event row {i}: unknown placement {placement!r}")
-                if bids is not None and ad_id not in bids:
-                    raise ValidationError(f"event row {i}: ad_id {ad_id!r} not in catalog")
+                _check_key(i, key, bids)
                 tally[key] = [1, i]
             else:
                 counts[0] += 1
@@ -344,7 +351,6 @@ def _tally_rows(rows, tally: dict, bids) -> int:
                 raise ValidationError(f"event row {i}: timestamp must be > 0, got {ts!r}")
     except csv.Error as exc:  # such as a field over the csv module's size limit
         raise ParseError(f"event row {i + 1}: {exc}") from exc
-    return i
 
 
 # About the size where two processes start to beat one: a smaller log is read in one.
@@ -353,7 +359,7 @@ _CHUNK_BYTES = 1 << 16
 
 
 class _NotPlain(Exception):
-    """A half of the log that `_plain_rows` cannot read as `csv.reader` would."""
+    """A half of the log that `_tally_half` cannot read as `csv.reader` would."""
 
 
 def _plain_lines(chunk: bytes, field_limit: int) -> list[str]:
@@ -364,13 +370,14 @@ def _plain_lines(chunk: bytes, field_limit: int) -> list[str]:
     chunk raises _NotPlain."""
     if b'"' in chunk or b"\0" in chunk:
         raise _NotPlain
-    returns = chunk.count(b"\r")
-    if returns and not returns == chunk.count(b"\r\n") == chunk.count(b"\n"):
-        raise _NotPlain
     try:
-        lines = chunk.decode("utf-8").split("\r\n" if returns else "\n")
+        text = chunk.decode("utf-8")
     except UnicodeDecodeError:
         raise _NotPlain from None
+    crlf = "\r" in text
+    lines = text.split("\r\n" if crlf else "\n")
+    if crlf and ("\r" in (rest := "".join(lines)) or "\n" in rest):  # a lone "\r" or "\n"
+        raise _NotPlain
     if not lines[-1]:
         lines.pop()  # the chunk ends with a line break
     if field_limit < _CHUNK_BYTES and max(map(len, lines), default=0) > field_limit:
@@ -378,8 +385,8 @@ def _plain_lines(chunk: bytes, field_limit: int) -> list[str]:
     return lines
 
 
-def _plain_rows(fd: int, start: int, end: int):
-    """The rows of the bytes [start, end) of the file `fd`, which start a
+def _plain_chunks(fd: int, start: int, end: int):
+    """The lines of the bytes [start, end) of the file `fd`, which start a
     line, read in chunks of whole lines that `_plain_lines` accepts; a chunk
     it refuses, or a line of `_CHUNK_BYTES` or more, raises _NotPlain."""
     field_limit = csv.field_size_limit()
@@ -391,17 +398,41 @@ def _plain_rows(fd: int, start: int, end: int):
                 raise _NotPlain
             chunk = chunk[:cut]
         start += len(chunk)
-        yield map(str.split, _plain_lines(chunk, field_limit), repeat(","))
+        yield _plain_lines(chunk, field_limit)
 
 
 def _tally_half(fd: int, start: int, end: int, bids):
     """The tally and row count of the bytes [start, end) of the log; the
-    half that starts the file starts with the header."""
-    rows = chain.from_iterable(_plain_rows(fd, start, end))
-    if start == 0 and not _header(rows):
+    half that starts the file starts with the header. A row is cut only
+    at its first comma and its last six, keeping five key fields as one
+    text and `clicked`; each distinct text is split once, at the end. A
+    broken rule raises _NotPlain or ValidationError."""
+    lines = chain.from_iterable(_plain_chunks(fd, start, end))
+    if start == 0 and not _header(map(str.split, lines, repeat(","))):
         raise _NotPlain  # the header is not in the first half
-    tally: dict = {}
-    return tally, _tally_rows(rows, tally, bids)
+    heads: dict = {}
+    get = heads.get
+    i = 0
+    try:
+        for i, line in enumerate(lines, start=1):
+            ts, _, rest = line.partition(",")
+            head, _, _, _, _, _, clicked = rest.rsplit(",", 6)
+            key = (head, clicked)
+            counts = get(key)
+            if counts is None:
+                heads[key] = [1, i]
+            else:
+                counts[0] += 1
+            if int(ts) <= 0:
+                raise _NotPlain
+    except ValueError:  # too few fields, or a timestamp that is not an integer
+        raise _NotPlain from None
+    tally = {(*head.split(","), clicked): counts for (head, clicked), counts in heads.items()}
+    for key, (_, first) in tally.items():
+        if len(key) != 6:  # with its timestamp and five viewer fields, the row had twelve
+            raise _NotPlain
+        _check_key(first, key, bids)
+    return tally, i
 
 
 def _quoted(fd: int, size: int) -> bool:
@@ -435,7 +466,7 @@ def _splittable(stream) -> Optional[tuple[int, int]]:
 def _tally_in_two_processes(fd: int, size: int, bids) -> Optional[dict]:
     """The tally of the log in file `fd`, its second half read by a forked
     child, or None if either half refuses anything. The child sends its
-    tally back over a pipe; the parent merges it into its own: counts of a
+    tally over a pipe, read whole; the parent merges it into its own: counts of a
     key both saw add up, keys only the child saw follow in the child's
     order, their first rows numbered after the parent's rows."""
     import signal  # `import ctrserve.cli` does not load it otherwise
@@ -473,7 +504,7 @@ def _tally_in_two_processes(fd: int, size: int, bids) -> Optional[dict]:
             except (CtrServeError, _NotPlain, OSError):
                 return None
             try:
-                child = marshal.load(received)
+                child = marshal.loads(received.read())
             except (EOFError, ValueError):  # the child died before it sent
                 return None
     finally:
@@ -507,10 +538,11 @@ def tally_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> dict[
     nothing.
 
     A UTF-8 text file of at least SPLIT_MIN_BYTES, with no '"', is read in
-    two processes (`_tally_in_two_processes`), each splitting plain lines
-    on "," (`_plain_lines`). If either half refuses anything, the log is read
-    again from the start by `csv.reader`, so the tally, or the error and
-    its message, is always the one `csv.reader` gives."""
+    two processes (`_tally_in_two_processes`), each cutting a plain line
+    (`_plain_lines`) only where a tallied field ends (`_tally_half`). If
+    either half refuses anything, the log is read again from the start by
+    `csv.reader`, so the tally, or the error and its message, is always the
+    one `csv.reader` gives."""
     if isinstance(stream, (str, bytes)):
         stream = io.StringIO(as_text(stream))
     split = _splittable(stream)

@@ -211,7 +211,9 @@ def load_keyword_map(stream) -> KeywordMap:
         for kw, c in cluster_of.items():
             if c not in centroids:
                 raise ValueError(f"cluster_of[{kw!r}] is not a centroid: {c!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"invalid keyword-map file: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid keyword-map file: {exc}") from exc
     return KeywordMap(category=category, centroids=centroids, values=values,
                       cluster_of=cluster_of)

@@ -193,9 +193,9 @@ def save_model(model: RegressionModel) -> str:
 def load_model(stream) -> RegressionModel:
     """Parse a model file. Every field is type-checked, not coerced: a bool
     is not a number, a string is not a list, and a field of the wrong type
-    raises ModelLoadError naming it, as does a `schema` entry that is not the
-    one of MODEL_SCHEMA, value and type (`1` is not `true`), or a
-    theta/scaler that does not fit."""
+    raises ModelLoadError naming it, as do a missing field and a `schema`
+    entry that is not the one of MODEL_SCHEMA, value and type (`1` is not
+    `true`), or a theta/scaler that does not fit."""
     payload = parse_json(stream, ModelLoadError, "corrupt model stream")
     try:
         version = payload["version"]
@@ -226,7 +226,9 @@ def load_model(stream) -> RegressionModel:
             cost_trace=tuple(map(float, list_of(payload["cost_trace"], JSON_NUMBER, "cost_trace"))),
             keyword_map_ref=keyword_map_ref,
         )
-    except (KeyError, TypeError, ValueError, OverflowError, ContractError) as exc:
+    except KeyError as exc:
+        raise ModelLoadError(f"invalid model payload: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError, ContractError) as exc:
         raise ModelLoadError(f"invalid model payload: {exc}") from exc
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import marshal
 import math
 import os
 import random
@@ -352,6 +353,8 @@ class TestWriteEventRow:
 MUTATIONS = {
     "drop a field": lambda f: f[:-1],
     "add a field": lambda f: f + ["x"],
+    "drop a viewer field": lambda f: f[:7] + f[8:],  # city; the key fields and clicked stay put
+    "add a viewer field": lambda f: f[:9] + [f[9][:4], f[9][4:]] + f[10:],  # ip split in two
     "comma in a field": lambda f: f[:5] + [f[5] + ",epl"] + f[6:],
     "newline in a field": lambda f: f[:8] + ["a\nb\r\nc"] + f[9:],
     "timestamp text": lambda f: ["soon"] + f[1:],
@@ -550,6 +553,8 @@ LOG_EDITS = {
         "\r\n", lambda f: [*f[:9], b"10\n0", *f[10:]])),
     "blank line in the second half": ("refused", edit_late_line(
         "\n", lambda f: [b"\n" + f[0], *f[1:]])),
+    "row of two fields in the second half": ("refused", edit_late_line(
+        "\n", lambda f: [b"1", b"ad-00"])),
     "blank line in the first half": ("refused", lambda records: (
         log_bytes(records[:100]) + b"\n" + log_bytes(records[100:]))),
     "BOM": ("refused", lambda records: "\ufeff".encode("utf-8") + log_bytes(records)),
@@ -634,6 +639,21 @@ class TestTwoProcessTally:
         if read == "halves":
             assert list(split_tally(path, BIG_LOG_ADS).items()) == expected
         assert len(forks) == {"one process": 0, "refused": 1, "halves": 2}[read]
+
+    def test_a_child_tally_larger_than_the_pipe_buffer_is_read_whole(self, big_logs, tmp_path,
+                                                                     forks):
+        records = [big_logs["\n"][0], *([*fields[:5], f"kw{n}", *fields[6:]]
+                                        for n, fields in enumerate(big_logs["\n"][1:]))]
+        data = log_bytes(records)
+        child_half = reference_tally(log_bytes([EVENT_LOG_HEADER, *records[split_row(data):]]),
+                                     None)
+        assert len({key[4] for key in child_half}) >= 3000
+        assert len(marshal.dumps(child_half)) > 64 * 1024  # more than a pipe's buffer holds
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        tally = split_tally(path, BIG_LOG_ADS)
+        assert list(tally.items()) == list(reference_tally(data, BIG_LOG_ADS).items())
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("half", ["parent", "child"])
     @pytest.mark.parametrize("rule", sorted(PLAIN_CHUNK_REFUSALS))

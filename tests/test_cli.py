@@ -711,6 +711,29 @@ def test_json_the_parser_refuses_is_one_json_error_line(tmp_path, monkeypatch, c
     assert captured.out == "" and json.loads(line)["error"].startswith(message)
 
 
+@pytest.mark.parametrize("fixture, field, message", [
+    *(("model_normal_eq.json", field, "invalid model payload")
+      for field in ["version", "method", "theta", "schema", "scaler", "config", "cost_trace"]),
+    *(("keyword_map_sports.json", field, "invalid keyword-map file")
+      for field in ["category", "centroids", "values", "cluster_of"]),
+])
+def test_a_missing_field_is_one_json_error_line_naming_it(tmp_path, capsys, fixture, field,
+                                                          message):
+    payload = json.loads(sample_data._read(fixture))
+    del payload[field]
+    files = {"model_normal_eq.json": sample_data.fixture_path("model_normal_eq.json"),
+             "keyword_map_sports.json": sample_data.fixture_path("keyword_map_sports.json"),
+             fixture: str(tmp_path / fixture)}
+    Path(files[fixture]).write_text(json.dumps(payload))
+    assert main(["predict", "--model", files["model_normal_eq.json"],
+                 "--map", files["keyword_map_sports.json"],
+                 "above_fold", "300x250", "22", "51"]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert captured.out == ""
+    assert json.loads(line) == {"error": f"{message}: missing field {field!r}"}
+
+
 LONG_FIELD = "x" * 140_000  # over the csv module's 131,072-byte field limit
 
 

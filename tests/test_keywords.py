@@ -258,6 +258,14 @@ class TestLoadKeywordMap:
         with pytest.raises(ParseError, match=field):
             load_keyword_map(json.dumps(payload))
 
+    @pytest.mark.parametrize("field", ["category", "centroids", "values", "cluster_of"])
+    def test_missing_field_rejected_naming_it(self, field):
+        payload = json.loads(sample_data._read("keyword_map_sports.json"))
+        del payload[field]
+        with pytest.raises(ParseError) as refused:
+            load_keyword_map(json.dumps(payload))
+        assert str(refused.value) == f"invalid keyword-map file: missing field {field!r}"
+
 
 def by_support(stats):
     return sorted(stats.support, key=lambda kw: (-stats.support[kw], kw))

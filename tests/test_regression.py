@@ -376,6 +376,15 @@ class TestPersistence:
         with pytest.raises(ModelLoadError, match=field):
             load_model(json.dumps(payload))
 
+    @pytest.mark.parametrize("field", ["version", "method", "theta", "schema", "scaler",
+                                       "config", "cost_trace"])
+    def test_rejects_a_missing_field_naming_it(self, paper_model, field):
+        payload = json.loads(save_model(paper_model))
+        del payload[field]
+        with pytest.raises(ModelLoadError) as refused:
+            load_model(json.dumps(payload))
+        assert str(refused.value) == f"invalid model payload: missing field {field!r}"
+
     @pytest.mark.parametrize("edit", [
         lambda s: s["means"].__setitem__(0, "1.0"),
         lambda s: s.update(means=s["means"][:3]),
