@@ -43,10 +43,11 @@ class Placement(str, Enum):
 PLACEMENTS = {placement.value: placement for placement in Placement}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AdCreative:
     """An advertiser's creative: category, size, floor-price bid, keywords.
-    Slotted: a serving snapshot holds one per catalog record."""
+    Slotted: a serving snapshot holds one per catalog record. `__init__` sets
+    the slots through their descriptors (`_AD_SLOTS`), not `object.__setattr__`."""
 
     ad_id: str
     campaign_id: str
@@ -57,11 +58,24 @@ class AdCreative:
     keywords: frozenset[str]
     locations: frozenset[str] = frozenset()
 
-    def __post_init__(self):
-        if not 0 < self.bid < math.inf:  # NaN fails too: buckets are sorted by bid
-            raise ValidationError(f"ad {self.ad_id!r}: bid must be finite and > 0, got {self.bid}")
-        if not self.keywords:
-            raise ValidationError(f"ad {self.ad_id!r}: keywords must be nonempty")
+    def __init__(self, ad_id, campaign_id, category, size, bid, landing_page, keywords,
+                 locations=frozenset()):
+        if not 0 < bid < math.inf:  # NaN fails too: buckets are sorted by bid
+            raise ValidationError(f"ad {ad_id!r}: bid must be finite and > 0, got {bid}")
+        if not keywords:
+            raise ValidationError(f"ad {ad_id!r}: keywords must be nonempty")
+        set_ad, set_camp, set_cat, set_size, set_bid, set_page, set_kw, set_loc = _AD_SLOTS
+        set_ad(self, ad_id)
+        set_camp(self, campaign_id)
+        set_cat(self, category)
+        set_size(self, size)
+        set_bid(self, bid)
+        set_page(self, landing_page)
+        set_kw(self, keywords)
+        set_loc(self, locations)
+
+
+_AD_SLOTS = tuple(getattr(AdCreative, name).__set__ for name in AdCreative.__slots__)
 
 
 class RequestContext(NamedTuple):
@@ -178,37 +192,6 @@ def list_of(value, kinds: tuple, name: str) -> list:
 _CATALOG_TEXT = ("ad_id", "campaign_id", "category", "size", "landing_page")
 
 
-def _ad_creative(rec: dict, shared: dict) -> AdCreative:
-    """The AdCreative of one catalog record. A missing required field raises
-    KeyError and a field of the wrong type ValueError: the text fields must
-    be strings, `bid` a number (not a bool), `keywords` and `locations`
-    lists of strings. `shared` maps each value to the first equal one seen,
-    so ads with equal keyword sets, location sets, campaigns, categories or
-    sizes hold one object."""
-    text = (rec["ad_id"], rec.get("campaign_id", ""), rec["category"], rec["size"],
-            rec.get("landing_page", ""))
-    if not _all_strings(text):
-        bad = [name for name, value in zip(_CATALOG_TEXT, text) if not isinstance(value, str)]
-        raise ValueError(f"{', '.join(bad)} must be a string")
-    bid = rec["bid"]
-    if type(bid) not in JSON_NUMBER:
-        raise ValueError(f"bid must be a number, got {bid!r}")
-    locations = rec.get("locations", [])
-    if not (isinstance(locations, list) and _all_strings(locations)):
-        raise ValueError(f"locations must be a list of strings, got {locations!r}")
-    ad_id, campaign_id, category, size, landing_page = text
-    try:
-        bid = float(bid)
-    except OverflowError:
-        raise ValueError("bid is too large for a float") from None
-    keywords = keyword_set(rec["keywords"])
-    locations = frozenset(locations)
-    share = shared.setdefault
-    return AdCreative(ad_id, share(campaign_id, campaign_id), share(category, category),
-                      share(size, size), bid, landing_page, share(keywords, keywords),
-                      share(locations, locations))
-
-
 def _catalog_records(stream) -> list:
     """The decoded JSON array of a catalog; its text is dropped on return."""
     text = as_text(stream)
@@ -222,25 +205,56 @@ def _catalog_records(stream) -> list:
 
 def parse_ad_catalog(stream) -> list[AdCreative]:
     """Parse a JSON-array ad catalog; enforces per-record invariants and
-    ad_id uniqueness, preserving file order. Equal values share one object
-    (see `_ad_creative`), and each record is freed once its ad is built."""
+    ad_id uniqueness, preserving file order. A missing or mistyped field is a
+    ParseError naming the record. Each record is freed once its ad is built.
+    Within one parse, equal values are one object (`shared`), and each distinct
+    keyword list is read once: `shared` also maps it, as a tuple, to its set."""
     records = _catalog_records(stream)
     ads: list[AdCreative] = []
     seen: set[str] = set()
     shared: dict = {}
+    share = shared.setdefault
     for i, rec in enumerate(records):
         records[i] = None
         if not isinstance(rec, dict):
             raise ParseError(f"catalog record {i}: expected an object")
         try:
-            ad = _ad_creative(rec, shared)
+            text = (rec["ad_id"], rec.get("campaign_id", ""), rec["category"], rec["size"],
+                    rec.get("landing_page", ""))
+            if not _all_strings(text):
+                bad = [name for name, value in zip(_CATALOG_TEXT, text)
+                       if not isinstance(value, str)]
+                raise ValueError(f"{', '.join(bad)} must be a string")
+            bid = rec["bid"]
+            if type(bid) not in JSON_NUMBER:
+                raise ValueError(f"bid must be a number, got {bid!r}")
+            locations = rec.get("locations", [])
+            if not (isinstance(locations, list) and _all_strings(locations)):
+                raise ValueError(f"locations must be a list of strings, got {locations!r}")
+            try:
+                bid = float(bid)
+            except OverflowError:
+                raise ValueError("bid is too large for a float") from None
+            raw = rec["keywords"]
+            try:
+                keywords = shared.get(tuple(raw) if type(raw) is list else None)
+            except TypeError:  # a list that holds a list or an object
+                keywords = None
+            if keywords is None:  # a list not seen in this parse, or not a list of strings
+                keywords = keyword_set(raw)
+                keywords = shared[tuple(raw)] = share(keywords, keywords)
         except KeyError as exc:
             raise ParseError(f"catalog record {i}: missing field {exc.args[0]!r}") from exc
         except ValueError as exc:
             raise ParseError(f"catalog record {i}: {exc}") from exc
-        if ad.ad_id in seen:
-            raise ValidationError(f"duplicate ad_id {ad.ad_id!r} at record {i}")
-        seen.add(ad.ad_id)
+        ad_id, campaign_id, category, size, landing_page = text
+        locations = frozenset(locations)
+        ad = AdCreative(ad_id, share(campaign_id, campaign_id), share(category, category),
+                        share(size, size), bid, landing_page, keywords,
+                        share(locations, locations))
+        if ad_id in seen:
+            raise ValidationError(f"duplicate ad_id {ad_id!r} at record {i}")
+        seen.add(ad_id)
         ads.append(ad)
     return ads
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import marshal
@@ -9,16 +10,16 @@ import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from _oracles import dictreader_groups, event_key, read_event_log
 from conftest import make_event
 from ctrserve import catalog, sample_data
-from ctrserve.catalog import (EVENT_LOG_HEADER, EVENT_LOG_HEADER_LINE, SPLIT_MIN_BYTES, EventRow,
-                              Placement, event_line, keyword_set, keywords_field,
-                              normalize_token, open_text, page_keywords, parse_ad_catalog,
-                              parse_pairs_table, parse_training_table, serialize_ad_catalog,
-                              tally_event_log)
+from ctrserve.catalog import (EVENT_LOG_HEADER, EVENT_LOG_HEADER_LINE, SPLIT_MIN_BYTES,
+                              AdCreative, EventRow, Placement, event_line, keyword_set,
+                              keywords_field, normalize_token, open_text, page_keywords,
+                              parse_ad_catalog, parse_pairs_table, parse_training_table,
+                              serialize_ad_catalog, tally_event_log)
 from ctrserve.errors import CtrServeError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, aggregate_events, compute_ctr
 from ctrserve.keywords import load_keyword_map
@@ -69,6 +70,7 @@ class TestParseAdCatalog:
     @pytest.mark.parametrize("text, message", [
         ('{"ad_id": "a1"}', "catalog must be a JSON array of objects"),
         ('[["a1", "c1"]]', "catalog record 0: expected an object"),
+        (CATALOG_ONE[:-1] + ', "a2"]', "catalog record 1: expected an object"),
     ])
     def test_a_catalog_of_the_wrong_shape_is_refused(self, text, message):
         with pytest.raises(ParseError, match=f"^{message}$"):
@@ -159,6 +161,166 @@ class TestSharedLayout:
         with pytest.raises(ParseError) as err:
             parse_ad_catalog(json.dumps(records))
         assert str(err.value) == message
+
+
+# A small vocabulary, so that keyword and location lists often repeat a set
+# in another order, case, padding or with duplicate and empty tokens.
+KEYWORD_TOKEN = st.builds(lambda word, case, left, right: left + case(word) + right,
+                          st.sampled_from(["football", "epl", "premier league", "cricket"]),
+                          st.sampled_from([str.lower, str.upper, str.title]),
+                          st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "  "]))
+KEYWORD_LIST = st.tuples(st.lists(KEYWORD_TOKEN, min_size=1, max_size=4),
+                         st.lists(st.sampled_from(["", " "]), max_size=2)).flatmap(
+    lambda parts: st.permutations(parts[0] + parts[1]))
+OPTIONAL = st.sampled_from(["keep", "drop"])
+
+
+@st.composite
+def catalog_records(draw):
+    """The records of a valid catalog: unique ad_ids, every other field drawn
+    from a few values, the optional ones sometimes left out. A keyword list
+    is often one drawn before, and a location list often one of the keyword
+    lists, token for token."""
+    records, lists = [], []
+    for i in range(draw(st.integers(0, 12))):
+        lists.append(draw(st.sampled_from(lists) | KEYWORD_LIST if lists else KEYWORD_LIST))
+        record = {"ad_id": f"ad-{i}", "campaign_id": draw(st.sampled_from(["c1", "c2"])),
+                  "category": draw(st.sampled_from(["sports", "health"])),
+                  "size": draw(st.sampled_from(["300x250", "728x90"])),
+                  "bid": draw(st.one_of(st.integers(1, 10**6),
+                                        st.floats(min_value=1e-6, max_value=1e6))),
+                  "landing_page": draw(st.sampled_from(["https://x.example", ""])),
+                  "keywords": lists[-1],
+                  "locations": draw(st.lists(st.sampled_from(["PK", "US", "pk"]), max_size=3)
+                                    | st.sampled_from(lists))}
+        for name in ("campaign_id", "landing_page", "locations"):
+            if draw(OPTIONAL) == "drop":
+                del record[name]
+        records.append(record)
+    return records
+
+
+def one_object_per_value(values) -> bool:
+    """Whether equal values among `values` are all one object."""
+    first = {}
+    return all(first.setdefault(value, value) is value for value in values)
+
+
+class TestLoaderMatchesTheRecords:
+    @seed(20170301)
+    @settings(max_examples=150, deadline=None)
+    @given(records=catalog_records())
+    def test_each_ad_is_its_record_and_equal_values_are_one_object(self, records):
+        text = json.dumps(records)
+        ads = parse_ad_catalog(text)
+        assert [tuple(getattr(ad, name) for name in AdCreative.__slots__) for ad in ads] == [
+            (rec["ad_id"], rec.get("campaign_id", ""), rec["category"], rec["size"],
+             float(rec["bid"]), rec.get("landing_page", ""), keyword_set(rec["keywords"]),
+             frozenset(rec.get("locations", []))) for rec in records]
+        assert all(type(ad.bid) is float for ad in ads)
+        for name in ("keywords", "locations", "campaign_id", "category", "size"):
+            assert one_object_per_value(getattr(ad, name) for ad in ads), name
+        again = parse_ad_catalog(text)
+        assert not {id(ad.keywords) for ad in ads} & {id(ad.keywords) for ad in again}
+
+
+CATALOG_RECORD = {"ad_id": "a1", "campaign_id": "c1", "category": "sports", "size": "300x250",
+                  "bid": 20, "landing_page": "https://x.example", "keywords": ["football"],
+                  "locations": ["PK"]}
+
+
+class TestCatalogRefusals:
+    """Each one-record fault keeps its error type and text."""
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("ad_id", 7, ParseError, "catalog record 1: ad_id must be a string"),
+        ("campaign_id", None, ParseError, "catalog record 1: campaign_id must be a string"),
+        ("category", ["sports"], ParseError, "catalog record 1: category must be a string"),
+        ("size", 300, ParseError, "catalog record 1: size must be a string"),
+        ("bid", "20", ParseError, "catalog record 1: bid must be a number, got '20'"),
+        ("bid", True, ParseError, "catalog record 1: bid must be a number, got True"),
+        ("landing_page", 1.5, ParseError, "catalog record 1: landing_page must be a string"),
+        ("keywords", "football", ParseError,
+         "catalog record 1: keywords must be a list of strings, got 'football'"),
+        ("locations", "PK", ParseError,
+         "catalog record 1: locations must be a list of strings, got 'PK'"),
+        ("bid", 10**400, ParseError, "catalog record 1: bid is too large for a float"),
+        ("bid", math.nan, ValidationError, "ad 'a2': bid must be finite and > 0, got nan"),
+        ("bid", math.inf, ValidationError, "ad 'a2': bid must be finite and > 0, got inf"),
+        ("bid", 0, ValidationError, "ad 'a2': bid must be finite and > 0, got 0.0"),
+        ("bid", -1, ValidationError, "ad 'a2': bid must be finite and > 0, got -1.0"),
+        ("keywords", [], ValidationError, "ad 'a2': keywords must be nonempty"),
+        ("keywords", ["  ", ""], ValidationError, "ad 'a2': keywords must be nonempty"),
+        ("keywords", {"football": 1}, ParseError,
+         "catalog record 1: keywords must be a list of strings, got {'football': 1}"),
+        ("keywords", ["football", 1], ParseError,
+         "catalog record 1: keywords must be a list of strings, got ['football', 1]"),
+        ("keywords", [["football"]], ParseError,
+         "catalog record 1: keywords must be a list of strings, got [['football']]"),
+        ("ad_id", "a1", ValidationError, "duplicate ad_id 'a1' at record 1"),
+    ])
+    def test_a_bad_field_keeps_its_refusal(self, field, value, error, message):
+        text = json.dumps([CATALOG_RECORD, {**CATALOG_RECORD, "ad_id": "a2", field: value}])
+        with pytest.raises(CtrServeError) as err:
+            parse_ad_catalog(text)
+        assert (type(err.value), str(err.value)) == (error, message)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"bid": -1.0}, "ad 'a1': bid must be finite and > 0, got -1.0"),
+        ({"bid": math.nan}, "ad 'a1': bid must be finite and > 0, got nan"),
+        ({"keywords": frozenset()}, "ad 'a1': keywords must be nonempty"),
+    ])
+    def test_the_constructor_and_replace_keep_their_refusals(self, changes, message):
+        (ad,) = parse_ad_catalog(json.dumps([CATALOG_RECORD]))
+        fields = {name: getattr(ad, name) for name in AdCreative.__slots__}
+        for build in (lambda: AdCreative(**{**fields, **changes}),
+                      lambda: AdCreative(*{**fields, **changes}.values()),
+                      lambda: dataclasses.replace(ad, **changes)):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert str(err.value) == message
+
+    def test_positional_keyword_and_replaced_ads_are_equal(self):
+        (ad,) = parse_ad_catalog(json.dumps([CATALOG_RECORD]))
+        fields = {name: getattr(ad, name) for name in AdCreative.__slots__}
+        assert AdCreative(**fields) == AdCreative(*fields.values()) == dataclasses.replace(ad)
+        assert hash(AdCreative(**fields)) == hash(ad)
+        assert dataclasses.replace(ad, bid=1.5).bid == 1.5
+        assert repr(ad) == "AdCreative(" + ", ".join(f"{name}={value!r}"
+                                                     for name, value in fields.items()) + ")"
+        no_locations = {name: value for name, value in fields.items() if name != "locations"}
+        assert AdCreative(**no_locations).locations == frozenset()
+
+    @seed(20170302)
+    @settings(max_examples=200, deadline=None)
+    @given(records=catalog_records().filter(bool), data=st.data(),
+           edits=st.sets(st.sampled_from(["long", "deep", "truncate", "bom", "crlf"])),
+           as_bytes=st.booleans())
+    def test_a_mutated_catalog_loads_or_raises_a_package_error(self, records, data, edits,
+                                                               as_bytes):
+        """A field of the last record becomes 100,000 characters long or a
+        list nested up to 5,000 deep; then the text may be cut short, start
+        with a BOM or end its lines with CRLF."""
+        name = data.draw(st.sampled_from(sorted(records[-1])))
+        if "long" in edits:
+            records[-1][name] = data.draw(st.sampled_from(
+                ["x" * 100_000, ["x" * 100_000], [" " * 100_000]]))
+        if "deep" in edits:
+            records[-1][name] = "@@"
+        text = json.dumps(records, indent=1)
+        if "deep" in edits:
+            depth = data.draw(st.sampled_from([3, 500, 5_000]))
+            text = text.replace('"@@"', "[" * depth + "]" * depth)
+        if "truncate" in edits:
+            text = text[:data.draw(st.integers(0, len(text)))]
+        if "bom" in edits:
+            text = "\ufeff" + text
+        if "crlf" in edits:
+            text = text.replace("\n", "\r\n")
+        try:
+            parse_ad_catalog(text.encode("utf-8") if as_bytes else text)
+        except CtrServeError:
+            pass
 
 
 ROW = "1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0"

@@ -1,0 +1,34 @@
+import json
+from pathlib import Path
+
+from ctrserve.cli import main
+from test_cli import child_python
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "load_stages.py"
+STAGES = ("read_ms", "json_ms", "parse_ms", "state_ms", "load_state_ms")
+
+
+def test_the_load_stages_probe_prints_one_json_line(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--seed", "3", "--events", "2000", "--out", str(sim)]) == 0
+    assert main(["train", "--data", str(sim / "events.csv"), "--ads", str(sim / "catalog.json"),
+                 "--map", str(sim / "keyword_map.json"), "--out", str(sim / "model.json"),
+                 "--method", "normal"]) == 0
+    catalog = json.loads((sim / "catalog.json").read_text(encoding="utf-8"))
+    for files in ([], ["--model", str(sim / "model.json"), "--map", str(sim / "keyword_map.json")]):
+        probe = child_python(str(SCRIPT), "--ads", str(sim / "catalog.json"), *files,
+                             "--repeats", "2")
+        out, err = probe.communicate(timeout=60)
+        assert probe.returncode == 0, err
+        (line,) = out.splitlines()
+        result = json.loads(line)
+        assert set(result) == {*STAGES, "ads"}
+        assert result["ads"] == len(catalog) > 0
+        assert all(result[name] > 0 for name in STAGES)
+
+
+def test_a_model_without_a_map_is_refused(tmp_path):
+    probe = child_python(str(SCRIPT), "--ads", str(tmp_path / "ads.json"),
+                         "--model", str(tmp_path / "model.json"))
+    _, err = probe.communicate(timeout=60)
+    assert probe.returncode == 2 and "--model and --map go together" in err
