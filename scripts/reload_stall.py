@@ -3,7 +3,10 @@
 
 Starts `ctrserve serve` on the given files as a child process and runs one
 closed-loop /ad client against it, its queries made from the catalog's own
-ads, while a second thread posts /reload every 0.25 s. Prints one JSON line:
+ads, while a second thread posts /reload every 0.25 s. The server reads a
+copy of the catalog that is rewritten before each reload, alternately with
+and without one more trailing newline, so that no reload finds its bytes
+unchanged and every reload parses the catalog. Prints one JSON line:
 the /reload round trip (min and median), how many requests overlapped a
 reload, how many of those took over 1, 10 and 20 ms, the longest of them,
 and the 99.9th percentile of the requests outside reloads. Times are in ms.
@@ -62,12 +65,16 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[max(0, math.ceil(q / 100 * len(ordered)) - 1)] if ordered else 0.0
 
 
-def measure(port: int, targets: list[bytes], seconds: float) -> dict:
+def measure(port: int, targets: list[bytes], seconds: float, catalog: Path,
+            versions: tuple[bytes, bytes]) -> dict:
+    """Before each reload, `catalog` is rewritten with the next of `versions`
+    in turn; the server starts on the second."""
     stop = time.perf_counter() + seconds
     reloads: list[tuple[float, float]] = []
 
     def reload_loop():
         while (now := time.perf_counter()) < stop:
+            catalog.write_bytes(versions[len(reloads) % 2])
             reloads.append(timed(port, b"POST /reload HTTP/1.0\r\nContent-Length: 0\r\n\r\n",
                                  (b"HTTP/1.0 200",)))
             time.sleep(max(0.0, now + RELOAD_EVERY_S - time.perf_counter()))
@@ -112,18 +119,22 @@ def main(argv=None) -> int:
     parser.add_argument("--map", help="keyword map JSON file (for ctr mode)")
     parser.add_argument("--seconds", type=float, default=6.0)
     args = parser.parse_args(argv)
-    command = [sys.executable, "-m", "ctrserve.cli", "serve", "--ads", args.ads, "--port", "0"]
-    if args.model and args.map:
-        command += ["--model", args.model, "--map", args.map, "--mode", "ctr"]
     targets = ad_targets(args.ads)
+    data = Path(args.ads).read_bytes()
     with tempfile.TemporaryDirectory() as scratch:
-        server = subprocess.Popen(command + ["--out", str(Path(scratch) / "events.csv")],
-                                  stdout=subprocess.PIPE, text=True)
+        catalog = Path(scratch) / "catalog.json"
+        catalog.write_bytes(data)
+        command = [sys.executable, "-m", "ctrserve.cli", "serve", "--ads", str(catalog),
+                   "--port", "0", "--out", str(Path(scratch) / "events.csv")]
+        if args.model and args.map:
+            command += ["--model", args.model, "--map", args.map, "--mode", "ctr"]
+        server = subprocess.Popen(command, stdout=subprocess.PIPE, text=True)
         try:
             line = server.stdout.readline()
             if not line.startswith("serving on port "):
                 raise SystemExit(f"serve did not start: {line!r}")
-            result = measure(int(line.split()[3]), targets, args.seconds)
+            result = measure(int(line.split()[3]), targets, args.seconds, catalog,
+                             (data + b"\n", data))
         finally:
             server.send_signal(signal.SIGINT)
             server.communicate(timeout=30)

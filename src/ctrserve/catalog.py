@@ -141,20 +141,33 @@ def keyword_set(tokens: list) -> frozenset[str]:
     raise ValueError(f"keywords must be a list of strings, got {tokens!r}")
 
 
+def decode_text(data: bytes, source, newline: Optional[str]) -> str:
+    """`data` as UTF-8 text, its line ends read as `open`'s `newline` reads
+    them (None translates each to "\\n", "" keeps them), so that the text is
+    the one `open_text(source, newline)` reads from a file holding `data`.
+    Bytes that are not UTF-8 raise ParseError naming `source`, as there."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
+    if newline is None and "\r" in text:
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def as_text(stream) -> str:
-    """The text of a str, of UTF-8 bytes, or of a stream that reads either."""
-    if isinstance(stream, bytes):
-        return stream.decode("utf-8")
+    """The text of a str, of UTF-8 bytes, or of a stream that reads either;
+    bytes that are not UTF-8 raise ParseError."""
     if isinstance(stream, str):
         return stream
-    data = stream.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    data = stream if isinstance(stream, bytes) else stream.read()
+    return decode_text(data, "input", "") if isinstance(data, bytes) else data
 
 
 def parse_json(stream, error: type, what: str):
     """The JSON value of a document read by `as_text`. Text that is not JSON,
     too long an integer or too deep a nesting raises `error("<what>: ...")`."""
-    text = as_text(stream)  # outside the try: UnicodeDecodeError is a ValueError
+    text = as_text(stream)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError

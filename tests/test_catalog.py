@@ -23,6 +23,7 @@ from ctrserve.catalog import (EVENT_LOG_HEADER, EVENT_LOG_HEADER_LINE, SPLIT_MIN
 from ctrserve.errors import CtrServeError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, aggregate_events, compute_ctr
 from ctrserve.keywords import load_keyword_map
+from ctrserve.regression import load_model
 
 CATALOG_ONE = json.dumps([{
     "ad_id": "a1", "campaign_id": "c1", "category": "sports",
@@ -229,6 +230,32 @@ CATALOG_RECORD = {"ad_id": "a1", "campaign_id": "c1", "category": "sports", "siz
                   "locations": ["PK"]}
 
 
+CATALOG_EDITS = ["long", "deep", "truncate", "bom", "crlf"]
+
+
+def mutated_catalog(records: list, data, edits: set) -> str:
+    """A field of the last record becomes 100,000 characters long or a list
+    nested up to 5,000 deep; then the text may be cut short, start with a
+    BOM or end its lines with CRLF."""
+    name = data.draw(st.sampled_from(sorted(records[-1])))
+    if "long" in edits:
+        records[-1][name] = data.draw(st.sampled_from(
+            ["x" * 100_000, ["x" * 100_000], [" " * 100_000]]))
+    if "deep" in edits:
+        records[-1][name] = "@@"
+    text = json.dumps(records, indent=1)
+    if "deep" in edits:
+        depth = data.draw(st.sampled_from([3, 500, 5_000]))
+        text = text.replace('"@@"', "[" * depth + "]" * depth)
+    if "truncate" in edits:
+        text = text[:data.draw(st.integers(0, len(text)))]
+    if "bom" in edits:
+        text = "\ufeff" + text
+    if "crlf" in edits:
+        text = text.replace("\n", "\r\n")
+    return text
+
+
 class TestCatalogRefusals:
     """Each one-record fault keeps its error type and text."""
 
@@ -291,36 +318,39 @@ class TestCatalogRefusals:
         no_locations = {name: value for name, value in fields.items() if name != "locations"}
         assert AdCreative(**no_locations).locations == frozenset()
 
+    @pytest.mark.parametrize("data, position", [(b"\xff", 0), (b'[{"ad_id": "\xff"}]', 12)])
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, data, position):
+        message = (f"input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                   f"position {position}: invalid start byte")
+        for load in (parse_ad_catalog, load_keyword_map, load_model):
+            for stream in (data, io.BytesIO(data)):
+                with pytest.raises(ParseError) as err:
+                    load(stream)
+                assert str(err.value) == message
+
     @seed(20170302)
     @settings(max_examples=200, deadline=None)
     @given(records=catalog_records().filter(bool), data=st.data(),
-           edits=st.sets(st.sampled_from(["long", "deep", "truncate", "bom", "crlf"])),
-           as_bytes=st.booleans())
+           edits=st.sets(st.sampled_from(CATALOG_EDITS)), as_bytes=st.booleans())
     def test_a_mutated_catalog_loads_or_raises_a_package_error(self, records, data, edits,
                                                                as_bytes):
-        """A field of the last record becomes 100,000 characters long or a
-        list nested up to 5,000 deep; then the text may be cut short, start
-        with a BOM or end its lines with CRLF."""
-        name = data.draw(st.sampled_from(sorted(records[-1])))
-        if "long" in edits:
-            records[-1][name] = data.draw(st.sampled_from(
-                ["x" * 100_000, ["x" * 100_000], [" " * 100_000]]))
-        if "deep" in edits:
-            records[-1][name] = "@@"
-        text = json.dumps(records, indent=1)
-        if "deep" in edits:
-            depth = data.draw(st.sampled_from([3, 500, 5_000]))
-            text = text.replace('"@@"', "[" * depth + "]" * depth)
-        if "truncate" in edits:
-            text = text[:data.draw(st.integers(0, len(text)))]
-        if "bom" in edits:
-            text = "\ufeff" + text
-        if "crlf" in edits:
-            text = text.replace("\n", "\r\n")
+        text = mutated_catalog(records, data, edits)
         try:
             parse_ad_catalog(text.encode("utf-8") if as_bytes else text)
         except CtrServeError:
             pass
+
+    @seed(20170303)
+    @settings(max_examples=200, deadline=None)
+    @given(records=catalog_records().filter(bool), data=st.data(),
+           edits=st.sets(st.sampled_from(CATALOG_EDITS)),
+           bad=st.sampled_from([b"\xff", b"\xc0\xaf", b"\xed\xa0\x80"]))
+    def test_a_mutated_catalog_with_bytes_that_are_never_utf8_is_a_parse_error(
+            self, records, data, edits, bad):
+        encoded = mutated_catalog(records, data, edits).encode("utf-8")
+        at = data.draw(st.integers(0, len(encoded)))
+        with pytest.raises(ParseError, match="^input is not UTF-8 text: 'utf-8' codec"):
+            parse_ad_catalog(encoded[:at] + bad + encoded[at:])
 
 
 ROW = "1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0"

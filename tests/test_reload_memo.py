@@ -1,0 +1,191 @@
+"""A reload whose catalog bytes are unchanged reuses the live snapshot's
+buckets; every other load parses the catalog and refuses it as a first load
+would, while the model and the map are read on every load."""
+
+import hashlib
+import json
+import os
+import random
+from pathlib import Path
+
+import pytest
+
+from conftest import make_context
+from ctrserve import sample_data
+from ctrserve.catalog import Placement, open_text, parse_ad_catalog
+from ctrserve.errors import ParseError
+from ctrserve.features import DEFAULT_SIZE_REGISTRY
+from ctrserve.server import MODE_BID, MODE_CTR, NO_FILL, AdServer, load_state, serve
+from test_cli import child_python
+from test_http import http_get, http_post
+from test_server import oracle_bid, oracle_ctr
+from test_snapshot_memory import COUNTRIES, VOCAB, catalog_records, config_for
+
+MODEL = json.loads(sample_data._read("model_normal_eq.json"))
+
+
+def write_model(path: Path, bid_weight: float) -> str:
+    """The fixture model with theta's bid weight replaced."""
+    model = dict(MODEL, theta=[*MODEL["theta"][:3], bid_weight, MODEL["theta"][4]])
+    path.write_text(json.dumps(model))
+    return str(path)
+
+
+def requests(seed: int, n: int = 300) -> list:
+    """Requests over the catalogs' categories, keywords and countries, with
+    an unregistered size and an untargeted country among them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        category = rng.choice(sorted(VOCAB))
+        out.append(make_context(
+            placement=rng.choice(list(Placement)),
+            size=rng.choice([*DEFAULT_SIZE_REGISTRY, "1x1"]), category=category,
+            keywords=rng.sample(VOCAB[category], rng.randint(1, 3)),
+            country=rng.choice([*COUNTRIES, "ZZ"])))
+    return out
+
+
+def assert_serves_as_the_oracles(state, catalog_path: str) -> None:
+    """Every request is answered in bid and in ctr mode as the exhaustive
+    oracles answer it over the catalog file's ads."""
+    with open_text(catalog_path) as fh:
+        catalog = parse_ad_catalog(fh)
+    for request in requests(seed=11):
+        ad = oracle_bid(catalog, request)
+        best = oracle_ctr(catalog, request, state.model, state.keyword_map)
+        for mode, expected in ((MODE_BID, None if ad is None else (ad.ad_id, ad.bid)),
+                               (MODE_CTR, None if best is None else (best[0].ad_id, best[1]))):
+            response = serve(request, mode, state)
+            assert (None if response.status == NO_FILL
+                    else (response.ad_id, response.score)) == expected
+
+
+def test_unchanged_bytes_share_the_live_buckets(tmp_path):
+    config = config_for(tmp_path, catalog_records(600, seed=5))
+    live = load_state(config)
+    state = load_state(config, live)
+    digest = hashlib.sha256(Path(config.catalog_path).read_bytes()).digest()
+    assert state.catalog_digest == live.catalog_digest == digest
+    assert state.index.keys() == live.index.keys()
+    assert all(state.index[key] is live.index[key] for key in live.index)
+    assert state.ad_ids is live.ad_ids
+    assert state.model is not live.model and state.model == live.model
+    assert_serves_as_the_oracles(state, config.catalog_path)
+    fresh = load_state(config)  # no live snapshot: the catalog is parsed
+    assert all(fresh.index[key] is not live.index[key] for key in live.index)
+    assert fresh.index == live.index and fresh.catalog_digest == digest
+
+
+def test_a_rewrite_of_the_same_length_and_mtime_is_parsed(tmp_path):
+    records = catalog_records(600, seed=6)
+    records[0].update(bid=111.11, locations=[])
+    config = config_for(tmp_path, records)
+    path = Path(config.catalog_path)
+    request = make_context(size=records[0]["size"], category=records[0]["category"],
+                           keywords=records[0]["keywords"], country="ZZ")
+    live = load_state(config)
+    assert (serve(request, MODE_BID, live).ad_id, serve(request, MODE_BID, live).score) == \
+        ("ad00000", 111.11)
+    before = path.stat()
+    text = path.read_text()
+    assert text.count('"bid": 111.11') == 1
+    path.write_text(text.replace('"bid": 111.11', '"bid": 999.99'))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    state = load_state(config, live)
+    assert state.catalog_digest != live.catalog_digest
+    assert (serve(request, MODE_BID, state).ad_id, serve(request, MODE_BID, state).score) == \
+        ("ad00000", 999.99)
+    assert_serves_as_the_oracles(state, config.catalog_path)
+
+
+@pytest.mark.parametrize("bid_weight", [-0.002, 0.004])
+def test_a_new_model_beside_the_same_catalog_is_served(tmp_path, bid_weight):
+    config = config_for(tmp_path, catalog_records(600, seed=7))
+    live = load_state(config)
+    config.model_path = write_model(tmp_path / "model.json", bid_weight)
+    state = load_state(config, live)
+    assert all(state.index[key] is live.index[key] for key in live.index)
+    assert state.model.bid_weight == bid_weight and not live.bid_ascending
+    assert state.bid_ascending == (bid_weight < 0)
+    assert_serves_as_the_oracles(state, config.catalog_path)
+
+
+def test_over_http_a_bad_model_or_map_beside_the_same_catalog_keeps_the_snapshot(tmp_path):
+    config = config_for(tmp_path, catalog_records(600, seed=8))
+    bad_model = tmp_path / "bad_model.json"
+    bad_model.write_text(json.dumps(dict(MODEL, theta=MODEL["theta"][:4])))
+    bad_map = tmp_path / "bad_map.json"
+    bad_map.write_text("{")
+    srv = AdServer(config)
+    base = f"http://127.0.0.1:{srv.start()}"
+    try:
+        assert http_post(base + "/reload") == (200, json.dumps({"status": "reloaded"}))
+        snapshot = srv.state
+        for field, bad in (("model_path", bad_model), ("map_path", bad_map)):
+            good = getattr(config, field)
+            setattr(config, field, str(bad))
+            status, body = http_post(base + "/reload")
+            assert status == 500 and json.loads(body)["error"]
+            assert srv.state is snapshot
+            setattr(config, field, good)
+        config.model_path = write_model(tmp_path / "model.json", -0.002)
+        assert http_post(base + "/reload")[0] == 200
+        assert srv.state is not snapshot and srv.state.bid_ascending
+        assert srv.state.ad_ids is snapshot.ad_ids
+        assert_serves_as_the_oracles(srv.state, config.catalog_path)
+        query = "/ad?size=300x250&category=sports&keywords=football,epl&mode=ctr"
+        with open_text(config.catalog_path) as fh:
+            best = oracle_ctr(parse_ad_catalog(fh), make_context(keywords=("football", "epl")),
+                              srv.state.model, srv.state.keyword_map)
+        status, body = http_get(base + query)
+        assert status == 200
+        assert (json.loads(body)["ad_id"], json.loads(body)["score"]) == \
+            (best[0].ad_id, best[1])
+    finally:
+        srv.stop()
+
+
+REFUSED = {
+    "CRLF, a syntax error": (b'[\r\n {"ad_id": "a1",\r\n  "bid" 2}\r\n]\r\n',
+                             "catalog is not valid JSON: Expecting ':' delimiter: "
+                             "line 3 column 9 (char 27)"),
+    "lone CR": (b'[\r{"ad_id": "a1"\r "x": 1}]',
+                "catalog is not valid JSON: Expecting ',' delimiter: line 3 column 2 (char 18)"),
+    "not UTF-8 after CRLF": (b'[\r\n{"ad_id": "a\xff"}]',
+                             "{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                             "in position 15: invalid start byte"),
+    "cut inside a character": ('["é'.encode()[:-1],
+                               "{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xc3 "
+                               "in position 2: unexpected end of data"),
+    "BOM, CRLF": (b"\xef\xbb\xbf[\r\n]", "catalog is not valid JSON: Unexpected UTF-8 BOM "
+                                         "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_a_refused_catalog_keeps_the_text_of_a_text_mode_read(tmp_path, name):
+    """The texts are those of the catalog read through `open_text`, as
+    every load read it before loads hashed the catalog's bytes."""
+    data, message = REFUSED[name]
+    config = config_for(tmp_path, catalog_records(50, seed=9))
+    live = load_state(config)
+    path = tmp_path / "refused.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as read_as_text, open_text(path) as fh:
+        parse_ad_catalog(fh)
+    config.catalog_path = str(path)
+    for snapshot in (None, live):
+        with pytest.raises(ParseError) as err:
+            load_state(config, snapshot)
+        assert str(err.value) == str(read_as_text.value) == message.format(path=path)
+
+
+def test_the_cli_import_loads_neither_hashlib_nor_the_server():
+    proc = child_python("-c", "import sys, ctrserve.cli; "
+                              "print(sorted({'hashlib', 'ctrserve.server'} & set(sys.modules)))")
+    out, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
+    assert out.strip() == "[]"

@@ -7,11 +7,14 @@ countries.
 """
 
 import gc
+import itertools
 import json
 import random
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -107,6 +110,34 @@ def test_a_hundred_reloads_free_the_snapshots_they_replace(server):
     assert after_last - after_first < 64 * 1024
 
 
+def test_a_hundred_reloads_of_a_changed_catalog_free_the_snapshots_they_replace(server):
+    """As above, but the catalog's bytes change before every reload (one
+    trailing newline more or less), so that each reload parses it."""
+    path = Path(server.config.catalog_path)
+    versions = (path.read_bytes() + b"\n", path.read_bytes())
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        parsed = []
+        for n in range(100):
+            if n == 1:
+                after_first = tracemalloc.get_traced_memory()[0]
+            path.write_bytes(versions[n % 2])
+            replaced = server.state.index
+            server.reload()
+            parsed.append(server.state.index is not replaced)
+            del replaced
+        after_last = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert parsed == [True] * 100
+    assert len(server.state.ad_ids) == 1_000
+    assert after_last - after_first < 64 * 1024
+
+
 @pytest.mark.parametrize("bad", ["invalid JSON", "bad last record", "not UTF-8"])
 def test_a_failed_reload_keeps_the_old_snapshot_and_the_collector(server, tmp_path, bad):
     records = catalog_records(1_000, seed=2)
@@ -142,6 +173,10 @@ def test_concurrent_reloads_take_turns_with_the_collector_paused(server, monkeyp
                 running[0] -= 1
 
     monkeypatch.setattr(server_module, "parse_ad_catalog", counted)
+    # A fresh digest each time: no reload may find its catalog unchanged.
+    fresh = itertools.count()
+    monkeypatch.setattr(server_module, "hashlib", SimpleNamespace(
+        sha256=lambda data: SimpleNamespace(digest=lambda: next(fresh).to_bytes(8, "big"))))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
