@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import chain, repeat
 from types import SimpleNamespace
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CtrServeError, ParseError, ValidationError
 
@@ -205,7 +205,7 @@ def list_of(value, kinds: tuple, name: str) -> list:
 _CATALOG_TEXT = ("ad_id", "campaign_id", "category", "size", "landing_page")
 
 
-def _catalog_records(stream) -> list:
+def catalog_records(stream) -> list:
     """The decoded JSON array of a catalog; its text is dropped on return."""
     text = as_text(stream)
     if not text.strip():
@@ -217,13 +217,16 @@ def _catalog_records(stream) -> list:
 
 
 def parse_ad_catalog(stream) -> list[AdCreative]:
-    """Parse a JSON-array ad catalog; enforces per-record invariants and
-    ad_id uniqueness, preserving file order. A missing or mistyped field is a
-    ParseError naming the record. Each record is freed once its ad is built.
+    """Parse a JSON-array ad catalog: the ads of `catalog_ads`, in file order."""
+    return list(catalog_ads(catalog_records(stream)))
+
+
+def catalog_ads(records: list) -> Iterator[AdCreative]:
+    """Yield the ad of each decoded catalog record, in order; enforces
+    per-record invariants and ad_id uniqueness. A missing or mistyped field is
+    a ParseError naming the record. Each record is freed once its ad is built.
     Within one parse, equal values are one object (`shared`), and each distinct
     keyword list is read once: `shared` also maps it, as a tuple, to its set."""
-    records = _catalog_records(stream)
-    ads: list[AdCreative] = []
     seen: set[str] = set()
     shared: dict = {}
     share = shared.setdefault
@@ -268,8 +271,7 @@ def parse_ad_catalog(stream) -> list[AdCreative]:
         if ad_id in seen:
             raise ValidationError(f"duplicate ad_id {ad_id!r} at record {i}")
         seen.add(ad_id)
-        ads.append(ad)
-    return ads
+        yield ad
 
 
 def serialize_ad_catalog(ads: Sequence[AdCreative]) -> str:

@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from urllib.parse import unquote_plus, urlparse
 
 from .catalog import (EVENT_LOG_HEADER_LINE, PLACEMENTS, AdCreative, EventRow, Placement,
-                      RequestContext, _all_strings, check_field, decode_text, event_line,
-                      keyword_set, keywords_field, parse_ad_catalog, start_event_log)
+                      RequestContext, _all_strings, catalog_ads, catalog_records, check_field,
+                      decode_text, event_line, keyword_set, keywords_field, start_event_log)
 from .errors import ContractError, EncodingError, ParseError, ValidationError
 from .features import encode_placement, encode_size
 from .keywords import KeywordMap, resolve_page_value
@@ -131,15 +131,15 @@ class ServingState:
     of ad_ids, the model and the keyword map. The catalog itself is read
     once, to build the buckets, and not kept: they hold its only copy."""
 
-    catalog: InitVar[tuple[AdCreative, ...]]
+    catalog: InitVar[Sequence[AdCreative]]
     model: Optional[RegressionModel] = None
     keyword_map: Optional[KeywordMap] = None
     index: dict = field(init=False)
     ad_ids: frozenset = field(init=False)
     bid_ascending: bool = field(init=False)  # ctr scans a bucket from its end
-    catalog_digest: bytes = field(init=False, default=b"")  # set by `load_state`
+    catalog_digest: bytes = field(init=False, default=b"")  # set by `load_steps`
 
-    def __post_init__(self, catalog: tuple[AdCreative, ...]):
+    def __post_init__(self, catalog: Sequence[AdCreative]):
         index: dict[tuple[str, str], list[AdCreative]] = {}
         for ad in catalog:
             index.setdefault((ad.size, ad.category), []).append(ad)
@@ -280,28 +280,42 @@ def _collector_paused():
                 gc.enable()
 
 
-def load_state(config: ServerConfig, live: Optional[ServingState] = None) -> ServingState:
-    """Load a snapshot from the configured files; a model and a map that
-    `load_model_and_map` refuses to pair do not load, and a file that is not
-    UTF-8 raises ParseError naming its path. A catalog whose bytes have the
-    SHA-256 digest of `live`'s, the snapshot being replaced, is not parsed
-    again: the new snapshot shares `live`'s buckets. The model and the map
+def load_steps(config: ServerConfig, live: Optional[ServingState] = None):
+    """Load a snapshot from the configured files in steps, yielding None
+    after each but the last, which yields the snapshot. A model and a map
+    that `load_model_and_map` refuses to pair do not load; a file that is not
+    UTF-8 raises ParseError naming its path. A catalog with the SHA-256
+    digest of `live`'s, the snapshot being replaced, is not parsed again:
+    the snapshot shares `live`'s buckets, in one step. The model and the map
     are always read."""
     with _collector_paused():
         with open(config.catalog_path, "rb") as fh:
             data = fh.read()
         digest = hashlib.sha256(data).digest()
         unchanged = live is not None and live.catalog_digest == digest
-        catalog = ()
+        ads: list[AdCreative] = []
         if not unchanged:
-            data = decode_text(data, config.catalog_path, None)  # frees the bytes before the parse
-            catalog = tuple(parse_ad_catalog(data))
+            yield
+            data = decode_text(data, config.catalog_path, None)  # frees the bytes before the decode
+            records, data = catalog_records(data), None
+            yield
+            for ad in catalog_ads(records):
+                ads.append(ad)
+                if not len(ads) % 256:
+                    yield
+            yield
         model, keyword_map = load_model_and_map(config.model_path, config.map_path)
-        state = ServingState(catalog=catalog, model=model, keyword_map=keyword_map)
+        state = ServingState(catalog=ads, model=model, keyword_map=keyword_map)
         if unchanged:
             state.index, state.ad_ids = live.index, live.ad_ids
         state.catalog_digest = digest
-        return state
+    yield state
+
+
+def load_state(config: ServerConfig, live: Optional[ServingState] = None) -> ServingState:
+    """Every step of `load_steps` at once, for start-up and library callers."""
+    *_, state = load_steps(config, live)
+    return state
 
 
 _TEXT_FIELDS = ("size", "category", "area", "city", "country", "ip", "browser")
@@ -388,7 +402,7 @@ def _get(path: str, query: str, app: "AdServer") -> tuple[int, str]:
 
 
 def _post(path: str, body: bytes, app: "AdServer") -> tuple[int, str]:
-    """POST /event. POST /reload never comes here: it runs off the loop."""
+    """POST /event. POST /reload never comes here: the loop runs its load."""
     if path != "/event":
         return _error(404, "not found")
     try:
@@ -540,11 +554,11 @@ class AdServer:
     One thread runs a selectors loop: it accepts connections, parses each
     request from the bytes that have arrived, runs GET /ad, GET /healthz and
     POST /event, and answers HTTP/1.0, closing the connection after each
-    response. A POST /reload takes about 34 ms on a 10,000-ad catalog whose
-    bytes changed (about 2 ms on one that did not), so its connection goes to
-    a thread of its own, which loads the snapshot, answers and closes. A
-    connection that sends nothing for REQUEST_TIMEOUT_S while a request is
-    incomplete is closed unanswered."""
+    response. A POST /reload takes about 35 ms on a 10,000-ad catalog whose
+    bytes changed, so the loop runs one `load_steps` step per turn and serves
+    between steps; a /reload that arrives during a load waits for one
+    follow-up load. A connection that sends nothing for REQUEST_TIMEOUT_S
+    while a request is incomplete is closed unanswered."""
 
     def __init__(self, config: ServerConfig):
         self.config = config
@@ -571,7 +585,8 @@ class AdServer:
         # Waiting connections by deadline: each is its last activity plus
         # one timeout, so insertion order is deadline order.
         self._deadlines: dict[_Connection, float] = {}
-        self._reloads: list[threading.Thread] = []
+        self._load = None  # the running `load_steps` generator and the /reloads it answers
+        self._queued: list[_Connection] = []  # the /reloads its follow-up answers
         self._accept_resume: Optional[float] = None  # when an unwatched listener is watched again
         self._stopping = False
         self._thread = threading.Thread(target=self._loop, name="ctrserve-loop", daemon=True)
@@ -580,18 +595,15 @@ class AdServer:
 
     def stop(self) -> None:
         """Stop serving, if started, and close the event log. The loop
-        answers the requests it has read, closes the listening socket and
-        every connection still mid-request, and exits; reloads in flight get
-        up to REQUEST_TIMEOUT_S to answer. The log closes only then, so an
-        event answered 202 is in it."""
+        answers the requests it has read, finishes the load in flight and
+        its follow-up and answers their /reloads, closes the listening socket
+        and every connection still mid-request, and exits. The log closes
+        only then, so an event answered 202 is in it."""
         if self._thread is not None:
             self._stopping = True
             self._waker.send(b"\0")
             self._thread.join()
             self._waker.close()
-            deadline = time.monotonic() + REQUEST_TIMEOUT_S
-            for thread in self._reloads:
-                thread.join(max(0.0, deadline - time.monotonic()))
             self._thread = None
         self.event_log.close()
 
@@ -607,15 +619,19 @@ class AdServer:
                         timeout = retry if timeout is None else min(timeout, retry)
                     else:
                         self._resume_accept()
-                for key, events in self._selector.select(timeout):
+                for key, events in self._selector.select(0 if self._load else timeout):
                     if key.fileobj is self._listener:
                         self._accept()
                     elif key.data is not None:
                         (self._receive if events & selectors.EVENT_READ else self._send)(key.data)
+                if self._load is not None:
+                    self._advance_load()
                 now = time.monotonic()
                 while self._deadlines and next(iter(self._deadlines.values())) <= now:
                     self._close(next(iter(self._deadlines)))
         finally:
+            while self._load is not None:
+                self._advance_load()
             for conn in list(self._deadlines):
                 self._close(conn)
             self._selector.close()
@@ -692,10 +708,8 @@ class AdServer:
         traceback sent to stderr."""
         if method == "POST" and path == "/reload":
             self._forget(conn)
-            self._reloads = [thread for thread in self._reloads if thread.is_alive()]
-            thread = threading.Thread(target=self._reload, args=(conn.sock,), daemon=True)
-            self._reloads.append(thread)
-            thread.start()
+            self._queued.append(conn)
+            self._start_load()
             return
         try:
             code, text = _get(path, query, self) if method == "GET" else _post(path, body, self)
@@ -724,19 +738,23 @@ class AdServer:
             pass
         self._close(conn)
 
-    def _reload(self, sock: socket.socket) -> None:
-        """Load a new snapshot off the loop, answer, and close. A bad file
-        answers 500, and the old snapshot keeps serving."""
-        with sock:
-            try:
-                self.reload()
-                code, text = 200, json.dumps({"status": "reloaded"})
-            except Exception as exc:
-                traceback.print_exc()
-                code, text = _error(500, str(exc))
-            try:
-                sock.settimeout(REQUEST_TIMEOUT_S)
-                sock.sendall(_response(code, text))
-                sock.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
+    def _start_load(self) -> None:
+        if self._load is None and self._queued:  # the load answers every /reload queued
+            self._load, self._queued = (load_steps(self.config, self.state), self._queued), []
+
+    def _advance_load(self) -> None:
+        """Run one step of the load. At its end, swap the snapshot in (or keep
+        the old one on a 500), answer, and start any follow-up."""
+        steps, reloads = self._load
+        try:
+            if (state := next(steps)) is None:
+                return
+            self.state = state
+            code, text = 200, json.dumps({"status": "reloaded"})
+        except Exception as exc:
+            traceback.print_exc()
+            code, text = _error(500, str(exc))
+        self._load = None
+        for conn in reloads:
+            self._reply(conn, code, text)
+        self._start_load()

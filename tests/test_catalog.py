@@ -231,19 +231,32 @@ CATALOG_RECORD = {"ad_id": "a1", "campaign_id": "c1", "category": "sports", "siz
 
 
 CATALOG_EDITS = ["long", "deep", "truncate", "bom", "crlf"]
+FORMAT_EDITS = [*CATALOG_EDITS, "wrong type", "nan"]
+JSON_VALUES = [None, True, 0, 1.5, "x", [], ["x"], {}, {"x": 1}]
 
 
-def mutated_catalog(records: list, data, edits: set) -> str:
-    """A field of the last record becomes 100,000 characters long or a list
-    nested up to 5,000 deep; then the text may be cut short, start with a
-    BOM or end its lines with CRLF."""
-    name = data.draw(st.sampled_from(sorted(records[-1])))
+def mutated_json(document, target: dict, data, edits: set) -> str:
+    """`document` as JSON text, after a field of `target`, one of its
+    objects, becomes 100,000 characters long, a value of another JSON type,
+    NaN or an infinity (in place of a list item, if it is a nonempty list)
+    or a list nested up to 5,000 deep; then the text may be cut short, start
+    with a BOM or end its lines with CRLF."""
+    name = data.draw(st.sampled_from(sorted(target)))
     if "long" in edits:
-        records[-1][name] = data.draw(st.sampled_from(
+        target[name] = data.draw(st.sampled_from(
             ["x" * 100_000, ["x" * 100_000], [" " * 100_000]]))
+    if "wrong type" in edits:
+        target[name] = data.draw(st.sampled_from(
+            [value for value in JSON_VALUES if type(value) is not type(target[name])]))
+    if "nan" in edits:
+        value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if isinstance(target[name], list) and target[name]:
+            target[name][data.draw(st.integers(0, len(target[name]) - 1))] = value
+        else:
+            target[name] = value
     if "deep" in edits:
-        records[-1][name] = "@@"
-    text = json.dumps(records, indent=1)
+        target[name] = "@@"
+    text = json.dumps(document, indent=1)
     if "deep" in edits:
         depth = data.draw(st.sampled_from([3, 500, 5_000]))
         text = text.replace('"@@"', "[" * depth + "]" * depth)
@@ -334,7 +347,7 @@ class TestCatalogRefusals:
            edits=st.sets(st.sampled_from(CATALOG_EDITS)), as_bytes=st.booleans())
     def test_a_mutated_catalog_loads_or_raises_a_package_error(self, records, data, edits,
                                                                as_bytes):
-        text = mutated_catalog(records, data, edits)
+        text = mutated_json(records, records[-1], data, edits)
         try:
             parse_ad_catalog(text.encode("utf-8") if as_bytes else text)
         except CtrServeError:
@@ -347,10 +360,30 @@ class TestCatalogRefusals:
            bad=st.sampled_from([b"\xff", b"\xc0\xaf", b"\xed\xa0\x80"]))
     def test_a_mutated_catalog_with_bytes_that_are_never_utf8_is_a_parse_error(
             self, records, data, edits, bad):
-        encoded = mutated_catalog(records, data, edits).encode("utf-8")
+        encoded = mutated_json(records, records[-1], data, edits).encode("utf-8")
         at = data.draw(st.integers(0, len(encoded)))
         with pytest.raises(ParseError, match="^input is not UTF-8 text: 'utf-8' codec"):
             parse_ad_catalog(encoded[:at] + bad + encoded[at:])
+
+
+class TestModelAndMapFormats:
+    @seed(20170304)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), edits=st.sets(st.sampled_from(FORMAT_EDITS)), as_bytes=st.booleans())
+    @pytest.mark.parametrize("load, fixture", [(load_model, "model_normal_eq.json"),
+                                               (load_keyword_map, "keyword_map_sports.json")])
+    def test_a_mutated_file_loads_or_raises_a_package_error(self, load, fixture, data, edits,
+                                                            as_bytes):
+        """A field of the document or of one of its objects is edited."""
+        with open(sample_data.fixture_path(fixture), encoding="utf-8") as fh:
+            document = json.load(fh)
+        objects = [value for value in (document, *document.values()) if isinstance(value, dict)]
+        target = data.draw(st.sampled_from([value for value in objects if value]))
+        text = mutated_json(document, target, data, edits)
+        try:
+            load(text.encode("utf-8") if as_bytes else text)
+        except CtrServeError:
+            pass
 
 
 ROW = "1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0"

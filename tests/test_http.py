@@ -824,26 +824,27 @@ def wait_until(ready, seconds=5.0):
 def test_a_client_that_resets_its_connection_is_dropped_quietly(tmp_path, monkeypatch,
                                                                  capsys):
     """Resets in the middle of the request line, in the middle of a 4 MiB
-    answer and right after POST /reload: `recv`, `send`, `shutdown` and the
-    reload thread's `sendall` each raise, and each connection is dropped
-    with no traceback and no socket left open."""
+    answer and right after POST /reload: `recv`, `send` and `shutdown` each
+    raise, and each connection is dropped with no traceback and no socket
+    left open."""
     records = [{"ad_id": "long", "campaign_id": "c", "category": "sports", "size": "300x250",
                 "bid": 1.0, "landing_page": "https://example.com/" + "a" * (4 << 20),
                 "keywords": ["football"]}]
     srv = AdServer(config_for(tmp_path, records))
     reloading = threading.Event()
-    reload = srv.reload
+    load_steps = server_module.load_steps
 
-    def held_reload():  # answers only once the client has reset
-        reloading.wait(5)
-        reload()
+    def held_load(config, live):  # answers only once the client has reset
+        while not reloading.is_set():
+            yield
+        yield from load_steps(config, live)
 
-    monkeypatch.setattr(srv, "reload", held_reload)
+    monkeypatch.setattr(server_module, "load_steps", held_load)
     raised = []
 
-    def trace(frame, event, arg):  # the errors the loop and the reload thread catch
+    def trace(frame, event, arg):  # the errors the loop catches
         if frame.f_code.co_filename == server_module.__file__ and \
-                frame.f_code.co_name in ("_receive", "_send", "_reload"):
+                frame.f_code.co_name in ("_receive", "_send"):
             def local(frame, event, arg):
                 if event == "exception" and issubclass(arg[0], OSError) and \
                         arg[0] is not BlockingIOError:
@@ -874,17 +875,17 @@ def test_a_client_that_resets_its_connection_is_dropped_quietly(tmp_path, monkey
 
         with socket.create_connection(address, timeout=5) as sock:
             sock.sendall(b"POST /reload HTTP/1.0\r\n\r\n")
-            wait_until(lambda: srv._reloads)
+            wait_until(lambda: srv._load)
             reset(sock)
         reloading.set()
-        srv._reloads[0].join(5)
+        wait_until(lambda: not srv._load)
         assert not srv._deadlines
         assert http_get(f"http://127.0.0.1:{address[1]}/healthz")[0] == 200
     finally:
         reloading.set()
         threading.settrace(None)
         srv.stop()
-    assert [name for name, _ in raised] == ["_receive", "_send", "_send", "_reload"]
+    assert [name for name, _ in raised] == ["_receive", "_send", "_send", "_send", "_send"]
     assert capsys.readouterr().err == ""
 
 

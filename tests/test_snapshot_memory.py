@@ -159,20 +159,20 @@ def test_a_failed_reload_keeps_the_old_snapshot_and_the_collector(server, tmp_pa
 
 
 def test_concurrent_reloads_take_turns_with_the_collector_paused(server, monkeypatch):
-    parse = server_module.parse_ad_catalog
+    parse = server_module.catalog_ads
     running, seen, lock = [0], [], threading.Lock()
 
-    def counted(stream):
+    def counted(records):
         with lock:
             running[0] += 1
             seen.append((running[0], gc.isenabled()))
         try:
-            return parse(stream)
+            yield from parse(records)
         finally:
             with lock:
                 running[0] -= 1
 
-    monkeypatch.setattr(server_module, "parse_ad_catalog", counted)
+    monkeypatch.setattr(server_module, "catalog_ads", counted)
     # A fresh digest each time: no reload may find its catalog unchanged.
     fresh = itertools.count()
     monkeypatch.setattr(server_module, "hashlib", SimpleNamespace(
