@@ -10,7 +10,12 @@ is `parse_ad_catalog` of it (the JSON decode included); `state_ms` builds
 `load_state` beside a live snapshot of the same catalog bytes, as a
 `POST /reload` with only the model or the map changed runs it. Each time
 is the best of --repeats runs, in ms, with the cyclic collector paused as
-`load_state` pauses it. `ads` is the number of ads in the catalog.
+`load_state` pauses it. `max_step_ms` is the median, over --repeats loads,
+of the longest single `load_steps` step, as the server's loop runs them on
+a `POST /reload`: each load is beside the live snapshot it replaces, and
+the catalog's bytes alternate between two versions (one more trailing
+newline or not), so that every load parses it. `ads` is the number of ads
+in the catalog.
 
     PYTHONPATH=src python3 scripts/load_stages.py --ads catalog.json \\
         --model model.json --map map.json --repeats 11
@@ -19,12 +24,16 @@ is the best of --repeats runs, in ms, with the cyclic collector paused as
 import argparse
 import gc
 import json
+import shutil
+import statistics
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from ctrserve.catalog import open_text, parse_ad_catalog
 from ctrserve.regression import load_model_and_map
-from ctrserve.server import ServerConfig, ServingState, load_state
+from ctrserve.server import ServerConfig, ServingState, load_state, load_steps
 
 
 def best_ms(repeats: int, call):
@@ -39,6 +48,25 @@ def best_ms(repeats: int, call):
         finally:
             gc.enable()
     return best * 1e3, result
+
+
+def max_step_ms(config: ServerConfig, repeats: int) -> float:
+    """The median over `repeats` loads of the longest step of each, in ms.
+    The catalog at `config.catalog_path` is rewritten before each load."""
+    path = Path(config.catalog_path)
+    data = path.read_bytes()
+    versions = (data + b"\n", data)
+    live, longest = load_state(config), []
+    for n in range(repeats):
+        path.write_bytes(versions[n % 2])
+        steps, step, step_ms = load_steps(config, live), None, []
+        while step is None:
+            start = time.perf_counter()
+            step = next(steps)
+            step_ms.append(time.perf_counter() - start)
+        live = step
+        longest.append(max(step_ms) * 1e3)
+    return statistics.median(longest)
 
 
 def main(argv=None) -> int:
@@ -67,9 +95,14 @@ def main(argv=None) -> int:
     config = ServerConfig(catalog_path=args.ads, model_path=args.model, map_path=args.map)
     load_state_ms, live = best_ms(args.repeats, lambda: load_state(config))
     reload_same_ms, _ = best_ms(args.repeats, lambda: load_state(config, live))
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = ServerConfig(catalog_path=shutil.copy(args.ads, scratch), model_path=args.model,
+                            map_path=args.map)
+        step_ms = max_step_ms(copy, args.repeats)
     print(json.dumps({"read_ms": read_ms, "json_ms": json_ms, "parse_ms": parse_ms,
                       "state_ms": state_ms, "load_state_ms": load_state_ms,
-                      "reload_same_ms": reload_same_ms, "ads": len(ads)}))
+                      "reload_same_ms": reload_same_ms, "max_step_ms": step_ms,
+                      "ads": len(ads)}))
     return 0
 
 

@@ -115,10 +115,12 @@ def measure(port: int, targets: list[bytes], seconds: float, catalog: Path,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ads", required=True, help="ad catalog JSON file")
-    parser.add_argument("--model", help="model JSON file (for ctr mode)")
-    parser.add_argument("--map", help="keyword map JSON file (for ctr mode)")
+    parser.add_argument("--model", help="model JSON file (with --map, for ctr mode)")
+    parser.add_argument("--map", help="keyword map JSON file (with --model, for ctr mode)")
     parser.add_argument("--seconds", type=float, default=6.0)
     args = parser.parse_args(argv)
+    if (args.model is None) != (args.map is None):
+        parser.error("--model and --map go together")
     targets = ad_targets(args.ads)
     data = Path(args.ads).read_bytes()
     with tempfile.TemporaryDirectory() as scratch:

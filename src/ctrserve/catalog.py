@@ -662,7 +662,13 @@ def _training_row(row: list[str]) -> TrainingRow:
     if len(row) != len(TRAINING_TABLE_HEADER):
         raise ValueError(f"{len(row)} fields, expected {len(TRAINING_TABLE_HEADER)}")
     placement, size, bid, keyword_value, ctr = row
-    return TrainingRow(int(placement), int(size), _finite(bid), _finite(keyword_value), _finite(ctr))
+    size_code = int(size)
+    try:
+        float(size_code)  # the design matrix holds it as a float
+    except OverflowError:
+        raise ValueError(f"size code {size:.20}... is too large for a float") from None
+    return TrainingRow(int(placement), size_code, _finite(bid), _finite(keyword_value),
+                       _finite(ctr))
 
 
 def parse_training_table(stream) -> list[TrainingRow]:

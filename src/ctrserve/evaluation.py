@@ -32,15 +32,19 @@ class EvaluationReport:
 
 def summarize(y: Sequence[float], y_pred: Sequence[float]) -> EvaluationReport:
     """The residual report of an observed/predicted series pair. R squared
-    is NaN when the observed values are constant."""
+    is NaN when the observed values are constant; a squared residual or
+    deviation past the float range raises CtrServeError."""
     if len(y) != len(y_pred):
         raise ContractError(f"series lengths differ: {len(y)} vs {len(y_pred)}")
     n = len(y)
     if n == 0:
         raise ContractError("series must be nonempty")
-    sse = sum((yi - pi) ** 2 for yi, pi in zip(y, y_pred))
-    ym = sum(y) / n
-    ssto = sum((yi - ym) ** 2 for yi in y)
+    try:
+        sse = sum((yi - pi) ** 2 for yi, pi in zip(y, y_pred))
+        ym = sum(y) / n
+        ssto = sum((yi - ym) ** 2 for yi in y)
+    except OverflowError:  # a float's ** raises where its * would give inf
+        raise CtrServeError("a squared residual or deviation is too large for a float") from None
     return EvaluationReport(n=n, pairs=tuple((yi, pi, yi - pi) for yi, pi in zip(y, y_pred)),
                             sse=sse, ym=ym, ssto=ssto, se=math.sqrt(sse / n),
                             r_squared=1.0 - sse / ssto if ssto > 0.0 else float("nan"))

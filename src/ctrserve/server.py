@@ -14,7 +14,6 @@ import socket
 import threading
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from http import HTTPStatus
 from json.encoder import encode_basestring_ascii as _json_str
@@ -126,20 +125,28 @@ def _rank_by_ctr(state: "ServingState",
 
 @dataclass
 class ServingState:
-    """Immutable snapshot of the state one request reads: the catalog's
-    (size, category) buckets each sorted by (bid descending, ad_id), its set
-    of ad_ids, the model and the keyword map. The catalog itself is read
-    once, to build the buckets, and not kept: they hold its only copy."""
+    """Immutable snapshot of the state one request reads, complete when the
+    constructor returns: the catalog's (size, category) buckets each sorted
+    by (bid descending, ad_id), its set of ad_ids, the model, the keyword map
+    and the SHA-256 digest of the catalog's bytes (empty unless `load_steps`
+    read them). The catalog itself is read once, to build the buckets, and
+    not kept: they hold its only copy. Given `shares`, a snapshot of the same
+    catalog, it takes that one's buckets and ad_ids and reads no catalog."""
 
     catalog: InitVar[Sequence[AdCreative]]
     model: Optional[RegressionModel] = None
     keyword_map: Optional[KeywordMap] = None
+    catalog_digest: bytes = b""
+    shares: InitVar[Optional[ServingState]] = None
     index: dict = field(init=False)
     ad_ids: frozenset = field(init=False)
     bid_ascending: bool = field(init=False)  # ctr scans a bucket from its end
-    catalog_digest: bytes = field(init=False, default=b"")  # set by `load_steps`
 
-    def __post_init__(self, catalog: Sequence[AdCreative]):
+    def __post_init__(self, catalog: Sequence[AdCreative], shares: Optional[ServingState]):
+        self.bid_ascending = self.model is not None and self.model.bid_weight < 0
+        if shares is not None:
+            self.index, self.ad_ids = shares.index, shares.ad_ids
+            return
         index: dict[tuple[str, str], list[AdCreative]] = {}
         for ad in catalog:
             index.setdefault((ad.size, ad.category), []).append(ad)
@@ -148,7 +155,6 @@ class ServingState:
             ads.sort(key=attrgetter("bid"), reverse=True)  # stable: ties keep ad_id order
         self.index = {key: tuple(ads) for key, ads in index.items()}
         self.ad_ids = frozenset(ad.ad_id for ad in catalog)
-        self.bid_ascending = self.model is not None and self.model.bid_weight < 0
 
     def bucket(self, request: RequestContext) -> tuple[AdCreative, ...]:
         return self.index.get((request.size, request.category), ())
@@ -258,28 +264,6 @@ class ServerConfig:
     default_mode: str = MODE_BID
 
 
-# The collector is process-wide, so loads take turns: none resumes it while
-# another still runs, and a reload builds one new snapshot at a time.
-_LOAD_LOCK = threading.Lock()
-
-
-@contextmanager
-def _collector_paused():
-    """Take the load lock and pause the cyclic collector until the load ends.
-    A load allocates tens of thousands of containers, which would start
-    collections that also scan the live snapshot; a snapshot holds no
-    cycles, so reference counting alone frees the one a reload replaces. A
-    collector that was off stays off."""
-    with _LOAD_LOCK:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            yield
-        finally:
-            if enabled:
-                gc.enable()
-
-
 def load_steps(config: ServerConfig, live: Optional[ServingState] = None):
     """Load a snapshot from the configured files in steps, yielding None
     after each but the last, which yields the snapshot. A model and a map
@@ -287,14 +271,23 @@ def load_steps(config: ServerConfig, live: Optional[ServingState] = None):
     UTF-8 raises ParseError naming its path. A catalog with the SHA-256
     digest of `live`'s, the snapshot being replaced, is not parsed again:
     the snapshot shares `live`'s buckets, in one step. The model and the map
-    are always read."""
-    with _collector_paused():
+    are always read.
+
+    The cyclic collector is paused from the first step to the last, however
+    the load ends. A load allocates tens of thousands of containers, which
+    would start collections that also scan the live snapshot, and one such
+    collection makes a step several ms longer; a snapshot holds no cycles,
+    so reference counting alone frees the one a reload replaces. A collector
+    that was off stays off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         with open(config.catalog_path, "rb") as fh:
             data = fh.read()
         digest = hashlib.sha256(data).digest()
-        unchanged = live is not None and live.catalog_digest == digest
+        shares = live if live is not None and live.catalog_digest == digest else None
         ads: list[AdCreative] = []
-        if not unchanged:
+        if shares is None:
             yield
             data = decode_text(data, config.catalog_path, None)  # frees the bytes before the decode
             records, data = catalog_records(data), None
@@ -305,10 +298,11 @@ def load_steps(config: ServerConfig, live: Optional[ServingState] = None):
                     yield
             yield
         model, keyword_map = load_model_and_map(config.model_path, config.map_path)
-        state = ServingState(catalog=ads, model=model, keyword_map=keyword_map)
-        if unchanged:
-            state.index, state.ad_ids = live.index, live.ad_ids
-        state.catalog_digest = digest
+        state = ServingState(catalog=ads, model=model, keyword_map=keyword_map,
+                             catalog_digest=digest, shares=shares)
+    finally:
+        if enabled:
+            gc.enable()
     yield state
 
 
@@ -566,9 +560,6 @@ class AdServer:
         log_path = config.event_log_path or "events.csv"
         self.event_log = EventLogWriter(log_path)
         self._thread: Optional[threading.Thread] = None
-
-    def reload(self) -> None:
-        self.state = load_state(self.config, self.state)
 
     def start(self) -> int:
         """Bind and start the loop on a background thread; returns the port.

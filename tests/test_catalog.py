@@ -6,8 +6,11 @@ import marshal
 import math
 import os
 import random
+import tempfile
 import threading
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -20,6 +23,7 @@ from ctrserve.catalog import (EVENT_LOG_HEADER, EVENT_LOG_HEADER_LINE, SPLIT_MIN
                               keywords_field, normalize_token, open_text, page_keywords,
                               parse_ad_catalog, parse_pairs_table, parse_training_table,
                               serialize_ad_catalog, tally_event_log)
+from ctrserve.cli import main
 from ctrserve.errors import CtrServeError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, aggregate_events, compute_ctr
 from ctrserve.keywords import load_keyword_map
@@ -260,6 +264,12 @@ def mutated_json(document, target: dict, data, edits: set) -> str:
     if "deep" in edits:
         depth = data.draw(st.sampled_from([3, 500, 5_000]))
         text = text.replace('"@@"', "[" * depth + "]" * depth)
+    return edited_text(text, data, edits)
+
+
+def edited_text(text: str, data, edits: set) -> str:
+    """`text` cut short ("truncate"), with a BOM before it ("bom") and with
+    CRLF line ends ("crlf"), for each of these that is in `edits`."""
     if "truncate" in edits:
         text = text[:data.draw(st.integers(0, len(text)))]
     if "bom" in edits:
@@ -384,6 +394,66 @@ class TestModelAndMapFormats:
             load(text.encode("utf-8") if as_bytes else text)
         except CtrServeError:
             pass
+
+
+TABLE_EDITS = ["wrong type", "huge", "long", "nan", "truncate", "bom", "crlf"]
+TABLE_VALUES = {
+    "wrong type": ["", "x", "1.5", "true", "[]", "0x1", "1,5"],
+    "huge": ["1" + "0" * 400, "-" + "9" * 400, "1e308", "-1e308", "1e309", "1e-320",
+             "9" * 300, "9" * 5_000, "0." + "0" * 400 + "1"],
+    "long": ["x" * 100_000, "9" * 140_000],
+    "nan": ["nan", "NaN", "inf", "Infinity", "-Infinity"],
+}
+
+
+def mutated_table(fixture: str, data, edits: set) -> str:
+    """The fixture CSV table as text after, for each value edit, a field of
+    one of its rows (the header among them) becomes text of another type, a
+    huge, tiny or long number, 100,000 or 140,000 characters (the csv
+    module's limit is 131,072), or NaN or an infinity; then the text may be
+    cut short, start with a BOM or end its lines with CRLF."""
+    rows = [line.split(",") for line in sample_data._read(fixture).splitlines()]
+    for edit in TABLE_EDITS:
+        if edit in edits and edit in TABLE_VALUES:
+            row = data.draw(st.sampled_from(rows))
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(
+                st.sampled_from(TABLE_VALUES[edit]))
+    return edited_text("".join(",".join(row) + "\n" for row in rows), data, edits)
+
+
+class TestTrainingAndPairsTables:
+    @seed(20170305)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), edits=st.sets(st.sampled_from(TABLE_EDITS), max_size=2),
+           as_bytes=st.booleans())
+    @pytest.mark.parametrize("parse, fixture", [(parse_training_table, "training_sample.csv"),
+                                                (parse_pairs_table, "validation_pairs.csv")])
+    def test_a_mutated_table_parses_or_raises_a_package_error_and_the_cli_never_crashes(
+            self, parse, fixture, data, edits, as_bytes):
+        """A table that parses is run through `evaluate`, and a training
+        table through `train` by both methods: each returns 0, or 1 with one
+        JSON error line."""
+        text = mutated_table(fixture, data, edits)
+        try:
+            parse(text.encode("utf-8") if as_bytes else text)
+        except CtrServeError:
+            return
+        runs = [["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json")]]
+        if parse is parse_training_table:
+            runs += [["train", "--method", method] for method in ("normal", "gd")]
+        with tempfile.TemporaryDirectory() as scratch:
+            table = Path(scratch) / "table.csv"
+            table.write_bytes(text.encode("utf-8"))
+            for command, *flags in runs:
+                if command == "train":
+                    flags += ["--out", str(Path(scratch) / "model.json")]
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    rc = main([command, "--data", str(table), *flags])
+                assert rc in (0, 1), (command, flags)
+                if rc:
+                    (line,) = err.getvalue().splitlines()
+                    assert json.loads(line)["error"]
 
 
 ROW = "1,a1,above_fold,300x250,sports,football,PK,k,c,ip,ch,0"

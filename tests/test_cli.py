@@ -231,6 +231,7 @@ def test_non_finite_table_field_is_json_error_naming_the_row(tmp_path, capsys, c
 @pytest.mark.parametrize("row, message", [
     ("2,1,20,51,0.05", "placement_code must be 0 or 1, got 2"),
     ("1,1,20,51,1.5", "ctr must lie in [0,1], got 1.5"),
+    (f"0,1{'0' * 400},10,51,0.02", "size code 10000000000000000000... is too large for a float"),
 ])
 def test_a_training_row_rule_is_json_error_naming_the_row(tmp_path, capsys, command, row,
                                                           message):
@@ -247,6 +248,23 @@ def test_a_training_row_rule_is_json_error_naming_the_row(tmp_path, capsys, comm
     assert captured.out == "" and len(err) == 1
     assert json.loads(err[0])["error"] == f"training row 2: {message}"
     assert command == "evaluate" or not model.exists()
+
+
+@pytest.mark.parametrize("text", ["y,y_pred\n0.1,1e200\n0.2,0.3\n",
+                                  "placement,size,bid,keyword_value,ctr\n1,1,20,50,0.08\n"
+                                  "1,1,1e308,47,0.04\n"], ids=["pairs", "training"])
+def test_evaluate_refuses_a_squared_residual_past_the_float_range(tmp_path, capsys, text):
+    data, report = tmp_path / "table.csv", tmp_path / "report.json"
+    data.write_text(text)
+    rc = main(["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"),
+               "--data", str(data), "--out", str(report)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0])["error"] == \
+        "a squared residual or deviation is too large for a float"
+    assert not report.exists()
 
 
 def test_predict_unknown_size(capsys):

@@ -27,6 +27,13 @@ class TestStandardError:
         with pytest.raises(ContractError):
             standard_error([], [])
 
+    @pytest.mark.parametrize("y, y_pred", [([0.1, 0.2], [1e200, 0.3]),  # a residual's square
+                                           ([1e200, -1e200], [1e200, -1e200])])  # SSTO's
+    def test_a_square_past_the_float_range_is_a_package_error(self, y, y_pred):
+        with pytest.raises(CtrServeError) as err:
+            standard_error(y, y_pred)
+        assert str(err.value) == "a squared residual or deviation is too large for a float"
+
 
 class TestRSquared:
     def test_perfect(self):

@@ -5,7 +5,8 @@ from ctrserve.cli import main
 from test_cli import child_python
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "load_stages.py"
-STAGES = ("read_ms", "json_ms", "parse_ms", "state_ms", "load_state_ms", "reload_same_ms")
+STAGES = ("read_ms", "json_ms", "parse_ms", "state_ms", "load_state_ms", "reload_same_ms",
+          "max_step_ms")
 
 
 def test_the_load_stages_probe_prints_one_json_line(tmp_path):

@@ -24,3 +24,11 @@ def test_the_reload_stall_probe_prints_one_json_line(tmp_path):
         "overlapping_over_1ms", "overlapping_over_10ms", "overlapping_over_20ms",
         "overlapping_max_ms", "outside_p999_ms"}
     assert result["requests"] > 0 and result["reloads"] >= 1
+
+
+def test_a_model_without_a_map_is_refused(tmp_path):
+    for flag in ("--model", "--map"):
+        probe = child_python(str(SCRIPT), "--ads", str(tmp_path / "ads.json"),
+                             flag, str(tmp_path / "file.json"))
+        _, err = probe.communicate(timeout=60)
+        assert probe.returncode == 2 and "--model and --map go together" in err

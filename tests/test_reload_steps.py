@@ -3,19 +3,19 @@ the loop runs between its other work, and each /reload is answered by a
 load that read the files after the /reload arrived."""
 
 import gc
-import itertools
 import json
 import random
 import signal
 import socket
-import sys
 import threading
 from pathlib import Path
-from types import SimpleNamespace
 from urllib.parse import urlencode
 
+import pytest
+
 from ctrserve import sample_data, server as server_module
-from ctrserve.server import AdServer, ServerConfig
+from ctrserve.errors import ParseError
+from ctrserve.server import AdServer, ServerConfig, load_state, load_steps
 from test_cli import child_python
 from test_http import wait_until
 from test_http_concurrent import exchange, expected_answers, random_query
@@ -122,48 +122,33 @@ def test_stop_during_a_load_runs_it_and_its_follow_up_and_answers_both(tmp_path,
     assert len(srv.state.ad_ids) == 800 and srv.event_log._fh.closed
 
 
-def test_loads_on_the_loop_and_library_reloads_take_turns_with_the_collector_paused(
-        tmp_path, monkeypatch):
-    """The loop holds the load lock from a load's first step to its last, so
-    an `AdServer.reload()` on another thread waits for it, and the other way
-    round."""
-    srv = AdServer(config_for(tmp_path, catalog_records(1_000, seed=2)))
-    parse = server_module.catalog_ads
-    running, seen, lock = [0], [], threading.Lock()
-
-    def counted(records):
-        with lock:
-            running[0] += 1
-            seen.append((running[0], gc.isenabled()))
-        try:
-            yield from parse(records)
-        finally:
-            with lock:
-                running[0] -= 1
-
-    monkeypatch.setattr(server_module, "catalog_ads", counted)
-    fresh = itertools.count()  # a fresh digest each time: every load parses
-    monkeypatch.setattr(server_module, "hashlib", SimpleNamespace(
-        sha256=lambda data: SimpleNamespace(digest=lambda: next(fresh).to_bytes(8, "big"))))
-    port = srv.start()
-    statuses = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_a_load_pauses_the_collector_from_its_first_step_to_its_last(tmp_path, was_enabled):
+    """The collector is off at every step of a changed-catalog load, and
+    after a load that ends, one that raises and one closed mid-load it is as
+    it was before the load."""
+    config = config_for(tmp_path, catalog_records(1_000, seed=2))
+    live = load_state(config)
+    path = Path(config.catalog_path)
+    path.write_bytes(path.read_bytes() + b"\n")  # the catalog changed: every step parses
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(catalog_records(1_000, seed=2))[:-1])
+    (gc.enable if was_enabled else gc.disable)()
     try:
-        threads = [threading.Thread(target=lambda: [srv.reload() for _ in range(5)])
-                   for _ in range(2)]
-        threads += [threading.Thread(target=lambda: statuses.extend(
-            exchange(port, "POST", "/reload")[0] for _ in range(5))) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        steps = [gc.isenabled() for step in load_steps(config, live) if step is None]
+        assert len(steps) > 4 and not any(steps) and gc.isenabled() == was_enabled
+        config.catalog_path = str(bad)
+        with pytest.raises(ParseError):
+            load_state(config, live)
+        assert gc.isenabled() == was_enabled
+        config.catalog_path = str(path)
+        steps = load_steps(config, live)
+        for _ in range(3):
+            assert next(steps) is None and not gc.isenabled()
+        steps.close()
+        assert gc.isenabled() == was_enabled
     finally:
-        sys.setswitchinterval(interval)
-        srv.stop()
-    assert not any(thread.is_alive() for thread in threads)
-    assert statuses == [200] * 10
-    assert len(seen) > 10 and set(seen) == {(1, False)} and gc.isenabled()
+        gc.enable()
 
 
 # A `ctrserve serve` child whose loads report how many GET requests the loop

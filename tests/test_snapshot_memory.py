@@ -7,18 +7,14 @@ countries.
 """
 
 import gc
-import itertools
 import json
 import random
-import sys
-import threading
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from ctrserve import sample_data, server as server_module
+from ctrserve import sample_data
 from ctrserve.errors import ParseError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY
 from ctrserve.server import AdServer, ServerConfig, load_state
@@ -95,10 +91,10 @@ def test_a_hundred_reloads_free_the_snapshots_they_replace(server):
     gc.disable()  # an old snapshot must go by reference counting alone
     tracemalloc.start()
     try:
-        server.reload()
+        server.state = load_state(server.config, server.state)
         after_first = tracemalloc.get_traced_memory()[0]
         for _ in range(99):
-            server.reload()
+            server.state = load_state(server.config, server.state)
         after_last = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -125,7 +121,7 @@ def test_a_hundred_reloads_of_a_changed_catalog_free_the_snapshots_they_replace(
                 after_first = tracemalloc.get_traced_memory()[0]
             path.write_bytes(versions[n % 2])
             replaced = server.state.index
-            server.reload()
+            server.state = load_state(server.config, server.state)
             parsed.append(server.state.index is not replaced)
             del replaced
         after_last = tracemalloc.get_traced_memory()[0]
@@ -140,6 +136,9 @@ def test_a_hundred_reloads_of_a_changed_catalog_free_the_snapshots_they_replace(
 
 @pytest.mark.parametrize("bad", ["invalid JSON", "bad last record", "not UTF-8"])
 def test_a_failed_reload_keeps_the_old_snapshot_and_the_collector(server, tmp_path, bad):
+    """POST /reload of a catalog that a load refuses answers 500 with the
+    load's refusal text, and the live snapshot stays."""
+    from test_http import http_post  # imported here: test_http imports this module
     records = catalog_records(1_000, seed=2)
     if bad == "bad last record":
         records[-1]["bid"] = "20"
@@ -150,43 +149,12 @@ def test_a_failed_reload_keeps_the_old_snapshot_and_the_collector(server, tmp_pa
     snapshot = server.state
     server.config.catalog_path = str(path)
     with pytest.raises(ParseError) as err:
-        server.reload()
+        load_state(server.config, snapshot)
+    assert gc.isenabled()
+    status, body = http_post(f"http://127.0.0.1:{server.start()}/reload")
+    assert (status, json.loads(body)) == (500, {"error": str(err.value)})
     assert server.state is snapshot and gc.isenabled()
     if bad == "bad last record":
         assert str(err.value) == "catalog record 999: bid must be a number, got '20'"
     elif bad == "not UTF-8":
         assert str(path) in str(err.value)
-
-
-def test_concurrent_reloads_take_turns_with_the_collector_paused(server, monkeypatch):
-    parse = server_module.catalog_ads
-    running, seen, lock = [0], [], threading.Lock()
-
-    def counted(records):
-        with lock:
-            running[0] += 1
-            seen.append((running[0], gc.isenabled()))
-        try:
-            yield from parse(records)
-        finally:
-            with lock:
-                running[0] -= 1
-
-    monkeypatch.setattr(server_module, "catalog_ads", counted)
-    # A fresh digest each time: no reload may find its catalog unchanged.
-    fresh = itertools.count()
-    monkeypatch.setattr(server_module, "hashlib", SimpleNamespace(
-        sha256=lambda data: SimpleNamespace(digest=lambda: next(fresh).to_bytes(8, "big"))))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=lambda: [server.reload() for _ in range(5)])
-                   for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert seen == [(1, False)] * 20 and gc.isenabled()
