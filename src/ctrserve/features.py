@@ -91,9 +91,12 @@ def fit_scaler(matrix: DesignMatrix) -> ScalerStats:
     column is never scaled. Constant columns fail fast."""
     if matrix.m < 2:
         raise CtrServeError(f"need at least 2 rows to fit a scaler, got {matrix.m}")
+    import numpy as np
+
     cols = matrix.X[:, int(matrix.include_intercept):]
-    means = cols.mean(axis=0)
-    stds = cols.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite stat is refused later
+        means = cols.mean(axis=0)
+        stds = cols.std(axis=0, ddof=1)
     for j, sigma in enumerate(stds):
         if sigma == 0.0:
             raise DegenerateFeatureError(f"feature column {j} is constant and cannot be scaled")

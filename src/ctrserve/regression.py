@@ -146,9 +146,10 @@ def normal_equation(matrix: DesignMatrix) -> np.ndarray:
     deficiency is a hard error, never a silent pseudo-inverse."""
     import numpy as np
 
-    XtX = matrix.X.T @ matrix.X
-    Xty = matrix.X.T @ matrix.y
-    condition = float(np.linalg.cond(XtX))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as condition inf
+        XtX = matrix.X.T @ matrix.X
+        Xty = matrix.X.T @ matrix.y
+        condition = float(np.linalg.cond(XtX))
     if not np.isfinite(condition) or condition > _MAX_CONDITION:
         raise SingularMatrixError(
             f"X^T X is rank deficient or near-singular (condition ~ {condition:.3e})",

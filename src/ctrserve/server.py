@@ -19,7 +19,7 @@ from http import HTTPStatus
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 from urllib.parse import unquote_plus, urlparse
 
 from .catalog import (EVENT_LOG_HEADER_LINE, PLACEMENTS, AdCreative, EventRow, Placement,
@@ -62,18 +62,29 @@ def keyword_overlap(ad: AdCreative, request: RequestContext) -> int:
     return len(ad.keywords & request.page_keywords)
 
 
-def _eligible(ads: Iterable[AdCreative], request: RequestContext) -> Iterator[AdCreative]:
-    """The ads of one (size, category) bucket, in the order given, that pass
-    the country target (an empty set means untargeted) and share at least one
-    page keyword."""
+class _Bucket(tuple):
+    """One (size, category) bucket's ads, with every keyword they carry."""
+
+    keywords: frozenset = frozenset()
+
+
+_NO_ADS = _Bucket(())
+
+
+def _eligible(bucket: _Bucket, request: RequestContext, reverse=False) -> Iterator[AdCreative]:
+    """The ads of one (size, category) bucket, in its order or reversed, that
+    pass the country target (an empty set means untargeted) and share at
+    least one page keyword. For a page that shares none of the bucket's
+    keywords no ad can, so none is read."""
     country, page = request.country, request.page_keywords
-    for ad in ads:
+    if bucket.keywords.isdisjoint(page):
+        return
+    for ad in reversed(bucket) if reverse else bucket:
         if (not ad.locations or country in ad.locations) and not ad.keywords.isdisjoint(page):
             yield ad
 
 
-def _rank_by_bid(bucket: Sequence[AdCreative],
-                 request: RequestContext) -> Optional[tuple[AdCreative, float]]:
+def _rank_by_bid(bucket: _Bucket, request: RequestContext) -> Optional[tuple[AdCreative, float]]:
     """Maximal keyword overlap, then maximal bid, then smallest ad_id. The
     bucket is in that (bid, ad_id) order, so the first ad to reach a new
     maximal overlap wins; no ad can beat an overlap of every page keyword."""
@@ -104,8 +115,7 @@ def _rank_by_ctr(state: "ServingState",
         size_code = encode_size(request.size)
     except EncodingError:
         return None
-    bucket = state.bucket(request)
-    ads = _eligible(reversed(bucket) if state.bid_ascending else bucket, request)
+    ads = _eligible(state.bucket(request), request, state.bid_ascending)
     best = next(ads, None)
     if best is None:
         return None
@@ -126,12 +136,13 @@ def _rank_by_ctr(state: "ServingState",
 @dataclass
 class ServingState:
     """Immutable snapshot of the state one request reads, complete when the
-    constructor returns: the catalog's (size, category) buckets each sorted
-    by (bid descending, ad_id), its set of ad_ids, the model, the keyword map
-    and the SHA-256 digest of the catalog's bytes (empty unless `load_steps`
-    read them). The catalog itself is read once, to build the buckets, and
-    not kept: they hold its only copy. Given `shares`, a snapshot of the same
-    catalog, it takes that one's buckets and ad_ids and reads no catalog."""
+    constructor returns: the catalog's (size, category) buckets, each sorted
+    by (bid descending, ad_id) with the set of every keyword its ads carry,
+    which makes a page that shares none a no-fill without a scan; its ad_ids;
+    the model; the keyword map; the SHA-256 digest of the catalog's bytes
+    (empty unless `load_steps` read them). The buckets hold the catalog's
+    only copy. Given `shares`, a snapshot of the same catalog, it takes that
+    one's buckets, sets included, and ad_ids and reads no catalog."""
 
     catalog: InitVar[Sequence[AdCreative]]
     model: Optional[RegressionModel] = None
@@ -153,11 +164,14 @@ class ServingState:
         for ads in index.values():
             ads.sort(key=attrgetter("ad_id"))
             ads.sort(key=attrgetter("bid"), reverse=True)  # stable: ties keep ad_id order
-        self.index = {key: tuple(ads) for key, ads in index.items()}
+        self.index = {}
+        for key, ads in index.items():
+            bucket = self.index[key] = _Bucket(ads)
+            bucket.keywords = frozenset().union(*set(map(attrgetter("keywords"), ads)))
         self.ad_ids = frozenset(ad.ad_id for ad in catalog)
 
-    def bucket(self, request: RequestContext) -> tuple[AdCreative, ...]:
-        return self.index.get((request.size, request.category), ())
+    def bucket(self, request: RequestContext) -> _Bucket:
+        return self.index.get((request.size, request.category), _NO_ADS)
 
 
 def serve(request: RequestContext, mode: str, state: ServingState) -> AdResponse:

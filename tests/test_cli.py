@@ -685,6 +685,28 @@ def test_serve_on_a_port_out_of_range_is_one_json_error_line(tmp_path, port):
     assert log.read_text().splitlines() == [",".join(EVENT_LOG_HEADER)]
 
 
+@pytest.mark.parametrize("method, error", [
+    ("normal", "X^T X is rank deficient or near-singular (condition ~ inf)"),
+    ("gd", "scaler means must be finite and stds finite and > 0"),
+])
+def test_a_bid_that_overflows_the_fit_is_one_json_error_line(tmp_path, method, error):
+    """A bid near the float limit overflows X^T X and the scaler's std; each
+    method refuses it with its own text and no numpy warning on stderr."""
+    table = tmp_path / "t.csv"
+    table.write_text("placement,size,bid,keyword_value,ctr\n1,1,20,50,0.08\n"
+                     "1,1,1e300,47,0.04\n0,2,10,52,0.02\n1,2,40,52,0.06\n")
+    proc = child_python("-W", "always", "-m", "ctrserve.cli", "train", "--data", str(table),
+                        "--method", method, "--out", str(tmp_path / "model.json"))
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1 and out == ""
+    [line] = err.splitlines()
+    assert json.loads(line) == {"error": error}
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"), "--data", "bad.csv"],
     ["predict", "--model", "bad.json", "above_fold", "300x250", "22", "51"],

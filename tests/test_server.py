@@ -319,6 +319,75 @@ class TestCtrScan:
         assert [ad.ad_id for ad in state.bucket(make_context())] == ["c", "a", "b"]
 
 
+class WatchedAd(AdCreative):
+    """An ad that logs the name of every attribute read of it to `reads`."""
+
+    __slots__ = ()
+    reads: list = []
+
+    def __getattribute__(self, name):
+        WatchedAd.reads.append(name)
+        return super().__getattribute__(name)
+
+
+class TestOffVocabularyPages:
+    """A page that shares no keyword with any ad of its (size, category)
+    bucket is a no-fill that reads no ad; every other page is ranked as the
+    exhaustive oracles rank it."""
+
+    OFF = ("curling", "darts", "snooker")  # no ad carries these
+
+    def pages(self, rng, catalog):
+        """(case, catalog, request, winner) over one random bucket: `winner`
+        is the ad_id both modes must fill with, or None for a no-fill."""
+        size = rng.choice(sorted({ad.size for ad in catalog}))
+        bucket = [ad for ad in catalog if ad.size == size]
+        vocab = set().union(*(ad.keywords for ad in bucket))
+        off = rng.sample(self.OFF, rng.randint(1, 3))
+        outside = sorted(set(VOCAB) - vocab)
+        page = off + rng.sample(outside, rng.randint(0, len(outside)))
+        yield "disjoint", catalog, make_context(size=size, keywords=page), None
+        yield "no bucket", catalog, make_context(size=size, category="health",
+                                                 keywords=rng.sample(VOCAB, 2)), None
+        last = max(bucket, key=lambda ad: (-ad.bid, ad.ad_id))  # the end of bid-descending order
+        for case, locations, winner in (("last ad", (), last.ad_id),
+                                        ("country", ("US", "GB"), None)):
+            ad = last if case == "last ad" else rng.choice(bucket)
+            edited = make_ad(ad.ad_id, bid=ad.bid, size=ad.size, category=ad.category,
+                             keywords=(*ad.keywords, "zidane"), locations=locations)
+            request = make_context(size=size, keywords=("zidane", *off), country="PK")
+            yield case, [edited if a is ad else a for a in catalog], request, winner
+
+    @pytest.mark.parametrize("weight", [0.002, -0.002, 0.0])
+    def test_matches_the_oracles(self, paper_model, sports_map, weight):
+        model = with_bid_weight(paper_model, weight)
+        rng = random.Random(53)
+        seen = set()
+        for _ in range(40):
+            catalog = random_catalog(rng, rng.randint(1, 120), categories=("sports",))
+            for case, edited, request, winner in self.pages(rng, catalog):
+                expected = assert_matches_oracles(edited, request, model, sports_map)
+                assert (None if expected is None else expected[0]) == winner, case
+                seen.add(case)
+        assert seen == {"disjoint", "no bucket", "last ad", "country"}
+
+    @pytest.mark.parametrize("weight", [0.002, -0.002])
+    def test_a_disjoint_page_reads_no_ad(self, paper_model, sports_map, weight):
+        rng = random.Random(59)
+        catalog = [WatchedAd(ad_id=ad.ad_id, campaign_id="c", category=ad.category,
+                             size="300x250", bid=ad.bid, landing_page="https://x.example",
+                             keywords=ad.keywords, locations=ad.locations)
+                   for ad in random_catalog(rng, 200, categories=("sports",))]
+        state = ServingState(catalog=tuple(catalog), model=with_bid_weight(paper_model, weight),
+                             keyword_map=sports_map)
+        WatchedAd.reads.clear()
+        for mode in (MODE_BID, MODE_CTR):
+            assert serve(make_context(keywords=self.OFF), mode, state).status == NO_FILL
+        assert WatchedAd.reads == []
+        assert serve(make_context(keywords=VOCAB), MODE_BID, state).status != NO_FILL
+        assert WatchedAd.reads
+
+
 class TestServe:
     def test_bid_mode_score_is_bid(self, paper_model, sports_map):
         state = ServingState(catalog=(make_ad("a1", bid=20.0),),
