@@ -122,6 +122,8 @@ def main(argv=None) -> int:
     if (args.model is None) != (args.map is None):
         parser.error("--model and --map go together")
     targets = ad_targets(args.ads)
+    if not targets:
+        parser.error(f"{args.ads} holds no ads to request")
     data = Path(args.ads).read_bytes()
     with tempfile.TemporaryDirectory() as scratch:
         catalog = Path(scratch) / "catalog.json"

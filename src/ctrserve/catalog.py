@@ -614,9 +614,8 @@ def start_event_log(fh) -> bool:
             return True
         if next(csv.reader([first])) != EVENT_LOG_HEADER:
             raise ParseError(f"unexpected event-log header: {first!r:.100}")
-        end = fh.seek(0, io.SEEK_END)
-        fh.seek(end - 1)
-        if fh.read(1) not in ("\n", "\r"):
+        fd = fh.fileno()  # the last byte is read as a byte, not decoded on its own
+        if os.pread(fd, 1, os.fstat(fd).st_size - 1) not in (b"\n", b"\r"):
             raise ParseError("the last row lacks its line terminator")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not event-log text: {exc.reason}") from None

@@ -279,13 +279,14 @@ class ServerConfig:
 
 
 def load_steps(config: ServerConfig, live: Optional[ServingState] = None):
-    """Load a snapshot from the configured files in steps, yielding None
-    after each but the last, which yields the snapshot. A model and a map
-    that `load_model_and_map` refuses to pair do not load; a file that is not
-    UTF-8 raises ParseError naming its path. A catalog with the SHA-256
-    digest of `live`'s, the snapshot being replaced, is not parsed again:
-    the snapshot shares `live`'s buckets, in one step. The model and the map
-    are always read.
+    """Load a snapshot from the configured files in steps. Each step but the
+    last yields the name of the stage it ran: "read" (the catalog's bytes and
+    their SHA-256), "decode" (UTF-8, then JSON) or "ads" (each 256 ads, and
+    the rest); the last yields the snapshot. A catalog with the SHA-256 of
+    `live`'s, the snapshot being replaced, is not parsed again: the snapshot
+    shares `live`'s buckets, in one step. The model and the map are always
+    read, and a pair that `load_model_and_map` refuses does not load. A file
+    that is not UTF-8 raises ParseError naming its path.
 
     The cyclic collector is paused from the first step to the last, however
     the load ends. A load allocates tens of thousands of containers, which
@@ -302,15 +303,15 @@ def load_steps(config: ServerConfig, live: Optional[ServingState] = None):
         shares = live if live is not None and live.catalog_digest == digest else None
         ads: list[AdCreative] = []
         if shares is None:
-            yield
+            yield "read"
             data = decode_text(data, config.catalog_path, None)  # frees the bytes before the decode
             records, data = catalog_records(data), None
-            yield
+            yield "decode"
             for ad in catalog_ads(records):
                 ads.append(ad)
                 if not len(ads) % 256:
-                    yield
-            yield
+                    yield "ads"
+            yield "ads"
         model, keyword_map = load_model_and_map(config.model_path, config.map_path)
         state = ServingState(catalog=ads, model=model, keyword_map=keyword_map,
                              catalog_digest=digest, shares=shares)
@@ -752,7 +753,7 @@ class AdServer:
         the old one on a 500), answer, and start any follow-up."""
         steps, reloads = self._load
         try:
-            if (state := next(steps)) is None:
+            if not isinstance(state := next(steps), ServingState):
                 return
             self.state = state
             code, text = 200, json.dumps({"status": "reloaded"})

@@ -585,7 +585,7 @@ def test_status_of_each_protocol_error(running_server, monkeypatch, data, status
 
 def test_stalled_clients_delay_neither_requests_nor_a_reload(tmp_path, monkeypatch):
     """One loop serves every connection, so stalled clients must not hold
-    it, and a reload of a 10,000-ad catalog runs off it."""
+    it, and a reload of a 10,000-ad catalog runs on it in short steps."""
     monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.5)
     srv = AdServer(config_for(tmp_path, catalog_records(10_000, seed=3)))
     base = f"http://127.0.0.1:{srv.start()}"

@@ -1,12 +1,14 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from ctrserve.cli import main
+from ctrserve.server import ServerConfig, load_steps
 from test_cli import child_python
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "load_stages.py"
-STAGES = ("read_ms", "json_ms", "parse_ms", "state_ms", "load_state_ms", "reload_same_ms",
-          "max_step_ms")
+TIMES = ("build_ms", "load_ms", "reload_same_ms", "max_step_ms")
 
 
 def test_the_load_stages_probe_prints_one_json_line(tmp_path):
@@ -16,6 +18,8 @@ def test_the_load_stages_probe_prints_one_json_line(tmp_path):
                  "--map", str(sim / "keyword_map.json"), "--out", str(sim / "model.json"),
                  "--method", "normal"]) == 0
     catalog = json.loads((sim / "catalog.json").read_text(encoding="utf-8"))
+    steps = list(load_steps(ServerConfig(catalog_path=str(sim / "catalog.json"))))
+    stages = {f"{step}_ms" for step in steps if isinstance(step, str)}  # the loader's names
     for files in ([], ["--model", str(sim / "model.json"), "--map", str(sim / "keyword_map.json")]):
         probe = child_python(str(SCRIPT), "--ads", str(sim / "catalog.json"), *files,
                              "--repeats", "2")
@@ -23,9 +27,11 @@ def test_the_load_stages_probe_prints_one_json_line(tmp_path):
         assert probe.returncode == 0, err
         (line,) = out.splitlines()
         result = json.loads(line)
-        assert set(result) == {*STAGES, "ads"}
-        assert result["ads"] == len(catalog) > 0
-        assert all(result[name] > 0 for name in STAGES)
+        assert set(result) == {*stages, *TIMES, "steps", "ads"}
+        assert result["ads"] == len(catalog) > 0 and result["steps"] == len(steps)
+        assert all(result[name] > 0 for name in (*stages, *TIMES))
+        assert sum(result[name] for name in (*stages, "build_ms")) == \
+            pytest.approx(result["load_ms"])
 
 
 def test_a_model_without_a_map_is_refused(tmp_path):

@@ -32,3 +32,11 @@ def test_a_model_without_a_map_is_refused(tmp_path):
                              flag, str(tmp_path / "file.json"))
         _, err = probe.communicate(timeout=60)
         assert probe.returncode == 2 and "--model and --map go together" in err
+
+
+def test_a_catalog_without_ads_is_refused_before_the_server_starts(tmp_path):
+    ads = tmp_path / "ads.json"
+    ads.write_text("[]")
+    probe = child_python(str(SCRIPT), "--ads", str(ads), "--seconds", "0.5")
+    out, err = probe.communicate(timeout=60)
+    assert probe.returncode == 2 and out == "" and "holds no ads to request" in err

@@ -32,11 +32,11 @@ def held_loads(monkeypatch, release):
 
     def held(config, live):
         steps = load_steps(config, live)
-        yield next(steps)  # a changed catalog yields None after its read and its digest
+        yield next(steps)  # a changed catalog yields "read" after its read and its digest
         while not release():
             yield
         for step in steps:
-            if step is not None:
+            if isinstance(step, server_module.ServingState):
                 made.append(step)
             yield step
 
@@ -135,7 +135,7 @@ def test_a_load_pauses_the_collector_from_its_first_step_to_its_last(tmp_path, w
     bad.write_text(json.dumps(catalog_records(1_000, seed=2))[:-1])
     (gc.enable if was_enabled else gc.disable)()
     try:
-        steps = [gc.isenabled() for step in load_steps(config, live) if step is None]
+        steps = [gc.isenabled() for step in load_steps(config, live) if isinstance(step, str)]
         assert len(steps) > 4 and not any(steps) and gc.isenabled() == was_enabled
         config.catalog_path = str(bad)
         with pytest.raises(ParseError):
@@ -144,7 +144,7 @@ def test_a_load_pauses_the_collector_from_its_first_step_to_its_last(tmp_path, w
         config.catalog_path = str(path)
         steps = load_steps(config, live)
         for _ in range(3):
-            assert next(steps) is None and not gc.isenabled()
+            assert isinstance(next(steps), str) and not gc.isenabled()
         steps.close()
         assert gc.isenabled() == was_enabled
     finally:
@@ -168,7 +168,7 @@ def counted_get(path, query, app):
 def counted_load(config, live):
     first = answered[0]
     for step in load_steps(config, live):
-        if step is not None:
+        if isinstance(step, server.ServingState):
             print(f"answered during load: {answered[0] - first}", file=sys.stderr, flush=True)
         yield step
 

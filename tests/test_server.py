@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from _oracles import (brute_force_best_by_bid, brute_force_best_by_ctr, eligible_candidates,
                       read_event_log)
 from conftest import make_context
+from test_snapshot_memory import catalog_records, config_for
 from ctrserve import server
 from ctrserve.catalog import AdCreative, Placement, RequestContext
 from ctrserve.errors import ContractError, ParseError, ValidationError
@@ -17,7 +18,7 @@ from ctrserve.features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_si
 from ctrserve.keywords import resolve_page_value
 from ctrserve.regression import TrainingConfig, predict, train
 from ctrserve.server import (MODE_BID, MODE_CTR, NO_FILL, AdResponse, EventLogWriter,
-                             ServingState, keyword_overlap, serve)
+                             ServingState, keyword_overlap, load_state, load_steps, serve)
 
 VOCAB = ["football", "soccer", "epl", "cricket", "tennis", "nadal", "ronaldo", "brazil"]
 
@@ -453,6 +454,35 @@ def test_the_request_records_keep_their_fields_and_defaults():
                                           "landing_page": "", "size": "", "score": 0.0}
 
 
+class TestLoadSteps:
+    """Each step of a load but the last yields the name of its stage."""
+
+    @pytest.mark.parametrize("n_ads", [0, 300, 512])
+    def test_a_changed_catalog_yields_read_decode_and_ads_then_the_snapshot(self, tmp_path,
+                                                                          n_ads):
+        *names, state = load_steps(config_for(tmp_path, catalog_records(n_ads, seed=2)))
+        assert names == ["read", "decode"] + ["ads"] * (n_ads // 256 + 1)
+        assert isinstance(state, ServingState) and len(state.ad_ids) == n_ads
+
+    def test_an_unchanged_catalog_yields_the_snapshot_at_its_first_step(self, tmp_path):
+        config = config_for(tmp_path, catalog_records(300, seed=2))
+        live = load_state(config)
+        (state,) = load_steps(config, live)
+        assert isinstance(state, ServingState) and state.index is live.index
+
+    def test_a_catalog_that_is_not_json_raises_at_the_step_after_the_read(self, tmp_path):
+        text = json.dumps(catalog_records(300, seed=2))[:-1]
+        with pytest.raises(ValueError) as decoded:
+            json.loads(text)
+        config = config_for(tmp_path, [])
+        (tmp_path / "catalog.json").write_text(text)
+        steps = load_steps(config)
+        assert next(steps) == "read"
+        message = f"catalog is not valid JSON: {decoded.value}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            next(steps)
+
+
 class TestEventLogWriter:
     @pytest.fixture()
     def log(self, tmp_path):
@@ -539,8 +569,10 @@ class TestEventLogWriter:
         }[case]
         path = tmp_path / "events.csv"
         path.write_bytes(content)
-        with pytest.raises(ParseError, match=re.escape(str(path))):
+        with pytest.raises(ParseError, match=re.escape(str(path))) as raised:
             EventLogWriter(path)
+        if case.startswith("unterminated"):
+            assert "the last row lacks its line terminator" in str(raised.value)
         assert path.read_bytes() == content
 
     @pytest.mark.parametrize("n_rows", [None, 0, 2])  # an empty file, a header-only log, 2 rows
