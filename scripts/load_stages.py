@@ -28,6 +28,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from ctrserve.errors import CtrServeError
 from ctrserve.server import ServerConfig, load_state, load_steps
 
 
@@ -57,12 +58,15 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
     if (args.model is None) != (args.map is None):
         parser.error("--model and --map go together")
+    config = ServerConfig(catalog_path=args.ads, model_path=args.model, map_path=args.map)
+    try:
+        live = load_state(config)
+    except (CtrServeError, OSError) as exc:
+        parser.error(str(exc))
     with tempfile.TemporaryDirectory() as scratch:
-        config = ServerConfig(catalog_path=shutil.copy(args.ads, scratch), model_path=args.model,
-                              map_path=args.map)
+        config.catalog_path = shutil.copy(args.ads, scratch)
         path = Path(config.catalog_path)
         data = path.read_bytes()
-        live = load_state(config)
         same = [timed_load(config, live)[1] for _ in range(args.repeats)]
         loads = []
         for n in range(args.repeats):

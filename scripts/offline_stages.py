@@ -18,6 +18,7 @@ import sys
 import time
 
 from ctrserve.catalog import open_text, parse_ad_catalog, tally_event_log
+from ctrserve.errors import CtrServeError
 from ctrserve.features import aggregate_events
 from ctrserve.keywords import load_keyword_map
 from ctrserve.regression import NORMAL_EQUATION, TrainingConfig, train
@@ -42,18 +43,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    with open_text(args.ads) as fh:
-        bids = {ad.ad_id: ad.bid for ad in parse_ad_catalog(fh)}
-    with open_text(args.map) as fh:
-        keyword_map = load_keyword_map(fh)
 
     def tally_file():
         with open_text(args.data, newline="") as fh:
             return tally_event_log(fh, bids=bids)
 
-    with open_text(args.data, newline="") as fh:
-        text = fh.read()
-    tally_ms, tally = best_ms(args.repeats, tally_file)
+    try:
+        with open_text(args.ads) as fh:
+            bids = {ad.ad_id: ad.bid for ad in parse_ad_catalog(fh)}
+        with open_text(args.map) as fh:
+            keyword_map = load_keyword_map(fh)
+        with open_text(args.data, newline="") as fh:
+            text = fh.read()
+        tally_ms, tally = best_ms(args.repeats, tally_file)
+    except (CtrServeError, OSError) as exc:
+        parser.error(str(exc))
     csv_tally_ms, csv_tally = best_ms(args.repeats, lambda: tally_event_log(text, bids=bids))
     if list(csv_tally.items()) != list(tally.items()):
         raise SystemExit("the file and the text gave different tallies")

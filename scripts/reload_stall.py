@@ -11,10 +11,12 @@ the /reload round trip (min and median), how many requests overlapped a
 reload, how many of those took over 1, 10 and 20 ms, the longest of them,
 and the 99.9th percentile of the requests outside reloads. Times are in ms.
 
-    python3 scripts/reload_stall.py --ads catalog.json --model model.json \\
-        --map map.json --seconds 6
+    PYTHONPATH=src python3 scripts/reload_stall.py --ads catalog.json \\
+        --model model.json --map map.json --seconds 6
 
-With --model and --map the server ranks by ctr, otherwise by bid.
+With --model and --map the server ranks by ctr, otherwise by bid. Input
+files that the server's loaders refuse are refused with their error before
+the server starts.
 """
 
 import argparse
@@ -32,17 +34,23 @@ import time
 from pathlib import Path
 from urllib.parse import urlencode
 
+from ctrserve.catalog import open_text, parse_ad_catalog
+from ctrserve.errors import CtrServeError
+from ctrserve.regression import load_model_and_map
+
 RELOAD_EVERY_S = 0.25
 MAX_QUERIES = 1000
 
 
 def ad_targets(ads_path: str) -> list[bytes]:
     """One GET /ad request for each of the catalog's first MAX_QUERIES ads,
-    for its size and category and up to two of its keywords."""
-    ads = json.loads(Path(ads_path).read_text(encoding="utf-8"))[:MAX_QUERIES]
+    for its size and category and up to two of its keywords. A catalog that
+    `parse_ad_catalog` refuses raises its error."""
+    with open_text(ads_path) as fh:
+        ads = parse_ad_catalog(fh)[:MAX_QUERIES]
     return [("GET /ad?" + urlencode({
-        "size": ad["size"], "category": ad["category"],
-        "keywords": ",".join(sorted(ad["keywords"])[:2])}) + " HTTP/1.0\r\n\r\n").encode()
+        "size": ad.size, "category": ad.category,
+        "keywords": ",".join(sorted(ad.keywords)[:2])}) + " HTTP/1.0\r\n\r\n").encode()
             for ad in ads]
 
 
@@ -121,10 +129,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if (args.model is None) != (args.map is None):
         parser.error("--model and --map go together")
-    targets = ad_targets(args.ads)
+    try:
+        targets = ad_targets(args.ads)
+        load_model_and_map(args.model, args.map)
+        data = Path(args.ads).read_bytes()
+    except (CtrServeError, OSError) as exc:
+        parser.error(str(exc))
     if not targets:
         parser.error(f"{args.ads} holds no ads to request")
-    data = Path(args.ads).read_bytes()
     with tempfile.TemporaryDirectory() as scratch:
         catalog = Path(scratch) / "catalog.json"
         catalog.write_bytes(data)

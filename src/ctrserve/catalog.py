@@ -601,27 +601,6 @@ def event_line(row: EventRow) -> str:
                                   clicked="1" if row.clicked else "0"))
 
 
-def start_event_log(fh) -> bool:
-    """Whether `fh`, a text file open for reading with newline="", is empty
-    and so needs `EVENT_LOG_HEADER_LINE` before its first row. Any other file
-    must start with the header line and end with a line terminator, so that
-    the rows appended to it read back; otherwise ParseError. Only those two
-    places are read, however long the log."""
-    fh.seek(0)
-    try:
-        first = fh.readline(1024)  # the header is ~90 characters; another file may be one line
-        if not first:
-            return True
-        if next(csv.reader([first])) != EVENT_LOG_HEADER:
-            raise ParseError(f"unexpected event-log header: {first!r:.100}")
-        fd = fh.fileno()  # the last byte is read as a byte, not decoded on its own
-        if os.pread(fd, 1, os.fstat(fd).st_size - 1) not in (b"\n", b"\r"):
-            raise ParseError("the last row lacks its line terminator")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not event-log text: {exc.reason}") from None
-    return False
-
-
 TRAINING_TABLE_HEADER = [*FEATURE_NAMES, "ctr"]
 PAIRS_TABLE_HEADER = ["y", "y_pred"]
 

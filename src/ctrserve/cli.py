@@ -142,10 +142,7 @@ def cmd_map_keywords(args) -> int:
 def cmd_train(args) -> int:
     from . import regression
 
-    keyword_map = None
-    if args.map_path:
-        with open_text(args.map_path) as fh:
-            keyword_map = keywords.load_keyword_map(fh)
+    _, keyword_map = regression.load_model_and_map(None, args.map_path)
     rows = _load_training_rows(args, keyword_map)
     method = regression.GRADIENT_DESCENT if args.method == "gd" else regression.NORMAL_EQUATION
     model = regression.train(rows, keyword_map, regression.TrainingConfig(method=method))
@@ -186,8 +183,8 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     from . import evaluation, regression
 
-    with open_text(args.model) as fh:
-        model = regression.load_model(fh)
+    _require(args, "model")
+    model, _ = regression.load_model_and_map(args.model, None)
     with _open_csv(args.data) as (fh, header):
         if header == PAIRS_TABLE_HEADER:  # a stored (observed, predicted) table is replayed
             report = evaluation.summarize(*parse_pairs_table(fh))
@@ -205,6 +202,8 @@ def cmd_evaluate(args) -> int:
 def cmd_serve(args) -> int:
     from . import server
 
+    if args.mode == server.MODE_CTR:  # else every request that names no mode is refused
+        _require(args, "model", "map_path")
     config = server.ServerConfig(
         catalog_path=args.ads, model_path=args.model, map_path=args.map_path,
         event_log_path=args.out, port=args.port, default_mode=args.mode)

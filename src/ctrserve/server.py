@@ -4,6 +4,7 @@ one thread, with atomic snapshot reload."""
 
 from __future__ import annotations
 
+import csv
 import errno
 import gc
 import hashlib
@@ -22,9 +23,9 @@ from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 from urllib.parse import unquote_plus, urlparse
 
-from .catalog import (EVENT_LOG_HEADER_LINE, PLACEMENTS, AdCreative, EventRow, Placement,
-                      RequestContext, _all_strings, catalog_ads, catalog_records, check_field,
-                      decode_text, event_line, keyword_set, keywords_field, start_event_log)
+from .catalog import (EVENT_LOG_HEADER, EVENT_LOG_HEADER_LINE, PLACEMENTS, AdCreative, EventRow,
+                      Placement, RequestContext, _all_strings, catalog_ads, catalog_records,
+                      check_field, decode_text, event_line, keyword_set, keywords_field)
 from .errors import ContractError, EncodingError, ParseError, ValidationError
 from .features import encode_placement, encode_size
 from .keywords import KeywordMap, resolve_page_value
@@ -198,24 +199,37 @@ def serve(request: RequestContext, mode: str, state: ServingState) -> AdResponse
 
 class EventLogWriter:
     """Append-only event log in the event-log CSV format, held open from
-    construction to `close()`. A file that `catalog.start_event_log` refuses
-    raises ParseError naming the path, and its bytes are left as they were.
-    Each row goes to the file in one write on its O_APPEND descriptor, so the
-    file holds whole every row `record_event` returned and no byte of one it
-    raised for: a write that fails is cut back off (`_append`). Rows are
-    never fsynced, so a host crash can lose recent rows."""
+    construction to `close()`. An empty file gets `EVENT_LOG_HEADER_LINE`. Any
+    other must start with the header line and end with a line terminator, so
+    that the rows appended to it read back, or it raises ParseError naming the
+    path and keeps its bytes; only those two places are read. Each row goes to
+    the file in one write on its O_APPEND descriptor, so the file holds whole
+    every row `record_event` returned and no byte of one it raised for: a write
+    that fails is cut back off (`_append`). Rows are never fsynced, so a host
+    crash can lose recent rows."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._fh = open(self.path, "a+", encoding="utf-8", newline="")
+        reason = None
         try:
-            if start_event_log(self._fh):
+            self._fh.seek(0)
+            first = self._fh.readline(1024)  # the header is ~90 characters; another file may be one line
+            fd = self._fh.fileno()  # the last byte is read as a byte, not decoded on its own
+            if not first:
                 self._append(EVENT_LOG_HEADER_LINE.encode())
-        except BaseException as exc:
+            elif next(csv.reader([first])) != EVENT_LOG_HEADER:
+                reason = f"unexpected event-log header: {first!r:.100}"
+            elif os.pread(fd, 1, os.fstat(fd).st_size - 1) not in (b"\n", b"\r"):
+                reason = "the last row lacks its line terminator"
+        except UnicodeDecodeError as exc:
+            reason = f"not event-log text: {exc.reason}"
+        except BaseException:
             self._fh.close()
-            if isinstance(exc, ParseError):
-                raise ParseError(f"cannot append to event log {self.path}: {exc}") from exc
             raise
+        if reason:
+            self._fh.close()
+            raise ParseError(f"cannot append to event log {self.path}: {reason}")
 
     def record_event(self, state: ServingState, ad_id: str,
                      request: RequestContext, clicked: bool,

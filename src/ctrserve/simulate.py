@@ -7,8 +7,8 @@ import json
 import random
 from dataclasses import dataclass
 
-from .catalog import (EVENT_LOG_HEADER_LINE, AdCreative, EventRow, Placement, event_line,
-                      keywords_field, serialize_ad_catalog)
+from .catalog import (EVENT_LOG_HEADER_LINE, FEATURE_NAMES, AdCreative, EventRow, Placement,
+                      event_line, keywords_field, serialize_ad_catalog)
 from .errors import CtrServeError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from .keywords import BASE_SPACING, BASE_VALUE, KeywordMap, resolve_page_value, save_keyword_map
@@ -131,7 +131,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         "seed": config.seed,
         "n_events": config.n_events,
         "true_theta": list(TRUE_THETA),
-        "feature_order": ["intercept", "placement", "size", "bid", "keyword_value"],
+        "feature_order": ["intercept", *FEATURE_NAMES],
     }
     return SimulationOutput(
         catalog_json=serialize_ad_catalog(ads),

@@ -816,13 +816,14 @@ def test_a_csv_field_over_the_size_limit_is_one_json_error_line_naming_the_row(
       "--out", "out.json"], "missing required flag --ads"),
     (["predict", "--model", sample_data.fixture_path("model_normal_eq.json"),
       "above_fold", "300x250", "22", "football"], "missing required flag --map"),
+    (["evaluate", "--model", "", "--data", "events.csv"], "missing required flag --model"),
     (["map-keywords", "--data", "events.csv", "--category", "health", "--out", "out.json"],
      "no transactions for category 'health' in events.csv"),
 ])
 def test_a_flag_the_input_needs_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv,
                                                         message):
     """The refusals that argparse cannot make: a flag needed by what the
-    input holds, and a category the log does not hold."""
+    input holds, an empty flag, and a category the log does not hold."""
     monkeypatch.chdir(tmp_path)
     row = "1,boots-01,above_fold,300x250,sports,football,PK,,,,,0"
     Path("events.csv").write_text(f"{','.join(EVENT_LOG_HEADER)}\n{row}\n")
@@ -831,6 +832,25 @@ def test_a_flag_the_input_needs_is_one_json_error_line(tmp_path, monkeypatch, ca
     [line] = captured.err.splitlines()
     assert captured.out == "" and json.loads(line) == {"error": message}
     assert sorted(os.listdir()) == ["events.csv"]
+
+
+@pytest.mark.parametrize("files", [[], ["--model", sample_data.fixture_path("model_normal_eq.json")],
+                                   ["--map", sample_data.fixture_path("keyword_map_sports.json")]],
+                         ids=["neither", "model only", "map only"])
+def test_serve_in_ctr_mode_needs_a_model_and_a_map(tmp_path, capsys, files):
+    """A ctr server without both would refuse every request that names no
+    mode, so it does not start: no socket is bound and no log is made."""
+    with socket.socket() as taken:  # a server that started could not serve and hang
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        rc = main(["serve", "--ads", sample_data.fixture_path("ad_catalog_sample.json"), *files,
+                   "--mode", "ctr", "--out", str(tmp_path / "events.csv"),
+                   "--port", str(taken.getsockname()[1])])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    missing = "--map" if files and files[0] == "--model" else "--model"
+    assert json.loads(line) == {"error": f"missing required flag {missing}"}
+    assert not (tmp_path / "events.csv").exists()
 
 
 @pytest.mark.parametrize("content", [

@@ -39,3 +39,12 @@ def test_a_model_without_a_map_is_refused(tmp_path):
                          "--model", str(tmp_path / "model.json"))
     _, err = probe.communicate(timeout=60)
     assert probe.returncode == 2 and "--model and --map go together" in err
+
+
+def test_a_catalog_the_loader_refuses_is_refused_with_its_error(tmp_path):
+    ads = tmp_path / "ads.json"
+    ads.write_text('[{"ad_id": "a", "campaign_id" "c"}]')
+    probe = child_python(str(SCRIPT), "--ads", str(ads), "--repeats", "1")
+    out, err = probe.communicate(timeout=60)
+    assert probe.returncode == 2 and out == ""
+    assert "catalog is not valid JSON" in err and "Traceback" not in err

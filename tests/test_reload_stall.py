@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from ctrserve.catalog import AdCreative, serialize_ad_catalog
 from test_cli import child_python
 
@@ -40,3 +42,28 @@ def test_a_catalog_without_ads_is_refused_before_the_server_starts(tmp_path):
     probe = child_python(str(SCRIPT), "--ads", str(ads), "--seconds", "0.5")
     out, err = probe.communicate(timeout=60)
     assert probe.returncode == 2 and out == "" and "holds no ads to request" in err
+
+
+@pytest.mark.parametrize("text, error", [
+    ('[{"ad_id": "a", "campaign_id" "c"}]', "catalog is not valid JSON: Expecting ':' delimiter"),
+    ('[{"ad_id": "a"}]', "catalog record 0: missing field"),
+], ids=["truncated", "missing field"])
+def test_a_catalog_the_loader_refuses_is_refused_before_the_server_starts(tmp_path, text, error):
+    ads = tmp_path / "ads.json"
+    ads.write_text(text)
+    probe = child_python(str(SCRIPT), "--ads", str(ads), "--seconds", "0.5")
+    out, err = probe.communicate(timeout=60)
+    assert probe.returncode == 2 and out == ""
+    assert error in err and "Traceback" not in err
+
+
+def test_a_model_the_loader_refuses_is_refused_before_the_server_starts(tmp_path):
+    ads = tmp_path / "ads.json"
+    ads.write_text(serialize_ad_catalog([
+        AdCreative(ad_id="a", campaign_id="c", category="sports", size="300x250", bid=1.0,
+                   landing_page="https://x.example", keywords=frozenset({"football"}))]))
+    probe = child_python(str(SCRIPT), "--ads", str(ads), "--model", str(tmp_path / "none.json"),
+                         "--map", str(tmp_path / "none.json"), "--seconds", "0.5")
+    out, err = probe.communicate(timeout=60)
+    assert probe.returncode == 2 and out == ""
+    assert "No such file or directory" in err and "Traceback" not in err
