@@ -45,7 +45,7 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
 
     def tally_file():
-        with open_text(args.data, newline="") as fh:
+        with open_text(args.data) as fh:
             return tally_event_log(fh, bids=bids)
 
     try:
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
             bids = {ad.ad_id: ad.bid for ad in parse_ad_catalog(fh)}
         with open_text(args.map) as fh:
             keyword_map = load_keyword_map(fh)
-        with open_text(args.data, newline="") as fh:
+        with open_text(args.data) as fh:
             text = fh.read()
         tally_ms, tally = best_ms(args.repeats, tally_file)
     except (CtrServeError, OSError) as exc:

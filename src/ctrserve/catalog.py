@@ -141,18 +141,24 @@ def keyword_set(tokens: list) -> frozenset[str]:
     raise ValueError(f"keywords must be a list of strings, got {tokens!r}")
 
 
-def decode_text(data: bytes, source, newline: Optional[str]) -> str:
-    """`data` as UTF-8 text, its line ends read as `open`'s `newline` reads
-    them (None translates each to "\\n", "" keeps them), so that the text is
-    the one `open_text(source, newline)` reads from a file holding `data`.
-    Bytes that are not UTF-8 raise ParseError naming `source`, as there."""
+def _not_utf8(source, exc: UnicodeDecodeError, offset: int = 0) -> ParseError:
+    """ParseError naming `source`, in the text of `exc` with its positions
+    moved on by `offset`, to the place in the file of the bytes it decoded."""
+    start, end = exc.start + offset, exc.end + offset
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end - start == 1
+             else f"bytes in position {start}-{end - 1}")
+    return ParseError(f"{source} is not UTF-8 text: '{exc.encoding}' codec can't decode "
+                      f"{where}: {exc.reason}")
+
+
+def decode_text(data: bytes, source) -> str:
+    """`data` as UTF-8 text, its line ends as written: the text that
+    `open_text(source)` reads from a file holding `data`. Bytes that are not
+    UTF-8 raise ParseError naming `source`, as there."""
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
-    if newline is None and "\r" in text:
-        return text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+        raise _not_utf8(source, exc) from exc
 
 
 def as_text(stream) -> str:
@@ -161,7 +167,7 @@ def as_text(stream) -> str:
     if isinstance(stream, str):
         return stream
     data = stream if isinstance(stream, bytes) else stream.read()
-    return decode_text(data, "input", "") if isinstance(data, bytes) else data
+    return decode_text(data, "input") if isinstance(data, bytes) else data
 
 
 def parse_json(stream, error: type, what: str):
@@ -175,15 +181,16 @@ def parse_json(stream, error: type, what: str):
 
 
 @contextmanager
-def open_text(path, newline=None):
-    """The file at `path`, open for reading as UTF-8 text. Bytes that are
-    not UTF-8, wherever in the file they are read, raise ParseError naming
-    the path."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+def open_text(path):
+    """The file at `path`, open for reading as UTF-8 text, its line ends as
+    written. Bytes that are not UTF-8 raise ParseError naming the path and
+    their place in the file, wherever in it they are read."""
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
             yield fh
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+        except UnicodeDecodeError as exc:  # `exc.object` ends where the file was last read
+            offset = fh.buffer.tell() - len(exc.object) if fh.seekable() else 0  # a pipe cannot tell
+            raise _not_utf8(path, exc, offset) from exc
 
 
 JSON_NUMBER = (int, float)  # the JSON numbers; a bool is neither
@@ -392,12 +399,11 @@ class _NotPlain(Exception):
 
 
 def _plain_lines(chunk: bytes, field_limit: int) -> list[str]:
-    """The lines of a chunk of whole lines, if it is plain: no quote or NUL
-    (which `csv.reader` refuses before Python 3.11), line ends all "\\n" or
-    all "\\r\\n", UTF-8, and no line over the csv module's field size limit.
-    Such lines split on "," into the fields `csv.reader` reads. Any other
-    chunk raises _NotPlain."""
-    if b'"' in chunk or b"\0" in chunk:
+    """The lines of a chunk of whole lines, if it is plain: no quote, line
+    ends all "\\n" or all "\\r\\n", UTF-8, and no line over the csv module's
+    field size limit. Such lines split on "," into the fields `csv.reader`
+    reads. Any other chunk raises _NotPlain."""
+    if b'"' in chunk:
         raise _NotPlain
     try:
         text = chunk.decode("utf-8")

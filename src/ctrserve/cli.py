@@ -39,13 +39,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit the CTR model")
     p.add_argument("--data", required=True, help="event log or training table CSV")
     p.add_argument("--ads", help="ad catalog JSON file (with an event log)")
-    p.add_argument("--map", dest="map_path", help="keyword map JSON file (with an event log)")
+    p.add_argument("--map", help="keyword map JSON file (with an event log)")
     p.add_argument("--out", required=True, help="model JSON file to write")
     p.add_argument("--method", choices=["gd", "normal"], default="gd")
 
     p = sub.add_parser("predict", help="predict CTR for one request")
     p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--map", dest="map_path", help="keyword map JSON file (for a keyword token)")
+    p.add_argument("--map", help="keyword map JSON file (for a keyword token)")
     p.add_argument("placement", choices=PLACEMENTS)
     p.add_argument("size")
     p.add_argument("bid", type=float)
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the ad-selection HTTP service")
     p.add_argument("--ads", required=True, help="ad catalog JSON file")
     p.add_argument("--model", help="model JSON file (for ctr mode)")
-    p.add_argument("--map", dest="map_path", help="keyword map JSON file (for ctr mode)")
+    p.add_argument("--map", help="keyword map JSON file (for ctr mode)")
     p.add_argument("--out", help="event log CSV to append to (default events.csv)")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--mode", choices=["bid", "ctr"], default="bid")
@@ -75,16 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) in (None, ""):
-            flag = "--map" if name == "map_path" else "--" + name
-            raise CtrServeError(f"missing required flag {flag}")
+            raise CtrServeError(f"missing required flag --{name}")
 
 
 @contextmanager
 def _open_csv(path: str):
     """The CSV file at `path` and its first row, read by CSV rules, the file
-    left at its start. newline="" keeps a carriage return inside a quoted
-    field as it was written."""
-    with open_text(path, newline="") as fh:
+    left at its start."""
+    with open_text(path) as fh:
         try:
             header = next(csv.reader(fh), [])
         except csv.Error as exc:  # such as a field over the csv module's size limit
@@ -97,7 +95,7 @@ def _load_transactions(path: str, category: str) -> Counter:
     """Keyword transactions of `category` in one pass over the log, as a
     Counter of keyword sets. Every row is validated, whatever its category;
     each distinct `keywords` field is tokenized once."""
-    with open_text(path, newline="") as fh:
+    with open_text(path) as fh:
         tally = tally_event_log(fh)
     fields = Counter()
     for (_, _, _, row_category, field, _), (count, _) in tally.items():
@@ -118,7 +116,7 @@ def _load_training_rows(args, keyword_map):
     with _open_csv(args.data) as (fh, header):
         if header == TRAINING_TABLE_HEADER:
             return parse_training_table(fh)
-        _require(args, "map_path", "ads")
+        _require(args, "map", "ads")
         with open_text(args.ads) as ads:
             bids = {ad.ad_id: ad.bid for ad in parse_ad_catalog(ads)}
         return aggregate_events(tally_event_log(fh, bids=bids), bids, keyword_map)
@@ -142,7 +140,7 @@ def cmd_map_keywords(args) -> int:
 def cmd_train(args) -> int:
     from . import regression
 
-    _, keyword_map = regression.load_model_and_map(None, args.map_path)
+    _, keyword_map = regression.load_model_and_map(None, args.map)
     rows = _load_training_rows(args, keyword_map)
     method = regression.GRADIENT_DESCENT if args.method == "gd" else regression.NORMAL_EQUATION
     model = regression.train(rows, keyword_map, regression.TrainingConfig(method=method))
@@ -164,11 +162,11 @@ def cmd_predict(args) -> int:
     from . import regression
 
     _require(args, "model")
-    model, keyword_map = regression.load_model_and_map(args.model, args.map_path)
+    model, keyword_map = regression.load_model_and_map(args.model, args.map)
     try:
         kw_value = float(args.keyword)
     except ValueError:
-        _require(args, "map_path")
+        _require(args, "map")
         kw_value = keywords.resolve_page_value(keyword_map, keyword_set([args.keyword]))
     for name, value in (("bid", args.bid), ("keyword value", kw_value)):
         if not math.isfinite(value):
@@ -203,9 +201,9 @@ def cmd_serve(args) -> int:
     from . import server
 
     if args.mode == server.MODE_CTR:  # else every request that names no mode is refused
-        _require(args, "model", "map_path")
+        _require(args, "model", "map")
     config = server.ServerConfig(
-        catalog_path=args.ads, model_path=args.model, map_path=args.map_path,
+        catalog_path=args.ads, model_path=args.model, map_path=args.map,
         event_log_path=args.out, port=args.port, default_mode=args.mode)
     srv = server.AdServer(config)
     try:

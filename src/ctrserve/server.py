@@ -4,6 +4,7 @@ one thread, with atomic snapshot reload."""
 
 from __future__ import annotations
 
+import codecs
 import csv
 import errno
 import gc
@@ -210,13 +211,14 @@ class EventLogWriter:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._fh = open(self.path, "a+", encoding="utf-8", newline="")
+        self._fh = open(self.path, "ab+", buffering=0)
         reason = None
         try:
-            self._fh.seek(0)
-            first = self._fh.readline(1024)  # the header is ~90 characters; another file may be one line
-            fd = self._fh.fileno()  # the last byte is read as a byte, not decoded on its own
-            if not first:
+            fd = self._fh.fileno()
+            head = os.pread(fd, 1024, 0)  # the header is ~90 bytes; another file may be one line
+            # Only the first line is decoded, less a character the read cut short.
+            first = codecs.utf_8_decode(head.splitlines(True)[0])[0] if head else ""
+            if not head:
                 self._append(EVENT_LOG_HEADER_LINE.encode())
             elif next(csv.reader([first])) != EVENT_LOG_HEADER:
                 reason = f"unexpected event-log header: {first!r:.100}"
@@ -318,7 +320,7 @@ def load_steps(config: ServerConfig, live: Optional[ServingState] = None):
         ads: list[AdCreative] = []
         if shares is None:
             yield "read"
-            data = decode_text(data, config.catalog_path, None)  # frees the bytes before the decode
+            data = decode_text(data, config.catalog_path)  # frees the bytes before the decode
             records, data = catalog_records(data), None
             yield "decode"
             for ad in catalog_ads(records):

@@ -783,7 +783,7 @@ def forks(monkeypatch):
 
 def file_outcome(path, bids=None):
     def read():
-        with open_text(path, newline="") as fh:
+        with open_text(path) as fh:
             return tally_event_log(fh, bids=bids)
     return outcome(read)
 
@@ -796,7 +796,7 @@ def sequential_outcome(path, bids, monkeypatch):
 
 def split_tally(path, bids):
     """The tally of the log at `path` as the two halves read it."""
-    with open_text(path, newline="") as fh:
+    with open_text(path) as fh:
         tally = tally_event_log(fh, bids=bids)
         assert fh.tell() == 0  # csv.reader never read the stream: no half refused
     return tally
@@ -872,7 +872,7 @@ def edit_row(data, index, edit):
 def read_by_csv_reader(path, bids):
     """Whether `tally_event_log` read the log at `path` with csv.reader. The
     halves read it with os.pread, which leaves the file at its start."""
-    with open_text(path, newline="") as fh:
+    with open_text(path) as fh:
         try:
             tally_event_log(fh, bids=bids)
         except CtrServeError:
@@ -883,7 +883,6 @@ def read_by_csv_reader(path, bids):
 # Rows `_plain_lines` refuses and csv.reader may read: the csv field size
 # limit each is read under, and the edit of the row's fields.
 PLAIN_CHUNK_REFUSALS = {
-    "NUL byte": (csv.field_size_limit(), lambda f: [*f[:10], b"chr\0me", f[11]]),
     "line over a lowered field limit": (200, lambda f: [*f[:7], b"c" * 150, b"a" * 150, *f[9:]]),
     "field over a lowered field limit": (200, lambda f: [*f[:7], b"c" * 250, *f[8:]]),
 }
@@ -954,8 +953,8 @@ class TestTwoProcessTally:
     @pytest.mark.parametrize("rule", sorted(PLAIN_CHUNK_REFUSALS))
     def test_a_chunk_the_halves_refuse_is_read_by_csv_reader(self, big_logs, tmp_path, forks,
                                                             monkeypatch, rule, half):
-        """A NUL byte, which csv.reader refuses before Python 3.11, and a line
-        longer than a field size limit lowered below a chunk, in either half."""
+        """A line, or a field, longer than a field size limit lowered below a
+        chunk, in either half."""
         limit, edit = PLAIN_CHUNK_REFUSALS[rule]
         records = big_logs["\n"]
         index = 100 if half == "parent" else len(records) - 100
@@ -974,6 +973,20 @@ class TestTwoProcessTally:
             assert expected == (ParseError, f"event row {index}: field larger than field limit "
                                             f"({limit})")
         assert len(forks) == 2
+
+    @pytest.mark.parametrize("half", ["parent", "child"])
+    def test_a_nul_byte_is_read_by_the_halves(self, big_logs, tmp_path, forks, monkeypatch,
+                                              half):
+        """csv.reader reads a NUL byte as any other character, and so do the halves."""
+        records = big_logs["\n"]
+        index = 100 if half == "parent" else len(records) - 100
+        data = edit_row(log_bytes(records), index, lambda f: [*f[:10], b"chr\0me", f[11]])
+        assert (index < split_row(data)) == (half == "parent")
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        tally = split_tally(path, BIG_LOG_ADS)
+        assert list(tally.items()) == sequential_outcome(path, BIG_LOG_ADS, monkeypatch)
+        assert len(forks) == 1
 
     def test_bytes_not_utf8_in_the_second_half_name_the_file(self, big_logs, tmp_path, forks,
                                                              monkeypatch):
@@ -997,7 +1010,7 @@ class TestTwoProcessTally:
                     raise KeyboardInterrupt
                 return super().__contains__(ad_id)
 
-        with pytest.raises(KeyboardInterrupt), open_text(path, newline="") as fh:
+        with pytest.raises(KeyboardInterrupt), open_text(path) as fh:
             tally_event_log(fh, bids=InterruptedInTheParent(BIG_LOG_ADS))
         assert len(forks) == 1
 
@@ -1054,7 +1067,7 @@ class TestTwoProcessTally:
                     os._exit(3)
                 return super().__contains__(ad_id)
 
-        with open_text(path, newline="") as fh:
+        with open_text(path) as fh:
             tally = tally_event_log(fh, bids=ExitsInTheChild(BIG_LOG_ADS))
             assert fh.tell() != 0  # csv.reader read the log
         assert list(tally.items()) == list(reference_tally(data, BIG_LOG_ADS).items())

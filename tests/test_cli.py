@@ -728,6 +728,31 @@ def test_a_file_that_is_not_utf8_is_one_json_error_line(tmp_path, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "bad.json"]
 
 
+@pytest.mark.parametrize("offset, split", [(5, False), (8_191, False), (8_192, False),
+                                           (30_000, False), (70_001, False), (8_300, True)])
+@pytest.mark.parametrize("command", ["map-keywords", "train"])
+def test_a_byte_not_utf8_is_named_at_its_place_in_the_file(sim_dir, tmp_path, monkeypatch,
+                                                          capsys, command, offset, split):
+    """The position named is the byte's in the file, not in the 8 KiB chunk
+    the text layer decoded it in: in the first chunk, at its last byte and
+    at the next chunk's first, past several chunks, and after a character
+    split across the first chunk boundary."""
+    monkeypatch.chdir(tmp_path)
+    data = (sim_dir / "events.csv").read_bytes()
+    if split:
+        data = data[:8_191] + "é".encode() + data[8_193:]
+    Path("bad.csv").write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+    argv = {"map-keywords": ["map-keywords", "--data", "bad.csv", "--out", "map.json"],
+            "train": ["train", "--data", "bad.csv", "--ads", str(sim_dir / "catalog.json"),
+                      "--map", sample_data.fixture_path("keyword_map_sports.json"),
+                      "--out", "model.json"]}[command]
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "bad.csv is not UTF-8 text: 'utf-8' codec can't decode "
+                                         f"byte 0xff in position {offset}: invalid start byte"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "sim"]
+
+
 @pytest.mark.parametrize("text", ["[" * 100_000, "[1" + "0" * 5_000 + "]"],
                          ids=["deep nesting", "integer over the digit limit"])
 @pytest.mark.parametrize("argv, message", [

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import json
 import select
 import selectors
@@ -951,3 +952,117 @@ def test_out_of_descriptors_the_loop_waits_instead_of_spinning(tmp_path):
         _, err = proc.communicate(timeout=30)
     assert cpu_seconds < 0.1
     assert proc.returncode == 0 and err == ""
+
+
+def refuse_accepts(monkeypatch, times):
+    """Make the next `times` calls of `accept` fail as a process out of
+    descriptors does; returns the monotonic time of each failed call."""
+    failed = []
+    accept = socket.socket.accept
+
+    def out_of_descriptors(sock):
+        if len(failed) < times:
+            failed.append(time.monotonic())
+            raise OSError(errno.EMFILE, "Too many open files")
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", out_of_descriptors)
+    return failed
+
+
+def test_an_accept_out_of_descriptors_is_retried_after_the_backoff(running_server, monkeypatch):
+    """Each accept that fails unwatches the listener for ACCEPT_RETRY_S:
+    the loop sleeps through it instead of spinning, and then accepts."""
+    srv, base = running_server
+    monkeypatch.setattr(server_module, "ACCEPT_RETRY_S", 0.3)
+    selects = []
+    select_ = srv._selector.select
+
+    def counted_select(timeout=None):
+        selects.append(timeout)
+        return select_(timeout)
+
+    monkeypatch.setattr(srv._selector, "select", counted_select)
+    failed = refuse_accepts(monkeypatch, 3)
+    assert http_get(base + "/healthz")[0] == 200
+    assert len(failed) == 3
+    assert all(b - a >= 0.3 for a, b in zip(failed, [*failed[1:], time.monotonic()]))
+    assert len(selects) < 20  # a loop that watched the listener would select thousands of times
+
+
+def test_an_accept_out_of_descriptors_is_retried_once_a_connection_closes(running_server,
+                                                                          monkeypatch):
+    """A connection that closes frees a descriptor, so the listener is
+    watched again at once, long before ACCEPT_RETRY_S ends."""
+    srv, base = running_server
+    monkeypatch.setattr(server_module, "ACCEPT_RETRY_S", 60.0)
+    address = ("127.0.0.1", int(base.rsplit(":", 1)[1]))
+    with socket.create_connection(address, timeout=5) as held:
+        held.sendall(b"GET /he")
+        wait_until(lambda: srv._deadlines)
+        failed = refuse_accepts(monkeypatch, 1)
+        with socket.create_connection(address, timeout=5) as queued:
+            queued.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            wait_until(lambda: srv._accept_resume is not None)
+            held.close()
+            closed = time.monotonic()
+            response = b""
+            while chunk := queued.recv(65536):
+                response += chunk
+    assert status_of_one_complete_response(response) == 200
+    assert len(failed) == 1 and time.monotonic() - closed < 2.0
+
+
+def test_stop_finishes_the_load_in_flight_and_its_follow_up(running_server, monkeypatch,
+                                                           tmp_path):
+    """A /reload whose load is still running when `stop` is called, and one
+    that waits for the follow-up, are both answered, and the snapshot is
+    the new catalog's."""
+    srv, base = running_server
+    load_steps = server_module.load_steps
+
+    def held_load(config, live):  # runs only once the loop is stopping
+        while not srv._stopping:
+            yield
+        yield  # a step the loop leaves to `stop`
+        yield from load_steps(config, live)
+
+    monkeypatch.setattr(server_module, "load_steps", held_load)
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(catalog_records(50, seed=5)))
+    srv.config.catalog_path = str(catalog)
+    address = ("127.0.0.1", int(base.rsplit(":", 1)[1]))
+    with socket.create_connection(address, timeout=5) as first, \
+            socket.create_connection(address, timeout=5) as second:
+        first.sendall(b"POST /reload HTTP/1.0\r\n\r\n")
+        wait_until(lambda: srv._load)
+        second.sendall(b"POST /reload HTTP/1.0\r\n\r\n")
+        wait_until(lambda: srv._queued)
+        srv.stop()
+        for sock in (first, second):
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+            assert status_of_one_complete_response(response) == 200
+    assert srv.state.ad_ids == {record["ad_id"] for record in catalog_records(50, seed=5)}
+
+
+@pytest.mark.parametrize("data, status, error", [
+    pytest.param(b"GET\r\n\r\n", 400, "a request line has a method, a target and a version",
+                 id="one word"),
+    pytest.param(b"GET /healthz x HTTP/1.0\r\n\r\n", 400,
+                 "a request line has a method, a target and a version", id="four words"),
+    pytest.param(b"POST /reload\r\n\r\n", 400, "a request line without a version must be a GET",
+                 id="two words, not a GET"),
+    pytest.param(b"GET //healthz HTTP/1.0\r\n\r\n", 200, None, id="leading double slash"),
+    pytest.param(b"GET //127.0.0.1/healthz HTTP/1.0\r\n\r\n", 404, "not found",
+                 id="a host after the double slash is a path"),
+])
+def test_request_line_rules_past_the_version(running_server, data, status, error):
+    """The word-count rules, which apply once the version is read, and the
+    `//` rule, which keeps a target from naming a host."""
+    _, base = running_server
+    response = raw_exchange(base, data)
+    assert status_of_one_complete_response(response) == status
+    if error is not None:
+        assert json.loads(response.partition(b"\r\n\r\n")[2]) == {"error": error}

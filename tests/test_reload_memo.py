@@ -151,9 +151,9 @@ def test_over_http_a_bad_model_or_map_beside_the_same_catalog_keeps_the_snapshot
 REFUSED = {
     "CRLF, a syntax error": (b'[\r\n {"ad_id": "a1",\r\n  "bid" 2}\r\n]\r\n',
                              "catalog is not valid JSON: Expecting ':' delimiter: "
-                             "line 3 column 9 (char 27)"),
+                             "line 3 column 9 (char 29)"),
     "lone CR": (b'[\r{"ad_id": "a1"\r "x": 1}]',
-                "catalog is not valid JSON: Expecting ',' delimiter: line 3 column 2 (char 18)"),
+                "catalog is not valid JSON: Expecting ',' delimiter: line 1 column 19 (char 18)"),
     "not UTF-8 after CRLF": (b'[\r\n{"ad_id": "a\xff"}]',
                              "{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
                              "in position 15: invalid start byte"),

@@ -12,7 +12,8 @@ from _oracles import (brute_force_best_by_bid, brute_force_best_by_ctr, eligible
 from conftest import make_context
 from test_snapshot_memory import catalog_records, config_for
 from ctrserve import server
-from ctrserve.catalog import AdCreative, Placement, RequestContext
+from ctrserve.catalog import (AdCreative, Placement, RequestContext, event_line, open_text,
+                              tally_event_log)
 from ctrserve.errors import ContractError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from ctrserve.keywords import resolve_page_value
@@ -574,6 +575,28 @@ class TestEventLogWriter:
         if case.startswith("unterminated"):
             assert "the last row lacks its line terminator" in str(raised.value)
         assert path.read_bytes() == content
+
+    @pytest.mark.parametrize("at", [200, 20_000])
+    def test_a_byte_not_utf8_past_the_first_line_is_not_read(self, tmp_path, at):
+        """Only the first line and the last byte of a log are read, so a log
+        with a byte that is not UTF-8 in a row is extended wherever the byte
+        is, and the readers of the log refuse it, naming the byte's place."""
+        path = tmp_path / "events.csv"
+        valid = self.written_log(path, at // 40)
+        start = valid.index(b"\n", at) + 1  # the first row that starts past `at`
+        data = valid[:start] + valid[start:].replace(b",PK,", b",P\xff,", 1)
+        bad = data.index(b"\xff")
+        assert at < bad < at + 150
+        path.write_bytes(data)
+        log = EventLogWriter(path)
+        row = log.record_event(ServingState(catalog=(make_ad("a1"),)), "a1", make_context(),
+                               clicked=True, timestamp=99)
+        log.close()
+        assert path.read_bytes() == data + event_line(row).encode()
+        with pytest.raises(ParseError) as raised, open_text(path) as fh:
+            tally_event_log(fh)
+        assert str(raised.value) == (f"{path} is not UTF-8 text: 'utf-8' codec can't decode "
+                                     f"byte 0xff in position {bad}: invalid start byte")
 
     @pytest.mark.parametrize("n_rows", [None, 0, 2])  # an empty file, a header-only log, 2 rows
     def test_existing_log_is_extended_and_reads_back(self, tmp_path, n_rows):
