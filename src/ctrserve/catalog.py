@@ -183,13 +183,13 @@ def parse_json(stream, error: type, what: str):
 @contextmanager
 def open_text(path):
     """The file at `path`, open for reading as UTF-8 text, its line ends as
-    written. Bytes that are not UTF-8 raise ParseError naming the path and
-    their place in the file, wherever in it they are read."""
+    written, or a StringIO of its whole text if it cannot seek (a pipe). Bytes
+    that are not UTF-8 raise ParseError naming the path and their place in it."""
     with open(path, encoding="utf-8", newline="") as fh:
         try:
-            yield fh
+            yield fh if fh.seekable() else io.StringIO(fh.read(), newline="")
         except UnicodeDecodeError as exc:  # `exc.object` ends where the file was last read
-            offset = fh.buffer.tell() - len(exc.object) if fh.seekable() else 0  # a pipe cannot tell
+            offset = fh.buffer.tell() - len(exc.object) if fh.seekable() else 0  # read whole
             raise _not_utf8(path, exc, offset) from exc
 
 
@@ -358,37 +358,6 @@ def _check_key(i: int, key: tuple, bids) -> None:
         raise ValidationError(f"event row {i}: ad_id {ad_id!r} not in catalog")
 
 
-def _tally_rows(rows, tally: dict, bids) -> None:
-    """Check each row of `rows`, numbered from 1, and count it into `tally`
-    (see `tally_event_log`)."""
-    get = tally.get
-    fields = len(EVENT_LOG_HEADER)
-    i = 0  # i + 1 is the row being read
-    try:
-        for i, row in enumerate(rows, start=1):
-            if len(row) != fields:
-                if not row:
-                    continue
-                raise ParseError(f"event row {i}: expected {fields} fields, got {len(row)}")
-            (ts, ad_id, placement, size, category, keywords,
-             _, _, _, _, _, clicked) = row
-            try:
-                timestamp = int(ts)
-            except ValueError as exc:
-                raise ValidationError(f"event row {i}: unparseable timestamp {ts!r}") from exc
-            key = (ad_id, placement, size, category, keywords, clicked)
-            counts = get(key)
-            if counts is None:
-                _check_key(i, key, bids)
-                tally[key] = [1, i]
-            else:
-                counts[0] += 1
-            if timestamp <= 0:
-                raise ValidationError(f"event row {i}: timestamp must be > 0, got {ts!r}")
-    except csv.Error as exc:  # such as a field over the csv module's size limit
-        raise ParseError(f"event row {i + 1}: {exc}") from exc
-
-
 # About the size where two processes start to beat one: a smaller log is read in one.
 SPLIT_MIN_BYTES = 1 << 20
 _CHUNK_BYTES = 1 << 16
@@ -398,32 +367,13 @@ class _NotPlain(Exception):
     """A half of the log that `_tally_half` cannot read as `csv.reader` would."""
 
 
-def _plain_lines(chunk: bytes, field_limit: int) -> list[str]:
-    """The lines of a chunk of whole lines, if it is plain: no quote, line
-    ends all "\\n" or all "\\r\\n", UTF-8, and no line over the csv module's
-    field size limit. Such lines split on "," into the fields `csv.reader`
-    reads. Any other chunk raises _NotPlain."""
-    if b'"' in chunk:
-        raise _NotPlain
-    try:
-        text = chunk.decode("utf-8")
-    except UnicodeDecodeError:
-        raise _NotPlain from None
-    crlf = "\r" in text
-    lines = text.split("\r\n" if crlf else "\n")
-    if crlf and ("\r" in (rest := "".join(lines)) or "\n" in rest):  # a lone "\r" or "\n"
-        raise _NotPlain
-    if not lines[-1]:
-        lines.pop()  # the chunk ends with a line break
-    if field_limit < _CHUNK_BYTES and max(map(len, lines), default=0) > field_limit:
-        raise _NotPlain
-    return lines
-
-
 def _plain_chunks(fd: int, start: int, end: int):
     """The lines of the bytes [start, end) of the file `fd`, which start a
-    line, read in chunks of whole lines that `_plain_lines` accepts; a chunk
-    it refuses, or a line of `_CHUNK_BYTES` or more, raises _NotPlain."""
+    line, read in chunks of whole lines. Each chunk must be plain: no quote,
+    line ends all "\\n" or all "\\r\\n", UTF-8, and no line over the csv
+    module's field size limit. Such lines split on "," into the fields
+    `csv.reader` reads. Any other chunk, or a line of `_CHUNK_BYTES` or
+    more, raises _NotPlain."""
     field_limit = csv.field_size_limit()
     while start < end:
         chunk = os.pread(fd, min(_CHUNK_BYTES, end - start), start)
@@ -433,7 +383,21 @@ def _plain_chunks(fd: int, start: int, end: int):
                 raise _NotPlain
             chunk = chunk[:cut]
         start += len(chunk)
-        yield _plain_lines(chunk, field_limit)
+        if b'"' in chunk:
+            raise _NotPlain
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _NotPlain from None
+        crlf = "\r" in text
+        lines = text.split("\r\n" if crlf else "\n")
+        if crlf and ("\r" in (rest := "".join(lines)) or "\n" in rest):  # a lone "\r" or "\n"
+            raise _NotPlain
+        if not lines[-1]:
+            lines.pop()  # the chunk ends with a line break
+        if field_limit < _CHUNK_BYTES and max(map(len, lines), default=0) > field_limit:
+            raise _NotPlain
+        yield lines
 
 
 def _tally_half(fd: int, start: int, end: int, bids):
@@ -470,19 +434,20 @@ def _tally_half(fd: int, start: int, end: int, bids):
     return tally, i
 
 
-def _quoted(fd: int, size: int) -> bool:
-    """Whether the first `size` bytes of the file `fd` hold a '"'. A log
-    written by csv.writer has one wherever a field holds a comma, a quote or
-    a line break (a browser "... (KHTML, like Gecko)", a city "Washington,
-    D.C."), and a half would refuse it only after reading up to it."""
-    return any(b'"' in os.pread(fd, _CHUNK_BYTES, at) for at in range(0, size, _CHUNK_BYTES))
+def _tally_in_two_processes(stream, bids) -> Optional[dict]:
+    """The tally of the log `stream`, its second half read by a forked
+    child, or None if either half refuses anything or the log is not one to
+    split: a UTF-8 text file at its start, of at least SPLIT_MIN_BYTES and
+    without a '"', in a process of one thread that may run on two CPUs and
+    can fork. A log written by csv.writer has a quote wherever a field holds
+    a comma, a quote or a line break (a browser "... (KHTML, like Gecko)", a
+    city "Washington, D.C."), and a half would refuse it only after reading
+    up to it, so the file is scanned for one first. The child sends its
+    tally over a pipe, read whole; the parent merges it into its own: counts
+    of a key both saw add up, keys only the child saw follow in the child's
+    order, their first rows numbered after the parent's rows."""
+    import signal  # `import ctrserve.cli` does not load it otherwise
 
-
-def _splittable(stream) -> Optional[tuple[int, int]]:
-    """The file descriptor and size of `stream` if it is a UTF-8 text file
-    at its start, of at least SPLIT_MIN_BYTES and without a quote, in a
-    process of one thread that may run on two CPUs and can fork; otherwise
-    None."""
     try:
         fd = stream.fileno()
         st = os.fstat(fd)
@@ -490,22 +455,14 @@ def _splittable(stream) -> Optional[tuple[int, int]]:
         at_start = stream.tell() == 0
     except (AttributeError, LookupError, OSError, ValueError):
         return None
-    if (at_start and encoding == "utf-8" and stat.S_ISREG(st.st_mode)
-            and st.st_size >= SPLIT_MIN_BYTES and hasattr(os, "fork")
+    size = st.st_size
+    if not (at_start and encoding == "utf-8" and stat.S_ISREG(st.st_mode)
+            and size >= SPLIT_MIN_BYTES and hasattr(os, "fork")
             and threading.active_count() == 1 and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and not _quoted(fd, st.st_size)):
-        return fd, st.st_size
-    return None
-
-
-def _tally_in_two_processes(fd: int, size: int, bids) -> Optional[dict]:
-    """The tally of the log in file `fd`, its second half read by a forked
-    child, or None if either half refuses anything. The child sends its
-    tally over a pipe, read whole; the parent merges it into its own: counts of a
-    key both saw add up, keys only the child saw follow in the child's
-    order, their first rows numbered after the parent's rows."""
-    import signal  # `import ctrserve.cli` does not load it otherwise
-
+            and len(os.sched_getaffinity(0)) >= 2
+            and not any(b'"' in os.pread(fd, _CHUNK_BYTES, at)
+                        for at in range(0, size, _CHUNK_BYTES))):
+        return None
     middle = size // 2
     cut = os.pread(fd, _CHUNK_BYTES, middle).find(b"\n") + 1  # the first line break past it
     if not cut:
@@ -574,19 +531,45 @@ def tally_event_log(stream, bids: Optional[Mapping[str, float]] = None) -> dict[
 
     A UTF-8 text file of at least SPLIT_MIN_BYTES, with no '"', is read in
     two processes (`_tally_in_two_processes`), each cutting a plain line
-    (`_plain_lines`) only where a tallied field ends (`_tally_half`). If
+    (`_plain_chunks`) only where a tallied field ends (`_tally_half`). If
     either half refuses anything, the log is read again from the start by
     `csv.reader`, so the tally, or the error and its message, is always the
     one `csv.reader` gives."""
     if isinstance(stream, (str, bytes)):
         stream = io.StringIO(as_text(stream))
-    split = _splittable(stream)
-    tally = None if split is None else _tally_in_two_processes(*split, bids)
-    if tally is None:
-        tally = {}
-        rows = csv.reader(stream)
-        if _header(rows):
-            _tally_rows(rows, tally, bids)
+    tally = _tally_in_two_processes(stream, bids)
+    if tally is not None:
+        return tally
+    tally = {}
+    rows = csv.reader(stream)
+    if not _header(rows):
+        return tally
+    get = tally.get
+    fields = len(EVENT_LOG_HEADER)
+    i = 0  # i + 1 is the row being read
+    try:
+        for i, row in enumerate(rows, start=1):
+            if len(row) != fields:
+                if not row:
+                    continue
+                raise ParseError(f"event row {i}: expected {fields} fields, got {len(row)}")
+            (ts, ad_id, placement, size, category, keywords,
+             _, _, _, _, _, clicked) = row
+            try:
+                timestamp = int(ts)
+            except ValueError as exc:
+                raise ValidationError(f"event row {i}: unparseable timestamp {ts!r}") from exc
+            key = (ad_id, placement, size, category, keywords, clicked)
+            counts = get(key)
+            if counts is None:
+                _check_key(i, key, bids)
+                tally[key] = [1, i]
+            else:
+                counts[0] += 1
+            if timestamp <= 0:
+                raise ValidationError(f"event row {i}: timestamp must be > 0, got {ts!r}")
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise ParseError(f"event row {i + 1}: {exc}") from exc
     return tally
 
 

@@ -198,6 +198,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    import signal
+
     from . import server
 
     if args.mode == server.MODE_CTR:  # else every request that names no mode is refused
@@ -208,8 +210,12 @@ def cmd_serve(args) -> int:
     srv = server.AdServer(config)
     try:
         port = srv.start()
-        print(f"serving on port {port} (mode {config.default_mode})", flush=True)
-        threading.Event().wait()  # until Ctrl-C; the server runs on its own thread
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)  # SIGTERM as Ctrl-C
+        try:
+            print(f"serving on port {port} (mode {config.default_mode})", flush=True)
+            threading.Event().wait()  # until interrupted; the server runs on its own thread
+        finally:
+            signal.signal(signal.SIGTERM, previous)
     except KeyboardInterrupt:
         pass
     finally:

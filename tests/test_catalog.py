@@ -840,6 +840,10 @@ def mixed_endings(records, first, second):
 LOG_EDITS = {
     "quote in the second half": ("one process", edit_late_line(
         "\n", lambda f: [*f[:5], b'"' + f[5] + b'"', *f[6:]])),
+    # One record on two lines of two quotes each, `...,a"b,"c` and `d",g"h,...`:
+    # read line by line, they would be rows of nine and four fields.
+    "record over two lines of two quotes each": ("one process", edit_late_line(
+        "\n", lambda f: [*f[:7], b'a"b', b'"c\nd"', b'g"h', *f[10:]])),
     "lone carriage return in an LF log": ("refused", edit_late_line(
         "\n", lambda f: [*f[:9], b"10\r0", *f[10:]])),
     "lone carriage return in a CRLF log": ("refused", edit_late_line(
@@ -880,7 +884,7 @@ def read_by_csv_reader(path, bids):
         return fh.buffer.tell() != 0
 
 
-# Rows `_plain_lines` refuses and csv.reader may read: the csv field size
+# Rows `_plain_chunks` refuses and csv.reader may read: the csv field size
 # limit each is read under, and the edit of the row's fields.
 PLAIN_CHUNK_REFUSALS = {
     "line over a lowered field limit": (200, lambda f: [*f[:7], b"c" * 150, b"a" * 150, *f[9:]]),

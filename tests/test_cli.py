@@ -8,6 +8,7 @@ import socket
 import subprocess
 import sys
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -607,6 +608,57 @@ def test_offline_commands_build_no_event_objects(sim_dir, tmp_path, monkeypatch)
                  "--ads", str(sim_dir / "catalog.json"), "--map", str(map_path),
                  "--method", "normal", "--out", str(tmp_path / "model.json")]) == 0
 
+
+@contextmanager
+def through_a_pipe(path):
+    """A name that reads the bytes of `path` through a pipe, as `<(cat path)` does."""
+    cat = subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE)
+    try:
+        yield f"/dev/fd/{cat.stdout.fileno()}"
+    finally:
+        cat.stdout.close()
+        cat.wait(timeout=30)
+
+
+@pytest.mark.parametrize("data", ["event log", "training table"])
+def test_train_reads_its_data_through_a_pipe_as_from_the_file(sim_dir, tmp_path, data):
+    """A pipe cannot seek back to the row that tells a table from a log, so
+    it is read whole first; the model has the bytes of one trained from the file."""
+    path, flags = {
+        "event log": (sim_dir / "events.csv", ["--ads", str(sim_dir / "catalog.json"),
+                                               "--map", str(sim_dir / "keyword_map.json")]),
+        "training table": (sample_data.fixture_path("training_sample.csv"), []),
+    }[data]
+    train = ["train", *flags, "--method", "normal", "--out"]
+    assert main([*train, str(tmp_path / "file.json"), "--data", str(path)]) == 0
+    with through_a_pipe(path) as piped:
+        assert main([*train, str(tmp_path / "pipe.json"), "--data", piped]) == 0
+    assert (tmp_path / "pipe.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+
+
+@pytest.mark.parametrize("data", ["validation_pairs.csv", "validation_sample.csv"])
+def test_evaluate_reads_its_data_through_a_pipe_as_from_the_file(capsys, data):
+    path = sample_data.fixture_path(data)
+    evaluate = ["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"), "--data"]
+    assert main([*evaluate, path]) == 0
+    expected = capsys.readouterr().out
+    assert expected.startswith("SE: ") and "\nR2: " in expected
+    with through_a_pipe(path) as piped:
+        assert main([*evaluate, piped]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_a_byte_not_utf8_in_a_pipe_is_named_at_its_place(sim_dir, tmp_path, capsys):
+    data = (sim_dir / "events.csv").read_bytes()
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data[:30_000] + b"\xff" + data[30_001:])
+    with through_a_pipe(bad) as piped:
+        assert main(["train", "--data", piped, "--ads", str(sim_dir / "catalog.json"),
+                     "--map", str(sim_dir / "keyword_map.json"),
+                     "--out", str(tmp_path / "model.json")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": f"{piped} is not UTF-8 text: 'utf-8' codec can't "
+                                         "decode byte 0xff in position 30000: invalid start byte"}
 
 
 def child_python(*args, **environ):

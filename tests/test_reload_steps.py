@@ -2,7 +2,9 @@
 the loop runs between its other work, and each /reload is answered by a
 load that read the files after the /reload arrived."""
 
+import csv
 import gc
+import io
 import json
 import random
 import signal
@@ -235,3 +237,67 @@ def test_the_loop_answers_requests_between_the_steps_of_every_reload(tmp_path):
                            for i, answer in answers)
     assert {expected[0][i, "ctr"] for i in range(len(queries))} != \
         {expected[1][i, "ctr"] for i in range(len(queries))}
+
+
+# A `ctrserve serve` child whose reloads, after their first step, wait for
+# `AdServer.stop()` to begin; it reports on stderr when a reload waits.
+STOP_HELD_CHILD = """
+import sys
+from ctrserve import server
+from ctrserve.cli import main
+
+stopping = []
+load_steps, stop = server.load_steps, server.AdServer.stop
+
+def held(config, live):
+    steps = load_steps(config, live)
+    yield next(steps)
+    if live is not None:  # a reload, not the start-up load
+        print("reload held", file=sys.stderr, flush=True)
+        while not stopping:
+            yield
+    yield from steps
+
+def stopped(self):
+    stopping.append(True)
+    stop(self)
+
+server.load_steps, server.AdServer.stop = held, stopped
+sys.exit(main(sys.argv[1:]))
+"""
+
+EVENT = {"ad_id": "boots-01", "clicked": True, "placement": "above_fold", "size": "300x250",
+         "category": "sports", "keywords": ["football"]}
+
+
+def test_sigterm_stops_serve_as_ctrl_c_does(tmp_path):
+    """SIGTERM during a held /reload: the load runs to its end and is
+    answered, the events answered 202 are in the log, whose last row is
+    whole, and the exit status is 0."""
+    catalog = tmp_path / "catalog.json"
+    catalog.write_bytes(Path(sample_data.fixture_path("ad_catalog_sample.json")).read_bytes())
+    log = tmp_path / "events.csv"
+    proc = child_python("-c", STOP_HELD_CHILD, "serve", "--ads", str(catalog), "--port", "0",
+                        "--out", str(log))
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("serving on port "), line + proc.stderr.read()
+        port = int(line.split()[3])
+        for _ in range(3):
+            assert exchange(port, "POST", "/event", json.dumps(EVENT).encode())[0] == 202
+        catalog.write_bytes(catalog.read_bytes() + b"\n")  # a changed catalog: the load has steps
+        reload = send_reload(port)
+        assert proc.stderr.readline() == "reload held\n"
+        proc.send_signal(signal.SIGTERM)
+        assert answer(reload) == (200, {"status": "reloaded"})
+    except BaseException:
+        proc.kill()
+        raise
+    finally:
+        _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
+    data = log.read_bytes()
+    assert data.endswith(b"\n")
+    rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    assert len(rows) == 4 and [row[1] for row in rows[1:]] == ["boots-01"] * 3
+    assert {len(row) for row in rows} == {12}
