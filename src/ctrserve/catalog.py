@@ -183,13 +183,13 @@ def parse_json(stream, error: type, what: str):
 @contextmanager
 def open_text(path):
     """The file at `path`, open for reading as UTF-8 text, its line ends as
-    written, or a StringIO of its whole text if it cannot seek (a pipe). Bytes
-    that are not UTF-8 raise ParseError naming the path and their place in it."""
+    written. Bytes that are not UTF-8 raise ParseError naming the path and
+    their place in the file; in a pipe, their place in what was last read."""
     with open(path, encoding="utf-8", newline="") as fh:
         try:
-            yield fh if fh.seekable() else io.StringIO(fh.read(), newline="")
+            yield fh
         except UnicodeDecodeError as exc:  # `exc.object` ends where the file was last read
-            offset = fh.buffer.tell() - len(exc.object) if fh.seekable() else 0  # read whole
+            offset = fh.buffer.tell() - len(exc.object) if fh.seekable() else 0  # a pipe cannot tell
             raise _not_utf8(path, exc, offset) from exc
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -81,8 +82,9 @@ def _require(args, *names) -> None:
 @contextmanager
 def _open_csv(path: str):
     """The CSV file at `path` and its first row, read by CSV rules, the file
-    left at its start."""
+    left at its start; a pipe, which cannot seek back, is first read whole."""
     with open_text(path) as fh:
+        fh = fh if fh.seekable() else io.StringIO(fh.read(), newline="")
         try:
             header = next(csv.reader(fh), [])
         except csv.Error as exc:  # such as a field over the csv module's size limit

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .catalog import JSON_NUMBER, check_field, list_of, normalize_token, parse_json
 from .errors import CtrServeError, MappingError, ParseError
@@ -88,48 +88,30 @@ def confidence(stats: CooccurrenceStats, antecedent: str, consequent: str) -> fl
     return pair / stats.support[antecedent]
 
 
-def _by_support(stats: CooccurrenceStats) -> list[str]:
-    """Every keyword, descending support, ties lex ascending."""
-    return sorted(stats.support, key=lambda kw: (-stats.support[kw], kw))
-
-
-def select_centroids(stats: CooccurrenceStats, k: int) -> list[str]:
-    """The k most frequent keywords, descending support, ties lex ascending."""
-    if k <= 0:
-        raise CtrServeError(f"centroid count must be positive, got {k}")
-    if k > len(stats.support):
-        raise CtrServeError(f"asked for {k} centroids but only "
-                            f"{len(stats.support)} distinct keywords exist")
-    return _by_support(stats)[:k]
-
-
-def assign_clusters(stats: CooccurrenceStats, centroids: Sequence[str]) -> dict[str, str]:
-    """Assign every keyword to the centroid it has the highest confidence
-    toward; ties and zero-confidence keywords go to the earliest centroid."""
-    if not centroids:
-        raise CtrServeError("centroids must be nonempty")
-    cluster_of: dict[str, str] = {c: c for c in centroids}
-    for kw in stats.support:
-        if kw not in cluster_of:  # max keeps the first of equal confidences
-            cluster_of[kw] = max(centroids, key=lambda c: confidence(stats, kw, c))
-    return cluster_of
-
-
 def _collides(value: float, used: Iterable[float]) -> bool:
     return any(abs(value - u) < _VALUE_EPS for u in used)
 
 
 def build_keyword_map(stats: CooccurrenceStats, k: int) -> KeywordMap:
-    """Build the full injective keyword -> value mapping, `values` in
-    resolution order.
-
-    Centroid of rank r gets BASE_VALUE + BASE_SPACING*r. Cluster members,
-    ordered by descending confidence (ties lex), are placed alternately
-    above/below the base at offset max(MIN_OFFSET, CLUSTER_SPREAD*(1-confidence));
-    collisions are nudged by 0.1 in the member's sign direction until free.
-    """
-    centroids = select_centroids(stats, k)
-    cluster_of = assign_clusters(stats, centroids)
+    """The injective keyword -> value mapping, `values` in resolution order:
+    descending support, ties lex ascending. The first k keywords of that
+    order are the centroids; every other keyword joins the centroid it has
+    the highest confidence toward, the earliest on a tie. Centroid of rank r
+    gets BASE_VALUE + BASE_SPACING*r. Cluster members, ordered by descending
+    confidence (ties lex), are placed alternately above/below the base at
+    offset max(MIN_OFFSET, CLUSTER_SPREAD*(1-confidence)); collisions are
+    nudged by 0.1 in the member's sign direction until free."""
+    if k <= 0:
+        raise CtrServeError(f"centroid count must be positive, got {k}")
+    if k > len(stats.support):
+        raise CtrServeError(f"asked for {k} centroids but only "
+                            f"{len(stats.support)} distinct keywords exist")
+    by_support = sorted(stats.support, key=lambda kw: (-stats.support[kw], kw))
+    centroids = by_support[:k]
+    cluster_of = {c: c for c in centroids}
+    for kw in stats.support:
+        if kw not in cluster_of:  # max keeps the first of equal confidences
+            cluster_of[kw] = max(centroids, key=lambda c: confidence(stats, kw, c))
     values = {c: BASE_VALUE + BASE_SPACING * r for r, c in enumerate(centroids)}
     nudged: set[str] = set()
     for c in centroids:
@@ -144,7 +126,7 @@ def build_keyword_map(stats: CooccurrenceStats, k: int) -> KeywordMap:
                 nudged.add(m)
             values[m] = value
     return KeywordMap(category=stats.category, centroids=tuple(centroids),
-                      values={kw: values[kw] for kw in _by_support(stats)},
+                      values={kw: values[kw] for kw in by_support},
                       cluster_of=cluster_of, nudged=frozenset(nudged))
 
 

@@ -520,7 +520,7 @@ def _parse_request(buf: bytearray):
     words = buf[:pos].decode("latin-1").split()
     _check_request_line(words)
     method, target = words[0], words[1]
-    length, lines = None, 0
+    lengths, lines = set(), 0
     while True:
         end = buf.find(b"\n", pos) + 1
         if not pos < end <= pos + MAX_LINE:
@@ -532,8 +532,8 @@ def _parse_request(buf: bytearray):
         if line in (b"\r\n", b"\n"):
             break
         name, colon, value = line.partition(b":")
-        if colon and length is None and name.lower() == b"content-length":
-            length = value.decode("latin-1")
+        if colon and name.lower() == b"content-length":
+            lengths.add(bytes(value).strip(b" \t\r\n"))  # spaces and tabs may surround a value
     if method not in ("GET", "POST"):
         raise _Refused(501, f"unsupported method {method[:20]!r}")
     if target.startswith("//"):  # as http.server: no open redirect through //host
@@ -544,9 +544,12 @@ def _parse_request(buf: bytearray):
         raise _Refused(400, f"bad request target: {exc}") from None
     if method != "POST" or path != "/event":
         return method, path, query, b""
-    try:
-        size = int(length)
-    except (TypeError, ValueError):
+    if len(lengths) > 1:
+        raise _Refused(400, "Content-Length headers differ")
+    length = lengths.pop() if lengths else b""
+    try:  # only ASCII digits: int() would also read "+14", "1_4" and "14\x0b"
+        size = int(length) if length.isdigit() else -1
+    except ValueError:  # more digits than int() converts
         size = -1
     if size < 0:
         raise _Refused(400, "Content-Length must be a non-negative integer")

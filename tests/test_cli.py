@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -659,6 +660,26 @@ def test_a_byte_not_utf8_in_a_pipe_is_named_at_its_place(sim_dir, tmp_path, caps
     [line] = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {"error": f"{piped} is not UTF-8 text: 'utf-8' codec can't "
                                          "decode byte 0xff in position 30000: invalid start byte"}
+
+
+def test_map_keywords_streams_a_pipe(sim_dir, tmp_path, monkeypatch):
+    """The tally reads a pipe as its bytes come, not a copy of its whole
+    text, and the map has the bytes of one mapped from the file."""
+    from ctrserve import cli
+
+    tally, read = cli.tally_event_log, []
+
+    def recorded(stream, **kwargs):
+        read.append((type(stream), stream.seekable()))
+        return tally(stream, **kwargs)
+
+    monkeypatch.setattr(cli, "tally_event_log", recorded)
+    path = sim_dir / "events.csv"
+    assert main(["map-keywords", "--data", str(path), "--out", str(tmp_path / "file.json")]) == 0
+    with through_a_pipe(path) as piped:
+        assert main(["map-keywords", "--data", piped, "--out", str(tmp_path / "pipe.json")]) == 0
+    assert read == [(io.TextIOWrapper, True), (io.TextIOWrapper, False)]
+    assert (tmp_path / "pipe.json").read_bytes() == (tmp_path / "file.json").read_bytes()
 
 
 def child_python(*args, **environ):

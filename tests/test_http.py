@@ -584,6 +584,49 @@ def test_status_of_each_protocol_error(running_server, monkeypatch, data, status
     assert http_get(base + "/healthz")[0] == 200
 
 
+def parsed(data):
+    """What `_parse_request` makes of the whole request `data`: its
+    (method, path, query, body), or the status and text it refuses with."""
+    parser = server_module._parse_request(bytearray(data))
+    try:
+        next(parser)
+    except StopIteration as done:
+        return done.value
+    except server_module._Refused as exc:
+        return exc.code, str(exc)
+    raise AssertionError(f"{data!r} asks for more bytes")
+
+
+NOT_A_LENGTH = (400, "Content-Length must be a non-negative integer")
+
+
+@pytest.mark.parametrize("headers, expected", [
+    pytest.param(b"Content-Length: 14\r\n", ("POST", "/event", "", b"x" * 14), id="14"),
+    pytest.param(b"Content-Length:\t 14 \t\r\n", ("POST", "/event", "", b"x" * 14),
+                 id="spaces and tabs around"),
+    pytest.param(b"Content-Length: 014\n", ("POST", "/event", "", b"x" * 14), id="leading zero"),
+    pytest.param(b"Content-Length: 14\r\ncontent-length:14\r\n",
+                 ("POST", "/event", "", b"x" * 14), id="the same value twice"),
+    pytest.param(b"Content-Length: 1_4\r\n", NOT_A_LENGTH, id="underscore"),
+    pytest.param(b"Content-Length: +14\r\n", NOT_A_LENGTH, id="sign"),
+    pytest.param(b"Content-Length: 14\x0b\r\n", NOT_A_LENGTH, id="vertical tab"),
+    pytest.param(b"Content-Length: 14, 14\r\n", NOT_A_LENGTH, id="list"),
+    pytest.param(b"Content-Length: \xd9\xa1\xd9\xa4\r\n", NOT_A_LENGTH, id="Arabic-Indic digits"),
+    pytest.param(b"Content-Length: \r\n", NOT_A_LENGTH, id="empty"),
+    pytest.param(b"Content-Length: " + b"0" * 5000 + b"14\r\n", NOT_A_LENGTH,
+                 id="more digits than int() reads"),
+    pytest.param(b"Content-Length: 14\r\nContent-Length: 3\r\n",
+                 (400, "Content-Length headers differ"), id="14 then 3"),
+    pytest.param(b"Content-Length: 3\r\nContent-Length: 14\r\n",
+                 (400, "Content-Length headers differ"), id="3 then 14"),
+])
+def test_content_length_is_ascii_digits_and_one_value(headers, expected):
+    """RFC 9110 section 8.6 and RFC 9112 section 6.3: a Content-Length is
+    1*DIGIT with optional spaces or tabs around it, and a repeat must carry
+    the same value; any other makes the framing unknown, so it is refused."""
+    assert parsed(b"POST /event HTTP/1.0\r\n" + headers + b"\r\n" + b"x" * 20) == expected
+
+
 def test_stalled_clients_delay_neither_requests_nor_a_reload(tmp_path, monkeypatch):
     """One loop serves every connection, so stalled clients must not hold
     it, and a reload of a 10,000-ad catalog runs on it in short steps."""

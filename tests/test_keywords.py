@@ -9,10 +9,8 @@ from _oracles import brute_force_cooccurrences, per_transaction_cooccurrences
 from conftest import unresolvable_map, weighted
 from ctrserve import sample_data
 from ctrserve.errors import CtrServeError, MappingError, ParseError
-from ctrserve.keywords import (assign_clusters, build_keyword_map,
-                               confidence, count_cooccurrences, load_keyword_map,
-                               resolve_page_value, save_keyword_map,
-                               select_centroids)
+from ctrserve.keywords import (build_keyword_map, confidence, count_cooccurrences,
+                               load_keyword_map, resolve_page_value, save_keyword_map)
 from ctrserve.simulate import PLANTED_CLUSTERS, planted_keyword_map
 
 FOOTBALL_TXNS = [{"football", "soccer"}, {"football", "ronaldo"}, {"football"}]
@@ -108,6 +106,8 @@ class TestConfidence:
 
 
 class TestSelectCentroids:
+    """`build_keyword_map` takes the k keywords of most support as centroids."""
+
     def test_most_common_win(self):
         txns = (
             [{"football", "ronaldo"}] * 3 + [{"football"}] * 3
@@ -115,55 +115,59 @@ class TestSelectCentroids:
             + [{"tennis"}] * 3 + [{"nadal", "tennis"}]
         )
         stats = count_cooccurrences(weighted(txns), "sports")
-        assert select_centroids(stats, 3) == ["football", "cricket", "tennis"]
+        assert build_keyword_map(stats, 3).centroids == ("football", "cricket", "tennis")
 
     def test_tie_breaks_lexicographically(self):
         stats = count_cooccurrences(weighted([{"a"}, {"b"}, {"a"}, {"b"}, {"b", "a"}]), "x")
-        assert select_centroids(stats, 1) == ["a"]
+        assert build_keyword_map(stats, 1).centroids == ("a",)
 
     def test_k_zero(self):
         stats = count_cooccurrences(weighted([{"a"}]), "x")
-        with pytest.raises(CtrServeError):
-            select_centroids(stats, 0)
+        with pytest.raises(CtrServeError, match=r"^centroid count must be positive, got 0$"):
+            build_keyword_map(stats, 0)
 
     def test_k_exceeds_vocabulary(self):
         stats = count_cooccurrences(weighted([{"a"}]), "x")
-        with pytest.raises(CtrServeError):
-            select_centroids(stats, 2)
+        with pytest.raises(CtrServeError,
+                           match=r"^asked for 2 centroids but only 1 distinct keywords exist$"):
+            build_keyword_map(stats, 2)
 
 
 class TestAssignClusters:
+    """`build_keyword_map` puts every other keyword in the cluster of the
+    centroid it has the highest confidence toward, the earliest on a tie."""
+
     def test_neutral_tie_goes_to_earliest_centroid(self):
-        # england co-occurs equally with football and cricket
+        # england co-occurs equally with football and cricket, and has less
+        # support than tennis, so it is not a centroid
         txns = (
-            [{"football"}] * 10 + [{"cricket"}] * 8 + [{"tennis"}] * 6
+            [{"football"}] * 10 + [{"cricket"}] * 8 + [{"tennis"}] * 7
             + [{"england", "football"}] * 3 + [{"england", "cricket"}] * 3
         )
-        stats = count_cooccurrences(weighted(txns), "sports")
-        cluster_of = assign_clusters(stats, ["football", "cricket", "tennis"])
-        assert cluster_of["england"] == "football"
+        kmap = build_keyword_map(count_cooccurrences(weighted(txns), "sports"), 3)
+        assert kmap.centroids == ("football", "cricket", "tennis")
+        assert kmap.cluster_of["england"] == "football"
 
     def test_argmax(self):
-        txns = [{"ronaldo", "football"}] * 9 + [{"ronaldo"}] * 1 + [{"cricket"}] * 12
-        stats = count_cooccurrences(weighted(txns), "sports")
-        cluster_of = assign_clusters(stats, ["football", "cricket"])
-        assert cluster_of["ronaldo"] == "football"
+        # cricket is the earliest centroid, but ronaldo goes with football
+        txns = ([{"ronaldo", "football"}] * 9 + [{"ronaldo"}] * 1 + [{"football"}] * 2
+                + [{"cricket"}] * 12)
+        kmap = build_keyword_map(count_cooccurrences(weighted(txns), "sports"), 2)
+        assert kmap.centroids == ("cricket", "football")
+        assert kmap.cluster_of["ronaldo"] == "football"
 
-    def test_zero_confidence_is_flagged(self):
-        txns = [{"football"}] * 5 + [{"knitting"}]
-        stats = count_cooccurrences(weighted(txns), "sports")
-        cluster_of = assign_clusters(stats, ["football"])
-        assert cluster_of["knitting"] == "football"
+    def test_zero_confidence_goes_to_earliest_centroid(self):
+        txns = [{"football"}] * 5 + [{"cricket"}] * 3 + [{"knitting"}]
+        kmap = build_keyword_map(count_cooccurrences(weighted(txns), "sports"), 2)
+        assert kmap.centroids == ("football", "cricket")
+        assert kmap.cluster_of["knitting"] == "football"
 
     def test_centroids_self_assigned(self):
-        stats = count_cooccurrences(weighted(FOOTBALL_TXNS), "sports")
-        cluster_of = assign_clusters(stats, ["football"])
-        assert cluster_of["football"] == "football"
-
-    def test_no_centroids(self):
-        stats = count_cooccurrences(weighted(FOOTBALL_TXNS), "sports")
-        with pytest.raises(CtrServeError, match="centroids must be nonempty"):
-            assign_clusters(stats, [])
+        txns = FOOTBALL_TXNS + [{"cricket"}] * 2
+        kmap = build_keyword_map(count_cooccurrences(weighted(txns), "sports"), 2)
+        assert kmap.centroids == ("football", "cricket")
+        assert {c: kmap.cluster_of[c] for c in kmap.centroids} == {"football": "football",
+                                                                  "cricket": "cricket"}
 
 
 def engineered_stats():

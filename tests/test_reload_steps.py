@@ -28,13 +28,15 @@ RELOAD = b"POST /reload HTTP/1.0\r\nContent-Length: 0\r\n\r\n"
 
 def held_loads(monkeypatch, release):
     """Make each load take its first step, which reads the files, and then
-    wait until `release()` is true. Returns the snapshot each load made."""
-    made = []
+    wait until `release()` is true. Returns the first step each load took
+    and the snapshot each load made."""
+    started, made = [], []
     load_steps = server_module.load_steps
 
     def held(config, live):
         steps = load_steps(config, live)
-        yield next(steps)  # a changed catalog yields "read" after its read and its digest
+        started.append(next(steps))  # a changed catalog yields "read" after its read and its digest
+        yield started[-1]
         while not release():
             yield
         for step in steps:
@@ -43,7 +45,7 @@ def held_loads(monkeypatch, release):
             yield step
 
     monkeypatch.setattr(server_module, "load_steps", held)
-    return made
+    return started, made
 
 
 def send_reload(port):
@@ -70,12 +72,12 @@ def test_a_reload_during_a_load_is_answered_by_a_load_that_reads_the_files_after
         tmp_path, monkeypatch):
     srv = AdServer(config_for(tmp_path, catalog_records(600, seed=2)))
     release = threading.Event()
-    made = held_loads(monkeypatch, release.is_set)
+    started, made = held_loads(monkeypatch, release.is_set)
     port = srv.start()
     try:
         write_catalog(srv.config, 700)
         first = send_reload(port)
-        wait_until(lambda: srv._load)  # it has read the 700-ad catalog
+        wait_until(lambda: started)  # it has read the 700-ad catalog
         write_catalog(srv.config, 800)
         second = send_reload(port)
         wait_until(lambda: srv._queued)
@@ -91,12 +93,12 @@ def test_a_reload_during_a_load_is_answered_by_a_load_that_reads_the_files_after
 def test_a_burst_of_reloads_during_one_load_runs_one_follow_up_load(tmp_path, monkeypatch):
     srv = AdServer(config_for(tmp_path, catalog_records(600, seed=2)))
     release = threading.Event()
-    made = held_loads(monkeypatch, release.is_set)
+    started, made = held_loads(monkeypatch, release.is_set)
     port = srv.start()
     try:
         write_catalog(srv.config, 700)
         first = send_reload(port)
-        wait_until(lambda: srv._load)
+        wait_until(lambda: started)
         write_catalog(srv.config, 800)
         burst = [send_reload(port) for _ in range(10)]
         wait_until(lambda: len(srv._queued) == 10)
@@ -110,11 +112,11 @@ def test_a_burst_of_reloads_during_one_load_runs_one_follow_up_load(tmp_path, mo
 
 def test_stop_during_a_load_runs_it_and_its_follow_up_and_answers_both(tmp_path, monkeypatch):
     srv = AdServer(config_for(tmp_path, catalog_records(600, seed=2)))
-    made = held_loads(monkeypatch, lambda: srv._stopping)  # each load waits for stop()
+    started, made = held_loads(monkeypatch, lambda: srv._stopping)  # each load waits for stop()
     port = srv.start()
     write_catalog(srv.config, 700)
     first = send_reload(port)
-    wait_until(lambda: srv._load)
+    wait_until(lambda: started)
     write_catalog(srv.config, 800)
     second = send_reload(port)
     wait_until(lambda: srv._queued)
