@@ -214,10 +214,7 @@ _CATALOG_TEXT = ("ad_id", "campaign_id", "category", "size", "landing_page")
 
 def catalog_records(stream) -> list:
     """The decoded JSON array of a catalog; its text is dropped on return."""
-    text = as_text(stream)
-    if not text.strip():
-        return []
-    records = parse_json(text, ParseError, "catalog is not valid JSON")
+    records = parse_json(stream, ParseError, "catalog is not valid JSON")
     if not isinstance(records, list):
         raise ParseError("catalog must be a JSON array of objects")
     return records

@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ads", required=True, help="ad catalog JSON file")
     p.add_argument("--model", help="model JSON file (for ctr mode)")
     p.add_argument("--map", help="keyword map JSON file (for ctr mode)")
-    p.add_argument("--out", help="event log CSV to append to (default events.csv)")
+    p.add_argument("--out", default="events.csv",
+                   help="event log CSV to append to (default %(default)s)")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--mode", choices=["bid", "ctr"], default="bid")
 

@@ -38,7 +38,7 @@ def summarize(y: Sequence[float], y_pred: Sequence[float]) -> EvaluationReport:
         raise ContractError(f"series lengths differ: {len(y)} vs {len(y_pred)}")
     n = len(y)
     if n == 0:
-        raise ContractError("series must be nonempty")
+        raise ContractError("validation set must be nonempty")
     try:
         sse = sum((yi - pi) ** 2 for yi, pi in zip(y, y_pred))
         ym = sum(y) / n
@@ -52,8 +52,6 @@ def summarize(y: Sequence[float], y_pred: Sequence[float]) -> EvaluationReport:
 
 def evaluate(model: RegressionModel, validation: Sequence[TrainingRow]) -> EvaluationReport:
     """The residual report of the model's predictions for every validation row."""
-    if not validation:
-        raise ContractError("validation set must be nonempty")
     return summarize([row.ctr for row in validation],
                      [predict(model, (row.placement_code, row.size_code, row.bid,
                                       row.keyword_value)) for row in validation])

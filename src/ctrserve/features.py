@@ -76,8 +76,6 @@ def build_design_matrix(rows: Sequence[TrainingRow]) -> DesignMatrix:
     FEATURE_NAMES order; y = ctr."""
     import numpy as np
 
-    if not rows:
-        raise CtrServeError("cannot build a design matrix from zero rows")
     X = np.array(
         [[1.0, r.placement_code, r.size_code, r.bid, r.keyword_value] for r in rows],
         dtype=float,

@@ -289,7 +289,7 @@ class ServerConfig:
     catalog_path: str
     model_path: Optional[str] = None
     map_path: Optional[str] = None
-    event_log_path: Optional[str] = None
+    event_log_path: str = "events.csv"
     port: int = 8080
     default_mode: str = MODE_BID
 
@@ -591,8 +591,7 @@ class AdServer:
     def __init__(self, config: ServerConfig):
         self.config = config
         self.state = load_state(config)
-        log_path = config.event_log_path or "events.csv"
-        self.event_log = EventLogWriter(log_path)
+        self.event_log = EventLogWriter(config.event_log_path)
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> int:

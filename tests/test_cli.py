@@ -330,6 +330,18 @@ def test_evaluate_refuses_a_constant_observed_series(tmp_path, capsys, text):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("text", ["placement,size,bid,keyword_value,ctr\n", "y,y_pred\n"],
+                         ids=["training table", "pairs table"])
+def test_evaluate_refuses_an_empty_table_with_one_message(tmp_path, capsys, text):
+    data = tmp_path / "table.csv"
+    data.write_text(text)
+    assert main(["evaluate", "--model", sample_data.fixture_path("model_normal_eq.json"),
+                 "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert captured.out == "" and json.loads(line) == {"error": "validation set must be nonempty"}
+
+
 def test_evaluate_pairs_replay(tmp_path, capsys):
     reports = {}
     for data in ("validation_pairs.csv", "validation_sample.csv"):
@@ -949,6 +961,43 @@ def test_serve_in_ctr_mode_needs_a_model_and_a_map(tmp_path, capsys, files):
     missing = "--map" if files and files[0] == "--model" else "--model"
     assert json.loads(line) == {"error": f"missing required flag {missing}"}
     assert not (tmp_path / "events.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["", " \n\t"], ids=["empty", "blank"])
+def test_serve_refuses_an_empty_catalog(tmp_path, monkeypatch, capsys, text):
+    """A catalog file is one JSON array, so an empty or blank one is refused
+    before the event log is made or a socket bound."""
+    monkeypatch.chdir(tmp_path)
+    Path("catalog.json").write_text(text)
+    with socket.socket() as taken:  # a server that loaded the catalog could not bind
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        rc = main(["serve", "--ads", "catalog.json", "--port", str(taken.getsockname()[1])])
+    assert rc == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert captured.out == ""
+    assert json.loads(line)["error"].startswith("catalog is not valid JSON: ")
+    assert sorted(os.listdir()) == ["catalog.json"]
+
+
+def test_serve_without_out_appends_to_events_csv(tmp_path, monkeypatch, capsys):
+    # a port out of range, so that the server opens its log and then stops
+    monkeypatch.chdir(tmp_path)
+    assert main(["serve", "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
+                 "--port", "70000"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert "0-65535" in json.loads(line)["error"]
+    assert Path("events.csv").read_text().splitlines() == [",".join(EVENT_LOG_HEADER)]
+
+
+def test_serve_with_an_empty_out_is_one_json_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["serve", "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
+                 "--out", "", "--port", "70000"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert "Is a directory" in json.loads(line)["error"]
+    assert os.listdir() == []
 
 
 @pytest.mark.parametrize("content", [

@@ -520,6 +520,25 @@ def test_reload_of_json_the_parser_refuses_is_500_and_keeps_snapshot(running_ser
     assert srv.state is snapshot and served_ctr(base) == before
 
 
+@pytest.mark.parametrize("text", ["", " \n\t"], ids=["empty", "blank"])
+def test_reload_of_an_emptied_catalog_is_500_and_keeps_snapshot(running_server, tmp_path, text):
+    """A reload that reads the catalog between its truncate and its write is
+    refused: a catalog file is one JSON array, and the live snapshot serves on."""
+    srv, base = running_server
+    path = tmp_path / "catalog.json"
+    path.write_bytes(Path(srv.config.catalog_path).read_bytes())
+    ad_ids = {record["ad_id"] for record in json.loads(path.read_text())}
+    srv.config.catalog_path = str(path)
+    assert http_post(base + "/reload")[0] == 200
+    snapshot = srv.state
+    path.write_text(text)  # the truncate, then a write of nothing or of blanks
+    status, body = http_post(base + "/reload")
+    assert status == 500 and json.loads(body)["error"].startswith("catalog is not valid JSON: ")
+    assert srv.state is snapshot and snapshot.ad_ids == ad_ids
+    status, body = http_get(base + AD_QUERY + "bid")
+    assert status == 200 and json.loads(body)["ad_id"] in ad_ids
+
+
 def raw_exchange(base, data, timeout=5):
     """Send `data` on a fresh connection and read until the server closes it."""
     host, port = base.removeprefix("http://").split(":")

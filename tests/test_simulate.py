@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ctrserve.catalog import parse_ad_catalog, tally_event_log
+from ctrserve.catalog import Placement, parse_ad_catalog, tally_event_log
 from ctrserve.errors import CtrServeError
-from ctrserve.features import aggregate_events, build_design_matrix
+from ctrserve.features import (DEFAULT_SIZE_REGISTRY, aggregate_events, build_design_matrix,
+                               encode_placement, encode_size)
 from ctrserve.keywords import load_keyword_map
 from ctrserve.regression import NORMAL_EQUATION, TrainingConfig, train
-from ctrserve.simulate import TRUE_THETA, SimulationConfig, planted_keyword_map, run_simulation
+from ctrserve.simulate import (BIDS, TRUE_THETA, SimulationConfig, planted_keyword_map,
+                               run_simulation)
 
 
 def test_same_seed_byte_identical():
@@ -31,6 +35,19 @@ def test_zero_events_header_only():
 def test_invalid_parameters():
     with pytest.raises(CtrServeError):
         SimulationConfig(seed=1, n_events=-1)
+
+
+def test_every_planted_click_probability_lies_inside_0_1():
+    """A click is a Bernoulli draw, so the planted linear model must give a
+    probability strictly inside (0, 1) for every feature value the simulator
+    can draw: each placement, size, bid and planted keyword value."""
+    probabilities = [
+        sum(t * xi for t, xi in zip(TRUE_THETA, (1.0, float(placement), float(size), bid, value)))
+        for placement, size, bid, value in itertools.product(
+            {encode_placement(p) for p in Placement},
+            [encode_size(label) for label in DEFAULT_SIZE_REGISTRY], BIDS,
+            planted_keyword_map().values.values())]
+    assert all(0.0 < p < 1.0 for p in probabilities)
 
 
 def test_planted_map_is_injective():
