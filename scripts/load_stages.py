@@ -7,7 +7,7 @@ beside the live snapshot it replaces, and the catalog's bytes alternate
 between two versions (one more trailing newline or not), so that every
 load parses it. Of the fastest of --repeats such loads: `<stage>_ms` is the
 time of the steps that yielded that stage's name (for example `read_ms`, the
-catalog's read and its SHA-256), `build_ms` that of the last step, which
+catalog's read and its digest), `build_ms` that of the last step, which
 builds the snapshot with the model and the map, `load_ms` that of the whole
 load (the sum of those) and `steps` its number of steps. `max_step_ms` is
 the median, over the --repeats loads, of the longest step of each.

@@ -141,12 +141,15 @@ def keyword_set(tokens: list) -> frozenset[str]:
     raise ValueError(f"keywords must be a list of strings, got {tokens!r}")
 
 
-def _not_utf8(source, exc: UnicodeDecodeError, offset: int = 0) -> ParseError:
+def _not_utf8(source, exc: UnicodeDecodeError, offset: Optional[int] = 0) -> ParseError:
     """ParseError naming `source`, in the text of `exc` with its positions
-    moved on by `offset`, to the place in the file of the bytes it decoded."""
-    start, end = exc.start + offset, exc.end + offset
-    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end - start == 1
-             else f"bytes in position {start}-{end - 1}")
+    moved on by `offset`, to the place in the file of the bytes it decoded;
+    with no position if that place is not known (`offset` None)."""
+    one = exc.end - exc.start == 1
+    where = f"byte 0x{exc.object[exc.start]:02x}" if one else "bytes"
+    if offset is not None:
+        start = exc.start + offset
+        where += f" in position {start}" + ("" if one else f"-{exc.end + offset - 1}")
     return ParseError(f"{source} is not UTF-8 text: '{exc.encoding}' codec can't decode "
                       f"{where}: {exc.reason}")
 
@@ -184,12 +187,13 @@ def parse_json(stream, error: type, what: str):
 def open_text(path):
     """The file at `path`, open for reading as UTF-8 text, its line ends as
     written. Bytes that are not UTF-8 raise ParseError naming the path and
-    their place in the file; in a pipe, their place in what was last read."""
+    their place in the file, or no place in a file that cannot seek (a pipe),
+    which cannot tell how much of it was read."""
     with open(path, encoding="utf-8", newline="") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:  # `exc.object` ends where the file was last read
-            offset = fh.buffer.tell() - len(exc.object) if fh.seekable() else 0  # a pipe cannot tell
+            offset = fh.buffer.tell() - len(exc.object) if fh.seekable() else None
             raise _not_utf8(path, exc, offset) from exc
 
 
@@ -355,9 +359,17 @@ def _check_key(i: int, key: tuple, bids) -> None:
         raise ValidationError(f"event row {i}: ad_id {ad_id!r} not in catalog")
 
 
-# About the size where two processes start to beat one: a smaller log is read in one.
+# About the size where two processes start to beat one: a smaller log is read in one,
+# and a smaller catalog hashed on one thread.
 SPLIT_MIN_BYTES = 1 << 20
 _CHUNK_BYTES = 1 << 16
+
+
+def worth_splitting(size: int) -> bool:
+    """Whether `size` bytes are worth reading on two CPUs: at least
+    SPLIT_MIN_BYTES, in a process that may run on two."""
+    return (size >= SPLIT_MIN_BYTES and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
 
 
 class _NotPlain(Exception):
@@ -454,9 +466,7 @@ def _tally_in_two_processes(stream, bids) -> Optional[dict]:
         return None
     size = st.st_size
     if not (at_start and encoding == "utf-8" and stat.S_ISREG(st.st_mode)
-            and size >= SPLIT_MIN_BYTES and hasattr(os, "fork")
-            and threading.active_count() == 1 and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
+            and worth_splitting(size) and hasattr(os, "fork") and threading.active_count() == 1
             and not any(b'"' in os.pread(fd, _CHUNK_BYTES, at)
                         for at in range(0, size, _CHUNK_BYTES))):
         return None

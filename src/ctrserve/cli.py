@@ -18,8 +18,8 @@ from pathlib import Path
 # functions that `train` calls, so that the other commands do not pay for
 # loading them.
 from . import keywords
-from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, PLACEMENTS, keyword_set,
-                      open_text, page_keywords, parse_ad_catalog, parse_pairs_table,
+from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, PLACEMENTS, decode_text,
+                      keyword_set, open_text, page_keywords, parse_ad_catalog, parse_pairs_table,
                       parse_training_table, tally_event_log)
 from .errors import CtrServeError, ParseError
 from .features import aggregate_events, encode_placement, encode_size
@@ -83,9 +83,10 @@ def _require(args, *names) -> None:
 @contextmanager
 def _open_csv(path: str):
     """The CSV file at `path` and its first row, read by CSV rules, the file
-    left at its start; a pipe, which cannot seek back, is first read whole."""
+    left at its start; a pipe, which cannot seek back, is first read whole,
+    so a byte in it that is not UTF-8 is named at its place."""
     with open_text(path) as fh:
-        fh = fh if fh.seekable() else io.StringIO(fh.read(), newline="")
+        fh = fh if fh.seekable() else io.StringIO(decode_text(fh.buffer.read(), path), newline="")
         try:
             header = next(csv.reader(fh), [])
         except csv.Error as exc:  # such as a field over the csv module's size limit
@@ -205,6 +206,7 @@ def cmd_serve(args) -> int:
 
     from . import server
 
+    _require(args, "out")  # else the log's path would be the working directory
     if args.mode == server.MODE_CTR:  # else every request that names no mode is refused
         _require(args, "model", "map")
     config = server.ServerConfig(

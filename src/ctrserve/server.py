@@ -26,7 +26,8 @@ from urllib.parse import unquote_plus, urlparse
 
 from .catalog import (EVENT_LOG_HEADER, EVENT_LOG_HEADER_LINE, PLACEMENTS, AdCreative, EventRow,
                       Placement, RequestContext, _all_strings, catalog_ads, catalog_records,
-                      check_field, decode_text, event_line, keyword_set, keywords_field)
+                      check_field, decode_text, event_line, keyword_set, keywords_field,
+                      worth_splitting)
 from .errors import ContractError, EncodingError, ParseError, ValidationError
 from .features import encode_placement, encode_size
 from .keywords import KeywordMap, resolve_page_value
@@ -141,7 +142,7 @@ class ServingState:
     constructor returns: the catalog's (size, category) buckets, each sorted
     by (bid descending, ad_id) with the set of every keyword its ads carry,
     which makes a page that shares none a no-fill without a scan; its ad_ids;
-    the model; the keyword map; the SHA-256 digest of the catalog's bytes
+    the model; the keyword map; the `catalog_digest` of the catalog's bytes
     (empty unless `load_steps` read them). The buckets hold the catalog's
     only copy. Given `shares`, a snapshot of the same catalog, it takes that
     one's buckets, sets included, and ad_ids and reads no catalog."""
@@ -294,15 +295,49 @@ class ServerConfig:
     default_mode: str = MODE_BID
 
 
+def catalog_digest(data: bytes) -> bytes:
+    """SHA-256 over the length of `data` as 8 big-endian bytes and the SHA-256
+    of each half, the first `len(data) // 2` bytes long. When it is
+    `worth_splitting`, a helper thread hashes the second half meanwhile
+    (hashlib releases the GIL); if none can start, this thread hashes both,
+    and if the helper raises, so does this. No view of `data` outlives it."""
+    middle, leaves = len(data) // 2, [None, None]
+
+    def leaf(i: int, part: memoryview) -> None:
+        try:
+            leaves[i] = hashlib.sha256(part).digest()
+        except BaseException as exc:  # raised below, on the calling thread
+            leaves[i] = exc
+
+    with memoryview(data) as view, view[:middle] as head, view[middle:] as tail:
+        helper = None
+        if worth_splitting(len(data)):
+            helper = threading.Thread(target=leaf, args=(1, tail), name="ctrserve-digest")
+            try:
+                helper.start()
+            except RuntimeError:  # such as too many threads: this one hashes both halves
+                helper = None
+        leaf(0, head)
+        if helper is None:
+            leaf(1, tail)
+        else:
+            helper.join()
+    for part in leaves:
+        if isinstance(part, BaseException):
+            raise part
+    return hashlib.sha256(len(data).to_bytes(8, "big") + leaves[0] + leaves[1]).digest()
+
+
 def load_steps(config: ServerConfig, live: Optional[ServingState] = None):
     """Load a snapshot from the configured files in steps. Each step but the
     last yields the name of the stage it ran: "read" (the catalog's bytes and
-    their SHA-256), "decode" (UTF-8, then JSON) or "ads" (each 256 ads, and
-    the rest); the last yields the snapshot. A catalog with the SHA-256 of
-    `live`'s, the snapshot being replaced, is not parsed again: the snapshot
-    shares `live`'s buckets, in one step. The model and the map are always
-    read, and a pair that `load_model_and_map` refuses does not load. A file
-    that is not UTF-8 raises ParseError naming its path.
+    their digest, `catalog_digest`), "decode" (UTF-8, then JSON) or "ads"
+    (each 256 ads, and the rest); the last yields the snapshot. A catalog
+    with the digest of `live`'s, the snapshot being replaced, is not parsed
+    again: the snapshot shares `live`'s buckets, in one step. The model and
+    the map are always read, and a pair that `load_model_and_map` refuses
+    does not load. A file that is not UTF-8 raises ParseError naming its
+    path.
 
     The cyclic collector is paused from the first step to the last, however
     the load ends. A load allocates tens of thousands of containers, which
@@ -315,7 +350,7 @@ def load_steps(config: ServerConfig, live: Optional[ServingState] = None):
     try:
         with open(config.catalog_path, "rb") as fh:
             data = fh.read()
-        digest = hashlib.sha256(data).digest()
+        digest = catalog_digest(data)
         shares = live if live is not None and live.catalog_digest == digest else None
         ads: list[AdCreative] = []
         if shares is None:

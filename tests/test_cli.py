@@ -674,6 +674,27 @@ def test_a_byte_not_utf8_in_a_pipe_is_named_at_its_place(sim_dir, tmp_path, caps
                                          "decode byte 0xff in position 30000: invalid start byte"}
 
 
+def test_map_keywords_names_a_byte_not_utf8_only_where_it_knows_its_place(
+        sim_dir, tmp_path, capsys):
+    """From the file, the byte is named at its offset. A pipe is read as its
+    bytes come and cannot tell how many it gave before the chunk that holds
+    the byte, so from a pipe the byte is named without a place."""
+    data = (sim_dir / "events.csv").read_bytes()
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data[:30_000] + b"\xff" + data[30_001:])
+    out = tmp_path / "map.json"
+    assert main(["map-keywords", "--data", str(bad), "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": f"{bad} is not UTF-8 text: 'utf-8' codec can't "
+                                         "decode byte 0xff in position 30000: invalid start byte"}
+    with through_a_pipe(bad) as piped:
+        assert main(["map-keywords", "--data", piped, "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": f"{piped} is not UTF-8 text: 'utf-8' codec can't "
+                                         "decode byte 0xff: invalid start byte"}
+    assert not out.exists()
+
+
 def test_map_keywords_streams_a_pipe(sim_dir, tmp_path, monkeypatch):
     """The tally reads a pipe as its bytes come, not a copy of its whole
     text, and the map has the bytes of one mapped from the file."""
@@ -996,7 +1017,7 @@ def test_serve_with_an_empty_out_is_one_json_error_line(tmp_path, monkeypatch, c
     assert main(["serve", "--ads", sample_data.fixture_path("ad_catalog_sample.json"),
                  "--out", "", "--port", "70000"]) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert "Is a directory" in json.loads(line)["error"]
+    assert json.loads(line) == {"error": "missing required flag --out"}
     assert os.listdir() == []
 
 

@@ -4,18 +4,23 @@ would, while the model and the map are read on every load."""
 
 import hashlib
 import json
+import math
 import os
 import random
+import threading
 from pathlib import Path
+from urllib.parse import urlencode
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import make_context
-from ctrserve import sample_data
-from ctrserve.catalog import Placement, open_text, parse_ad_catalog
+from ctrserve import catalog, sample_data
+from ctrserve.catalog import SPLIT_MIN_BYTES, Placement, open_text, parse_ad_catalog
 from ctrserve.errors import ParseError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY
-from ctrserve.server import MODE_BID, MODE_CTR, NO_FILL, AdServer, load_state, serve
+from ctrserve.server import (MODE_BID, MODE_CTR, NO_FILL, AdServer, catalog_digest, load_state,
+                             serve)
 from test_cli import child_python
 from test_http import http_get, http_post
 from test_server import oracle_bid, oracle_ctr
@@ -61,11 +66,20 @@ def assert_serves_as_the_oracles(state, catalog_path: str) -> None:
                     else (response.ad_id, response.score)) == expected
 
 
+def tree_digest(data: bytes) -> bytes:
+    """The catalog digest, computed here: the SHA-256 of the length as 8
+    big-endian bytes, then the SHA-256 of each half, the first half
+    len // 2 bytes long."""
+    middle = len(data) // 2
+    return hashlib.sha256(len(data).to_bytes(8, "big") + hashlib.sha256(data[:middle]).digest()
+                          + hashlib.sha256(data[middle:]).digest()).digest()
+
+
 def test_unchanged_bytes_share_the_live_buckets(tmp_path):
     config = config_for(tmp_path, catalog_records(600, seed=5))
     live = load_state(config)
     state = load_state(config, live)
-    digest = hashlib.sha256(Path(config.catalog_path).read_bytes()).digest()
+    digest = tree_digest(Path(config.catalog_path).read_bytes())
     assert state.catalog_digest == live.catalog_digest == digest
     assert state.index.keys() == live.index.keys()
     assert all(state.index[key] is live.index[key] for key in live.index)
@@ -181,6 +195,103 @@ def test_a_refused_catalog_keeps_the_text_of_a_text_mode_read(tmp_path, name):
         with pytest.raises(ParseError) as err:
             load_state(config, snapshot)
         assert str(err.value) == str(read_as_text.value) == message.format(path=path)
+
+
+LENGTHS = st.one_of(st.sampled_from([0, 1, 2]),
+                    st.integers(0, 4096).map(lambda n: 2 * n + 1),  # odd: the halves differ
+                    st.integers(0, 4096).map(lambda n: SPLIT_MIN_BYTES + n))
+
+
+@seed(20170344)
+@settings(max_examples=40, deadline=None)
+@given(length=LENGTHS, data_seed=st.integers(0, 2**32 - 1), at=st.integers(0, 2**32 - 1))
+def test_the_digest_is_one_definition_on_one_thread_or_two(length, data_seed, at):
+    """Whether the second half is hashed on a helper thread or not, the
+    digest is the one `tree_digest` computes, and one flipped byte in
+    either half changes it."""
+    data = random.Random(data_seed).randbytes(length)
+    expected = tree_digest(data)
+    start = threading.Thread.start
+    for threshold, cpus, threads in ((SPLIT_MIN_BYTES, None, None), (0, {0, 1}, 1),
+                                     (math.inf, {0, 1}, 0), (0, {0}, 0)):
+        started = []
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(catalog, "SPLIT_MIN_BYTES", threshold)
+            patch.setattr(threading.Thread, "start", counted)
+            if cpus is not None:
+                patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            assert catalog_digest(data) == expected
+        assert threads is None or len(started) == threads
+    middle = length // 2
+    for low, high in ((0, middle), (middle, length)):
+        if low < high:
+            i = low + at % (high - low)
+            flipped = data[:i] + bytes([data[i] ^ 1 << at % 8]) + data[i + 1:]
+            assert catalog_digest(flipped) != expected
+
+
+def split_the_digest(monkeypatch) -> None:
+    """Every catalog digest from here on starts a helper thread."""
+    monkeypatch.setattr(catalog, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_a_helper_that_cannot_start_leaves_the_digest_and_the_reload(tmp_path, monkeypatch):
+    config = config_for(tmp_path, catalog_records(600, seed=12))
+    srv = AdServer(config)
+    base = f"http://127.0.0.1:{srv.start()}"
+    try:
+        live = srv.state
+        refused = []
+
+        def no_thread(thread):
+            refused.append(thread)
+            raise RuntimeError("can't start new thread")
+
+        split_the_digest(monkeypatch)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert http_post(base + "/reload") == (200, json.dumps({"status": "reloaded"}))
+        monkeypatch.undo()
+        assert len(refused) == 1
+        assert srv.state is not live and srv.state.ad_ids is live.ad_ids
+        assert srv.state.catalog_digest == live.catalog_digest == \
+            tree_digest(Path(config.catalog_path).read_bytes())
+    finally:
+        srv.stop()
+
+
+def test_a_helper_that_raises_fails_the_reload_and_keeps_the_snapshot(tmp_path, monkeypatch):
+    records = catalog_records(600, seed=13)
+    config = config_for(tmp_path, records)
+    srv = AdServer(config)
+    base = f"http://127.0.0.1:{srv.start()}"
+    try:
+        live = srv.state
+        sha256, raised = hashlib.sha256, []
+
+        def failing(data=b""):
+            if threading.current_thread().name == "ctrserve-digest":
+                raised.append(len(data))
+                raise OSError("the helper failed")
+            return sha256(data)
+
+        split_the_digest(monkeypatch)
+        monkeypatch.setattr(hashlib, "sha256", failing)
+        assert http_post(base + "/reload") == (500, json.dumps({"error": "the helper failed"}))
+        monkeypatch.undo()
+        assert len(raised) == 1 and srv.state is live
+        ad = next(record for record in records if not record["locations"])
+        query = urlencode({"size": ad["size"], "category": ad["category"],
+                           "keywords": ",".join(ad["keywords"]), "country": "ZZ"})
+        status, body = http_get(f"{base}/ad?{query}")
+        assert status == 200 and json.loads(body)["status"] == "filled"
+    finally:
+        srv.stop()
 
 
 def test_the_cli_import_loads_neither_hashlib_nor_the_server():
