@@ -2,11 +2,13 @@
 
 
 class CtrServeError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; raised itself for data that cannot
+    be fitted (a constant column, a near-singular X^T X, a divergent descent)."""
 
 
 class ParseError(CtrServeError):
-    """Malformed input file (names the offending line/field)."""
+    """Malformed input file (names the offending line/field), or a model
+    file that is corrupt or has an unsupported version."""
 
 
 class ValidationError(CtrServeError):
@@ -21,29 +23,5 @@ class EncodingError(ValidationError):
     """A categorical label has no registered numeric code."""
 
 
-class DegenerateFeatureError(CtrServeError):
-    """A feature column is constant and cannot be scaled or regressed."""
-
-
-class SingularMatrixError(CtrServeError):
-    """The normal-equation system is rank deficient."""
-
-    def __init__(self, message: str, condition: float):
-        super().__init__(message)
-        self.condition = condition
-
-
-class DivergenceError(CtrServeError):
-    """Gradient descent produced a non-finite cost."""
-
-    def __init__(self, message: str, iteration: int):
-        super().__init__(message)
-        self.iteration = iteration
-
-
 class ContractError(CtrServeError):
     """Caller passed arguments of the wrong shape or schema."""
-
-
-class ModelLoadError(CtrServeError):
-    """Model stream is corrupt or has an unsupported version."""

@@ -14,8 +14,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .catalog import PLACEMENTS, Placement, TrainingRow, page_keywords
-from .errors import (ContractError, CtrServeError, DegenerateFeatureError, EncodingError,
-                     MappingError, ValidationError)
+from .errors import ContractError, CtrServeError, EncodingError, MappingError
 from .keywords import resolve_page_value
 
 DEFAULT_SIZE_REGISTRY = ("300x250", "728x90", "160x600")
@@ -97,7 +96,7 @@ def fit_scaler(matrix: DesignMatrix) -> ScalerStats:
         stds = cols.std(axis=0, ddof=1)
     for j, sigma in enumerate(stds):
         if sigma == 0.0:
-            raise DegenerateFeatureError(f"feature column {j} is constant and cannot be scaled")
+            raise CtrServeError(f"feature column {j} is constant and cannot be scaled")
     return ScalerStats(means=means, stds=stds)
 
 
@@ -123,34 +122,24 @@ def transform_row(scaler: ScalerStats, raw: Sequence[float]) -> tuple[float, ...
     return tuple((float(x) - m) / s for x, m, s in zip(raw, scaler.means, scaler.stds))
 
 
-def compute_ctr(clicks: int, impressions: int) -> float:
-    """Click-through rate of a group: clicks / impressions."""
-    if impressions <= 0:
-        raise ValidationError(f"impressions must be >= 1, got {impressions}")
-    if clicks < 0 or clicks > impressions:
-        raise ValidationError(f"clicks must lie in [0, impressions], got {clicks}/{impressions}")
-    return clicks / impressions
-
-
 def aggregate_events(tally: Mapping[tuple, list[int]], bids: Mapping[str, float],
                      keyword_map) -> list[TrainingRow]:
     """Fold an event-log tally, as `catalog.tally_event_log` reads it, into
     groups by (placement, size, bid, keyword value) and emit one TrainingRow
-    per group with its observed CTR. `bids` maps each ad_id to its catalog
-    bid.
+    per group with its observed CTR, clicks / impressions. `bids` maps each
+    ad_id to its catalog bid. The tally must be read with the same `bids`,
+    which refuses an ad_id outside them naming its first row; such an ad_id
+    is a KeyError here.
 
     Viewer fields and the category are never grouped on. Group order follows
     first appearance in the log. Each distinct row is folded once, with its
-    count; the page value is resolved once per distinct `keywords` field. An
-    ad_id outside `bids`, a size outside the registry or a `keywords` field
-    without a token raises naming the first row that has it.
+    count; the page value is resolved once per distinct `keywords` field. A
+    size outside the registry or a `keywords` field without a token raises
+    naming the first row that has it.
     """
     page_values: dict[str, float] = {}
     groups: dict[tuple, list[int]] = {}  # key -> [impressions, clicks]
     for (ad_id, placement, size, _, keywords, clicked), (count, row) in tally.items():
-        bid = bids.get(ad_id)
-        if bid is None:
-            raise ValidationError(f"event row {row}: ad_id {ad_id!r} not in catalog")
         try:
             size_code = encode_size(size)
             value = page_values.get(keywords)
@@ -159,13 +148,13 @@ def aggregate_events(tally: Mapping[tuple, list[int]], bids: Mapping[str, float]
                                                                    page_keywords(keywords))
         except (EncodingError, MappingError) as exc:
             raise type(exc)(f"event row {row}: {exc}") from exc
-        counts = groups.setdefault((encode_placement(PLACEMENTS[placement]), size_code, bid, value),
-                                  [0, 0])
+        counts = groups.setdefault((encode_placement(PLACEMENTS[placement]), size_code,
+                                    bids[ad_id], value), [0, 0])
         counts[0] += count
         if clicked == "1":
             counts[1] += count
     return [
         TrainingRow(placement_code=p, size_code=s, bid=b, keyword_value=kv,
-                    ctr=compute_ctr(clicks, impressions))
+                    ctr=clicks / impressions)
         for (p, s, b, kv), (impressions, clicks) in groups.items()
     ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .catalog import JSON_NUMBER, check_field, list_of, normalize_token, parse_json
 from .errors import CtrServeError, MappingError, ParseError
@@ -56,14 +56,11 @@ def count_cooccurrences(weights: Mapping[frozenset[str], int],
     """Support / pair counting over keyword transactions, given as a mapping
     from a keyword set to how often it occurs (a Counter). Each distinct
     transaction is counted once, weighted by its occurrences; keys keep the
-    order in which they first appear."""
-    if not weights:
-        raise CtrServeError(f"category {category!r}: no transactions to mine")
+    order in which they first appear. A transaction that occurs fewer than
+    once raises; an empty one adds nothing."""
     support: dict[str, int] = {}
     pair_count: dict[frozenset, int] = {}
     for txn, n in weights.items():
-        if not txn:
-            raise CtrServeError(f"category {category!r}: empty transaction")
         if n < 1:
             raise CtrServeError(f"category {category!r}: transaction {sorted(txn)} "
                                 f"occurs {n} times")
@@ -130,16 +127,15 @@ def build_keyword_map(stats: CooccurrenceStats, k: int) -> KeywordMap:
                       cluster_of=cluster_of, nudged=frozenset(nudged))
 
 
-def resolve_page_value(keyword_map: KeywordMap, page_keywords: Iterable[str]) -> float:
+def resolve_page_value(keyword_map: KeywordMap, page_keywords: AbstractSet[str]) -> float:
     """Reduce a page's keyword set to one numeric value: the value of its
     first mapped keyword in resolution order, or the first centroid's value
     when no keyword is mapped. This is the one page-value rule: serving,
     training, `predict` and the simulator all value a page through it."""
-    page = set(page_keywords)
-    if not page:
+    if not page_keywords:
         raise MappingError("page_keywords must be nonempty")
     for kw, value in keyword_map.values.items():
-        if kw in page:
+        if kw in page_keywords:
             return value
     return keyword_map.values[keyword_map.centroids[0]]
 

@@ -16,8 +16,7 @@ if TYPE_CHECKING:
 
 from .catalog import (FEATURE_NAMES, JSON_NUMBER, TrainingRow, check_field, list_of, open_text,
                       parse_json)
-from .errors import (ContractError, CtrServeError, DivergenceError, ModelLoadError,
-                     SingularMatrixError, ValidationError)
+from .errors import ContractError, CtrServeError, ParseError, ValidationError
 from .features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, ScalerStats, build_design_matrix,
                        fit_scaler, transform, transform_row)
 from .keywords import KeywordMap, load_keyword_map
@@ -136,7 +135,7 @@ def gradient_descent(matrix: DesignMatrix,
             theta = theta - config.alpha * gradient(theta, matrix)
             c = cost(theta, matrix)
             if not np.isfinite(c):
-                raise DivergenceError(f"cost diverged at iteration {t}", iteration=t)
+                raise CtrServeError(f"cost diverged at iteration {t}")
             trace.append(c)
     return theta, tuple(trace)
 
@@ -151,9 +150,8 @@ def normal_equation(matrix: DesignMatrix) -> np.ndarray:
         Xty = matrix.X.T @ matrix.y
         condition = float(np.linalg.cond(XtX))
     if not np.isfinite(condition) or condition > _MAX_CONDITION:
-        raise SingularMatrixError(
-            f"X^T X is rank deficient or near-singular (condition ~ {condition:.3e})",
-            condition=condition)
+        raise CtrServeError(
+            f"X^T X is rank deficient or near-singular (condition ~ {condition:.3e})")
     return np.linalg.solve(XtX, Xty)
 
 
@@ -194,20 +192,20 @@ def save_model(model: RegressionModel) -> str:
 def load_model(stream) -> RegressionModel:
     """Parse a model file. Every field is type-checked, not coerced: a bool
     is not a number, a string is not a list, and a field of the wrong type
-    raises ModelLoadError naming it, as do a missing field and a `schema`
+    raises ParseError naming it, as do a missing field and a `schema`
     entry that is not the one of MODEL_SCHEMA, value and type (`1` is not
     `true`), or a theta/scaler that does not fit."""
-    payload = parse_json(stream, ModelLoadError, "corrupt model stream")
+    payload = parse_json(stream, ParseError, "corrupt model stream")
     try:
         version = payload["version"]
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
-            raise ModelLoadError(f"unsupported model version {version!r}")
+            raise ParseError(f"unsupported model version {version!r}")
         schema_payload = payload["schema"]
         for name, fixed in MODEL_SCHEMA.items():
             value = schema_payload[name]
             if type(value) is not type(fixed) or value != fixed:
-                raise ModelLoadError(f"invalid model payload: schema.{name} must be "
-                                     f"{json.dumps(fixed)}, got {value!r:.100}")
+                raise ParseError(f"invalid model payload: schema.{name} must be "
+                                 f"{json.dumps(fixed)}, got {value!r:.100}")
         scaler_payload = payload["scaler"]
         scaler = None
         if scaler_payload is not None:
@@ -228,9 +226,9 @@ def load_model(stream) -> RegressionModel:
             keyword_map_ref=keyword_map_ref,
         )
     except KeyError as exc:
-        raise ModelLoadError(f"invalid model payload: missing field {exc.args[0]!r}") from exc
+        raise ParseError(f"invalid model payload: missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError, OverflowError, ContractError) as exc:
-        raise ModelLoadError(f"invalid model payload: {exc}") from exc
+        raise ParseError(f"invalid model payload: {exc}") from exc
 
 
 def load_model_and_map(model_path, map_path) -> tuple[Optional[RegressionModel],

@@ -25,7 +25,7 @@ from ctrserve.catalog import (EVENT_LOG_HEADER, EVENT_LOG_HEADER_LINE, SPLIT_MIN
                               serialize_ad_catalog, tally_event_log)
 from ctrserve.cli import main
 from ctrserve.errors import CtrServeError, ParseError, ValidationError
-from ctrserve.features import DEFAULT_SIZE_REGISTRY, aggregate_events, compute_ctr
+from ctrserve.features import DEFAULT_SIZE_REGISTRY, aggregate_events
 from ctrserve.keywords import load_keyword_map
 from ctrserve.regression import load_model
 
@@ -532,6 +532,29 @@ class TestAggregateEvents:
         assert row.ctr == pytest.approx(0.08)
         assert (row.placement_code, row.size_code, row.bid, row.keyword_value) == (1, 1, 20.0, 50.0)
 
+    @pytest.mark.parametrize("clicks,impressions,expected",
+                             [(8, 100, 0.08), (0, 50, 0.0), (50, 50, 1.0)])
+    def test_ctr_values(self, sports_map, clicks, impressions, expected):
+        events = [make_event(clicked=i < clicks, timestamp=i + 1) for i in range(impressions)]
+        (row,) = fold(events, {"a1": 20.0}, sports_map)
+        assert row.ctr == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 60), st.data())
+    def test_ctr_bounds_and_monotonicity(self, sports_map, impressions, data):
+        clicks = data.draw(st.integers(0, impressions))
+
+        def ctr(n_clicks):
+            events = [make_event(clicked=i < n_clicks, timestamp=i + 1)
+                      for i in range(impressions)]
+            (row,) = fold(events, {"a1": 20.0}, sports_map)
+            return row.ctr
+
+        value = ctr(clicks)
+        assert 0.0 <= value <= 1.0
+        if clicks < impressions:
+            assert ctr(clicks + 1) > value
+
     def test_empty(self, sports_map):
         assert aggregate_events({}, {}, sports_map) == []
 
@@ -543,8 +566,9 @@ class TestAggregateEvents:
 
     def test_unjoined_bid_rejected(self, sports_map):
         events = [make_event(), make_event(ad_id="a2", timestamp=2), make_event(ad_id="a2")]
+        bids = {"a1": 20.0}
         with pytest.raises(ValidationError, match=r"^event row 2: ad_id 'a2' not in catalog$"):
-            fold(events, {"a1": 20.0}, sports_map)
+            aggregate_events(tally_event_log(written_log(events), bids=bids), bids, sports_map)
 
     @pytest.mark.parametrize("edit, message", [
         ({"size": "999x1"}, "event row 3: size '999x1' is not in the registry "
@@ -1131,27 +1155,6 @@ class TestKeywordsField:
     def test_refused(self, keywords):
         with pytest.raises(ValidationError, match="page keywords"):
             keywords_field(keywords)
-
-
-class TestComputeCtr:
-    @pytest.mark.parametrize("clicks,impressions,expected",
-                             [(8, 100, 0.08), (0, 50, 0.0), (50, 50, 1.0)])
-    def test_values(self, clicks, impressions, expected):
-        assert compute_ctr(clicks, impressions) == expected
-
-    def test_domain_errors(self):
-        with pytest.raises(ValidationError):
-            compute_ctr(1, 0)
-        with pytest.raises(ValidationError):
-            compute_ctr(5, 4)
-
-    @given(st.integers(1, 1000), st.data())
-    def test_bounds_and_monotonicity(self, impressions, data):
-        clicks = data.draw(st.integers(0, impressions))
-        value = compute_ctr(clicks, impressions)
-        assert 0.0 <= value <= 1.0
-        if clicks < impressions:
-            assert compute_ctr(clicks + 1, impressions) > value
 
 
 def test_training_table_round_trip(table6_rows):

@@ -18,10 +18,11 @@ import pytest
 import ctrserve
 from _oracles import least_squares_exact
 from conftest import map_for_category
-from ctrserve import sample_data
-from ctrserve.catalog import EVENT_LOG_HEADER
+from ctrserve import catalog, sample_data
+from ctrserve.catalog import EVENT_LOG_HEADER, SPLIT_MIN_BYTES
 from ctrserve.cli import build_parser, main
 from ctrserve.features import build_design_matrix
+from test_catalog import big_log_records, forks, log_bytes, split_row  # noqa: F401 (a fixture)
 
 
 @pytest.fixture()
@@ -810,6 +811,73 @@ def test_a_bid_that_overflows_the_fit_is_one_json_error_line(tmp_path, method, e
     assert proc.returncode == 1 and out == ""
     [line] = err.splitlines()
     assert json.loads(line) == {"error": error}
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_a_constant_feature_column_refuses_gradient_descent_in_one_json_error_line(
+        tmp_path, capsys):
+    """Every row above the fold: the scaler cannot z-score the placement column."""
+    table = tmp_path / "t.csv"
+    table.write_text("placement,size,bid,keyword_value,ctr\n1,1,20,50,0.08\n"
+                     "1,3,30,47,0.04\n1,2,10,52,0.02\n1,2,40,52,0.06\n")
+    rc = main(["train", "--data", str(table), "--method", "gd",
+               "--out", str(tmp_path / "model.json")])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == '{"error": "feature column 0 is constant and cannot be scaled"}\n'
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_predict_with_a_model_of_another_version_is_one_json_error_line(tmp_path, capsys):
+    model = json.loads(Path(sample_data.fixture_path("model_normal_eq.json")).read_text())
+    model["version"] = 2
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    rc = main(["predict", "--model", str(path), "above_fold", "300x250", "22", "51"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == '{"error": "unsupported model version 2"}\n'
+
+
+# The seeded log of at least SPLIT_MIN_BYTES whose ads ad-18 on first appear
+# in the half a forked child reads, and a catalog without them.
+UNKNOWN_AD_RECORDS = big_log_records(1)
+UNKNOWN_AD_ROW = next(i for i, record in enumerate(UNKNOWN_AD_RECORDS) if record[1] == "ad-18")
+KNOWN_ADS = [{"ad_id": f"ad-{n:02d}", "campaign_id": "c1", "category": "sports",
+              "size": "300x250", "bid": n + 1, "landing_page": "https://x.example",
+              "keywords": ["football"]} for n in range(18)]
+
+
+@pytest.mark.parametrize("records", [UNKNOWN_AD_RECORDS[:UNKNOWN_AD_ROW + 1],
+                                     UNKNOWN_AD_RECORDS], ids=["one process", "two processes"])
+def test_train_names_the_first_row_of_an_ad_outside_the_catalog(tmp_path, capsys, monkeypatch,
+                                                                forks, records):
+    """The tally read with the catalog's bids is the one owner of this
+    refusal. A log over SPLIT_MIN_BYTES is split; the child's half refuses
+    the ad, and csv.reader reads the log again to name the same row."""
+    data = log_bytes(records)
+    log, ads = tmp_path / "events.csv", tmp_path / "catalog.json"
+    log.write_bytes(data)
+    ads.write_text(json.dumps(KNOWN_ADS))
+    assert (len(data) >= SPLIT_MIN_BYTES) == (records is UNKNOWN_AD_RECORDS)
+    split = catalog.worth_splitting(len(data))  # not on one CPU
+    assert not split or split_row(data) <= UNKNOWN_AD_ROW  # the child's half has the ad
+    answers = []
+
+    def two_processes(stream, bids):
+        answers.append(tally_in_two_processes(stream, bids))
+        return answers[-1]
+
+    tally_in_two_processes = catalog._tally_in_two_processes
+    monkeypatch.setattr(catalog, "_tally_in_two_processes", two_processes)
+    rc = main(["train", "--data", str(log), "--ads", str(ads),
+               "--map", sample_data.fixture_path("keyword_map_sports.json"),
+               "--method", "normal", "--out", str(tmp_path / "model.json")])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert json.loads(captured.err) == {
+        "error": f"event row {UNKNOWN_AD_ROW}: ad_id 'ad-18' not in catalog"}
+    assert (len(forks), answers) == (int(split), [None])
     assert not (tmp_path / "model.json").exists()
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ctrserve.catalog import Placement, TrainingRow
-from ctrserve.errors import ContractError, CtrServeError, DegenerateFeatureError, EncodingError
+from ctrserve.errors import ContractError, CtrServeError, EncodingError
 from ctrserve.features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, build_design_matrix,
                                encode_placement, encode_size, fit_scaler, transform,
                                transform_row)
@@ -93,7 +93,7 @@ class TestScaler:
     def test_constant_column(self):
         matrix = DesignMatrix(X=np.array([[5.0], [5.0], [5.0]]), y=np.zeros(3),
                               include_intercept=False)
-        with pytest.raises(DegenerateFeatureError, match="column 0"):
+        with pytest.raises(CtrServeError, match="column 0"):
             fit_scaler(matrix)
 
     def test_too_few_rows(self):

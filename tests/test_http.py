@@ -369,6 +369,20 @@ def test_reload_of_a_theta_that_is_not_finite_is_500_and_keeps_snapshot(running_
     assert srv.state is snapshot and served_ctr(base) == before
 
 
+def test_reload_of_a_model_of_another_version_is_500_and_keeps_snapshot(running_server,
+                                                                        tmp_path):
+    srv, base = running_server
+    before, snapshot = served_ctr(base), srv.state
+    model = json.loads(Path(srv.config.model_path).read_text())
+    model["version"] = 2
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    srv.config.model_path = str(path)
+    status, body = http_post(base + "/reload")
+    assert (status, body) == (500, '{"error": "unsupported model version 2"}')
+    assert srv.state is snapshot and served_ctr(base) == before
+
+
 @pytest.mark.parametrize("field, value", [("include_intercept", "false"),
                                           ("keyword_map_ref", None),
                                           ("size_registry", ["728x90", "300x250", "160x600"]),

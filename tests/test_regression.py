@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import least_squares_exact
-from ctrserve.errors import (ContractError, CtrServeError, DivergenceError, ModelLoadError,
-                             SingularMatrixError)
+from ctrserve.errors import ContractError, CtrServeError, ParseError
 from ctrserve.catalog import FEATURE_NAMES
 from ctrserve.features import (DesignMatrix, ScalerStats, build_design_matrix, fit_scaler,
                                transform)
@@ -182,9 +182,10 @@ class TestGradientDescent:
     def test_divergence_reports_iteration(self):
         X = np.array([[10.0], [-10.0]])
         matrix = DesignMatrix(X=X, y=np.array([1.0, -1.0]), include_intercept=False)
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(CtrServeError) as err:
             gradient_descent(matrix, TrainingConfig(alpha=1e6, iterations=5000))
-        assert err.value.iteration >= 0
+        iteration = re.fullmatch(r"cost diverged at iteration (\d+)", str(err.value))
+        assert iteration and 0 <= int(iteration[1]) < 5000
 
     def test_monotone_descent_random_datasets(self, table6_rows):
         rng = random.Random(99)
@@ -243,9 +244,11 @@ class TestNormalEquation:
     def test_duplicate_column_is_singular(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         matrix = DesignMatrix(X=X, y=np.array([1.0, 2.0, 3.0]), include_intercept=False)
-        with pytest.raises(SingularMatrixError) as err:
+        with pytest.raises(CtrServeError) as err:
             normal_equation(matrix)
-        assert err.value.condition > 1e12 or not np.isfinite(err.value.condition)
+        condition = re.fullmatch(r"X\^T X is rank deficient or near-singular \(condition ~ (\S+)\)",
+                                 str(err.value))
+        assert condition and (float(condition[1]) > 1e12 or not np.isfinite(float(condition[1])))
 
     def test_optimality_vs_gradient_descent(self, table6_rows):
         matrix = table6_matrix(table6_rows)
@@ -332,12 +335,12 @@ class TestPersistence:
     def test_truncated_stream(self, table6_rows, sports_map):
         model = train(table6_rows, sports_map, TrainingConfig(iterations=5))
         payload = save_model(model)
-        with pytest.raises(ModelLoadError):
+        with pytest.raises(ParseError):
             load_model(payload[: len(payload) // 2])
 
     def test_unknown_version(self, paper_model):
         payload = save_model(paper_model).replace('"version": 1', '"version": 99')
-        with pytest.raises(ModelLoadError, match="version"):
+        with pytest.raises(ParseError, match="version"):
             load_model(payload)
 
     @pytest.mark.parametrize("edit", [
@@ -353,7 +356,7 @@ class TestPersistence:
     def test_rejects_theta_that_does_not_fit_schema(self, paper_model, edit):
         payload = json.loads(save_model(paper_model))
         edit(payload)
-        with pytest.raises(ModelLoadError):
+        with pytest.raises(ParseError):
             load_model(json.dumps(payload))
 
     @pytest.mark.parametrize("edit, field", [
@@ -373,7 +376,7 @@ class TestPersistence:
     def test_rejects_mistyped_field_naming_it(self, paper_model, edit, field):
         payload = json.loads(save_model(paper_model))
         edit(payload)
-        with pytest.raises(ModelLoadError, match=field):
+        with pytest.raises(ParseError, match=field):
             load_model(json.dumps(payload))
 
     @pytest.mark.parametrize("field", ["version", "method", "theta", "schema", "scaler",
@@ -381,7 +384,7 @@ class TestPersistence:
     def test_rejects_a_missing_field_naming_it(self, paper_model, field):
         payload = json.loads(save_model(paper_model))
         del payload[field]
-        with pytest.raises(ModelLoadError) as refused:
+        with pytest.raises(ParseError) as refused:
             load_model(json.dumps(payload))
         assert str(refused.value) == f"invalid model payload: missing field {field!r}"
 
@@ -395,7 +398,7 @@ class TestPersistence:
     def test_rejects_scaler_that_does_not_fit_features(self, table6_rows, sports_map, edit):
         payload = json.loads(save_model(train(table6_rows, sports_map, TrainingConfig(iterations=5))))
         edit(payload["scaler"])
-        with pytest.raises(ModelLoadError):
+        with pytest.raises(ParseError):
             load_model(json.dumps(payload))
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -403,7 +406,7 @@ class TestPersistence:
         """json reads these three literals as floats."""
         payload = json.loads(save_model(paper_model))
         payload["theta"][2] = "THETA"
-        with pytest.raises(ModelLoadError, match="theta must be finite"):
+        with pytest.raises(ParseError, match="theta must be finite"):
             load_model(json.dumps(payload).replace('"THETA"', literal))
 
     def test_bid_weight(self, paper_model):
