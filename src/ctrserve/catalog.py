@@ -22,7 +22,6 @@ import os
 import stat
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import chain, repeat
 from types import SimpleNamespace
@@ -43,23 +42,49 @@ class Placement(str, Enum):
 PLACEMENTS = {placement.value: placement for placement in Placement}
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class AdCreative:
+class _Frozen:
+    """Base of the package's immutable types that check their values: each
+    is a class of `__slots__` whose `__init__` checks, then hands the values
+    here in slot order. After that, assigning or deleting a field raises
+    AttributeError. Equality (same type, equal values), hash and repr read
+    the slots in order."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._values())
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class AdCreative(_Frozen):
     """An advertiser's creative: category, size, floor-price bid, keywords.
     Slotted: a serving snapshot holds one per catalog record. `__init__` sets
     the slots through their descriptors (`_AD_SLOTS`), not `object.__setattr__`."""
 
-    ad_id: str
-    campaign_id: str
-    category: str
-    size: str
-    bid: float
-    landing_page: str
-    keywords: frozenset[str]
-    locations: frozenset[str] = frozenset()
+    __slots__ = ("ad_id", "campaign_id", "category", "size", "bid", "landing_page", "keywords",
+                 "locations")
 
-    def __init__(self, ad_id, campaign_id, category, size, bid, landing_page, keywords,
-                 locations=frozenset()):
+    def __init__(self, ad_id: str, campaign_id: str, category: str, size: str, bid: float,
+                 landing_page: str, keywords: frozenset[str], locations=frozenset()):
         if not 0 < bid < math.inf:  # NaN fails too: buckets are sorted by bid
             raise ValidationError(f"ad {ad_id!r}: bid must be finite and > 0, got {bid}")
         if not keywords:
@@ -96,21 +121,18 @@ class RequestContext(NamedTuple):
     browser: str = ""
 
 
-@dataclass(frozen=True)
-class TrainingRow:
+class TrainingRow(_Frozen):
     """One aggregated group in the numeric form the regression consumes."""
 
-    placement_code: int
-    size_code: int
-    bid: float
-    keyword_value: float
-    ctr: float
+    __slots__ = ("placement_code", "size_code", "bid", "keyword_value", "ctr")
 
-    def __post_init__(self):
-        if self.placement_code not in (0, 1):
-            raise ValidationError(f"placement_code must be 0 or 1, got {self.placement_code}")
-        if not 0.0 <= self.ctr <= 1.0:
-            raise ValidationError(f"ctr must lie in [0,1], got {self.ctr}")
+    def __init__(self, placement_code: int, size_code: int, bid: float, keyword_value: float,
+                 ctr: float):
+        if placement_code not in (0, 1):
+            raise ValidationError(f"placement_code must be 0 or 1, got {placement_code}")
+        if not 0.0 <= ctr <= 1.0:
+            raise ValidationError(f"ctr must lie in [0,1], got {ctr}")
+        super().__init__(placement_code, size_code, bid, keyword_value, ctr)
 
 
 def normalize_token(token: str) -> str:
@@ -283,8 +305,8 @@ def catalog_ads(records: list) -> Iterator[AdCreative]:
 
 
 def serialize_ad_catalog(ads: Sequence[AdCreative]) -> str:
-    records = [{**asdict(ad), "keywords": sorted(ad.keywords), "locations": sorted(ad.locations)}
-               for ad in ads]
+    records = [{**dict(zip(AdCreative.__slots__, ad._values())), "keywords": sorted(ad.keywords),
+                "locations": sorted(ad.locations)} for ad in ads]
     return json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 

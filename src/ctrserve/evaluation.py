@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .catalog import TrainingRow
 from .errors import ContractError, CtrServeError
 from .regression import RegressionModel, predict
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """Residual table plus the summary statistics derived from it."""
 
     n: int
@@ -25,7 +23,7 @@ class EvaluationReport:
     r_squared: float
 
     def to_json(self) -> str:
-        payload = {**asdict(self),
+        payload = {**self._asdict(),
                    "pairs": [{"y": y, "y_pred": yp, "f": f} for y, yp, f in self.pairs]}
         return json.dumps(payload, indent=2) + "\n"
 

@@ -7,54 +7,48 @@ and the server run without it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
-from .catalog import PLACEMENTS, Placement, TrainingRow, page_keywords
+from .catalog import PLACEMENTS, Placement, TrainingRow, _Frozen, page_keywords
 from .errors import ContractError, CtrServeError, EncodingError, MappingError
 from .keywords import resolve_page_value
 
 DEFAULT_SIZE_REGISTRY = ("300x250", "728x90", "160x600")
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(_Frozen):
     """Numeric feature matrix (leading ones column when intercept is on)
     paired with the CTR target vector."""
 
-    X: np.ndarray
-    y: np.ndarray
-    include_intercept: bool
+    __slots__ = ("X", "y", "include_intercept")
 
-    def __post_init__(self):
+    def __init__(self, X: np.ndarray, y: np.ndarray, include_intercept: bool):
         import numpy as np
 
-        if self.X.ndim != 2 or self.X.shape[0] < 1:
-            raise ContractError(f"design matrix must be 2-D and nonempty, got shape {self.X.shape}")
-        if self.y.shape != (self.X.shape[0],):
+        if X.ndim != 2 or X.shape[0] < 1:
+            raise ContractError(f"design matrix must be 2-D and nonempty, got shape {X.shape}")
+        if y.shape != (X.shape[0],):
             raise ContractError("target length must equal the row count")
-        if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ContractError("design matrix entries must be finite")
+        super().__init__(X, y, include_intercept)
 
     @property
     def m(self) -> int:
         return self.X.shape[0]
 
 
-@dataclass(frozen=True)
-class ScalerStats:
+class ScalerStats(_Frozen):
     """Per-column mean and sample (n-1) standard deviation of the
     non-intercept feature columns, stored as tuples of floats."""
 
-    means: tuple[float, ...]
-    stds: tuple[float, ...]
+    __slots__ = ("means", "stds")
 
-    def __post_init__(self):
-        object.__setattr__(self, "means", tuple(map(float, self.means)))
-        object.__setattr__(self, "stds", tuple(map(float, self.stds)))
+    def __init__(self, means: Sequence[float], stds: Sequence[float]):
+        super().__init__(tuple(map(float, means)), tuple(map(float, stds)))
 
 
 def encode_placement(p: Placement) -> int:

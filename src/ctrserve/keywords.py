@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .catalog import JSON_NUMBER, check_field, list_of, normalize_token, parse_json
 from .errors import CtrServeError, MappingError, ParseError
@@ -25,8 +24,7 @@ MIN_OFFSET = 0.1
 _VALUE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class CooccurrenceStats:
+class CooccurrenceStats(NamedTuple):
     """Support and pairwise co-occurrence counts for one category's corpus."""
 
     category: str
@@ -34,8 +32,7 @@ class CooccurrenceStats:
     pair_count: dict[frozenset, int]
 
 
-@dataclass(frozen=True)
-class KeywordMap:
+class KeywordMap(NamedTuple):
     """Injective keyword -> decimal mapping, one cluster per centroid.
 
     The order of `values` is the resolution order: descending support, ties

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
-from .catalog import (FEATURE_NAMES, JSON_NUMBER, TrainingRow, check_field, list_of, open_text,
-                      parse_json)
+from .catalog import (FEATURE_NAMES, JSON_NUMBER, TrainingRow, _Frozen, check_field, list_of,
+                      open_text, parse_json)
 from .errors import ContractError, CtrServeError, ParseError, ValidationError
 from .features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, ScalerStats, build_design_matrix,
                        fit_scaler, transform, transform_row)
@@ -36,53 +35,49 @@ MODEL_SCHEMA = {
 _MAX_CONDITION = 1e12
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
+class TrainingConfig(_Frozen):
     """How `train` fits the one model shape, an intercept plus FEATURE_NAMES:
     by gradient descent on z-scored features (the default, alpha 0.01, 400
     iterations) or by the normal equation on raw features, which reads
     neither alpha nor iterations."""
 
-    method: str = GRADIENT_DESCENT
-    alpha: float = 0.01
-    iterations: int = 400
+    __slots__ = ("method", "alpha", "iterations")
 
-    def __post_init__(self):
-        if self.method not in (GRADIENT_DESCENT, NORMAL_EQUATION):
-            raise ContractError(f"unknown training method {self.method!r}")
-        if not 0 < self.alpha < math.inf:
-            raise ContractError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.iterations <= 0:
-            raise ContractError(f"iterations must be positive, got {self.iterations}")
+    def __init__(self, method: str = GRADIENT_DESCENT, alpha: float = 0.01,
+                 iterations: int = 400):
+        if method not in (GRADIENT_DESCENT, NORMAL_EQUATION):
+            raise ContractError(f"unknown training method {method!r}")
+        if not 0 < alpha < math.inf:
+            raise ContractError(f"alpha must be positive and finite, got {alpha}")
+        if iterations <= 0:
+            raise ContractError(f"iterations must be positive, got {iterations}")
+        super().__init__(method, alpha, iterations)
 
 
-@dataclass(frozen=True)
-class RegressionModel:
+class RegressionModel(_Frozen):
     """theta is the intercept followed by one weight per FEATURE_NAMES entry,
     stored as a tuple of floats; any sequence of numbers is accepted and
     converted. A model with a scaler predicts on z-scored features."""
 
-    theta: tuple[float, ...]
-    scaler: Optional[ScalerStats]
-    config: TrainingConfig
-    cost_trace: tuple[float, ...] = ()
-    keyword_map_ref: str = ""
+    __slots__ = ("theta", "scaler", "config", "cost_trace", "keyword_map_ref")
 
-    def __post_init__(self):
-        theta = tuple(map(float, self.theta))
-        object.__setattr__(self, "theta", theta)
+    def __init__(self, theta: Sequence[float], scaler: Optional[ScalerStats],
+                 config: TrainingConfig, cost_trace: tuple[float, ...] = (),
+                 keyword_map_ref: str = ""):
+        theta = tuple(map(float, theta))
         n_columns = len(FEATURE_NAMES) + 1
         if len(theta) != n_columns:
             raise ContractError(f"theta has {len(theta)} values, the schema needs {n_columns}")
         if not all(map(math.isfinite, theta)):
             raise ContractError("theta must be finite")
-        if self.scaler is not None:
+        if scaler is not None:
             width = len(FEATURE_NAMES)
-            if len(self.scaler.means) != width or len(self.scaler.stds) != width:
+            if len(scaler.means) != width or len(scaler.stds) != width:
                 raise ContractError(f"scaler means and stds must each have {width} values")
-            if not (all(map(math.isfinite, self.scaler.means + self.scaler.stds))
-                    and all(s > 0 for s in self.scaler.stds)):
+            if not (all(map(math.isfinite, scaler.means + scaler.stds))
+                    and all(s > 0 for s in scaler.stds)):
                 raise ContractError("scaler means must be finite and stds finite and > 0")
+        super().__init__(theta, scaler, config, cost_trace, keyword_map_ref)
 
     @property
     def bid_weight(self) -> float:

@@ -16,7 +16,6 @@ import socket
 import threading
 import time
 import traceback
-from dataclasses import InitVar, dataclass, field
 from http import HTTPStatus
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
@@ -136,7 +135,6 @@ def _rank_by_ctr(state: "ServingState",
     return best, best_score
 
 
-@dataclass
 class ServingState:
     """Immutable snapshot of the state one request reads, complete when the
     constructor returns: the catalog's (size, category) buckets, each sorted
@@ -147,17 +145,13 @@ class ServingState:
     only copy. Given `shares`, a snapshot of the same catalog, it takes that
     one's buckets, sets included, and ad_ids and reads no catalog."""
 
-    catalog: InitVar[Sequence[AdCreative]]
-    model: Optional[RegressionModel] = None
-    keyword_map: Optional[KeywordMap] = None
-    catalog_digest: bytes = b""
-    shares: InitVar[Optional[ServingState]] = None
-    index: dict = field(init=False)
-    ad_ids: frozenset = field(init=False)
-    bid_ascending: bool = field(init=False)  # ctr scans a bucket from its end
+    __slots__ = ("model", "keyword_map", "catalog_digest", "index", "ad_ids", "bid_ascending")
 
-    def __post_init__(self, catalog: Sequence[AdCreative], shares: Optional[ServingState]):
-        self.bid_ascending = self.model is not None and self.model.bid_weight < 0
+    def __init__(self, catalog: Sequence[AdCreative], model: Optional[RegressionModel] = None,
+                 keyword_map: Optional[KeywordMap] = None, catalog_digest: bytes = b"",
+                 shares: Optional[ServingState] = None):
+        self.model, self.keyword_map, self.catalog_digest = model, keyword_map, catalog_digest
+        self.bid_ascending = model is not None and model.bid_weight < 0  # ctr scans from the end
         if shares is not None:
             self.index, self.ad_ids = shares.index, shares.ad_ids
             return
@@ -285,14 +279,12 @@ class EventLogWriter:
         self._fh.close()
 
 
-@dataclass
 class ServerConfig:
-    catalog_path: str
-    model_path: Optional[str] = None
-    map_path: Optional[str] = None
-    event_log_path: str = "events.csv"
-    port: int = 8080
-    default_mode: str = MODE_BID
+    def __init__(self, catalog_path: str, model_path: Optional[str] = None,
+                 map_path: Optional[str] = None, event_log_path: str = "events.csv",
+                 port: int = 8080, default_mode: str = MODE_BID):
+        self.catalog_path, self.model_path, self.map_path = catalog_path, model_path, map_path
+        self.event_log_path, self.port, self.default_mode = event_log_path, port, default_mode
 
 
 def catalog_digest(data: bytes) -> bytes:

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import (EVENT_LOG_HEADER_LINE, FEATURE_NAMES, AdCreative, EventRow, Placement,
-                      event_line, keywords_field, serialize_ad_catalog)
+                      _Frozen, event_line, keywords_field, serialize_ad_catalog)
 from .errors import CtrServeError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from .keywords import BASE_SPACING, BASE_VALUE, KeywordMap, resolve_page_value, save_keyword_map
@@ -34,18 +34,16 @@ _COUNTRIES = ["PK", "US", "GB"]
 _BROWSERS = ["chrome", "firefox", "safari"]
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    seed: int
-    n_events: int
+class SimulationConfig(_Frozen):
+    __slots__ = ("seed", "n_events")
 
-    def __post_init__(self):
-        if self.n_events < 0:
+    def __init__(self, seed: int, n_events: int):
+        if n_events < 0:
             raise CtrServeError("n_events must be >= 0")
+        super().__init__(seed, n_events)
 
 
-@dataclass(frozen=True)
-class SimulationOutput:
+class SimulationOutput(NamedTuple):
     catalog_json: str
     events_csv: str
     map_json: str

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import errno
 import json
 import select
@@ -475,7 +474,8 @@ def test_reload_of_mistyped_catalog_is_500_and_keeps_snapshot(running_server, tm
 
 def test_model_and_map_of_different_categories_do_not_load(running_server, tmp_path):
     srv, _ = running_server
-    config = dataclasses.replace(srv.config, map_path=map_for_category(tmp_path, "news"))
+    config = ServerConfig(srv.config.catalog_path, srv.config.model_path,
+                          map_for_category(tmp_path, "news"), srv.config.event_log_path)
     with pytest.raises(ValidationError, match="'sports' keyword map.*'news'"):
         AdServer(config)
 
@@ -486,8 +486,8 @@ def test_model_without_map_ref_loads_with_any_map(running_server, tmp_path):
     model["keyword_map_ref"] = ""
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
-    config = dataclasses.replace(srv.config, model_path=str(path),
-                                 map_path=map_for_category(tmp_path, "news"))
+    config = ServerConfig(srv.config.catalog_path, str(path), map_for_category(tmp_path, "news"),
+                          srv.config.event_log_path)
     other = AdServer(config)
     try:
         assert other.state.keyword_map.category == "news"

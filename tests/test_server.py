@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -17,7 +16,7 @@ from ctrserve.catalog import (AdCreative, Placement, RequestContext, event_line,
 from ctrserve.errors import ContractError, ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
 from ctrserve.keywords import resolve_page_value
-from ctrserve.regression import TrainingConfig, predict, train
+from ctrserve.regression import RegressionModel, TrainingConfig, predict, train
 from ctrserve.server import (MODE_BID, MODE_CTR, NO_FILL, AdResponse, EventLogWriter,
                              ServingState, keyword_overlap, load_state, load_steps, serve)
 
@@ -90,7 +89,8 @@ def assert_matches_oracles(catalog, request, model, keyword_map):
 def with_bid_weight(model, weight):
     theta = list(model.theta)
     theta[3] = weight  # intercept, placement, size, bid, keyword value
-    return dataclasses.replace(model, theta=theta)
+    return RegressionModel(theta, model.scaler, model.config, model.cost_trace,
+                           model.keyword_map_ref)
 
 
 class TestBuildPool:
