@@ -505,7 +505,6 @@ def _tally_in_two_processes(stream, bids) -> Optional[dict]:
         os.close(write_end)
         return None
     if pid == 0:  # the child never returns: it always leaves by os._exit
-        status = 1
         try:
             os.close(read_end)
             try:
@@ -514,9 +513,8 @@ def _tally_in_two_processes(stream, bids) -> Optional[dict]:
                 half = None
             with open(write_end, "wb") as out:
                 marshal.dump(half, out)
-            status = 0
-        finally:
-            os._exit(status)
+        finally:  # the parent reads only the pipe, never the exit status
+            os._exit(0)
     os.close(write_end)
     try:
         with open(read_end, "rb") as received:
@@ -533,13 +531,8 @@ def _tally_in_two_processes(stream, bids) -> Optional[dict]:
         os.waitpid(pid, 0)
     if child is None:
         return None
-    get = tally.get
     for key, (count, first) in child.items():
-        counts = get(key)
-        if counts is None:
-            tally[key] = [count, first + rows]
-        else:
-            counts[0] += count
+        tally.setdefault(key, [0, first + rows])[0] += count
     return tally
 
 

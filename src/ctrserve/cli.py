@@ -21,7 +21,7 @@ from . import keywords
 from .catalog import (PAIRS_TABLE_HEADER, TRAINING_TABLE_HEADER, PLACEMENTS, decode_text,
                       keyword_set, open_text, page_keywords, parse_ad_catalog, parse_pairs_table,
                       parse_training_table, tally_event_log)
-from .errors import CtrServeError, ParseError
+from .errors import CtrServeError, MappingError, ParseError
 from .features import aggregate_events, encode_placement, encode_size
 
 
@@ -97,19 +97,20 @@ def _open_csv(path: str):
 
 def _load_transactions(path: str, category: str) -> Counter:
     """Keyword transactions of `category` in one pass over the log, as a
-    Counter of keyword sets. Every row is validated, whatever its category;
-    each distinct `keywords` field is tokenized once."""
+    Counter of keyword sets. Every row is validated, whatever its category,
+    and must have a keyword; each distinct `keywords` field is tokenized once."""
     with open_text(path) as fh:
         tally = tally_event_log(fh)
-    fields = Counter()
-    for (_, _, _, row_category, field, _), (count, _) in tally.items():
-        if row_category == category:
-            fields[field] += count
     transactions = Counter()
-    for field, n in fields.items():
-        tokens = page_keywords(field)
-        if tokens:
-            transactions[tokens] += n
+    tokens_of: dict[str, frozenset[str]] = {}
+    for (_, _, _, row_category, field, _), (count, row) in tally.items():
+        tokens = tokens_of.get(field)
+        if tokens is None:
+            tokens = tokens_of[field] = page_keywords(field)
+            if not tokens:  # the tally is in row order, so this is the field's first row
+                raise MappingError(f"event row {row}: page_keywords must be nonempty")
+        if row_category == category:
+            transactions[tokens] += count
     return transactions
 
 
@@ -134,9 +135,9 @@ def cmd_map_keywords(args) -> int:
     keyword_map = keywords.build_keyword_map(stats, args.k)
     Path(args.out).write_text(keywords.save_keyword_map(keyword_map))
     print(f"centroids: {', '.join(keyword_map.centroids)}")
+    sizes = Counter(keyword_map.cluster_of.values())
     for c in keyword_map.centroids:
-        size = sum(1 for v in keyword_map.cluster_of.values() if v == c)
-        print(f"cluster {c}: {size} keywords")
+        print(f"cluster {c}: {sizes[c]} keywords")
     print(f"wrote {args.out}")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import AbstractSet, Iterable, Mapping, NamedTuple
+from typing import AbstractSet, Mapping, NamedTuple, Sequence
 
 from .catalog import JSON_NUMBER, check_field, list_of, normalize_token, parse_json
 from .errors import CtrServeError, MappingError, ParseError
@@ -82,19 +82,32 @@ def confidence(stats: CooccurrenceStats, antecedent: str, consequent: str) -> fl
     return pair / stats.support[antecedent]
 
 
-def _collides(value: float, used: Iterable[float]) -> bool:
-    return any(abs(value - u) < _VALUE_EPS for u in used)
+def place_values(clusters: Mapping[str, Sequence[tuple[str, float]]]) -> tuple[dict, frozenset]:
+    """The one layout of a map's values, mined or planted. The keys of
+    `clusters` are the centroids in rank order, the centroid of rank r at
+    BASE_VALUE + BASE_SPACING*r; each one's (member, offset) pairs are then
+    placed in order, alternately above and below it. A value within 1e-9 of
+    one already placed moves 0.1 further out, and its member into the second item."""
+    values = {c: BASE_VALUE + BASE_SPACING * r for r, c in enumerate(clusters)}
+    nudged = set()
+    for c, members in clusters.items():
+        for i, (m, offset) in enumerate(members):
+            sign = 1.0 if i % 2 == 0 else -1.0
+            value = values[c] + sign * offset
+            while any(abs(value - u) < _VALUE_EPS for u in values.values()):
+                value += sign * 0.1
+                nudged.add(m)
+            values[m] = value
+    return values, frozenset(nudged)
 
 
 def build_keyword_map(stats: CooccurrenceStats, k: int) -> KeywordMap:
     """The injective keyword -> value mapping, `values` in resolution order:
     descending support, ties lex ascending. The first k keywords of that
     order are the centroids; every other keyword joins the centroid it has
-    the highest confidence toward, the earliest on a tie. Centroid of rank r
-    gets BASE_VALUE + BASE_SPACING*r. Cluster members, ordered by descending
-    confidence (ties lex), are placed alternately above/below the base at
-    offset max(MIN_OFFSET, CLUSTER_SPREAD*(1-confidence)); collisions are
-    nudged by 0.1 in the member's sign direction until free."""
+    the highest confidence toward, the earliest on a tie. `place_values`
+    places each cluster's members by descending confidence (ties lex) at
+    offset max(MIN_OFFSET, CLUSTER_SPREAD*(1-confidence))."""
     if k <= 0:
         raise CtrServeError(f"centroid count must be positive, got {k}")
     if k > len(stats.support):
@@ -103,25 +116,17 @@ def build_keyword_map(stats: CooccurrenceStats, k: int) -> KeywordMap:
     by_support = sorted(stats.support, key=lambda kw: (-stats.support[kw], kw))
     centroids = by_support[:k]
     cluster_of = {c: c for c in centroids}
+    members: dict[str, list] = {c: [] for c in centroids}  # (-confidence, member, offset)
     for kw in stats.support:
         if kw not in cluster_of:  # max keeps the first of equal confidences
-            cluster_of[kw] = max(centroids, key=lambda c: confidence(stats, kw, c))
-    values = {c: BASE_VALUE + BASE_SPACING * r for r, c in enumerate(centroids)}
-    nudged: set[str] = set()
-    for c in centroids:
-        members = [kw for kw, cen in cluster_of.items() if cen == c and kw != c]
-        members.sort(key=lambda m: (-confidence(stats, m, c), m))
-        for i, m in enumerate(members):
-            sign = 1.0 if i % 2 == 0 else -1.0
-            offset = max(MIN_OFFSET, CLUSTER_SPREAD * (1.0 - confidence(stats, m, c)))
-            value = values[c] + sign * offset
-            while _collides(value, values.values()):
-                value += sign * 0.1
-                nudged.add(m)
-            values[m] = value
+            c = cluster_of[kw] = max(centroids, key=lambda c: confidence(stats, kw, c))
+            conf = confidence(stats, kw, c)
+            members[c].append((-conf, kw, max(MIN_OFFSET, CLUSTER_SPREAD * (1.0 - conf))))
+    values, nudged = place_values({c: [(m, offset) for _, m, offset in sorted(ms)]
+                                   for c, ms in members.items()})
     return KeywordMap(category=stats.category, centroids=tuple(centroids),
                       values={kw: values[kw] for kw in by_support},
-                      cluster_of=cluster_of, nudged=frozenset(nudged))
+                      cluster_of=cluster_of, nudged=nudged)
 
 
 def resolve_page_value(keyword_map: KeywordMap, page_keywords: AbstractSet[str]) -> float:

@@ -158,11 +158,10 @@ class ServingState:
         index: dict[tuple[str, str], list[AdCreative]] = {}
         for ad in catalog:
             index.setdefault((ad.size, ad.category), []).append(ad)
-        for ads in index.values():
-            ads.sort(key=attrgetter("ad_id"))
-            ads.sort(key=attrgetter("bid"), reverse=True)  # stable: ties keep ad_id order
         self.index = {}
         for key, ads in index.items():
+            ads.sort(key=attrgetter("ad_id"))
+            ads.sort(key=attrgetter("bid"), reverse=True)  # stable: ties keep ad_id order
             bucket = self.index[key] = _Bucket(ads)
             bucket.keywords = frozenset().union(*set(map(attrgetter("keywords"), ads)))
         self.ad_ids = frozenset(ad.ad_id for ad in catalog)

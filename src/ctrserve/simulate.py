@@ -11,7 +11,7 @@ from .catalog import (EVENT_LOG_HEADER_LINE, FEATURE_NAMES, AdCreative, EventRow
                       _Frozen, event_line, keywords_field, serialize_ad_catalog)
 from .errors import CtrServeError
 from .features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_size
-from .keywords import BASE_SPACING, BASE_VALUE, KeywordMap, resolve_page_value, save_keyword_map
+from .keywords import KeywordMap, place_values, resolve_page_value, save_keyword_map
 
 # Planted vocabulary of CATEGORY: centroid -> [(member, inclusion probability)].
 CATEGORY = "sports"
@@ -51,20 +51,15 @@ class SimulationOutput(NamedTuple):
 
 
 def planted_keyword_map() -> KeywordMap:
-    """A hand-built map over the planted vocabulary; centroids sit at the
-    bases `build_keyword_map` gives them (50/60/70) and members nearby. `values` resolves the
-    centroids first, then each cluster's members in order."""
-    centroids = tuple(PLANTED_CLUSTERS)
-    values = {c: BASE_VALUE + BASE_SPACING * r for r, c in enumerate(centroids)}
-    cluster_of: dict[str, str] = {}
-    for c in centroids:
-        cluster_of[c] = c
-        for i, (member, _) in enumerate(PLANTED_CLUSTERS[c]):
-            sign = 1.0 if i % 2 == 0 else -1.0
-            values[member] = values[c] + sign * (0.5 + 0.5 * i)
-            cluster_of[member] = c
-    return KeywordMap(category=CATEGORY, centroids=centroids, values=values,
-                      cluster_of=cluster_of)
+    """A hand-built map over the planted vocabulary, laid out by `place_values`:
+    centroids at 50/60/70, each cluster's members at offsets 0.5, 1.0, 1.5.
+    `values` resolves the centroids first, then each cluster's members in order."""
+    clusters = {c: [(m, 0.5 + 0.5 * i) for i, (m, _) in enumerate(members)]
+                for c, members in PLANTED_CLUSTERS.items()}
+    cluster_of = {kw: c for c, members in PLANTED_CLUSTERS.items()
+                  for kw in [c, *(m for m, _ in members)]}
+    return KeywordMap(category=CATEGORY, centroids=tuple(clusters),
+                      values=place_values(clusters)[0], cluster_of=cluster_of)
 
 
 def _simulate_catalog(rng: random.Random) -> list[AdCreative]:

@@ -853,6 +853,12 @@ def edit_late_line(ending, edit):
     return edited
 
 
+def edit_early_line(ending, edit):
+    """An edit of the seeded log with line ends `ending`: `edit` applied to
+    the fields of line 100, in the first half, which the parent reads."""
+    return lambda records: edit_row(log_bytes(records, ending), 100, edit)
+
+
 def mixed_endings(records, first, second):
     """The log of `records` whose rows end with `first` in the parent's half
     and with `second` in the child's."""
@@ -882,6 +888,13 @@ LOG_EDITS = {
         "\r\n", lambda f: [*f[:9], b"10\r0", *f[10:]])),
     "lone line feed in a CRLF log": ("refused", edit_late_line(
         "\r\n", lambda f: [*f[:9], b"10\n0", *f[10:]])),
+    # The same refusals of a chunk, made by the parent's half.
+    "lone carriage return in an LF log's first half": ("refused", edit_early_line(
+        "\n", lambda f: [*f[:9], b"10\r0", *f[10:]])),
+    "lone line feed in a CRLF log's first half": ("refused", edit_early_line(
+        "\r\n", lambda f: [*f[:9], b"10\n0", *f[10:]])),
+    "byte not UTF-8 in the first half": ("refused", edit_early_line(
+        "\n", lambda f: [*f[:10], b"chr\xffme", f[11]])),
     "blank line in the second half": ("refused", edit_late_line(
         "\n", lambda f: [b"\n" + f[0], *f[1:]])),
     "row of two fields in the second half": ("refused", edit_late_line(

@@ -553,6 +553,7 @@ BAD_ROWS = {
     "timestamp soon": lambda f: ["soon"] + f[1:],
     "eleven fields": lambda f: f[:11],
     "placement": lambda f: f[:2] + ["sidebar"] + f[3:],
+    "keywords": lambda f: f[:5] + [";"] + f[6:],
 }
 
 
@@ -587,13 +588,12 @@ def test_map_keywords_names_bad_row(sim_dir, tmp_path, capsys, kind, category):
     assert not (tmp_path / "m.json").exists()
 
 
-# `train` also refuses an ad outside the catalog, a size outside the registry
-# and a keywords field without a token; map-keywords reads none of these.
+# `train` also refuses an ad outside the catalog and a size outside the
+# registry; map-keywords reads neither field.
 TRAIN_BAD_ROWS = {
     **BAD_ROWS,
     "ad_id": lambda f: f[:1] + ["ghost-ad"] + f[2:],
     "size": lambda f: f[:3] + ["999x1"] + f[4:],
-    "keywords": lambda f: f[:5] + [";"] + f[6:],
 }
 
 
@@ -606,6 +606,18 @@ def test_train_names_bad_row(sim_dir, tmp_path, capsys, kind):
                "--out", str(tmp_path / "model.json")])
     assert_names_bad_row(rc, capsys)
     assert not (tmp_path / "model.json").exists()
+
+
+def test_map_keywords_and_train_refuse_a_keywords_field_alike(sim_dir, tmp_path, capsys):
+    path = log_with_bad_row(sim_dir, tmp_path, BAD_ROWS["keywords"])
+    lines = []
+    for argv in (["map-keywords", "--k", "3"],
+                 ["train", "--ads", str(sim_dir / "catalog.json"),
+                  "--map", str(sim_dir / "keyword_map.json"), "--method", "normal"]):
+        assert main([*argv, "--data", str(path), "--out", str(tmp_path / "out.json")]) == 1
+        lines.append(capsys.readouterr().err)
+    assert lines == [json.dumps({"error": f"event row {GOOD_ROWS + 1}: "
+                                          "page_keywords must be nonempty"}) + "\n"] * 2
 
 
 def test_offline_commands_build_no_event_objects(sim_dir, tmp_path, monkeypatch):

@@ -3,14 +3,16 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
+from _keyword_map_reference import reference_keyword_map
 from _oracles import brute_force_cooccurrences, per_transaction_cooccurrences
 from conftest import unresolvable_map, weighted
 from ctrserve import sample_data
 from ctrserve.errors import CtrServeError, MappingError, ParseError
-from ctrserve.keywords import (build_keyword_map, confidence, count_cooccurrences,
-                               load_keyword_map, resolve_page_value, save_keyword_map)
+from ctrserve.keywords import (CooccurrenceStats, build_keyword_map, confidence,
+                               count_cooccurrences, load_keyword_map, resolve_page_value,
+                               save_keyword_map)
 from ctrserve.simulate import PLANTED_CLUSTERS, planted_keyword_map
 
 FOOTBALL_TXNS = [{"football", "soccer"}, {"football", "ronaldo"}, {"football"}]
@@ -355,3 +357,45 @@ def test_map_properties_hold_on_arbitrary_corpora(txns):
         for a, b in zip(members, members[1:]):
             if confidence(stats, a, c) > confidence(stats, b, c):
                 assert abs(kmap.values[a] - kmap.values[c]) < abs(kmap.values[b] - kmap.values[c])
+
+
+@st.composite
+def tied_stats(draw):
+    """Stats over up to ten keywords, in a drawn first-seen order, with
+    supports of 1 to 4 and pair counts up to the smaller support: ties in
+    support and in confidence are common, and so are members of equal
+    offset on one side of a centroid, whose values collide and are nudged."""
+    names = draw(st.lists(st.sampled_from([f"k{i}" for i in range(12)]),
+                          min_size=1, max_size=10, unique=True))
+    support = {kw: draw(st.integers(1, 4)) for kw in names}
+    pair_count = {}
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            n = draw(st.integers(0, min(support[a], support[b])))
+            if n:
+                pair_count[frozenset((a, b))] = n
+    return CooccurrenceStats("x", support, pair_count), draw(st.integers(1, len(names)))
+
+
+def as_bits(kmap):
+    return (kmap.category, kmap.centroids, [(kw, v.hex()) for kw, v in kmap.values.items()],
+            list(kmap.cluster_of.items()), kmap.nudged)
+
+
+# a, b, c and d join centroid z at confidence 0: c lands on a, d on b, and both are nudged
+NUDGING_STATS = CooccurrenceStats("x", {"z": 4, "a": 1, "b": 1, "c": 1, "d": 1}, {})
+
+
+@seed(20170307)
+@settings(max_examples=300, deadline=None)
+@example((NUDGING_STATS, 1))
+@given(tied_stats())
+def test_build_keyword_map_keeps_the_reference_layout(stats_and_k):
+    """`build_keyword_map`, which lays values out through `place_values`,
+    gives the map of the layout it replaced, bit for bit and in order."""
+    stats, k = stats_and_k
+    assert as_bits(build_keyword_map(stats, k)) == as_bits(reference_keyword_map(stats, k))
+
+
+def test_nudging_example_nudges():
+    assert build_keyword_map(NUDGING_STATS, 1).nudged == {"c", "d"}
