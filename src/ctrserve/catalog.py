@@ -195,14 +195,14 @@ def as_text(stream) -> str:
     return decode_text(data, "input") if isinstance(data, bytes) else data
 
 
-def parse_json(stream, error: type, what: str):
+def parse_json(stream, what: str):
     """The JSON value of a document read by `as_text`. Text that is not JSON,
-    too long an integer or too deep a nesting raises `error("<what>: ...")`."""
+    too long an integer or too deep a nesting raises `ParseError("<what>: ...")`."""
     text = as_text(stream)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise error(f"{what}: {exc}") from exc
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 @contextmanager
@@ -240,7 +240,7 @@ _CATALOG_TEXT = ("ad_id", "campaign_id", "category", "size", "landing_page")
 
 def catalog_records(stream) -> list:
     """The decoded JSON array of a catalog; its text is dropped on return."""
-    records = parse_json(stream, ParseError, "catalog is not valid JSON")
+    records = parse_json(stream, "catalog is not valid JSON")
     if not isinstance(records, list):
         raise ParseError("catalog must be a JSON array of objects")
     return records

@@ -1,9 +1,9 @@
 """Categorical encodings, the fold of logged events into training rows,
 design-matrix assembly and z-score scaling.
 
-Serving scales one feature vector at a time in plain floats
-(`transform_row`); only the matrix functions import numpy, so `predict`
-and the server run without it."""
+Only the matrix functions import numpy; `regression.predict` scales one
+request's features itself in plain floats, so it and the server run
+without it."""
 
 from __future__ import annotations
 
@@ -94,26 +94,15 @@ def fit_scaler(matrix: DesignMatrix) -> ScalerStats:
     return ScalerStats(means=means, stds=stds)
 
 
-def _check_arity(scaler: ScalerStats, width: int) -> None:
-    if width != len(scaler.means):
-        raise ContractError(f"scaler expects {len(scaler.means)} feature columns, got {width}")
-
-
 def transform(scaler: ScalerStats, matrix: DesignMatrix) -> DesignMatrix:
     """Replace each non-intercept entry with (x - mean) / std."""
     sl = slice(int(matrix.include_intercept), None)
-    _check_arity(scaler, matrix.X[:, sl].shape[1])
+    width = matrix.X[:, sl].shape[1]
+    if width != len(scaler.means):
+        raise ContractError(f"scaler expects {len(scaler.means)} feature columns, got {width}")
     X = matrix.X.copy()
     X[:, sl] = (X[:, sl] - scaler.means) / scaler.stds
     return DesignMatrix(X=X, y=matrix.y.copy(), include_intercept=matrix.include_intercept)
-
-
-def transform_row(scaler: ScalerStats, raw: Sequence[float]) -> tuple[float, ...]:
-    """Inference-time counterpart of transform for one raw feature vector
-    (without the ones entry). Each entry is the same IEEE subtraction and
-    division as in `transform`, so it keeps the matrix's bits."""
-    _check_arity(scaler, len(raw))
-    return tuple((float(x) - m) / s for x, m, s in zip(raw, scaler.means, scaler.stds))
 
 
 def aggregate_events(tally: Mapping[tuple, list[int]], bids: Mapping[str, float],

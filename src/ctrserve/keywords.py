@@ -166,7 +166,7 @@ def load_keyword_map(stream) -> KeywordMap:
     `cluster_of` an object whose values are centroids. A bad field raises
     ParseError naming it; text that is not UTF-8 raises UnicodeDecodeError,
     which `catalog.open_text` turns into a ParseError naming the file."""
-    payload = parse_json(stream, ParseError, "invalid keyword-map file")
+    payload = parse_json(stream, "invalid keyword-map file")
     try:
         category, values, cluster_of = (payload["category"], payload["values"],
                                          payload["cluster_of"])

@@ -17,7 +17,7 @@ from .catalog import (FEATURE_NAMES, JSON_NUMBER, TrainingRow, _Frozen, check_fi
                       open_text, parse_json)
 from .errors import ContractError, CtrServeError, ParseError, ValidationError
 from .features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, ScalerStats, build_design_matrix,
-                       fit_scaler, transform, transform_row)
+                       fit_scaler, transform)
 from .keywords import KeywordMap, load_keyword_map
 
 GRADIENT_DESCENT = "gradient_descent"
@@ -55,14 +55,14 @@ class TrainingConfig(_Frozen):
 
 
 class RegressionModel(_Frozen):
-    """theta is the intercept followed by one weight per FEATURE_NAMES entry,
-    stored as a tuple of floats; any sequence of numbers is accepted and
-    converted. A model with a scaler predicts on z-scored features."""
+    """theta is the intercept followed by one weight per FEATURE_NAMES entry.
+    theta and cost_trace take any sequence of numbers and store a tuple of
+    floats. A model with a scaler predicts on z-scored features."""
 
     __slots__ = ("theta", "scaler", "config", "cost_trace", "keyword_map_ref")
 
     def __init__(self, theta: Sequence[float], scaler: Optional[ScalerStats],
-                 config: TrainingConfig, cost_trace: tuple[float, ...] = (),
+                 config: TrainingConfig, cost_trace: Sequence[float] = (),
                  keyword_map_ref: str = ""):
         theta = tuple(map(float, theta))
         n_columns = len(FEATURE_NAMES) + 1
@@ -77,7 +77,7 @@ class RegressionModel(_Frozen):
             if not (all(map(math.isfinite, scaler.means + scaler.stds))
                     and all(s > 0 for s in scaler.stds)):
                 raise ContractError("scaler means must be finite and stds finite and > 0")
-        super().__init__(theta, scaler, config, cost_trace, keyword_map_ref)
+        super().__init__(theta, scaler, config, tuple(map(float, cost_trace)), keyword_map_ref)
 
     @property
     def bid_weight(self) -> float:
@@ -97,8 +97,9 @@ def predict(model: RegressionModel, raw: Sequence[float]) -> float:
     raw = tuple(map(float, raw))
     if len(raw) != len(FEATURE_NAMES):
         raise ContractError(f"expected {len(FEATURE_NAMES)} features, got {len(raw)}")
-    feats = transform_row(model.scaler, raw) if model.scaler is not None else raw
-    return math.fsum(t * x for t, x in zip(model.theta, (1.0, *feats)))
+    if model.scaler is not None:  # `transform`'s IEEE operations, so the matrix's bits
+        raw = tuple((x - m) / s for x, m, s in zip(raw, model.scaler.means, model.scaler.stds))
+    return math.fsum(t * x for t, x in zip(model.theta, (1.0, *raw)))
 
 
 def cost(theta: np.ndarray, matrix: DesignMatrix) -> float:
@@ -178,7 +179,7 @@ def save_model(model: RegressionModel) -> str:
             "stds": list(model.scaler.stds),
         },
         "config": {"alpha": model.config.alpha, "iterations": model.config.iterations},
-        "cost_trace": [float(c) for c in model.cost_trace],
+        "cost_trace": list(model.cost_trace),
         "keyword_map_ref": model.keyword_map_ref,
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -190,7 +191,7 @@ def load_model(stream) -> RegressionModel:
     raises ParseError naming it, as do a missing field and a `schema`
     entry that is not the one of MODEL_SCHEMA, value and type (`1` is not
     `true`), or a theta/scaler that does not fit."""
-    payload = parse_json(stream, ParseError, "corrupt model stream")
+    payload = parse_json(stream, "corrupt model stream")
     try:
         version = payload["version"]
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
@@ -217,7 +218,7 @@ def load_model(stream) -> RegressionModel:
             theta=list_of(payload["theta"], JSON_NUMBER, "theta"),
             scaler=scaler,
             config=config,
-            cost_trace=tuple(map(float, list_of(payload["cost_trace"], JSON_NUMBER, "cost_trace"))),
+            cost_trace=list_of(payload["cost_trace"], JSON_NUMBER, "cost_trace"),
             keyword_map_ref=keyword_map_ref,
         )
     except KeyError as exc:

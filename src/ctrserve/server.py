@@ -60,10 +60,6 @@ class AdResponse(NamedTuple):
                 f'"size": {_json_str(self.size)}, "score": {score}}}')
 
 
-def keyword_overlap(ad: AdCreative, request: RequestContext) -> int:
-    return len(ad.keywords & request.page_keywords)
-
-
 class _Bucket(tuple):
     """One (size, category) bucket's ads, with every keyword they carry."""
 
@@ -90,12 +86,12 @@ def _rank_by_bid(bucket: _Bucket, request: RequestContext) -> Optional[tuple[AdC
     """Maximal keyword overlap, then maximal bid, then smallest ad_id. The
     bucket is in that (bid, ad_id) order, so the first ad to reach a new
     maximal overlap wins; no ad can beat an overlap of every page keyword."""
-    best, best_overlap = None, 0
+    best, best_overlap, page = None, 0, request.page_keywords
     for ad in _eligible(bucket, request):
-        overlap = keyword_overlap(ad, request)
+        overlap = len(ad.keywords & page)
         if overlap > best_overlap:
             best, best_overlap = ad, overlap
-            if overlap == len(request.page_keywords):
+            if overlap == len(page):
                 break
     return None if best is None else (best, best.bid)
 

@@ -1023,6 +1023,25 @@ class TestTwoProcessTally:
                                             f"({limit})")
         assert len(forks) == 2
 
+    def test_a_half_refuses_a_quote(self, tmp_path):
+        """The scan before the fork refuses a log that holds a '"', but the
+        bytes can change after it: the event-log writer cuts a failed write
+        back, and the next row is written over it. A half that meets a quote
+        refuses it, where a split on "," would keep '"football"' as a keyword."""
+        row = "1,a1,above_fold,300x250,sports,{},PK,k,c,ip,ch,1"
+        path = tmp_path / "events.csv"
+        path.write_text(event_csv(row.format("football"), row.format('"football"')))
+        assert [*csv.reader(io.StringIO(path.read_text()))][2][5] == "football"
+        size = path.stat().st_size
+        with open(path, "rb") as fh:
+            with pytest.raises(catalog._NotPlain):
+                list(catalog._plain_chunks(fh.fileno(), 0, size))
+            with pytest.raises(catalog._NotPlain):
+                catalog._tally_half(fh.fileno(), 0, size, None)
+        path.write_text(event_csv(row.format("football"), row.format("football")))
+        with open(path, "rb") as fh:
+            assert catalog._tally_half(fh.fileno(), 0, path.stat().st_size, None)[1] == 2
+
     @pytest.mark.parametrize("half", ["parent", "child"])
     def test_a_nul_byte_is_read_by_the_halves(self, big_logs, tmp_path, forks, monkeypatch,
                                               half):

@@ -8,9 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from ctrserve.catalog import Placement, TrainingRow
 from ctrserve.errors import ContractError, CtrServeError, EncodingError
-from ctrserve.features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, build_design_matrix,
-                               encode_placement, encode_size, fit_scaler, transform,
-                               transform_row)
+from ctrserve.features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, ScalerStats,
+                               build_design_matrix, encode_placement, encode_size, fit_scaler,
+                               transform)
+from ctrserve.regression import RegressionModel, TrainingConfig, predict
 
 TABLE6_BIDS = [20, 15, 10, 40, 20, 15, 10, 42, 25, 20, 10, 5]
 
@@ -21,6 +22,14 @@ def exact_mean_std(values):
     mean = sum(vals) / n
     var = sum((v - mean) ** 2 for v in vals) / (n - 1)
     return float(mean), math.sqrt(float(var))
+
+
+def one_feature_model(scaler, j):
+    """A scaled model whose score is feature j after scaling, exactly:
+    `math.fsum` adds the other terms' exact zeros."""
+    theta = [0.0] * 5
+    theta[j + 1] = 1.0
+    return RegressionModel(theta=theta, scaler=scaler, config=TrainingConfig())
 
 
 class TestEncodings:
@@ -112,30 +121,35 @@ class TestScaler:
         assert np.array_equal(scaled.y, matrix.y)
 
     def test_mean_entry_maps_to_zero(self, table6_rows):
-        matrix = build_design_matrix(table6_rows)
-        scaler = fit_scaler(matrix)
-        assert transform_row(scaler, scaler.means) == (0.0,) * 4
+        scaler = fit_scaler(build_design_matrix(table6_rows))
+        for j in range(4):
+            assert predict(one_feature_model(scaler, j), scaler.means) == 0.0
 
-    def test_transform_row_matches_matrix(self, table6_rows):
+    def test_predict_matches_matrix(self, table6_rows):
         matrix = build_design_matrix(table6_rows)
         scaler = fit_scaler(matrix)
         scaled = transform(scaler, matrix)
-        for i in range(matrix.m):
-            assert np.array_equal(transform_row(scaler, matrix.X[i, 1:]), scaled.X[i, 1:])
+        for j in range(4):
+            model = one_feature_model(scaler, j)
+            for i in range(matrix.m):
+                assert predict(model, matrix.X[i, 1:]) == scaled.X[i, 1 + j]
 
     def test_bid_22_scales_as_expected(self, table6_rows):
-        matrix = build_design_matrix(table6_rows)
-        scaler = fit_scaler(matrix)
+        scaler = fit_scaler(build_design_matrix(table6_rows))
         mean, std = exact_mean_std(TABLE6_BIDS)
-        row = transform_row(scaler, [1.0, 1.0, 22.0, 51.0])
-        assert row[2] == pytest.approx((22 - mean) / std, abs=1e-12)
-        assert row[2] == pytest.approx(0.2300, abs=1e-4)
+        bid = predict(one_feature_model(scaler, 2), [1.0, 1.0, 22.0, 51.0])
+        assert bid == pytest.approx((22 - mean) / std, abs=1e-12)
+        assert bid == pytest.approx(0.2300, abs=1e-4)
 
     def test_schema_mismatch(self, table6_rows):
-        matrix = build_design_matrix(table6_rows)
-        scaler = fit_scaler(matrix)
+        scaler = fit_scaler(build_design_matrix(table6_rows))
         with pytest.raises(ContractError):
-            transform_row(scaler, [1.0, 2.0])
+            predict(one_feature_model(scaler, 0), [1.0, 2.0])
+
+    def test_transform_refuses_a_scaler_of_another_width(self, table6_rows):
+        scaler = ScalerStats(means=[0.0, 0.0], stds=[1.0, 1.0])
+        with pytest.raises(ContractError, match="^scaler expects 2 feature columns, got 4$"):
+            transform(scaler, build_design_matrix(table6_rows))
 
 
 @settings(max_examples=30, deadline=None)

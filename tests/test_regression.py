@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -331,6 +332,17 @@ class TestPersistence:
         assert np.array_equal(loaded.scaler.stds, model.scaler.stds)
         assert loaded.config.alpha == model.config.alpha
         assert loaded.keyword_map_ref == model.keyword_map_ref
+
+    def test_a_trace_of_integers_is_stored_as_floats(self):
+        model = RegressionModel(theta=[0.3, 0, 0, 0, 1], scaler=None, config=TrainingConfig(),
+                                cost_trace=(1, 2))
+        assert [type(c) for c in model.cost_trace] == [float, float]
+        text = save_model(model)
+        assert '"cost_trace": [\n    1.0,\n    2.0\n  ],' in text
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "5b9778368e33bc0826a7e129b0892dc3461736c38a32bfd592ff4243ab05dbc2")
+        loaded = load_model(text)
+        assert loaded == model and loaded.cost_trace == (1.0, 2.0)
 
     def test_truncated_stream(self, table6_rows, sports_map):
         model = train(table6_rows, sports_map, TrainingConfig(iterations=5))

@@ -18,7 +18,7 @@ from ctrserve.features import DEFAULT_SIZE_REGISTRY, encode_placement, encode_si
 from ctrserve.keywords import resolve_page_value
 from ctrserve.regression import RegressionModel, TrainingConfig, predict, train
 from ctrserve.server import (MODE_BID, MODE_CTR, NO_FILL, AdResponse, EventLogWriter,
-                             ServingState, keyword_overlap, load_state, load_steps, serve)
+                             ServingState, load_state, load_steps, serve)
 
 VOCAB = ["football", "soccer", "epl", "cricket", "tennis", "nadal", "ronaldo", "brazil"]
 
@@ -123,21 +123,6 @@ class TestBuildPool:
 
     def test_category_mismatch(self):
         assert served([make_ad("a1", category="health")], make_context(), MODE_BID) is None
-
-
-class TestKeywordOverlap:
-    def test_partial(self):
-        ad = make_ad("a1", keywords=("football", "epl"))
-        assert keyword_overlap(ad, make_context(keywords=("football", "tennis"))) == 1
-
-    def test_disjoint(self):
-        ad = make_ad("a1", keywords=("cricket",))
-        assert keyword_overlap(ad, make_context(keywords=("football",))) == 0
-
-    def test_identical(self):
-        tokens = ("a", "b", "c", "d", "e")
-        ad = make_ad("a1", keywords=tokens)
-        assert keyword_overlap(ad, make_context(keywords=tokens)) == 5
 
 
 class TestSelectByBid:
