@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
-from .catalog import (FEATURE_NAMES, JSON_NUMBER, TrainingRow, _Frozen, check_field, list_of,
-                      open_text, parse_json)
+from .catalog import (FEATURE_NAMES, JSON_NUMBER, TrainingRow, _Frozen, check_field,
+                      decode_text, list_of, parse_json)
 from .errors import ContractError, CtrServeError, ParseError, ValidationError
 from .features import (DEFAULT_SIZE_REGISTRY, DesignMatrix, ScalerStats, build_design_matrix,
                        fit_scaler, transform)
@@ -227,19 +228,24 @@ def load_model(stream) -> RegressionModel:
         raise ParseError(f"invalid model payload: {exc}") from exc
 
 
-def load_model_and_map(model_path, map_path) -> tuple[Optional[RegressionModel],
-                                                      Optional[KeywordMap]]:
-    """The model and the keyword map at these paths, either None where its
-    path is empty. A model that names the keyword map it was trained with
-    must be paired with a map of that category; a model that names none
-    goes with any map."""
+def read_file(path) -> Optional[bytes]:
+    """The bytes of the file at `path`, or None where `path` is empty."""
+    return Path(path).read_bytes() if path else None
+
+
+def load_model_and_map(model_path, map_path, model_data=None,
+                       map_data=None) -> tuple[Optional[RegressionModel], Optional[KeywordMap]]:
+    """The model and the keyword map at these paths (or their bytes, read
+    already), either None where its path is empty. A model that names the
+    keyword map it was trained with must be paired with a map of that
+    category; a model that names none goes with any map."""
     model = keyword_map = None
     if model_path:
-        with open_text(model_path) as fh:
-            model = load_model(fh)
+        data = read_file(model_path) if model_data is None else model_data
+        model = load_model(decode_text(data, model_path))
     if map_path:
-        with open_text(map_path) as fh:
-            keyword_map = load_keyword_map(fh)
+        data = read_file(map_path) if map_data is None else map_data
+        keyword_map = load_keyword_map(decode_text(data, map_path))
         if model is not None and model.keyword_map_ref not in ("", keyword_map.category):
             raise ValidationError(f"model {model_path} was trained with the "
                                   f"{model.keyword_map_ref!r} keyword map, but map "

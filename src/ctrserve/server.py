@@ -30,7 +30,7 @@ from .catalog import (EVENT_LOG_HEADER, EVENT_LOG_HEADER_LINE, PLACEMENTS, AdCre
 from .errors import ContractError, EncodingError, ParseError, ValidationError
 from .features import encode_placement, encode_size
 from .keywords import KeywordMap, resolve_page_value
-from .regression import RegressionModel, load_model_and_map, predict
+from .regression import RegressionModel, load_model_and_map, predict, read_file
 
 MODE_BID = "bid"
 MODE_CTR = "ctr"
@@ -136,17 +136,19 @@ class ServingState:
     constructor returns: the catalog's (size, category) buckets, each sorted
     by (bid descending, ad_id) with the set of every keyword its ads carry,
     which makes a page that shares none a no-fill without a scan; its ad_ids;
-    the model; the keyword map; the `catalog_digest` of the catalog's bytes
-    (empty unless `load_steps` read them). The buckets hold the catalog's
-    only copy. Given `shares`, a snapshot of the same catalog, it takes that
-    one's buckets, sets included, and ad_ids and reads no catalog."""
+    the model; the keyword map; the bytes they were parsed from
+    (`model_files`) and the `catalog_digest` of the catalog's, both empty
+    unless `load_steps` read them. The buckets are the catalog's only copy:
+    given `shares`, a snapshot of the same catalog, it takes those and ad_ids."""
 
-    __slots__ = ("model", "keyword_map", "catalog_digest", "index", "ad_ids", "bid_ascending")
+    __slots__ = ("model", "keyword_map", "catalog_digest", "model_files", "index", "ad_ids",
+                 "bid_ascending")
 
     def __init__(self, catalog: Sequence[AdCreative], model: Optional[RegressionModel] = None,
                  keyword_map: Optional[KeywordMap] = None, catalog_digest: bytes = b"",
-                 shares: Optional[ServingState] = None):
+                 model_files: tuple = (), shares: Optional[ServingState] = None):
         self.model, self.keyword_map, self.catalog_digest = model, keyword_map, catalog_digest
+        self.model_files = model_files
         self.bid_ascending = model is not None and model.bid_weight < 0  # ctr scans from the end
         if shares is not None:
             self.index, self.ad_ids = shares.index, shares.ad_ids
@@ -322,9 +324,9 @@ def load_steps(config: ServerConfig, live: Optional[ServingState] = None):
     (each 256 ads, and the rest); the last yields the snapshot. A catalog
     with the digest of `live`'s, the snapshot being replaced, is not parsed
     again: the snapshot shares `live`'s buckets, in one step. The model and
-    the map are always read, and a pair that `load_model_and_map` refuses
-    does not load. A file that is not UTF-8 raises ParseError naming its
-    path.
+    the map are read once each, and if both hold `live`'s bytes, `live`'s pair
+    is taken unparsed; else a pair `load_model_and_map` refuses does not load.
+    A file that is not UTF-8 raises ParseError naming its path.
 
     The cyclic collector is paused from the first step to the last, however
     the load ends. A load allocates tens of thousands of containers, which
@@ -350,9 +352,17 @@ def load_steps(config: ServerConfig, live: Optional[ServingState] = None):
                 if not len(ads) % 256:
                     yield "ads"
             yield "ads"
-        model, keyword_map = load_model_and_map(config.model_path, config.map_path)
+        model_data = read_file(config.model_path)
+        try:
+            files = model_data, read_file(config.map_path)
+        except OSError:  # as file by file, a refused model comes before an unreadable map
+            load_model_and_map(config.model_path, None, model_data)
+            raise
+        same = live is not None and live.model_files == files  # a pair that passed every check
+        model, keyword_map = (live.model, live.keyword_map) if same else load_model_and_map(
+            config.model_path, config.map_path, *files)
         state = ServingState(catalog=ads, model=model, keyword_map=keyword_map,
-                             catalog_digest=digest, shares=shares)
+                             catalog_digest=digest, model_files=files, shares=shares)
     finally:
         if enabled:
             gc.enable()
@@ -425,13 +435,16 @@ def _parse_event(body: bytes) -> tuple[str, RequestContext, bool]:
     return ad_id, _request_context(payload, keywords), clicked
 
 
+_OK, _ACCEPTED, _RELOADED = (json.dumps({"status": s}) for s in ("ok", "accepted", "reloaded"))
+
+
 def _error(code: int, message: str) -> tuple[int, str]:
     return code, json.dumps({"error": message})
 
 
 def _get(path: str, query: str, app: "AdServer") -> tuple[int, str]:
     if path == "/healthz":
-        return 200, json.dumps({"status": "ok"})
+        return 200, _OK
     if path != "/ad":
         return _error(404, "not found")
     try:
@@ -460,7 +473,7 @@ def _post(path: str, body: bytes, app: "AdServer") -> tuple[int, str]:
         app.event_log.record_event(app.state, ad_id, context, clicked)
     except ValidationError as exc:
         return _error(400, str(exc))
-    return 202, json.dumps({"status": "accepted"})
+    return 202, _ACCEPTED
 
 
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
@@ -796,7 +809,7 @@ class AdServer:
             if not isinstance(state := next(steps), ServingState):
                 return
             self.state = state
-            code, text = 200, json.dumps({"status": "reloaded"})
+            code, text = 200, _RELOADED
         except Exception as exc:
             traceback.print_exc()
             code, text = _error(500, str(exc))

@@ -8,7 +8,7 @@ from ctrserve.server import ServerConfig, load_steps
 from test_cli import child_python
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "load_stages.py"
-TIMES = ("build_ms", "load_ms", "reload_same_ms", "max_step_ms")
+TIMES = ("build_ms", "load_ms", "reload_same_ms", "reload_model_ms", "max_step_ms")
 
 
 def test_the_load_stages_probe_prints_one_json_line(tmp_path):

@@ -1,8 +1,11 @@
 """A reload whose catalog bytes are unchanged reuses the live snapshot's
-buckets; every other load parses the catalog and refuses it as a first load
-would, while the model and the map are read on every load."""
+buckets, and one whose model and map bytes are both unchanged reuses its
+model and map; every other load parses the files whose bytes changed and
+refuses them as a first load would. Every file is read on every load, once."""
 
+import builtins
 import hashlib
+import io
 import json
 import math
 import os
@@ -17,8 +20,9 @@ from hypothesis import given, seed, settings, strategies as st
 from conftest import make_context
 from ctrserve import catalog, sample_data
 from ctrserve.catalog import SPLIT_MIN_BYTES, Placement, open_text, parse_ad_catalog
-from ctrserve.errors import ParseError
+from ctrserve.errors import ParseError, ValidationError
 from ctrserve.features import DEFAULT_SIZE_REGISTRY
+from ctrserve.regression import load_model_and_map
 from ctrserve.server import (MODE_BID, MODE_CTR, NO_FILL, AdServer, catalog_digest, load_state,
                              serve)
 from test_cli import child_python
@@ -84,7 +88,7 @@ def test_unchanged_bytes_share_the_live_buckets(tmp_path):
     assert state.index.keys() == live.index.keys()
     assert all(state.index[key] is live.index[key] for key in live.index)
     assert state.ad_ids is live.ad_ids
-    assert state.model is not live.model and state.model == live.model
+    assert state.model is live.model and state.keyword_map is live.keyword_map
     assert_serves_as_the_oracles(state, config.catalog_path)
     fresh = load_state(config)  # no live snapshot: the catalog is parsed
     assert all(fresh.index[key] is not live.index[key] for key in live.index)
@@ -160,6 +164,133 @@ def test_over_http_a_bad_model_or_map_beside_the_same_catalog_keeps_the_snapshot
             (best[0].ad_id, best[1])
     finally:
         srv.stop()
+
+
+def test_a_model_rewritten_to_the_same_length_and_mtime_is_parsed(tmp_path):
+    config = config_for(tmp_path, catalog_records(600, seed=14))
+    config.model_path = write_model(tmp_path / "model.json", 0.0042)
+    path = Path(config.model_path)
+    live = load_state(config)
+    assert live.model.bid_weight == 0.0042 and not live.bid_ascending
+    before = path.stat()
+    text = path.read_text()
+    path.write_text(text.replace("0.0042", "-0.004"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    state = load_state(config, live)
+    assert state.model is not live.model
+    assert state.model.bid_weight == -0.004 and state.bid_ascending
+    assert all(state.index[key] is live.index[key] for key in live.index)
+    assert_serves_as_the_oracles(state, config.catalog_path)
+
+
+BAD_FILES = {"model": ("model_path", b'{"version": 1}', "invalid model payload: missing field "
+                                                        "'schema'"),
+             "map": ("map_path", b"{\n", "invalid keyword-map file: Expecting property name "
+                                           "enclosed in double quotes: line 2 column 1 (char 2)"),
+             "map, not UTF-8": ("map_path", b'{"category": "sp\xf6rts"}',
+                                "{path} is not UTF-8 text: 'utf-8' codec can't decode byte "
+                                "0xf6 in position 16: invalid start byte")}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_refused_bytes_sent_again_are_refused_again(tmp_path, name):
+    """A refused pair never becomes the live one, so the same bytes are
+    parsed and refused again, in the text of a first load, while the
+    snapshot keeps serving."""
+    field, data, message = BAD_FILES[name]
+    config = config_for(tmp_path, catalog_records(600, seed=15))
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    srv = AdServer(config)
+    base = f"http://127.0.0.1:{srv.start()}"
+    try:
+        snapshot = srv.state
+        setattr(config, field, str(path))
+        with pytest.raises(ParseError) as first_load:
+            load_state(config)
+        assert str(first_load.value) == message.format(path=path)
+        for _ in range(2):
+            assert http_post(base + "/reload") == \
+                (500, json.dumps({"error": str(first_load.value)}))
+            assert srv.state is snapshot
+            assert_serves_as_the_oracles(srv.state, config.catalog_path)
+    finally:
+        srv.stop()
+
+
+def test_a_map_of_another_category_beside_an_unchanged_model_is_refused(tmp_path):
+    config = config_for(tmp_path, catalog_records(600, seed=16))
+    live = load_state(config)
+    news = tmp_path / "news_map.json"
+    news.write_text(Path(config.map_path).read_text().replace('"sports"', '"news"'))
+    config.map_path = str(news)
+    message = (f"model {config.model_path} was trained with the 'sports' keyword map, "
+               f"but map {news} is for 'news'")
+    for snapshot in (live, None, live):
+        with pytest.raises(ValidationError) as err:
+            load_state(config, snapshot)
+        assert str(err.value) == message
+
+
+def test_a_refused_model_is_named_before_an_unreadable_map(tmp_path):
+    """As the files are taken one by one, a model refused for its bytes is
+    the fault named, not a map that cannot be read after it."""
+    config = config_for(tmp_path, catalog_records(50, seed=17))
+    live = load_state(config)
+    bad = tmp_path / "bad_model.json"
+    bad.write_bytes(b"[]")
+    config.model_path, config.map_path = str(bad), str(tmp_path / "missing_map.json")
+    for snapshot in (live, None):
+        with pytest.raises(ParseError, match="^invalid model payload: list indices"):
+            load_state(config, snapshot)
+    config.model_path = write_model(tmp_path / "model.json", 0.004)
+    with pytest.raises(FileNotFoundError, match="missing_map.json"):
+        load_state(config, live)
+
+
+def test_a_model_from_a_pipe_is_refused_at_the_place_of_its_bad_byte(tmp_path):
+    """A model is read whole, as bytes, so a pipe's bad byte is named at its
+    place, as a regular file's is."""
+    data = b'{"version": \xff}'
+    plain, pipe = tmp_path / "model.json", tmp_path / "model.fifo"
+    plain.write_bytes(data)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,))
+    writer.start()
+    try:
+        with pytest.raises(ParseError) as from_pipe:
+            load_model_and_map(str(pipe), None)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    with pytest.raises(ParseError) as from_file:
+        load_model_and_map(str(plain), None)
+    for err, path in ((from_pipe, pipe), (from_file, plain)):
+        assert str(err.value) == (f"{path} is not UTF-8 text: 'utf-8' codec can't decode "
+                                  "byte 0xff in position 12: invalid start byte")
+
+
+def test_one_load_opens_the_model_and_the_map_once_each(tmp_path, monkeypatch):
+    config = config_for(tmp_path, catalog_records(50, seed=18))
+    live = load_state(config)
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    real_open = builtins.open
+    for module in (builtins, io):  # pathlib opens through io.open
+        monkeypatch.setattr(module, "open", counted)
+    model_path = write_model(tmp_path / "model.json", -0.002)
+    for model in (config.model_path, config.model_path, model_path):
+        config.model_path = model
+        opened.clear()
+        live = load_state(config, live)
+        assert sorted(opened) == sorted([config.catalog_path, model, config.map_path])
+    assert live.model.bid_weight == -0.002
 
 
 REFUSED = {
